@@ -7,10 +7,15 @@ by roughly what factor, where the curves bend — can be compared directly.
 
 Set the environment variable ``REPRO_BENCH_SCALE`` to ``default`` or
 ``paper`` to run larger versions of the same sweeps.
+
+Everything a benchmark session writes — the printed tables and the perf
+suite's numbers — lands in the git-ignored ``benchmarks/out/``; running
+the benchmarks never touches a tracked file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -65,21 +70,44 @@ def didi_workload(bench_scale):
 #: ``tee``'d log) even though pytest captures test stdout by default.
 _CAPTURE_MANAGER = [None]
 
+#: Where a benchmark session writes (git-ignored).
+OUTPUT_DIR = Path(__file__).resolve().parent / "out"
+
 #: File that accumulates every printed table of the benchmark session.
-RESULTS_FILE = Path(__file__).resolve().parent / "results" / "figures.txt"
+RESULTS_FILE = OUTPUT_DIR / "figures.txt"
+
+#: The perf suite's fresh numbers; ``benchmarks/perf/check_regression.py``
+#: compares it against the committed ``BENCH_planning.json`` baseline.
+PERF_FILE = OUTPUT_DIR / "BENCH_planning.json"
 
 
 def pytest_configure(config):
     _CAPTURE_MANAGER[0] = config.pluginmanager.getplugin("capturemanager")
-    RESULTS_FILE.parent.mkdir(parents=True, exist_ok=True)
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     RESULTS_FILE.write_text("")
+
+
+@pytest.fixture(scope="session")
+def perf_results():
+    """Section name -> numbers of this session's perf benchmarks.
+
+    The one writer of the perf suite: sections are merged over the previous
+    fresh file at session end, so running a single module refreshes its own
+    sections and keeps everybody else's.
+    """
+    sections: dict = {}
+    yield sections
+    if sections:
+        merged = json.loads(PERF_FILE.read_text()) if PERF_FILE.exists() else {}
+        merged.update(sections)
+        PERF_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def print_figure(title: str, rows, columns) -> None:
     """Print a figure's series as an aligned table (the paper's rows).
 
     The table is echoed to the real terminal (bypassing pytest's capture) and
-    appended to ``benchmarks/results/figures.txt`` so a ``tee``'d benchmark
+    appended to ``benchmarks/out/figures.txt`` so a ``tee``'d benchmark
     log and the results file both contain every reproduced series.
     """
     from repro.experiments.reporting import format_table

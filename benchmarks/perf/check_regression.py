@@ -1,17 +1,21 @@
 #!/usr/bin/env python
-"""Compare a fresh BENCH_planning.json against a committed baseline.
+"""Compare a fresh BENCH_planning.json against the committed baseline.
 
 Usage::
 
-    python benchmarks/perf/check_regression.py BASELINE CANDIDATE [--factor 2.0]
+    python benchmarks/perf/check_regression.py [BASELINE [CANDIDATE]] [--factor 2.0]
+
+``BASELINE`` defaults to the committed ``BENCH_planning.json`` at the
+repository root, ``CANDIDATE`` to the file the perf suite just wrote,
+``benchmarks/out/BENCH_planning.json`` (git-ignored).  The baseline only
+changes by an explicit copy of a fresh file over it (see CONTRIBUTING).
 
 Fails (exit 1) when the candidate regresses by more than ``factor`` on any
-guarded metric.  The guarded metrics are the **same-run speedup ratios**
-(vectorized vs scalar, per scale) — scalar and vectorized paths run on the
-same machine in the same session, so the ratio is machine-invariant and
-safe to compare across a dev laptop and a CI runner:
+guarded metric.  The guarded metrics are **same-run ratios** — both legs
+run on the same machine in the same session, so the ratio is
+machine-invariant and safe to compare across a dev laptop and a CI
+runner:
 
-* snapshot replan-latency speedup (per scale),
 * batched TVF scoring speedup (per batch size),
 * incremental-replan speedup: single-event stream (per scale) and
   streaming-platform mean replan latency (per scale),
@@ -134,17 +138,10 @@ def _iter_metrics(data):
     entry's ``gate`` flag downgrades it to ``info`` on hosts too small
     to show a speedup); ``info`` never gates.
     """
-    for scale, entry in data.get("snapshot_replan", {}).items():
-        yield f"snapshot_replan.{scale}.speedup", entry["speedup"], "ratio"
-        yield f"snapshot_replan.{scale}.vector_mean_ms", entry["vector_mean_ms"], "info"
     for scale, entry in data.get("tvf_scoring", {}).items():
         yield f"tvf_scoring.{scale}.speedup", entry["speedup"], "ratio"
     for scale, entry in data.get("streaming", {}).items():
-        yield (
-            f"streaming.{scale}.vector.events_per_sec",
-            entry["vector"]["events_per_sec"],
-            "info",
-        )
+        yield f"streaming.{scale}.events_per_sec", entry["events_per_sec"], "info"
     incremental = data.get("incremental_replan", {})
     for scale, entry in incremental.get("single_event_stream", {}).items():
         yield (
@@ -267,9 +264,8 @@ def _iter_metrics(data):
             "info",
         )
     tuning = data.get("threshold_tuning", {})
-    for knob in ("vector_min_tasks", "index_min_tasks"):
-        for value, entry in tuning.get(knob, {}).items():
-            yield f"threshold_tuning.{knob}.{value}.mean_ms", entry["mean_ms"], "info"
+    for value, entry in tuning.get("vector_min_tasks", {}).items():
+        yield f"threshold_tuning.vector_min_tasks.{value}.mean_ms", entry["mean_ms"], "info"
 
 
 def compare(baseline: dict, candidate: dict, factor: float):
@@ -330,8 +326,16 @@ def compare(baseline: dict, candidate: dict, factor: float):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", type=Path)
-    parser.add_argument("candidate", type=Path)
+    repo_root = Path(__file__).resolve().parents[2]
+    parser.add_argument(
+        "baseline", type=Path, nargs="?", default=repo_root / "BENCH_planning.json"
+    )
+    parser.add_argument(
+        "candidate",
+        type=Path,
+        nargs="?",
+        default=repo_root / "benchmarks" / "out" / "BENCH_planning.json",
+    )
     parser.add_argument(
         "--factor",
         type=float,

@@ -24,11 +24,9 @@ regression-gated by ``benchmarks/perf/check_regression.py``.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,9 +35,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, workers, tasks, density) — denser than the incremental-replan
 #: stream scales so the dependency graph forms large shared-task
@@ -85,18 +80,8 @@ def _latency_stats(samples):
     return float(values.mean()), float(np.percentile(values, 95))
 
 
-@pytest.fixture(scope="module")
-def bnb_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["bnb_search"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestComponentSearch:
-    def test_dense_component_search(self, bench_scale, bnb_results):
+    def test_dense_component_search(self, bench_scale, perf_results):
         """One-shot plans on dense snapshots: plain exact vs branch-and-bound."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.spatial.travel import EuclideanTravelModel
@@ -154,7 +139,7 @@ class TestComponentSearch:
             # optimality, so it must never plan fewer tasks.
             assert nodes_ratio >= 2.0
             assert bnb_outcome.planned_tasks >= exact_outcome.planned_tasks
-        bnb_results["component_search"] = section
+        perf_results.setdefault("bnb_search", {})["component_search"] = section
         print_figure(
             "Dense-component exact search — plain DFSearch vs branch-and-bound",
             rows,
@@ -163,7 +148,7 @@ class TestComponentSearch:
 
 
 class TestDirtyComponentStream:
-    def test_dirty_dense_component_stream(self, bench_scale, bnb_results):
+    def test_dirty_dense_component_stream(self, bench_scale, perf_results):
         """Incremental replans that keep re-searching one dense component."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.core.task import Task
@@ -245,7 +230,7 @@ class TestDirtyComponentStream:
                 "speedup": f"{speedup:.2f}x",
             }
         )
-        bnb_results["dirty_component_stream"] = section
+        perf_results.setdefault("bnb_search", {})["dirty_component_stream"] = section
         print_figure(
             "Dirty dense-component replan stream — exact vs branch-and-bound",
             rows,

@@ -21,11 +21,9 @@ The same-run speedup ratios are machine-invariant and regression-gated by
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,9 +32,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, workers, tasks) — the same density-8 scales as the snapshot
 #: benchmarks in ``test_planning_perf.py``.
@@ -89,18 +84,8 @@ def _latency_stats(samples):
     return float(values.mean()), float(np.percentile(values, 95))
 
 
-@pytest.fixture(scope="module")
-def incremental_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["incremental_replan"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestSingleEventStream:
-    def test_single_event_stream_latency(self, bench_scale, incremental_results):
+    def test_single_event_stream_latency(self, bench_scale, perf_results):
         """Per-event replan latency, full pipeline vs incremental engine."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.core.task import Task
@@ -184,7 +169,7 @@ class TestSingleEventStream:
                     "speedup": f"{speedup:.2f}x",
                 }
             )
-        incremental_results["single_event_stream"] = section
+        perf_results.setdefault("incremental_replan", {})["single_event_stream"] = section
         print_figure(
             "Single-event replan latency — full pipeline vs incremental engine",
             rows,
@@ -198,7 +183,7 @@ class TestSingleEventStream:
 
 
 class TestStreamingPlatformIncremental:
-    def test_streaming_platform_replan_latency(self, bench_scale, incremental_results):
+    def test_streaming_platform_replan_latency(self, bench_scale, perf_results):
         """Mean replan latency of full platform replays, full vs incremental."""
         from repro.assignment.planner import PlannerConfig
         from repro.assignment.strategies import DTAStrategy
@@ -231,7 +216,7 @@ class TestStreamingPlatformIncremental:
         assert entry["full_replans"] == entry["incremental_replans"]
         speedup = stats["full"][0] / max(stats["incremental"][0], 1e-9)
         entry["speedup"] = round(speedup, 2)
-        incremental_results["streaming_platform"] = {"medium": entry}
+        perf_results.setdefault("incremental_replan", {})["streaming_platform"] = {"medium": entry}
         print_figure(
             "Streaming platform replan latency — full vs incremental (DTA)",
             [

@@ -20,11 +20,9 @@ against an absolute >=2x floor.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +31,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, hubs, pinned/hub, centrals/hub, ring tasks/hub).  Two rovers per
 #: hub; ring > 2 * max_sequence_length keeps the rim task-surplus.
@@ -105,18 +100,8 @@ def _latency_stats(samples):
     return float(values.mean()), float(np.percentile(values, 95))
 
 
-@pytest.fixture(scope="module")
-def lp_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["lp_bound"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestContestedComponentSearch:
-    def test_contested_component_search(self, bench_scale, lp_results):
+    def test_contested_component_search(self, bench_scale, perf_results):
         """One-shot plans on contested snapshots: additive vs LP bound."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.spatial.travel import EuclideanTravelModel
@@ -178,7 +163,7 @@ class TestContestedComponentSearch:
             # far above the floor; check_regression.py gates them too.
             assert lp_outcome.planned_tasks == additive_outcome.planned_tasks
             assert nodes_ratio >= 2.0
-        lp_results["component_search"] = section
+        perf_results.setdefault("lp_bound", {})["component_search"] = section
         print_figure(
             "Contested-component exact search — additive vs LP-relaxation bound",
             rows,

@@ -28,10 +28,8 @@ machine-wide slowdowns cancel.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -40,25 +38,12 @@ from conftest import print_figure
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
-
 #: Traced replays; the committed ratio is their median.
 TRACED_REPS = 5
 #: Tight-loop passes when micro-timing the per-event / per-op costs.
 MICRO_PASSES = 5
 #: Loop length of each micro-timing pass.
 MICRO_N = 20_000
-
-
-@pytest.fixture(scope="module")
-def obs_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["observability_overhead"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def _per_event_cost() -> float:
@@ -111,7 +96,7 @@ class TestObservabilityOverhead:
             ),
         )
 
-    def test_observability_overhead(self, bench_scale, obs_results):
+    def test_observability_overhead(self, bench_scale, perf_results):
         from repro.datasets.yueche import generate_yueche
         from repro.obs import ObservabilityConfig
 
@@ -157,7 +142,7 @@ class TestObservabilityOverhead:
             "registry_ops": ops,
             "overhead_ratio": round(overhead, 4),
         }
-        obs_results["small"] = entry
+        perf_results.setdefault("observability_overhead", {})["small"] = entry
         print_figure(
             "Observability overhead — traced platform vs no-op path (DTA)",
             [

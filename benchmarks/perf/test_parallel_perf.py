@@ -14,22 +14,19 @@ Two sections are merged into ``BENCH_planning.json``:
   container records honest numbers without pretending to a speedup it
   cannot physically show).  Backend equivalence is asserted on every
   run regardless of core count.
-* **threshold_tuning** — the carried PR 2 follow-on: sweep
-  ``VECTOR_MIN_TASKS`` (scalar→vectorized reachability crossover) and
-  ``INDEX_MIN_TASKS`` (spatial-index build threshold) on a large
-  snapshot and record mean plan latency per setting.  Informational
-  (never gated): the committed defaults are re-confirmed or re-tuned
-  from this data.
+* **threshold_tuning** — sweep ``VECTOR_MIN_TASKS`` (the
+  scalar→vectorized reachability crossover) on a large snapshot and
+  record mean cold-plan latency per setting.  Informational (never
+  gated): the committed default is re-confirmed or re-tuned from this
+  data.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +35,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: Wall-clock speedup the pool must deliver at 4 workers on gated hosts.
 SPEEDUP_FLOOR = 1.5
@@ -106,18 +100,8 @@ def canonical(assignment):
     )
 
 
-@pytest.fixture(scope="module")
-def parallel_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    sections = {}
-    yield sections
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged.update(sections)
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestParallelSearch:
-    def test_parallel_snapshot_speedup(self, bench_scale, parallel_results):
+    def test_parallel_snapshot_speedup(self, bench_scale, perf_results):
         """Serial vs 4-worker pool on dense multi-cluster snapshot replans."""
         from repro.assignment.executor import shutdown_shared_pools
         from repro.assignment.planner import PlannerConfig, TaskPlanner
@@ -201,7 +185,7 @@ class TestParallelSearch:
                     f"{name}: {speedup:.2f}x < {SPEEDUP_FLOOR}x at "
                     f"{max_workers} workers on {cores} cores"
                 )
-        parallel_results["parallel_search"] = section
+        perf_results["parallel_search"] = section
         shutdown_shared_pools()
         print_figure(
             f"Parallel component search — serial vs {max_workers}-worker pool",
@@ -211,27 +195,30 @@ class TestParallelSearch:
 
 
 class TestThresholdTuning:
-    def test_threshold_sweep(self, bench_scale, parallel_results, monkeypatch):
-        """Sweep the vectorization/index crossovers at large scale."""
-        import repro.assignment.incremental as incremental_mod
-        import repro.assignment.planner as planner_mod
+    def test_threshold_sweep(self, bench_scale, perf_results, monkeypatch):
+        """Sweep the vectorization crossover at large scale."""
         import repro.assignment.reachability as reachability_mod
         from repro.assignment.planner import PlannerConfig, TaskPlanner
+        from repro.spatial.index import SpatialIndex
         from repro.spatial.travel import EuclideanTravelModel
 
         from test_bnb_search import make_dense_snapshot
 
         repeats = 2 if bench_scale.name == "quick" else 4
-        # Large sparse-ish snapshot: enough tasks that both thresholds are
-        # in play (vectorized reachability kicks in per worker; the
-        # spatial index build is near its default 1024-task crossover).
+        # Large sparse-ish snapshot behind the platform's task index: the
+        # pre-filter leaves each worker a few dozen candidates, which is
+        # where the scalar/vector choice is actually made.
         workers, tasks, _, _ = make_dense_snapshot(60, 1200, 4.0, seed=11)
+        index = SpatialIndex(cell_size=1.0)
+        for task in tasks:
+            index.insert(task.task_id, task.location)
 
         def timed_plan():
             planner = TaskPlanner(
                 PlannerConfig(incremental_replan=False),
                 travel=EuclideanTravelModel(1.0),
             )
+            planner.attach_task_index(index)
             start = time.perf_counter()
             outcome = planner.plan(workers, tasks, 0.0)
             return outcome.planned_tasks, time.perf_counter() - start
@@ -242,11 +229,7 @@ class TestThresholdTuning:
         vector_sweep = {}
         baseline_planned = None
         for threshold in (8, 16, 32, 64, 128):
-            # VECTOR_MIN_TASKS is imported by value into its consumers —
-            # patch every copy so the sweep actually changes behaviour.
             monkeypatch.setattr(reachability_mod, "VECTOR_MIN_TASKS", threshold)
-            monkeypatch.setattr(planner_mod, "VECTOR_MIN_TASKS", threshold)
-            monkeypatch.setattr(incremental_mod, "VECTOR_MIN_TASKS", threshold)
             samples = []
             for _ in range(repeats):
                 planned, elapsed = timed_plan()
@@ -259,27 +242,9 @@ class TestThresholdTuning:
             rows.append(
                 {"knob": "VECTOR_MIN_TASKS", "value": threshold, "mean_ms": f"{mean_ms:.1f}"}
             )
-        monkeypatch.setattr(reachability_mod, "VECTOR_MIN_TASKS", 32)
-        monkeypatch.setattr(planner_mod, "VECTOR_MIN_TASKS", 32)
-        monkeypatch.setattr(incremental_mod, "VECTOR_MIN_TASKS", 32)
-
-        index_sweep = {}
-        for threshold in (256, 512, 1024, 2048):
-            monkeypatch.setattr(planner_mod, "INDEX_MIN_TASKS", threshold)
-            samples = []
-            for _ in range(repeats):
-                planned, elapsed = timed_plan()
-                samples.append(elapsed)
-            assert planned == baseline_planned
-            mean_ms = float(np.mean(samples) * 1000.0)
-            index_sweep[str(threshold)] = {"mean_ms": round(mean_ms, 3)}
-            rows.append(
-                {"knob": "INDEX_MIN_TASKS", "value": threshold, "mean_ms": f"{mean_ms:.1f}"}
-            )
 
         section["vector_min_tasks"] = vector_sweep
-        section["index_min_tasks"] = index_sweep
-        parallel_results["threshold_tuning"] = section
+        perf_results["threshold_tuning"] = section
         print_figure(
             "Planner threshold sweep — 60 workers / 1200 tasks, one-shot plans",
             rows,

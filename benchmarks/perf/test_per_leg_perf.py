@@ -26,9 +26,7 @@ written into the ``per_leg_pricing`` section of ``BENCH_planning.json``
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,9 +36,6 @@ from test_incremental_replan import make_stream_snapshot
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, number of disjoint motif copies).
 MOTIF_SCALES = [
@@ -107,18 +102,8 @@ def _mean_ms(samples):
     return float(np.asarray(samples or [0.0], dtype=np.float64).mean() * 1000.0)
 
 
-@pytest.fixture(scope="module")
-def per_leg_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["per_leg_pricing"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestBoundaryStreamServedRate:
-    def test_boundary_stream_served_rate(self, bench_scale, per_leg_results):
+    def test_boundary_stream_served_rate(self, bench_scale, perf_results):
         """Full platform replays, frozen vs per-leg pricing."""
         section = {}
         rows = []
@@ -151,7 +136,7 @@ class TestBoundaryStreamServedRate:
             # served_ratio >= 1.0 against the committed numbers.
             assert frozen.assigned_tasks == 2 * num_motifs
             assert per_leg.assigned_tasks == 3 * num_motifs
-        per_leg_results["boundary_stream"] = section
+        perf_results.setdefault("per_leg_pricing", {})["boundary_stream"] = section
         print_figure(
             "Boundary-crossing stream — frozen vs per-leg departure pricing",
             rows,
@@ -160,7 +145,7 @@ class TestBoundaryStreamServedRate:
 
 
 class TestUniformOverhead:
-    def test_uniform_profile_is_bit_neutral(self, bench_scale, per_leg_results):
+    def test_uniform_profile_is_bit_neutral(self, bench_scale, perf_results):
         """Dirty stream over a uniform profile: the flag must change
         nothing but the config object."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
@@ -218,7 +203,7 @@ class TestUniformOverhead:
             assert on_outcome.nodes_expanded == off_outcome.nodes_expanded
 
         off_mean, on_mean = _mean_ms(off_samples), _mean_ms(on_samples)
-        per_leg_results["uniform_overhead"] = {
+        perf_results.setdefault("per_leg_pricing", {})["uniform_overhead"] = {
             name: {
                 "workers": num_workers,
                 "tasks": num_tasks,

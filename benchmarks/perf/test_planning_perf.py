@@ -1,32 +1,25 @@
-"""Planning-engine microbenchmarks: replan latency, throughput, TVF scoring.
+"""Planning-engine microbenchmarks: streaming throughput, TVF scoring.
 
-Establishes the repo's performance trajectory.  Three measurements, each at
-small / medium / large scale:
-
-* **snapshot replan latency** — ``TaskPlanner.plan`` on a density-controlled
-  snapshot (every worker idle, production DATA-WA configuration with a
-  fitted TVF), scalar reference vs vectorized engine;
 * **streaming throughput** — arrival events per second and mean/p95 replan
-  latency of a full :class:`SCPlatform` replay (scaled from the Yueche-like
-  workload via ``ExperimentScale``);
+  latency of a full :class:`SCPlatform` replay that replans cold at every
+  event (scaled from the Yueche-like workload via ``ExperimentScale``);
 * **TVF scoring throughput** — actions scored per second, per-action scalar
   featurization (the pre-vectorization reference) vs one batched
   featurize + forward pass.
 
-Results are printed as tables and written to ``BENCH_planning.json`` at the
-repository root; ``benchmarks/perf/check_regression.py`` compares a fresh
-run against that committed baseline in CI.
+Results are printed as tables and collected by the ``perf_results``
+fixture (``benchmarks/conftest.py``) into the git-ignored
+``benchmarks/out/BENCH_planning.json``; ``check_regression.py`` compares
+that fresh file against the committed baseline at the repository root.
 
 Set ``REPRO_BENCH_SCALE=default`` (or ``paper``) for more repetitions.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,16 +28,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
-
-#: (name, workers, tasks) of the snapshot scenarios.
-SNAPSHOT_SCALES = [
-    ("small", 25, 150),
-    ("medium", 100, 800),
-    ("large", 250, 2500),
-]
 
 #: Target mean number of tasks inside one worker's reach radius.
 SNAPSHOT_DENSITY = 8.0
@@ -80,116 +63,17 @@ def make_snapshot(num_workers, num_tasks, seed=7, reach=1.0, density=SNAPSHOT_DE
     return workers, tasks
 
 
-def _fitted_tvf():
-    """A small TVF fitted on exact-search experience (shared by all runs)."""
-    from repro.assignment.planner import PlannerConfig, TaskPlanner
-    from repro.spatial.travel import EuclideanTravelModel
-
-    workers, tasks = make_snapshot(10, 40, seed=3)
-    boot = TaskPlanner(PlannerConfig(use_tvf=True), travel=EuclideanTravelModel(1.0))
-    boot.train_tvf(workers, tasks, 0.0, epochs=3)
-    return boot.tvf
-
-
 def _latency_stats(samples):
     values = np.asarray(samples, dtype=np.float64) * 1000.0
     return float(values.mean()), float(np.percentile(values, 95))
-
-
-@pytest.fixture(scope="module")
-def bench_results():
-    """Accumulates every section's numbers; merged into the JSON at teardown.
-
-    Merging (rather than overwriting) keeps the sections other benchmark
-    modules own — e.g. ``incremental_replan`` — intact regardless of which
-    suites ran in this session.
-    """
-    results = {
-        "generated_by": "benchmarks/perf/test_planning_perf.py",
-        "density": SNAPSHOT_DENSITY,
-    }
-    yield results
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged.update(results)
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def _repeats(bench_scale) -> int:
     return 3 if bench_scale.name == "quick" else 7
 
 
-class TestReplanLatency:
-    def test_snapshot_replan_latency(self, bench_scale, bench_results):
-        """Scalar vs vectorized ``plan()`` latency on identical snapshots."""
-        from repro.assignment.planner import PlannerConfig, TaskPlanner
-        from repro.spatial.travel import EuclideanTravelModel
-
-        tvf = _fitted_tvf()
-        repeats = _repeats(bench_scale)
-        section = {}
-        rows = []
-        for name, num_workers, num_tasks in SNAPSHOT_SCALES:
-            workers, tasks = make_snapshot(num_workers, num_tasks)
-            planned = {}
-            stats = {}
-            for label, use_matrix in (("scalar", False), ("vector", True)):
-                # incremental_replan off: this section measures the cost of a
-                # *full* replan (the repeated identical snapshots would
-                # otherwise be served from the incremental caches); the
-                # incremental engine has its own benchmark suite.
-                planner = TaskPlanner(
-                    PlannerConfig(
-                        use_travel_matrix=use_matrix,
-                        use_tvf=True,
-                        tvf_min_workers=2,
-                        incremental_replan=False,
-                    ),
-                    travel=EuclideanTravelModel(1.0),
-                    tvf=tvf,
-                )
-                planned[label] = planner.plan(workers, tasks, 0.0).planned_tasks  # warm
-                samples = []
-                for _ in range(repeats):
-                    start = time.perf_counter()
-                    planner.plan(workers, tasks, 0.0)
-                    samples.append(time.perf_counter() - start)
-                stats[label] = _latency_stats(samples)
-            # The engine must be a pure optimisation.
-            assert planned["scalar"] == planned["vector"]
-            speedup = stats["scalar"][0] / max(stats["vector"][0], 1e-9)
-            section[name] = {
-                "workers": num_workers,
-                "tasks": num_tasks,
-                "planned_tasks": planned["vector"],
-                "scalar_mean_ms": round(stats["scalar"][0], 3),
-                "scalar_p95_ms": round(stats["scalar"][1], 3),
-                "vector_mean_ms": round(stats["vector"][0], 3),
-                "vector_p95_ms": round(stats["vector"][1], 3),
-                "speedup": round(speedup, 2),
-            }
-            rows.append(
-                {
-                    "scale": f"{name} ({num_workers}w/{num_tasks}t)",
-                    "scalar_mean_ms": f"{stats['scalar'][0]:.1f}",
-                    "vector_mean_ms": f"{stats['vector'][0]:.1f}",
-                    "vector_p95_ms": f"{stats['vector'][1]:.1f}",
-                    "speedup": f"{speedup:.2f}x",
-                }
-            )
-        bench_results["snapshot_replan"] = section
-        print_figure(
-            "Replan latency — scalar vs vectorized engine",
-            rows,
-            ["scale", "scalar_mean_ms", "vector_mean_ms", "vector_p95_ms", "speedup"],
-        )
-        # Sanity floor well below the committed baseline (absorbs machine
-        # noise); the committed BENCH_planning.json documents the real ratio.
-        assert section["medium"]["speedup"] >= 1.5
-        assert section["large"]["speedup"] >= 1.5
-
-
 class TestStreamingThroughput:
-    def test_streaming_events_per_sec(self, bench_scale, bench_results):
+    def test_streaming_events_per_sec(self, bench_scale, perf_results):
         """Arrival-event throughput of full platform replays."""
         from repro.assignment.planner import PlannerConfig
         from repro.assignment.strategies import DTAStrategy
@@ -203,54 +87,46 @@ class TestStreamingThroughput:
             workload = generate_yueche(scale=scale, seed=11)
             instance = workload.instance
             events = instance.num_workers + instance.num_tasks
-            entry = {"workers": instance.num_workers, "tasks": instance.num_tasks}
-            for label, use_matrix in (("scalar", False), ("vector", True)):
-                # Full replanning at every event: this section tracks the
-                # non-incremental streaming baseline the incremental-replan
-                # suite compares against.
-                strategy = DTAStrategy(
-                    config=PlannerConfig(
-                        use_travel_matrix=use_matrix, incremental_replan=False
-                    )
-                )
-                platform = SCPlatform(
-                    instance,
-                    strategy,
-                    PlatformConfig(replan_interval=0.0, maintain_task_index=use_matrix),
-                )
-                start = time.perf_counter()
-                metrics = platform.run()
-                wall = time.perf_counter() - start
-                mean_ms, p95_ms = _latency_stats(metrics.cpu_times or [0.0])
-                entry[label] = {
-                    "events_per_sec": round(events / max(wall, 1e-9), 1),
-                    "assigned": metrics.assigned_tasks,
-                    "replans": metrics.replans,
-                    "mean_replan_ms": round(mean_ms, 3),
-                    "p95_replan_ms": round(p95_ms, 3),
-                }
-            # Same stream, same decisions.
-            assert entry["scalar"]["assigned"] == entry["vector"]["assigned"]
+            # Cold replanning at every event: the non-incremental streaming
+            # baseline the incremental-replan suite compares against.
+            strategy = DTAStrategy(config=PlannerConfig(incremental_replan=False))
+            platform = SCPlatform(
+                instance,
+                strategy,
+                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+            )
+            start = time.perf_counter()
+            metrics = platform.run()
+            wall = time.perf_counter() - start
+            mean_ms, p95_ms = _latency_stats(metrics.cpu_times or [0.0])
+            entry = {
+                "workers": instance.num_workers,
+                "tasks": instance.num_tasks,
+                "events_per_sec": round(events / max(wall, 1e-9), 1),
+                "assigned": metrics.assigned_tasks,
+                "replans": metrics.replans,
+                "mean_replan_ms": round(mean_ms, 3),
+                "p95_replan_ms": round(p95_ms, 3),
+            }
             section[name] = entry
             rows.append(
                 {
                     "scale": f"{name} ({entry['workers']}w/{entry['tasks']}t)",
-                    "scalar_ev_per_s": entry["scalar"]["events_per_sec"],
-                    "vector_ev_per_s": entry["vector"]["events_per_sec"],
-                    "vector_mean_ms": entry["vector"]["mean_replan_ms"],
-                    "vector_p95_ms": entry["vector"]["p95_replan_ms"],
+                    "ev_per_s": entry["events_per_sec"],
+                    "mean_ms": entry["mean_replan_ms"],
+                    "p95_ms": entry["p95_replan_ms"],
                 }
             )
-        bench_results["streaming"] = section
+        perf_results["streaming"] = section
         print_figure(
-            "Streaming throughput — full platform replay",
+            "Streaming throughput — full platform replay, cold replans",
             rows,
-            ["scale", "scalar_ev_per_s", "vector_ev_per_s", "vector_mean_ms", "vector_p95_ms"],
+            ["scale", "ev_per_s", "mean_ms", "p95_ms"],
         )
 
 
 class TestTVFScoringThroughput:
-    def test_tvf_scoring_throughput(self, bench_scale, bench_results):
+    def test_tvf_scoring_throughput(self, bench_scale, perf_results):
         """Per-action scalar featurization vs one batched pass."""
         from repro.assignment.tvf import (
             TaskValueFunction,
@@ -326,7 +202,7 @@ class TestTVFScoringThroughput:
                     "speedup": f"{batched_rate / max(scalar_rate, 1e-9):.2f}x",
                 }
             )
-        bench_results["tvf_scoring"] = section
+        perf_results["tvf_scoring"] = section
         print_figure(
             "TVF scoring throughput — per-action vs batched featurization",
             rows,

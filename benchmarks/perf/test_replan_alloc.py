@@ -21,9 +21,7 @@ versions.
 
 from __future__ import annotations
 
-import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +31,6 @@ from test_incremental_replan import make_stream_snapshot
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, workers, tasks) — the dirty-stream scales of the other modules.
 SCALES = [
@@ -56,18 +51,8 @@ def _kb(values):
     return float(np.asarray(values, dtype=np.float64).mean() / 1024.0)
 
 
-@pytest.fixture(scope="module")
-def alloc_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["replan_alloc"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestReplanAllocationCeiling:
-    def test_single_event_stream_allocation(self, bench_scale, alloc_results):
+    def test_single_event_stream_allocation(self, bench_scale, perf_results):
         """Per-event peak allocation, full pipeline vs incremental engine."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.core.task import Task
@@ -156,7 +141,7 @@ class TestReplanAllocationCeiling:
                     "reduction": f"{reduction:.1f}x",
                 }
             )
-        alloc_results["single_event_stream"] = section
+        perf_results.setdefault("replan_alloc", {})["single_event_stream"] = section
         print_figure(
             "Per-event allocation ceiling — full pipeline vs incremental engine",
             rows,

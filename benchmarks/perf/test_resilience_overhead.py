@@ -38,10 +38,8 @@ resolve.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -50,25 +48,12 @@ from conftest import print_figure
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
-
 #: Instrumented resilient replays; the committed ratio is their median.
 RESILIENT_REPS = 5
 #: Bare-metal replays (decision-equality reference + context timing).
 BASELINE_REPS = 3
 #: Passes over the event stream when micro-timing ``validate_event``.
 VALIDATE_PASSES = 5
-
-
-@pytest.fixture(scope="module")
-def resilience_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["degradation_overhead"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 class TestResilienceOverhead:
@@ -99,7 +84,7 @@ class TestResilienceOverhead:
             instance, DTAStrategy(config=planner_config), platform_config
         )
 
-    def test_degradation_overhead(self, bench_scale, resilience_results):
+    def test_degradation_overhead(self, bench_scale, perf_results):
         from repro.assignment import incremental
         from repro.core.events import validate_event
         from repro.datasets.yueche import generate_yueche
@@ -188,7 +173,7 @@ class TestResilienceOverhead:
             "checkpoints": checkpoints,
             "overhead_ratio": round(overhead, 4),
         }
-        resilience_results["small"] = entry
+        perf_results.setdefault("degradation_overhead", {})["small"] = entry
         print_figure(
             "Fault-tolerance overhead — resilient platform vs bare metal (DTA)",
             [

@@ -22,11 +22,9 @@ modules survive):
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +33,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, workers, tasks) — matches the stream scales of the other modules.
 SCALES = [
@@ -98,18 +93,8 @@ def _mean_ms(samples):
     return float(np.asarray(samples, dtype=np.float64).mean() * 1000.0)
 
 
-@pytest.fixture(scope="module")
-def roadnet_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["roadnet_planning"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestRoadnetSnapshotCost:
-    def test_snapshot_euclid_vs_roadnet(self, roadnet_results):
+    def test_snapshot_euclid_vs_roadnet(self, perf_results):
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.roadnet import RoadNetworkTravelModel
         from repro.spatial.travel import EuclideanTravelModel
@@ -153,7 +138,7 @@ class TestRoadnetSnapshotCost:
                     "efficiency": f"{efficiency:.2f}x",
                 }
             )
-        roadnet_results["snapshot"] = section
+        perf_results.setdefault("roadnet_planning", {})["snapshot"] = section
         print_figure(
             "Full-replan snapshot latency — Euclidean vs road-network backend",
             rows,
@@ -166,7 +151,7 @@ class TestRoadnetSnapshotCost:
 
 
 class TestRoadnetIncrementalStream:
-    def test_single_event_stream_roadnet(self, bench_scale, roadnet_results):
+    def test_single_event_stream_roadnet(self, bench_scale, perf_results):
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.core.task import Task
         from repro.roadnet import RoadNetworkTravelModel
@@ -242,7 +227,7 @@ class TestRoadnetIncrementalStream:
                     "speedup": f"{speedup:.2f}x",
                 }
             )
-        roadnet_results["incremental_stream"] = section
+        perf_results.setdefault("roadnet_planning", {})["incremental_stream"] = section
         print_figure(
             "Road-network single-event replan — full pipeline vs incremental engine",
             rows,
@@ -255,7 +240,7 @@ class TestRoadnetIncrementalStream:
 
 
 class TestDijkstraRowCache:
-    def test_many_to_many_cache_speedup(self, roadnet_results):
+    def test_many_to_many_cache_speedup(self, perf_results):
         from repro.roadnet import RoadNetworkTravelModel, grid_network
         from repro.spatial.geometry import Point
 
@@ -290,7 +275,7 @@ class TestDijkstraRowCache:
             "unique_rows": misses,
             "speedup": round(speedup, 2),
         }
-        roadnet_results["dijkstra_cache"] = {"grid24": entry}
+        perf_results.setdefault("roadnet_planning", {})["dijkstra_cache"] = {"grid24": entry}
         print_figure(
             "Multi-source Dijkstra row cache — cold vs warm many-to-many block",
             [

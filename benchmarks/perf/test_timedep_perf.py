@@ -23,11 +23,9 @@ boundaries, which is the design.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,9 +34,6 @@ from conftest import print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-RESULT_FILE = REPO_ROOT / "BENCH_planning.json"
 
 #: (name, workers, tasks) — matches the stream scales of the other modules.
 SCALES = [
@@ -194,18 +189,8 @@ def _run_stream(model_factory, num_workers, num_tasks, num_events, boundary_of):
     }
 
 
-@pytest.fixture(scope="module")
-def timedep_results():
-    """This module's numbers; merged into BENCH_planning.json at teardown."""
-    section = {}
-    yield section
-    merged = json.loads(RESULT_FILE.read_text()) if RESULT_FILE.exists() else {}
-    merged["timedep_planning"] = section
-    RESULT_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
 class TestTimedepIncrementalStream:
-    def test_single_event_stream_timedep_euclidean(self, bench_scale, timedep_results):
+    def test_single_event_stream_timedep_euclidean(self, bench_scale, perf_results):
         from repro.spatial.timedep import TimeDependentTravelModel
         from repro.spatial.travel import EuclideanTravelModel
 
@@ -234,7 +219,7 @@ class TestTimedepIncrementalStream:
                     "speedup": f"{entry['speedup']:.2f}x",
                 }
             )
-        timedep_results["incremental_stream"] = section
+        perf_results.setdefault("timedep_planning", {})["incremental_stream"] = section
         print_figure(
             "Rush-hour single-event replan — full pipeline vs incremental engine",
             rows,
@@ -247,7 +232,7 @@ class TestTimedepIncrementalStream:
         assert section["medium"]["speedup"] >= 2.0
         assert section["small"]["speedup"] >= 1.0
 
-    def test_single_event_stream_rushhour_roadnet(self, bench_scale, timedep_results):
+    def test_single_event_stream_rushhour_roadnet(self, bench_scale, perf_results):
         from repro.roadnet import (
             RoadNetworkTravelModel,
             classify_edges_by_speed,
@@ -285,7 +270,7 @@ class TestTimedepIncrementalStream:
             num_events,
             model_factory().next_profile_boundary,
         )
-        timedep_results["rushhour_roadnet_stream"] = {name: entry}
+        perf_results.setdefault("timedep_planning", {})["rushhour_roadnet_stream"] = {name: entry}
         print_figure(
             "Rush-hour road-network replan — full pipeline vs incremental engine",
             [

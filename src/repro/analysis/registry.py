@@ -84,14 +84,9 @@ CACHE_EXEMPT_FIELDS = {
         "and is-checks it per plan); arbitrary model objects don't belong "
         "in a hashable key tuple"
     ),
-    "use_travel_matrix": (
-        "pure optimisation: scalar and matrix paths are bit-for-bit "
-        "identical (vectorized-equivalence suite), so cached results stay "
-        "valid across the toggle"
-    ),
     "incremental_replan": (
-        "selects the engine itself; when disabled the cache is never "
-        "consulted, so the key cannot go stale through it"
+        "when disabled every plan runs on a throw-away empty cache, so "
+        "the key cannot go stale through it"
     ),
     "deadline_s": (
         "deadline-degraded component answers are never written to the "

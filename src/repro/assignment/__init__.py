@@ -5,7 +5,9 @@ Module map
 ----------
 
 ==========================  ====================================================
-:mod:`reachability`          reachable-task computation (Section IV-A.1)
+:mod:`reachability`          reachable-task computation (Section IV-A.1): one
+                             entry point with a validity horizon, over a
+                             scalar oracle and a vector kernel
 :mod:`sequences`             maximal valid task sequence generation (Eq. 10)
 :mod:`dependency_graph`      worker dependency graph construction (IV-A.2)
 :mod:`partition`             MCS graph partition into cliques (IV-A.3)
@@ -16,7 +18,10 @@ Module map
 :mod:`tvf`                   Task Value Function, Eq. 11–12
 :mod:`dfsearch_tvf`          TVF-guided search, Alg. 2
 :mod:`executor`              pluggable search backends (serial / process pool)
-:mod:`planner`               Task Planning Assignment, Alg. 4
+:mod:`incremental`           the TPA plan pipeline, Alg. 4 — the one
+                             implementation, with dirty-region reuse across
+                             epochs (a full replan is an empty cache)
+:mod:`planner`               ``PlannerConfig`` and the ``TaskPlanner`` facade
 :mod:`adaptive`              the adaptive streaming algorithm, Alg. 3
 :mod:`baselines`             Greedy and FTA comparison methods
 :mod:`strategies`            the five evaluated strategies behind one API
@@ -25,9 +30,8 @@ Module map
 
 from repro.assignment.reachability import (
     reachable_tasks,
-    reachable_tasks_indexed,
     reachable_tasks_matrix,
-    mutual_reachability,
+    reachable_tasks_with_horizon,
 )
 from repro.assignment.sequences import maximal_valid_sequences, best_order_for_subset
 from repro.assignment.dependency_graph import build_worker_dependency_graph
@@ -77,9 +81,8 @@ from repro.assignment.strategies import (
 
 __all__ = [
     "reachable_tasks",
-    "reachable_tasks_indexed",
     "reachable_tasks_matrix",
-    "mutual_reachability",
+    "reachable_tasks_with_horizon",
     "maximal_valid_sequences",
     "best_order_for_subset",
     "build_worker_dependency_graph",

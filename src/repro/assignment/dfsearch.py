@@ -146,7 +146,7 @@ def adaptive_node_budget(base: int, num_workers: int, num_sequences: int) -> int
     """Search budget scaled to the component size (never below ``base``).
 
     A pure function of the component's worker count and total candidate-
-    sequence count, so the full pipeline and the incremental engine — which
+    sequence count, so a cached component result and a fresh search — which
     must stay bit-for-bit interchangeable — always derive the identical
     budget for the identical component.
     """

@@ -1,11 +1,14 @@
-"""Incremental replanning: reuse every untouched piece of the TPA pipeline.
+"""The TPA plan pipeline (Alg. 4) with dirty-region reuse across epochs.
 
-Algorithm 3 replans at every arrival event, yet a single event usually
-changes exactly one worker or one task.  The full pipeline nevertheless
-recomputes reachable sets, maximal sequences, the dependency partition and
-the per-component search for *every* worker at *every* decision point —
-O(|W|·|T|) and worse.  This engine caches all four stages between epochs
-and recomputes only the dirty region, exploiting three structural facts:
+One implementation of candidates → partition → decompose → dispatch →
+merge serves every caller.  Algorithm 3 replans at every arrival event,
+yet a single event usually changes exactly one worker or one task, so the
+engine caches reachable sets, maximal sequences, the dependency structure
+and the per-component search results between epochs and recomputes only
+the dirty region.  A *full* replan is the same code on an empty cache:
+``incremental_replan=False``, TVF experience collection and the
+self-check repair all run a throw-away engine whose state is discarded
+afterwards.  Reuse rests on three structural facts:
 
 * **Monotone time predicates.**  For a fixed worker/task pair every
   reachability and sequence-validity predicate has the form
@@ -40,18 +43,20 @@ and recomputes only the dirty region, exploiting three structural facts:
   guided components are reused only while the active task set is unchanged.
 
 Equivalence contract: for any sequence of ``plan()`` calls with
-non-decreasing ``now``, the engine returns bit-for-bit the outcome the full
-pipeline would produce for each call in isolation — same selections in the
-same order, same planned-task and component counts, same nodes-expanded
-diagnostics.  ``tests/assignment/test_vectorized_equivalence.py`` asserts
-this on randomized snapshot streams and full platform replays.
+non-decreasing ``now``, a warm engine returns bit-for-bit the outcome an
+empty-cache engine produces for each call in isolation — same selections
+in the same order, same planned-task and component counts, same
+nodes-expanded diagnostics.  ``tests/assignment/test_vectorized_equivalence.py``
+asserts this on randomized snapshot streams and full platform replays, and
+pins the empty-cache outcome to the scalar oracle in
+``tests/assignment/reference_pipeline.py``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -63,8 +68,8 @@ from repro.assignment.fast_partition import (
     connected_components,
 )
 from repro.assignment.reachability import (
-    VECTOR_MIN_TASKS,
     reachable_tasks_with_horizon,
+    vector_kernel_pays,
 )
 from repro.assignment.sequences import maximal_valid_sequences
 from repro.assignment.tree import PartitionNode
@@ -87,6 +92,81 @@ _COMPONENT_CACHE_TTL = 64
 #: Child of ``repro.resilience`` so resilience-wide log configuration
 #: (and the chaos-test captures pinned to that name) still applies.
 _LOG = logging.getLogger("repro.resilience.selfheal")
+
+
+#: The degradation ladder, best rung first.  Each planning epoch is served
+#: by exactly one rung: ``full`` — every component solved to its normal
+#: (budgeted) answer; ``partial`` — at least one component search was cut
+#: by the wall-clock deadline and returned its best anytime answer;
+#: ``greedy`` — the deadline had already expired before some component's
+#: search started, so that component was filled by the deterministic
+#: first-fit fallback; ``carryover`` — the platform kept a worker's
+#: previous still-valid plan because the degraded plan left it empty.
+DEGRADATION_RUNGS: Tuple[str, ...] = ("full", "partial", "greedy", "carryover")
+
+
+def greedy_component_fill(
+    worker_ids: Sequence[int],
+    sequences_by_worker: Dict[int, List[TaskSequence]],
+    available_ids: Set[int],
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Deadline fallback below any search: first-fit over ``Q_w``.
+
+    Walks the component's workers in order and gives each its first
+    candidate sequence that is fully available, removing the chosen tasks
+    from ``available_ids`` (mutated in place).  O(sum |Q_w|) with no
+    search at all — the "greedy strategy for still-unplanned components"
+    rung of the degradation ladder.  Deterministic given its inputs, but
+    *which* components land here depends on wall-clock, so results from
+    this path are never cached.
+    """
+    selections: List[Tuple[int, Tuple[int, ...]]] = []
+    for worker_id in worker_ids:
+        chosen: Tuple[int, ...] = ()
+        for sequence in sequences_by_worker.get(worker_id, []):
+            ids = sequence.task_id_set
+            if ids and ids <= available_ids:
+                chosen = sequence.task_ids
+                available_ids -= ids
+                break
+        selections.append((worker_id, chosen))
+    return selections
+
+
+@dataclass
+class PlanningOutcome:
+    """Planner output: the assignment plus search diagnostics.
+
+    The ``reused_* / recomputed_* / searched_*`` counters describe how much
+    of the epoch was served from cache; a plan on an empty cache reports
+    everything as recomputed/searched.
+    """
+
+    assignment: Assignment
+    planned_tasks: int
+    nodes_expanded: int
+    num_components: int
+    experience: List = field(default_factory=list)
+    reused_workers: int = 0
+    recomputed_workers: int = 0
+    reused_components: int = 0
+    searched_components: int = 0
+    #: Worst degradation rung that served this epoch (``"full"`` when no
+    #: deadline interfered; the platform may still upgrade the ladder to
+    #: ``"carryover"`` — see :data:`DEGRADATION_RUNGS`).
+    rung: str = "full"
+    #: True iff any component's answer was degraded by the wall-clock
+    #: deadline (``rung`` is ``"partial"`` or ``"greedy"``).
+    deadline_hit: bool = False
+    #: Invariant-check repairs performed while producing this outcome
+    #: (each one is a cache drop + a replan on an empty cache).
+    repairs: int = 0
+    #: Component searches that crossed a process boundary this epoch
+    #: (always 0 under the serial backend).
+    parallel_components: int = 0
+    #: Estimated dispatch cost (pickling + IPC + scheduling) of this
+    #: epoch's executor stage, in seconds.
+    executor_overhead_s: float = 0.0
 
 
 @dataclass
@@ -182,8 +262,8 @@ class _WorkerEntry:
     """Cached per-worker pipeline state (reachability + sequences)."""
 
     fingerprint: tuple
-    #: Capped reachable set — exactly what the full pipeline feeds the
-    #: sequence enumerator and the dependency graph.
+    #: Capped reachable set — what feeds the sequence enumerator and the
+    #: dependency graph.
     reachable: List[Task]
     reachable_ids: Tuple[int, ...]
     #: Uncapped reachable ids: every task whose *presence* influences the
@@ -230,15 +310,32 @@ class _ComponentEntry:
     last_used: int
 
 
-class IncrementalPlanEngine:
-    """Dirty-region replanning layered under :class:`TaskPlanner`.
+class _RefreshInputs(NamedTuple):
+    """What every worker refresh of one plan call shares."""
 
-    The engine owns no policy: thresholds, caps and search configuration
-    all come from the planner it serves, and each stage recomputes through
-    the same (equivalence-tested) primitives the full pipeline uses, so a
-    recomputed region is bit-identical to a full replan by construction and
-    a reused region is bit-identical by the monotonicity/locality/time-free
-    arguments in the module docstring.
+    now: float
+    real: List[Task]
+    active: List[Task]
+    #: Task id -> position in ``real`` when the platform's spatial index
+    #: covers the snapshot (the candidate pre-filter is on), else ``None``.
+    positions: Optional[Dict[int, int]]
+    #: One ``(tx, ty)`` float64 extraction per task list per epoch, shared
+    #: by the single-row matrix rebuilds over ``real`` / ``active``.
+    coords_cache: Dict[int, tuple]
+    #: The shared W×T matrix over ``active``, with the columns of ``real``
+    #: in it, when the whole snapshot refreshes at once.
+    matrix: Optional[TravelMatrix] = None
+    real_cols: Optional[np.ndarray] = None
+
+
+class IncrementalPlanEngine:
+    """The plan pipeline and its cross-epoch caches, under :class:`TaskPlanner`.
+
+    The engine owns no policy: caps and search configuration all come from
+    the planner it serves.  A recomputed region goes through the same code
+    an empty-cache plan runs, so it is bit-identical to a full replan by
+    construction; a reused region is bit-identical by the
+    monotonicity/locality/time-free arguments in the module docstring.
     """
 
     def __init__(self, planner) -> None:
@@ -299,17 +396,24 @@ class IncrementalPlanEngine:
         tasks: Sequence[Task],
         now: float,
         deadline: Optional[float] = None,
-    ):
-        """Incremental equivalent of ``TaskPlanner.plan`` (no experience).
+        collect_experience: bool = False,
+        self_check: bool = True,
+    ) -> PlanningOutcome:
+        """The pipeline behind ``TaskPlanner.plan`` (lines 2-10 of Alg. 4).
 
         ``deadline`` is an absolute ``perf_counter`` cutoff forwarded to
         every fresh component search; cache replays are effectively free
         and never consult it.  Deadline-degraded component answers are
         wall-clock-dependent, so they are *never* stored in the component
         cache — the next epoch retries the search at full quality.
-        """
-        from repro.assignment.planner import PlanningOutcome, greedy_component_fill
 
+        ``collect_experience`` makes every searched component record its
+        ``(state, action, opt)`` trace (TVF guidance bypassed, results not
+        cached); a replayed component carries none, so the planner runs
+        it on an empty throw-away engine.  ``self_check=False`` skips the
+        post-replan invariant check — the repair run's own guard against
+        recursion.
+        """
         planner = self.planner
         config = planner.config
         travel = planner.travel
@@ -363,7 +467,6 @@ class IncrementalPlanEngine:
             self._next_travel_boundary = travel.next_profile_boundary(now)
 
         real = [task for task in active if not task.predicted]
-        has_predicted = len(real) != len(active)
 
         with obs.span("diff") as diff_span:
             # ---- snapshot diff (object-identity fast path, field fallback) #
@@ -402,44 +505,46 @@ class IncrementalPlanEngine:
                 # arrivals while away; their cache cannot be trusted.
                 if worker.worker_id not in self._last_present:
                     dirty.add(worker.worker_id)
-            for task in added:
+            if added:
+                any_predicted = any(task.predicted for task in added)
+                # Worker-major so that an already-dirty worker (every worker,
+                # on an empty cache) costs one set probe, not one per task.
                 for worker in workers:
                     wid = worker.worker_id
                     if wid in dirty:
                         continue
-                    if task.predicted:
-                        entry = self._worker_entries.get(wid)
-                        if (
-                            entry is not None
-                            and entry.reachable_ids
-                            and not entry.fallback
-                        ):
-                            # Predicted tasks only feed the empty-reachable
-                            # fallback; a worker on the real pipeline with a
-                            # non-empty set cannot be affected.
-                            continue
+                    # Predicted tasks only feed the empty-reachable
+                    # fallback; a worker on the real pipeline with a
+                    # non-empty set cannot be affected by one.
+                    entry = self._worker_entries.get(wid) if any_predicted else None
+                    ignores_predicted = (
+                        entry is not None
+                        and entry.reachable_ids
+                        and not entry.fallback
+                    )
                     # Euclidean check against the model's reach bound: sound
                     # for any travel model honouring the reach_bound
-                    # contract, and bit-identical to the old travel.distance
-                    # check for the Euclidean default (identity bound, same
-                    # distance).
+                    # contract (identity for the Euclidean default).
                     radius = travel.reach_bound(
                         (_HOPS + 1.0) * worker.reachable_distance
                     ) + 1e-6
-                    if euclidean_distance(worker.location, task.location) <= radius:
-                        dirty.add(wid)
+                    for task in added:
+                        if task.predicted and ignores_predicted:
+                            continue
+                        if euclidean_distance(worker.location, task.location) <= radius:
+                            dirty.add(wid)
+                            break
             self._forced_workers.clear()
             self._forced_tasks.clear()
             diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
 
-        # Mirrors the full pipeline's index-usability test: the persistent
-        # platform index is a valid candidate pre-filter only while it
-        # covers every real task of this snapshot.
+        # The persistent platform index only tracks real open tasks; it is
+        # a valid candidate pre-filter only while it covers every real
+        # task of this snapshot (a strategy may plan over a filtered
+        # subset, which is fine — the query result is intersected with
+        # the given tasks).
         index = planner.task_index
         use_index = index is not None and all(task.task_id in index for task in real)
-        positions = (
-            {task.task_id: i for i, task in enumerate(real)} if use_index else None
-        )
 
         # ---- per-worker refresh ------------------------------------------ #
         reachable_by_worker: Dict[int, List[Task]] = {}
@@ -447,28 +552,31 @@ class IncrementalPlanEngine:
         reused_workers = 0
         recomputed_workers = 0
         reach_sets_changed = False
-        #: One coordinate extraction per epoch, not per dirty worker: the
-        #: single-row TravelMatrix rebuilds below all see the same ``real``
-        #: (or ``active``) list whenever no index narrows the candidates.
-        coords_cache: Dict[int, tuple] = {}
         with obs.span("refresh") as refresh_span:
+            if use_index:
+                inputs = _RefreshInputs(
+                    now, real, active, {task.task_id: i for i, task in enumerate(real)}, {}
+                )
+            elif len(dirty) >= len(workers) and vector_kernel_pays(len(active)):
+                # The whole snapshot is dirty (an empty cache, a batch that
+                # touched everyone): one W×T matrix replaces W single-row
+                # rebuilds, each of which pays O(T) Python to index its
+                # tasks.  Rows are bit-identical either way, so the choice
+                # moves cost only; an index narrows candidates per worker
+                # instead.
+                matrix = TravelMatrix(workers, active, travel, now=now)
+                inputs = _RefreshInputs(
+                    now, real, active, None, {}, matrix, matrix.task_cols(real)
+                )
+            else:
+                inputs = _RefreshInputs(now, real, active, None, {})
             for worker in workers:
                 wid = worker.worker_id
                 entry = self._worker_entries.get(wid)
                 old_reachable_ids = entry.reachable_ids if entry is not None else None
-                if entry is None or not _worker_unchanged(entry.fingerprint, worker):
-                    entry = self._refresh_worker(
-                        worker, _worker_fingerprint(worker), entry, real, active,
-                        has_predicted, now, use_index, positions, coords_cache,
-                        force_bump=True,
-                    )
-                    recomputed_workers += 1
-                elif wid in dirty or now >= entry.reach_horizon:
-                    entry = self._refresh_worker(
-                        worker, entry.fingerprint, entry, real, active,
-                        has_predicted, now, use_index, positions, coords_cache,
-                        force_bump=False,
-                    )
+                moved = entry is None or not _worker_unchanged(entry.fingerprint, worker)
+                if moved or wid in dirty or now >= entry.reach_horizon:
+                    entry = self._refresh_worker(worker, entry, inputs, force_bump=moved)
                     recomputed_workers += 1
                 elif now >= entry.seq_horizon:
                     self._refresh_sequences(entry, worker, now)
@@ -512,7 +620,9 @@ class IncrementalPlanEngine:
             # entry to replay or the index of a ComponentJob handed to the
             # executor.  Everything a job needs (subtree, budget, candidate
             # sets) is fixed here, before any search runs.
-            use_guided = config.use_tvf and tvf is not None
+            use_guided = (
+                config.use_tvf and tvf is not None and not collect_experience
+            )
             if self._available_ids_epoch != self._task_epoch:
                 self._available_ids = frozenset(tasks_by_id)
                 self._available_ids_epoch = self._task_epoch
@@ -543,40 +653,31 @@ class IncrementalPlanEngine:
                 num_sequences = sum(
                     len(sequences_by_worker.get(wid, [])) for wid in component
                 )
-                if guided:
-                    job = ComponentJob(
-                        index=len(jobs),
-                        mode="tvf",
-                        root=root,
-                        worker_ids=tuple(component),
-                        sequences_by_worker=sequences_by_worker,
-                        workers_by_id=workers_by_id,
-                        task_ids=available_ids,
-                        tasks=active,
-                        tvf=tvf,
-                        num_sequences=num_sequences,
-                    )
-                else:
-                    # Same per-component budget formula as the full pipeline
-                    # (a pure function of the component's workers and their
-                    # candidate sets), so replays stay bit-for-bit.
+                # The per-component budget is a pure function of the
+                # component's workers and their candidate sets, so replays
+                # stay bit-for-bit; the guided search ignores it.
+                budget = 0
+                if not guided:
                     budget = config.node_budget
                     if config.adaptive_node_budget:
                         budget = adaptive_node_budget(
                             budget, len(component), num_sequences
                         )
-                    job = ComponentJob(
-                        index=len(jobs),
-                        mode=mode,
-                        root=root,
-                        worker_ids=tuple(component),
-                        sequences_by_worker=sequences_by_worker,
-                        workers_by_id=workers_by_id,
-                        task_ids=available_ids,
-                        node_budget=budget,
-                        bound_mode=config.bound_mode,
-                        num_sequences=num_sequences,
-                    )
+                job = ComponentJob(
+                    index=len(jobs),
+                    mode=mode,
+                    root=root,
+                    worker_ids=tuple(component),
+                    sequences_by_worker=sequences_by_worker,
+                    workers_by_id=workers_by_id,
+                    task_ids=available_ids,
+                    node_budget=budget,
+                    collect_experience=collect_experience,
+                    bound_mode=config.bound_mode,
+                    tasks=active if guided else None,
+                    tvf=tvf if guided else None,
+                    num_sequences=num_sequences,
+                )
                 slots.append(("job", len(jobs)))
                 jobs.append(job)
                 job_meta.append((key, versions, mode))
@@ -592,6 +693,7 @@ class IncrementalPlanEngine:
         reused_components = 0
         searched_components = 0
         rung_level = 0
+        experience: List = []
         epoch_selections: List[Tuple[int, Tuple[int, ...]]] = []
         used_ids: Set[int] = set()
         with obs.span("merge") as merge_span:
@@ -628,13 +730,15 @@ class IncrementalPlanEngine:
                     else:
                         selections = result.selections
                         nodes = result.nodes_expanded
+                        experience.extend(result.experience)
                         if result.deadline_hit:
                             rung_level = max(rung_level, 1)
-                        else:
+                        elif not collect_experience:
                             # Deadline-cut answers are anytime partials tied
                             # to this epoch's wall-clock; caching one would
                             # replay a degraded plan on healthy future
-                            # epochs.
+                            # epochs.  Experience traces change the search's
+                            # node counts, so those stay out as well.
                             self._components[key] = _ComponentEntry(
                                 versions=versions,
                                 selections=selections,
@@ -656,7 +760,8 @@ class IncrementalPlanEngine:
         # Deliberately not wrapped in a span: the check is micro-scale on
         # every healthy epoch and a per-epoch span would be pure overhead
         # budget; the interesting case (a violation) emits an instant.
-        if config.self_check:
+        self_check = self_check and config.self_check
+        if self_check:
             violation = self._find_violation(
                 epoch_selections, tasks_by_id, workers_by_id
             )
@@ -675,7 +780,7 @@ class IncrementalPlanEngine:
         except (KeyError, ValueError) as exc:
             # Backstop behind the cheap checks: any corrupted cache state
             # that still slips into plan construction heals the same way.
-            if not config.self_check:
+            if not self_check:
                 raise
             return self._repair(workers, tasks, now, deadline, repr(exc))
 
@@ -699,13 +804,12 @@ class IncrementalPlanEngine:
 
         self._last_present = set(workers_by_id)
 
-        from repro.assignment.planner import DEGRADATION_RUNGS
-
         return PlanningOutcome(
             assignment=assignment,
             planned_tasks=planned,
             nodes_expanded=nodes_expanded,
             num_components=len(components),
+            experience=experience,
             reused_workers=reused_workers,
             recomputed_workers=recomputed_workers,
             reused_components=reused_components,
@@ -784,10 +888,11 @@ class IncrementalPlanEngine:
         now: float,
         deadline: Optional[float],
         violation: str,
-    ):
-        """Heal a corrupted epoch: drop every cache, redo it with the full
-        pipeline (which shares no state with the engine), and report the
-        repair on the outcome."""
+    ) -> PlanningOutcome:
+        """Heal a corrupted epoch: drop every cache, redo it on a
+        throw-away engine (which shares no state with this one, and skips
+        the check that sent us here), and report the repair on the
+        outcome."""
         _LOG.warning(
             "incremental plan invariant violation at now=%s: %s — "
             "dropping caches and replanning from scratch",
@@ -799,28 +904,27 @@ class IncrementalPlanEngine:
             obs.count("incremental.repairs")
             obs.instant("incremental.repair", violation=violation)
         self.invalidate()
-        outcome = self.planner._plan_full(
-            workers, tasks, now, collect_experience=False, deadline=deadline
+        outcome = IncrementalPlanEngine(self.planner).plan(
+            workers, tasks, now, deadline=deadline, self_check=False
         )
         outcome.repairs = 1
         return outcome
 
     # ------------------------------------------------------------------ #
-    def _candidates_for(
-        self,
-        worker: Worker,
-        real: List[Task],
-        use_index: bool,
-        positions: Optional[Dict[int, int]],
-    ) -> List[Task]:
+    def _candidates_for(self, worker: Worker, inputs: _RefreshInputs) -> List[Task]:
         """Candidate pre-filter for the real-task pipeline.
 
         With a covering index, only tasks inside the ``(hops + 1) · reach``
         ball can ever appear in the reachable set, and the candidates keep
-        snapshot order — the same argument (and radius) as
-        :func:`reachable_tasks_indexed`.
+        snapshot order, so the result is exactly what the scan over all
+        of ``real`` would return — independent of index-bucket iteration
+        order.  (Each transitive hop extends the horizon by one worker
+        reach; the travel model's ``reach_bound`` converts that
+        travel-distance budget into the Euclidean radius the index can
+        query.)
         """
-        if not use_index or positions is None:
+        real, positions = inputs.real, inputs.positions
+        if positions is None:
             return real
         radius = self.planner.travel.reach_bound(
             (_HOPS + 1.0) * worker.reachable_distance
@@ -833,58 +937,52 @@ class IncrementalPlanEngine:
         in_scope.sort(key=positions.__getitem__)
         return [real[positions[tid]] for tid in in_scope]
 
-    @staticmethod
-    def _epoch_coords(tasks: List[Task], coords_cache: Dict[int, tuple]) -> tuple:
-        """The ``(tx, ty)`` float64 arrays of a task list shared across one
-        epoch's single-row matrix rebuilds (keyed by list identity — the
-        ``real`` / ``active`` lists live exactly as long as the plan call)."""
-        key = id(tasks)
-        coords = coords_cache.get(key)
-        if coords is None:
-            coords = (
-                np.array([t.location.x for t in tasks], dtype=np.float64),
-                np.array([t.location.y for t in tasks], dtype=np.float64),
-            )
-            coords_cache[key] = coords
-        return coords
+    def _single_row(
+        self,
+        worker: Worker,
+        tasks: List[Task],
+        inputs: _RefreshInputs,
+    ) -> Optional[TravelMatrix]:
+        """``worker``'s own 1×T travel matrix over ``tasks``, or ``None``
+        when they are too few to pay for NumPy.
+
+        Rebuilds over the epoch's ``real`` / ``active`` lists share one
+        coordinate extraction (keyed by list identity — the lists live
+        exactly as long as the plan call); index-narrowed candidate lists
+        are per-worker and extract their own.
+        """
+        if not vector_kernel_pays(len(tasks)):
+            return None
+        coords = None
+        if tasks is inputs.real or tasks is inputs.active:
+            coords = inputs.coords_cache.get(id(tasks))
+            if coords is None:
+                coords = inputs.coords_cache[id(tasks)] = (
+                    np.array([t.location.x for t in tasks], dtype=np.float64),
+                    np.array([t.location.y for t in tasks], dtype=np.float64),
+                )
+        return TravelMatrix.for_single_worker(
+            worker, tasks, self.planner.travel, now=inputs.now, task_coords=coords
+        )
 
     def _refresh_worker(
         self,
         worker: Worker,
-        fingerprint: tuple,
         old: Optional[_WorkerEntry],
-        real: List[Task],
-        active: List[Task],
-        has_predicted: bool,
-        now: float,
-        use_index: bool,
-        positions: Optional[Dict[int, int]],
-        coords_cache: Dict[int, tuple],
+        inputs: _RefreshInputs,
         force_bump: bool,
     ) -> _WorkerEntry:
-        """Recompute a dirty worker's reachable set and sequences."""
+        """Recompute a dirty worker's reachable set and sequences
+        (``force_bump``: its own fingerprint changed, or it is new)."""
         planner = self.planner
         config = planner.config
         travel = planner.travel
+        now, active = inputs.now, inputs.active
 
-        candidates = self._candidates_for(worker, real, use_index, positions)
-        matrix = (
-            TravelMatrix.for_single_worker(
-                worker,
-                candidates,
-                travel,
-                now=now,
-                # Index-narrowed candidate lists are per-worker; only the
-                # shared snapshot lists amortise coordinate extraction.
-                task_coords=(
-                    self._epoch_coords(candidates, coords_cache)
-                    if candidates is real
-                    else None
-                ),
-            )
-            if len(candidates) >= VECTOR_MIN_TASKS
-            else None
-        )
+        candidates = self._candidates_for(worker, inputs)
+        matrix = inputs.matrix
+        if matrix is None:
+            matrix = self._single_row(worker, candidates, inputs)
         reachable, uncapped_ids, reach_horizon = reachable_tasks_with_horizon(
             worker,
             candidates,
@@ -893,24 +991,17 @@ class IncrementalPlanEngine:
             max_tasks=config.max_reachable,
             hops=_HOPS,
             matrix=matrix,
+            cols=inputs.real_cols,
         )
         fallback = False
-        if not reachable and has_predicted:
-            # Same fallback as the full pipeline: a worker with no real
+        if not reachable and len(active) != len(inputs.real):
+            # Predicted tasks never displace real, currently-open tasks
+            # from a worker's reachable set: a worker with no real
             # reachable task plans over the full (predicted-augmented)
             # snapshot so prediction-aware strategies can reposition it.
             fallback = True
-            matrix = (
-                TravelMatrix.for_single_worker(
-                    worker,
-                    active,
-                    travel,
-                    now=now,
-                    task_coords=self._epoch_coords(active, coords_cache),
-                )
-                if len(active) >= VECTOR_MIN_TASKS
-                else None
-            )
+            if inputs.matrix is None:
+                matrix = self._single_row(worker, active, inputs)
             reachable, uncapped_ids, reach_horizon = reachable_tasks_with_horizon(
                 worker,
                 active,
@@ -954,7 +1045,8 @@ class IncrementalPlanEngine:
             # mutation preserves exactly.
             old_uncapped = old.uncapped_ids
             entry = old
-            entry.fingerprint = fingerprint
+            if force_bump:
+                entry.fingerprint = _worker_fingerprint(worker)
             entry.reachable = list(reachable)
             entry.reachable_ids = reachable_ids
             entry.uncapped_ids = uncapped_ids
@@ -968,7 +1060,7 @@ class IncrementalPlanEngine:
         else:
             old_uncapped = frozenset()
             entry = _WorkerEntry(
-                fingerprint=fingerprint,
+                fingerprint=_worker_fingerprint(worker),
                 reachable=list(reachable),
                 reachable_ids=reachable_ids,
                 uncapped_ids=uncapped_ids,

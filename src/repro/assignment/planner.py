@@ -10,89 +10,39 @@ Given the current workers and (current + predicted) tasks, the planner
 4. searches each tree for the best combination of sequences — exactly
    (DFSearch, Alg. 1) or guided by the Task Value Function
    (DFSearch_TVF, Alg. 2).
+
+This module holds the configuration and the :class:`TaskPlanner` facade;
+the pipeline itself has one implementation,
+:meth:`repro.assignment.incremental.IncrementalPlanEngine.plan`.
 """
 
 from __future__ import annotations
 
 import os
 import time as _time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.assignment.dfsearch import BOUND_MODES, adaptive_node_budget
+from repro.assignment.dfsearch import BOUND_MODES
 from repro.assignment.executor import (
     EXECUTOR_ENV,
-    ComponentJob,
     SearchExecutor,
     default_max_workers,
     make_executor,
 )
-from repro.assignment.fast_partition import (
-    build_adjacency,
-    build_partition_tree_fast,
-    connected_components,
+from repro.assignment.incremental import (  # noqa: F401 - re-exported API
+    DEGRADATION_RUNGS,
+    DirtySet,
+    IncrementalPlanEngine,
+    PlanningOutcome,
+    greedy_component_fill,
 )
-from repro.assignment.incremental import DirtySet, IncrementalPlanEngine
-from repro.assignment.reachability import (
-    VECTOR_MIN_TASKS,
-    reachable_tasks,
-    reachable_tasks_indexed,
-    reachable_tasks_matrix,
-)
-from repro.assignment.sequences import maximal_valid_sequences
-from repro.assignment.tree import PartitionNode, build_partition_tree
 from repro.assignment.tvf import TaskValueFunction
-from repro.core.assignment import Assignment, WorkerPlan
-from repro.core.sequence import TaskSequence
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.obs.runtime import OBS_DISABLED
 from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel, TravelModel
-from repro.spatial.travel_matrix import TravelMatrix
-
-#: Above this many open tasks the spatial-index radius query (which prunes
-#: candidates to the worker's neighbourhood) beats even the vectorized
-#: full-row mask, whose cost stays O(T) per worker.
-INDEX_MIN_TASKS = 1024
-
-#: The degradation ladder, best rung first.  Each planning epoch is served
-#: by exactly one rung: ``full`` — every component solved to its normal
-#: (budgeted) answer; ``partial`` — at least one component search was cut
-#: by the wall-clock deadline and returned its best anytime answer;
-#: ``greedy`` — the deadline had already expired before some component's
-#: search started, so that component was filled by the deterministic
-#: first-fit fallback; ``carryover`` — the platform kept a worker's
-#: previous still-valid plan because the degraded plan left it empty.
-DEGRADATION_RUNGS: Tuple[str, ...] = ("full", "partial", "greedy", "carryover")
-
-
-def greedy_component_fill(
-    worker_ids: Sequence[int],
-    sequences_by_worker: Dict[int, List[TaskSequence]],
-    available_ids: Set[int],
-) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Deadline fallback below any search: first-fit over ``Q_w``.
-
-    Walks the component's workers in order and gives each its first
-    candidate sequence that is fully available, removing the chosen tasks
-    from ``available_ids`` (mutated in place).  O(sum |Q_w|) with no
-    search at all — the "greedy strategy for still-unplanned components"
-    rung of the degradation ladder.  Deterministic given its inputs, but
-    *which* components land here depends on wall-clock, so results from
-    this path are never cached.
-    """
-    selections: List[Tuple[int, Tuple[int, ...]]] = []
-    for worker_id in worker_ids:
-        chosen: Tuple[int, ...] = ()
-        for sequence in sequences_by_worker.get(worker_id, []):
-            ids = sequence.task_id_set
-            if ids and ids <= available_ids:
-                chosen = sequence.task_ids
-                available_ids -= ids
-                break
-        selections.append((worker_id, chosen))
-    return selections
 
 
 @dataclass
@@ -150,10 +100,6 @@ class PlannerConfig:
     use_partition:
         Apply worker dependency separation; disabling it (ablation) puts
         every worker of a connected component into one flat cluster.
-    use_travel_matrix:
-        Build a per-epoch :class:`TravelMatrix` and run reachability /
-        sequence feasibility as vectorized array lookups.  Disabling it
-        falls back to the scalar reference path (same assignments, slower).
     per_leg_pricing:
         Price every task→task leg of a candidate sequence in the speed
         window in force at that leg's *departure* (a simulated clock
@@ -168,12 +114,12 @@ class PlannerConfig:
         no-op — the code path is literally the frozen-at-departure one,
         bit-for-bit.
     incremental_replan:
-        Cache reachable sets, sequences and per-component search results
+        Keep reachable sets, sequences and per-component search results
         across consecutive ``plan()`` calls and recompute only the dirty
-        region (see :mod:`repro.assignment.incremental`).  Bit-for-bit
-        equivalent to full replanning; disabling it forces the full
-        pipeline on every call (the reference behaviour, and what the
-        replan-latency benchmarks measure as the baseline).
+        region (see :mod:`repro.assignment.incremental`).  Disabling it
+        drops the cache at the entry of every call — the same pipeline,
+        cold: bit-for-bit the same plans, and the reference the
+        equivalence suites and replan-latency benchmarks compare against.
     deadline_s:
         Wall-clock budget (seconds) for one ``plan()`` call.  The clock
         starts when ``plan`` is entered; component searches stop expanding
@@ -198,11 +144,11 @@ class PlannerConfig:
         ``REPRO_MAX_WORKERS``, falling back to the process's usable CPU
         count.  Ignored by the serial backend.
     self_check:
-        Run the incremental engine's post-replan invariant check (no
-        double-booked task or worker, selections drawn from the cached
-        ``Q_w``, horizons finite and non-negative).  On violation the
-        engine logs, drops its caches and transparently redoes the epoch
-        with a full replan instead of crashing or corrupting state.
+        Run the engine's post-replan invariant check (no double-booked
+        task or worker, selections drawn from the cached ``Q_w``, horizons
+        finite and non-negative).  On violation the engine logs, drops its
+        caches and transparently redoes the epoch on an empty cache
+        instead of crashing or corrupting state.
     """
 
     max_reachable: int = 10
@@ -216,7 +162,6 @@ class PlannerConfig:
     use_tvf: bool = False
     tvf_min_workers: int = 4
     use_partition: bool = True
-    use_travel_matrix: bool = True
     per_leg_pricing: bool = True
     incremental_replan: bool = True
     deadline_s: Optional[float] = None
@@ -234,42 +179,6 @@ class PlannerConfig:
             )
         if not self.max_workers:
             self.max_workers = default_max_workers()
-
-
-@dataclass
-class PlanningOutcome:
-    """Planner output: the assignment plus search diagnostics.
-
-    The ``reused_* / recomputed_* / searched_*`` counters describe how much
-    of the epoch the incremental engine served from cache; the full
-    pipeline reports everything as recomputed/searched.
-    """
-
-    assignment: Assignment
-    planned_tasks: int
-    nodes_expanded: int
-    num_components: int
-    experience: List = field(default_factory=list)
-    reused_workers: int = 0
-    recomputed_workers: int = 0
-    reused_components: int = 0
-    searched_components: int = 0
-    #: Worst degradation rung that served this epoch (``"full"`` when no
-    #: deadline interfered; the platform may still upgrade the ladder to
-    #: ``"carryover"`` — see :data:`DEGRADATION_RUNGS`).
-    rung: str = "full"
-    #: True iff any component's answer was degraded by the wall-clock
-    #: deadline (``rung`` is ``"partial"`` or ``"greedy"``).
-    deadline_hit: bool = False
-    #: Invariant-check repairs performed by the incremental engine while
-    #: producing this outcome (each one is a cache drop + full replan).
-    repairs: int = 0
-    #: Component searches that crossed a process boundary this epoch
-    #: (always 0 under the serial backend).
-    parallel_components: int = 0
-    #: Estimated dispatch cost (pickling + IPC + scheduling) of this
-    #: epoch's executor stage, in seconds.
-    executor_overhead_s: float = 0.0
 
 
 class TaskPlanner:
@@ -299,8 +208,7 @@ class TaskPlanner:
         #: Optional persistent index of open tasks (attached by the platform)
         #: used to pre-filter reachability candidates by radius query.
         self.task_index: Optional[SpatialIndex] = None
-        #: Dirty-region replanning engine (consulted when the config enables
-        #: ``incremental_replan``); holds all cross-epoch caches.
+        #: The plan pipeline and its cross-epoch caches.
         self._engine = IncrementalPlanEngine(self)
         #: Dispatch backend (created lazily on the first planning call).
         self._executor: Optional[SearchExecutor] = None
@@ -362,65 +270,6 @@ class TaskPlanner:
             self._executor.close()
             self._executor = None
 
-    def _reachable_for_worker(
-        self,
-        worker: Worker,
-        tasks: Sequence[Task],
-        now: float,
-        matrix: Optional[TravelMatrix],
-        index: Optional[SpatialIndex],
-        tasks_by_id: Optional[Dict[int, Task]],
-        cols=None,
-        positions: Optional[Dict[int, int]] = None,
-    ) -> List[Task]:
-        """Reachable set via the fastest applicable path.
-
-        All paths return the identical task list; they differ only in cost:
-
-        * very large snapshots — radius query on the persistent index prunes
-          candidates to the worker's neighbourhood before any checks run;
-        * moderate snapshots — one vectorized mask over the travel-matrix
-          row beats the per-candidate Python loop;
-        * tiny snapshots — the plain scalar loop has the least overhead.
-        """
-        num_tasks = len(tasks)
-        if (
-            index is not None
-            and tasks_by_id is not None
-            and num_tasks >= INDEX_MIN_TASKS
-        ):
-            return reachable_tasks_indexed(
-                worker,
-                index,
-                tasks_by_id,
-                now,
-                self.travel,
-                max_tasks=self.config.max_reachable,
-                matrix=matrix,
-                positions=positions,
-            )
-        if matrix is not None and num_tasks >= VECTOR_MIN_TASKS:
-            return reachable_tasks_matrix(
-                worker, tasks, now, matrix, max_tasks=self.config.max_reachable, cols=cols
-            )
-        if (
-            index is not None
-            and tasks_by_id is not None
-            and num_tasks >= VECTOR_MIN_TASKS
-        ):
-            return reachable_tasks_indexed(
-                worker,
-                index,
-                tasks_by_id,
-                now,
-                self.travel,
-                max_tasks=self.config.max_reachable,
-                positions=positions,
-            )
-        return reachable_tasks(
-            worker, tasks, now, self.travel, max_tasks=self.config.max_reachable
-        )
-
     # ------------------------------------------------------------------ #
     def plan(
         self,
@@ -447,242 +296,26 @@ class TaskPlanner:
             either way).
         """
         config = self.config
-        # Latch the travel model's speed-profile window for this decision
-        # point (idempotent; no-op for static models).
-        self.travel.begin_epoch(now)
         # The wall-clock budget of this decision point starts now and is
-        # shared by every stage below (including an invariant-repair
-        # replan, which inherits whatever time is left).
+        # shared by every stage (including an invariant-repair replan,
+        # which inherits whatever time is left).
         deadline = (
             _time.perf_counter() + config.deadline_s
             if config.deadline_s is not None
             else None
         )
-        if config.incremental_replan and not collect_experience:
-            # Dirty-region replanning: bit-for-bit the same outcome as the
-            # full pipeline below, recomputing only what changed since the
-            # previous call (experience collection records search-internal
-            # state and always takes the full path).
-            return self._engine.plan(workers, tasks, now, deadline=deadline)
-        return self._plan_full(workers, tasks, now, collect_experience, deadline)
-
-    def _plan_full(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        collect_experience: bool = False,
-        deadline: Optional[float] = None,
-    ) -> PlanningOutcome:
-        """The reference full pipeline (lines 2-10 of Alg. 4).
-
-        Also the repair path of the incremental engine's self-check: it
-        shares no cache with the engine, so a corrupted cache can never
-        taint its answer.
-        """
-        config = self.config
-        obs = self.obs
-        active_tasks = [task for task in tasks if not task.is_expired(now)]
-        workers_by_id = {worker.worker_id: worker for worker in workers}
-        tasks_by_id = {task.task_id: task for task in active_tasks}
-
-        if not workers or not active_tasks:
-            return PlanningOutcome(Assignment(), 0, 0, 0)
-
-        with obs.span("candidates", workers=len(workers), tasks=len(active_tasks)):
-            # Lines 2-5 of Alg. 4: RS_w and Q_w for every worker.  Predicted
-            # tasks never displace real, currently-open tasks from a worker's
-            # reachable set: they only guide workers that have no real task to
-            # serve (repositioning towards future demand), which is how the
-            # paper uses the prediction signal.
-            real_tasks = [task for task in active_tasks if not task.predicted]
-            # Tiny snapshots are cheaper scalar: the matrix only pays for
-            # itself once enough (worker, task) pairs share it.
-            matrix = (
-                TravelMatrix(workers, active_tasks, self.travel, now=now)
-                if config.use_travel_matrix
-                and len(active_tasks) >= VECTOR_MIN_TASKS // 2
-                else None
-            )
-            if matrix is not None and obs.enabled:
-                obs.count("planner.travel_matrix_builds")
-            index = self.task_index
-            # The persistent platform index only tracks real open tasks; use
-            # it only when it covers every real task of this snapshot (a
-            # strategy may plan over a filtered subset, which is still fine —
-            # the query result is intersected with the given tasks).
-            use_index = index is not None and all(
-                task.task_id in index for task in real_tasks
-            )
-            real_tasks_by_id = (
-                {task.task_id: task for task in real_tasks} if use_index else None
-            )
-            real_positions = (
-                {task.task_id: i for i, task in enumerate(real_tasks)}
-                if use_index
-                else None
-            )
-            real_cols = matrix.task_cols(real_tasks) if matrix is not None else None
-            active_cols = None
-            if matrix is not None and len(real_tasks) != len(active_tasks):
-                active_cols = matrix.task_cols(active_tasks)
-            reachable_by_worker: Dict[int, List] = {}
-            for worker in workers:
-                reachable = self._reachable_for_worker(
-                    worker,
-                    real_tasks,
-                    now,
-                    matrix,
-                    index if use_index else None,
-                    real_tasks_by_id,
-                    cols=real_cols,
-                    positions=real_positions,
-                )
-                if not reachable and len(real_tasks) != len(active_tasks):
-                    reachable = self._reachable_for_worker(
-                        worker, active_tasks, now, matrix, None, None, cols=active_cols
-                    )
-                reachable_by_worker[worker.worker_id] = reachable
-            sequences_by_worker: Dict[int, List[TaskSequence]] = {
-                worker.worker_id: maximal_valid_sequences(
-                    worker,
-                    reachable_by_worker[worker.worker_id],
-                    now,
-                    self.travel,
-                    max_length=config.max_sequence_length,
-                    max_sequences=config.max_sequences,
-                    matrix=matrix,
-                    per_leg=config.per_leg_pricing,
-                )
-                for worker in workers
-            }
-
-        with obs.span("partition"):
-            # Line 6: worker dependency graph (plain adjacency sets — the
-            # networkx-based reference builders stay available for the
-            # ablation benchmarks but are too allocation-heavy for the
-            # per-event path).
-            adjacency = build_adjacency(reachable_by_worker)
-
-            # Lines 7-10: per-component partition, tree and search.
-            if config.use_partition:
-                roots = build_partition_tree_fast(adjacency).roots
-            else:
-                roots = [
-                    PartitionNode(workers=component)
-                    for component in connected_components(adjacency)
-                ]
-
-        # ---- decompose: one self-contained job per component ------------- #
-        # Engine choice, budget and inputs are all fixed here, *before* any
-        # search runs; the deadline ladder is applied per job at dispatch
-        # time (an expired deadline skips a job, a mid-search expiry cuts
-        # it to its anytime answer).
-        with obs.span("decompose", components=len(roots)):
-            use_guided = (
-                config.use_tvf and not collect_experience and self.tvf is not None
-            )
-            available_ids = frozenset(tasks_by_id)
-            jobs: List[ComponentJob] = []
-            for index, root in enumerate(roots):
-                root_workers = root.all_workers()
-                num_sequences = sum(
-                    len(sequences_by_worker.get(wid, [])) for wid in root_workers
-                )
-                if use_guided and len(root_workers) >= config.tvf_min_workers:
-                    jobs.append(
-                        ComponentJob(
-                            index=index,
-                            mode="tvf",
-                            root=root,
-                            worker_ids=tuple(root_workers),
-                            sequences_by_worker=sequences_by_worker,
-                            workers_by_id=workers_by_id,
-                            task_ids=available_ids,
-                            tasks=active_tasks,
-                            tvf=self.tvf,
-                            num_sequences=num_sequences,
-                        )
-                    )
-                    continue
-                budget = config.node_budget
-                if config.adaptive_node_budget:
-                    budget = adaptive_node_budget(
-                        budget, len(root_workers), num_sequences
-                    )
-                jobs.append(
-                    ComponentJob(
-                        index=index,
-                        mode=config.search_mode,
-                        root=root,
-                        worker_ids=tuple(root_workers),
-                        sequences_by_worker=sequences_by_worker,
-                        workers_by_id=workers_by_id,
-                        task_ids=available_ids,
-                        node_budget=budget,
-                        collect_experience=collect_experience,
-                        bound_mode=config.bound_mode,
-                        num_sequences=num_sequences,
-                    )
-                )
-
-        # ---- dispatch: serial or process pool, per the config ------------ #
-        with obs.span("dispatch", jobs=len(jobs)) as dispatch_span:
-            results, stats = self.executor().run(jobs, deadline=deadline, obs=obs)
-            dispatch_span.set(parallel=stats.parallel_jobs)
-
-        # ---- merge: submission-ordered, deterministic assembly ----------- #
-        with obs.span("merge"):
-            assignment = Assignment()
-            planned = 0
-            nodes_expanded = 0
-            experience: List = []
-            # Degradation ladder bookkeeping (index into DEGRADATION_RUNGS).
-            rung_level = 0
-            used_ids: Set[int] = set()
-            for job, result in zip(jobs, results):
-                if result.skipped:
-                    # The budget was gone before this component's search even
-                    # started: the greedy rung — first-fit over the already-
-                    # enumerated Q_w.  Sequential by nature (each fill
-                    # consumes from the pool left by earlier components), so
-                    # it runs here in the parent, in submission order.
-                    selections = greedy_component_fill(
-                        list(job.worker_ids),
-                        sequences_by_worker,
-                        set(tasks_by_id) - used_ids,
-                    )
-                    rung_level = max(rung_level, 2)
-                else:
-                    selections = result.selections
-                    nodes_expanded += result.nodes_expanded
-                    experience.extend(result.experience)
-                    if result.deadline_hit:
-                        # The anytime partial of an interrupted search.
-                        rung_level = max(rung_level, 1)
-                for worker_id, task_ids in selections:
-                    if not task_ids:
-                        continue
-                    worker = workers_by_id[worker_id]
-                    sequence_tasks = tuple(tasks_by_id[tid] for tid in task_ids)
-                    assignment.add(
-                        WorkerPlan(worker, TaskSequence(worker, sequence_tasks))
-                    )
-                    planned += len(task_ids)
-                    used_ids.update(task_ids)
-
-        return PlanningOutcome(
-            assignment=assignment,
-            planned_tasks=planned,
-            nodes_expanded=nodes_expanded,
-            num_components=len(roots),
-            experience=experience,
-            recomputed_workers=len(workers),
-            searched_components=len(roots),
-            rung=DEGRADATION_RUNGS[rung_level],
-            deadline_hit=rung_level > 0,
-            parallel_components=stats.parallel_jobs,
-            executor_overhead_s=stats.overhead_s,
+        engine = self._engine
+        if collect_experience or not config.incremental_replan:
+            # Cold callers run the same pipeline on an empty, throw-away
+            # cache: nothing is reused, and nothing (TVF-bypassed search
+            # results in particular) is left behind in the live one.
+            engine = IncrementalPlanEngine(self)
+        return engine.plan(
+            workers,
+            tasks,
+            now,
+            deadline=deadline,
+            collect_experience=collect_experience,
         )
 
     # ------------------------------------------------------------------ #

@@ -14,21 +14,23 @@ Constraints i and ii are strict to match Definition 4's validity checks
 would coincide exactly with its expiration is *not* reachable, so the
 reachable set never contains tasks that no valid sequence could serve.
 
-Two equivalent implementations are provided: a scalar reference path and a
-vectorized path over a :class:`~repro.spatial.travel_matrix.TravelMatrix`.
-They apply identical predicates to identical floats and therefore return
-identical task lists.
+The product entry point is :func:`reachable_tasks_with_horizon`, which
+selects between two equivalent kernels: the scalar oracle
+(:func:`reachable_tasks`) and the vector kernel over a
+:class:`~repro.spatial.travel_matrix.TravelMatrix`
+(:func:`reachable_tasks_matrix`).  They apply identical predicates to
+identical floats and therefore return identical task lists;
+:func:`vector_kernel_pays` is the one place that decides between them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel, TravelModel
 from repro.spatial.travel_matrix import TravelMatrix
 
@@ -38,6 +40,16 @@ _REACH_EPS = 1e-9
 #: Below this many candidate tasks the scalar loop beats NumPy's per-call
 #: overhead; the paths return bit-identical results, so switching is free.
 VECTOR_MIN_TASKS = 32
+
+
+def vector_kernel_pays(num_tasks: int) -> bool:
+    """Whether ``num_tasks`` candidates amortise a travel-matrix row.
+
+    The single reader of :data:`VECTOR_MIN_TASKS`: the plan pipeline asks
+    before building a worker's :class:`TravelMatrix`, and
+    :func:`reachable_tasks_with_horizon` before using one it was handed.
+    """
+    return num_tasks >= VECTOR_MIN_TASKS
 
 
 def is_reachable(
@@ -172,56 +184,6 @@ def reachable_tasks_matrix(
     return found
 
 
-def reachable_tasks_indexed(
-    worker: Worker,
-    index: SpatialIndex,
-    tasks_by_id: Dict[int, Task],
-    now: float,
-    travel: Optional[TravelModel] = None,
-    max_tasks: Optional[int] = None,
-    matrix: Optional[TravelMatrix] = None,
-    hops: int = 1,
-    positions: Optional[Dict[int, int]] = None,
-) -> List[Task]:
-    """Reachable tasks using a spatial index for the radius pre-filter.
-
-    ``index`` maps task ids to locations; ``tasks_by_id`` resolves ids back
-    to :class:`Task` objects.  Only candidates within the Euclidean radius
-    covering ``(hops + 1)`` reach-length travel legs are examined in detail
-    (each transitive hop extends the horizon by one worker reach; the
-    travel model's :meth:`~repro.spatial.travel.TravelModel.reach_bound`
-    converts that travel-distance budget into a Euclidean radius the index
-    can query), which keeps per-event replanning cheap on large
-    instances.  Candidates keep the iteration order of ``tasks_by_id``, so
-    the result is exactly what the full scan over ``tasks_by_id.values()``
-    would return — independent of index-bucket iteration order.  Callers
-    looping over many workers should pass ``positions`` (task id -> position
-    in ``tasks_by_id``, computed once); the order is then recovered with a
-    sort over the few candidates instead of a scan over every open task.
-    """
-    travel = travel or EuclideanTravelModel(speed=worker.speed)
-    radius = travel.reach_bound((hops + 1.0) * worker.reachable_distance) + 1e-6
-    candidate_ids = index.query_radius(worker.location, radius)
-    if positions is not None:
-        in_scope = [tid for tid in candidate_ids if tid in positions]
-        in_scope.sort(key=positions.__getitem__)
-        candidates = [tasks_by_id[tid] for tid in in_scope]
-    else:
-        id_set = set(candidate_ids)
-        candidates = [
-            task for task_id, task in tasks_by_id.items() if task_id in id_set
-        ]
-    if (
-        matrix is not None
-        and len(candidates) >= VECTOR_MIN_TASKS
-        and all(task.task_id in matrix for task in candidates)
-    ):
-        return reachable_tasks_matrix(
-            worker, candidates, now, matrix, max_tasks=max_tasks, hops=hops
-        )
-    return reachable_tasks(worker, candidates, now, travel, max_tasks=max_tasks, hops=hops)
-
-
 def reachable_tasks_with_horizon(
     worker: Worker,
     tasks: Sequence[Task],
@@ -230,6 +192,7 @@ def reachable_tasks_with_horizon(
     max_tasks: Optional[int] = None,
     hops: int = 1,
     matrix: Optional[TravelMatrix] = None,
+    cols: Optional[np.ndarray] = None,
 ):
     """Reachable set plus a conservative validity horizon.
 
@@ -255,11 +218,16 @@ def reachable_tasks_with_horizon(
     tasks re-enter the set), so the horizon is additionally clamped to the
     model's ``next_profile_boundary(now)`` — infinite for static models,
     leaving their horizons untouched.
+
+    ``cols`` may carry the precomputed ``matrix`` columns of ``tasks``
+    (see :func:`reachable_tasks_matrix`).
     """
     travel = travel or EuclideanTravelModel(speed=worker.speed)
     tasks = list(tasks)
-    if matrix is not None and len(tasks) >= VECTOR_MIN_TASKS:
-        uncapped = reachable_tasks_matrix(worker, tasks, now, matrix, max_tasks=None, hops=hops)
+    if matrix is not None and vector_kernel_pays(len(tasks)):
+        uncapped = reachable_tasks_matrix(
+            worker, tasks, now, matrix, max_tasks=None, hops=hops, cols=cols
+        )
     else:
         uncapped = reachable_tasks(worker, tasks, now, travel, max_tasks=None, hops=hops)
 
@@ -299,49 +267,3 @@ def reachable_tasks_with_horizon(
         if matrix is not None:
             horizon = min(horizon, matrix.travel.next_profile_boundary(now))
     return capped, frozenset(task.task_id for task in uncapped), horizon
-
-
-def mutual_reachability(
-    workers: Sequence[Worker],
-    tasks: Sequence[Task],
-    now: float,
-    travel: Optional[TravelModel] = None,
-    max_tasks_per_worker: Optional[int] = None,
-    index: Optional[SpatialIndex] = None,
-    matrix: Optional[TravelMatrix] = None,
-) -> dict:
-    """Reachable-task sets for every worker, keyed by worker id.
-
-    With ``index`` the per-worker candidate set comes from a radius query
-    instead of an all-pairs scan; with ``matrix`` the feasibility checks are
-    vectorized array lookups.  Both options preserve the scalar result.
-    """
-    if index is not None:
-        tasks_by_id = {task.task_id: task for task in tasks}
-        positions = {task.task_id: i for i, task in enumerate(tasks)}
-        return {
-            worker.worker_id: reachable_tasks_indexed(
-                worker,
-                index,
-                tasks_by_id,
-                now,
-                travel,
-                max_tasks=max_tasks_per_worker,
-                matrix=matrix,
-                positions=positions,
-            )
-            for worker in workers
-        }
-    if matrix is not None:
-        return {
-            worker.worker_id: reachable_tasks_matrix(
-                worker, tasks, now, matrix, max_tasks=max_tasks_per_worker
-            )
-            for worker in workers
-        }
-    return {
-        worker.worker_id: reachable_tasks(
-            worker, tasks, now, travel, max_tasks=max_tasks_per_worker
-        )
-        for worker in workers
-    }

@@ -306,8 +306,8 @@ class DataWAStrategy(DTAPlusTPStrategy):
         train_on_first_plan: bool = True,
         tvf_training_epochs: int = 10,
     ) -> None:
-        config = config or PlannerConfig()
-        config.use_tvf = True
+        # On a copy: the caller may hand the same config to other strategies.
+        config = replace(config or PlannerConfig(), use_tvf=True)
         super().__init__(config=config, travel=travel, predicted_task_provider=predicted_task_provider)
         if tvf is not None:
             self.planner.tvf = tvf

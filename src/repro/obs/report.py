@@ -6,9 +6,10 @@ Usage::
 
 The report is computed purely from the Trace Event Format file that
 :meth:`repro.obs.Tracer.write` produced — no live run required — and
-shows where the run's time went (per-phase totals), the replan-latency
-distribution per epoch class (full / incremental / degraded), what the
-pool workers did, and the final cache counter samples.
+shows where the run's time went (per-phase inclusive totals and exclusive
+``self_ms``: a span's duration minus what its children cover), the
+replan-latency distribution per epoch class (full / incremental /
+degraded), what the pool workers did, and the final cache counter samples.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import StreamingHistogram
-from repro.obs.trace import parse_trace
+from repro.obs.trace import build_span_tree, parse_trace
 
-__all__ = ["main", "render_report"]
+__all__ = ["main", "phase_totals", "render_report"]
 
 
 def _fmt_ms(value: float) -> str:
@@ -39,28 +40,45 @@ def _table(rows: List[Sequence[str]], header: Sequence[str]) -> List[str]:
     return lines
 
 
+def phase_totals(events: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, float]]:
+    """Per span name: ``count``, inclusive ``total_ms`` and exclusive
+    ``self_ms`` (each span's duration minus its children's, via the parent
+    links), so a phase's ``self_ms`` plus its children's totals is its
+    ``total_ms``."""
+    phases: Dict[str, Dict[str, float]] = {}
+    for node in build_span_tree(events).values():
+        event = node["event"]
+        entry = phases.setdefault(
+            str(event["name"]), {"count": 0, "total_ms": 0.0, "self_ms": 0.0}
+        )
+        duration = float(event["dur"])
+        covered = sum(float(child["event"]["dur"]) for child in node["children"])
+        entry["count"] += 1
+        entry["total_ms"] += duration / 1000.0
+        entry["self_ms"] += (duration - covered) / 1000.0
+    return phases
+
+
 def render_report(events: List[Dict[str, object]]) -> str:
     """Build the plain-text report for a parsed event list."""
     spans = [e for e in events if e.get("ph") == "X"]
     out: List[str] = []
 
     # ---- per-phase totals ------------------------------------------------ #
-    phases: Dict[str, List[float]] = {}
-    for event in spans:
-        phases.setdefault(str(event["name"]), []).append(float(event["dur"]) / 1000.0)
     out.append("Per-phase totals")
     rows = [
         (
             name,
-            str(len(durations)),
-            _fmt_ms(sum(durations)),
-            _fmt_ms(sum(durations) / len(durations)),
+            str(int(entry["count"])),
+            _fmt_ms(entry["total_ms"]),
+            _fmt_ms(entry["self_ms"]),
+            _fmt_ms(entry["total_ms"] / entry["count"]),
         )
-        for name, durations in sorted(
-            phases.items(), key=lambda item: -sum(item[1])
+        for name, entry in sorted(
+            phase_totals(events).items(), key=lambda item: -item[1]["total_ms"]
         )
     ]
-    out.extend(_table(rows, ("phase", "count", "total_ms", "mean_ms")))
+    out.extend(_table(rows, ("phase", "count", "total_ms", "self_ms", "mean_ms")))
 
     # ---- replan latency per epoch class ---------------------------------- #
     by_class: Dict[str, StreamingHistogram] = {}

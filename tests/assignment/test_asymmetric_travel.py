@@ -43,6 +43,8 @@ from repro.spatial.geometry import Point
 from repro.spatial.index import SpatialIndex
 from repro.spatial.travel_matrix import TravelMatrix
 
+from reference_pipeline import assert_planner_matches_oracle
+
 
 def random_instance(rng, max_workers=8, max_tasks=30):
     workers = [
@@ -257,12 +259,9 @@ class TestIncrementalSoundness:
             index.insert(tid, task.location)
         assert sorted(index.query_radius(Point(0.0, 0.0), float("inf"))) == list(range(5))
         worker = Worker(1, Point(0.0, 0.0), 30.0, 0.0, 100.0)
-        from repro.assignment.reachability import reachable_tasks_indexed
-
-        indexed = reachable_tasks_indexed(
-            worker, index, tasks, 0.0, model
-        )
+        planner = TaskPlanner(PlannerConfig(), travel=model)
+        planner.attach_task_index(index)
+        assert_planner_matches_oracle(planner, [worker], list(tasks.values()), 0.0)
         reference = reachable_tasks(worker, list(tasks.values()), 0.0, model)
-        assert [t.task_id for t in indexed] == [t.task_id for t in reference]
         # The shortcut metric reaches tasks the Euclidean ball would miss.
         assert len(reference) > 1

@@ -246,12 +246,10 @@ class TestSnapshotEquivalence:
         monkeypatch.setattr(executor_mod, "INLINE_MIN_SEQUENCES", 0)
         rng = random.Random(71)
         workers, tasks = random_snapshot(rng)
-        serial_planner = make_planner("serial")
-        serial = serial_planner._plan_full(
+        serial = make_planner("serial").plan(
             workers, tasks, 0.0, collect_experience=True
         )
-        parallel_planner = make_planner("parallel", max_workers=max_workers)
-        parallel = parallel_planner._plan_full(
+        parallel = make_planner("parallel", max_workers=max_workers).plan(
             workers, tasks, 0.0, collect_experience=True
         )
         assert outcome_state(parallel) == outcome_state(serial)
@@ -259,6 +257,32 @@ class TestSnapshotEquivalence:
         # directly comparable, order included.
         assert len(serial.experience) > 0
         assert parallel.experience == serial.experience
+
+    def test_experience_collection_leaves_live_cache_untouched(self):
+        """Collection runs the pipeline on a throw-away cache: the live one
+        neither serves it (everything is searched, TVF bypassed) nor keeps
+        anything from it."""
+        rng = random.Random(72)
+        workers, tasks = random_snapshot(rng)
+        planner = make_planner("serial")
+        warm = planner.plan(workers, tasks, 0.0)
+        engine = planner._engine
+        entries = dict(engine._worker_entries)
+        versions = {wid: entry.version for wid, entry in entries.items()}
+        components = dict(engine._components)
+
+        collected = planner.plan(workers, tasks, 0.0, collect_experience=True)
+        assert collected.experience
+        assert collected.reused_workers == collected.reused_components == 0
+        assert collected.searched_components == collected.num_components
+
+        assert engine._worker_entries == entries
+        assert {w: e.version for w, e in engine._worker_entries.items()} == versions
+        assert engine._components == components
+        replay = planner.plan(workers, tasks, 0.0)
+        assert replay.reused_workers == len(workers)
+        assert replay.searched_components == 0
+        assert outcome_state(replay)["assignment"] == outcome_state(warm)["assignment"]
 
     if HAVE_HYPOTHESIS:
 

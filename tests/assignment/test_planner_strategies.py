@@ -219,6 +219,17 @@ class TestStrategies:
         assert strategy.planner.tvf.is_fitted
         assert plan.num_assigned_tasks >= 4
 
+    def test_data_wa_leaves_shared_config_untouched(self):
+        # One config handed to two strategies: DATA-WA turns the TVF on for
+        # itself only, so the DTA built afterwards stays an exact planner.
+        config = PlannerConfig()
+        data_wa = make_strategy("DATA-WA", config=config)
+        dta = make_strategy("DTA", config=config)
+        assert data_wa.planner.config.use_tvf
+        assert not config.use_tvf
+        assert not dta.planner.config.use_tvf
+        assert dta.planner.tvf is None
+
     def test_greedy_strategy_wraps_baseline(self, two_cluster_problem):
         workers, tasks = two_cluster_problem
         plan = GreedyStrategy(travel=TRAVEL).plan(workers, tasks, 0.0)

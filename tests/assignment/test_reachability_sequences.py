@@ -4,15 +4,12 @@ import pytest
 
 from repro.assignment.reachability import (
     is_reachable,
-    mutual_reachability,
     reachable_tasks,
-    reachable_tasks_indexed,
 )
 from repro.assignment.sequences import best_order_for_subset, maximal_valid_sequences
 from repro.core.task import Task
 from repro.core.worker import AvailabilityWindow, Worker
 from repro.spatial.geometry import Point
-from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel
 
 
@@ -45,22 +42,6 @@ class TestReachability:
         tasks = [Task(i, Point(float(i), 0.0), 0.0, 100.0) for i in range(1, 5)]
         found = reachable_tasks(simple_worker, tasks, 0.0, unit_travel, max_tasks=2)
         assert [t.task_id for t in found] == [1, 2]
-
-    def test_reachable_tasks_indexed_matches_direct(self, simple_worker, unit_travel, nearby_tasks):
-        index = SpatialIndex(cell_size=1.0)
-        by_id = {}
-        for task in nearby_tasks:
-            index.insert(task.task_id, task.location)
-            by_id[task.task_id] = task
-        direct = {t.task_id for t in reachable_tasks(simple_worker, nearby_tasks, 0.0, unit_travel)}
-        indexed = {t.task_id for t in reachable_tasks_indexed(simple_worker, index, by_id, 0.0, unit_travel)}
-        assert direct == indexed
-
-    def test_mutual_reachability_keys(self, simple_worker, nearby_tasks, unit_travel):
-        other = Worker(2, Point(100, 100), 1.0, 0.0, 100.0)
-        result = mutual_reachability([simple_worker, other], nearby_tasks, 0.0, unit_travel)
-        assert set(result) == {1, 2}
-        assert len(result[1]) == 3 and len(result[2]) == 0
 
 
 class TestBestOrder:

@@ -1,11 +1,13 @@
-"""Property-based equivalence: vectorized planning paths vs scalar reference.
+"""Property-based equivalence: the plan pipeline vs its scalar oracle.
 
-The vectorized engine (travel matrices, indexed reachability, batched TVF
-featurization) must be a pure optimisation: on any instance it has to
-return bit-for-bit the same reachable sets, sequences, feature vectors and
-final assignments as the scalar reference implementations.  These tests
-assert that on randomised instances — through ``hypothesis`` where it is
-installed, and through a seeded-random sweep otherwise.
+The vectorized kernels (travel matrices, index pre-filter, batched TVF
+featurization) must be a pure optimisation: on any instance the planner
+has to return bit-for-bit the same reachable sets, sequences and feature
+vectors — and the same optimum — as the scalar oracle in
+``reference_pipeline.py``; and a warm engine has to replay, call for call,
+what the same pipeline returns on an empty cache.  These tests assert that
+on randomised instances — through ``hypothesis`` where it is installed,
+and through a seeded-random sweep otherwise.
 """
 
 import math
@@ -18,7 +20,6 @@ from repro.assignment.planner import PlannerConfig, TaskPlanner
 from repro.assignment.reachability import (
     is_reachable,
     reachable_tasks,
-    reachable_tasks_indexed,
     reachable_tasks_matrix,
 )
 from repro.assignment.sequences import maximal_valid_sequences
@@ -35,6 +36,8 @@ from repro.spatial.geometry import Point
 from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel
 from repro.spatial.travel_matrix import TravelMatrix
+
+from reference_pipeline import assert_planner_matches_oracle
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -68,31 +71,23 @@ def random_instance(rng, max_workers=10, max_tasks=40):
 
 def build_index(tasks):
     index = SpatialIndex(cell_size=1.0)
-    tasks_by_id = {}
     for task in tasks:
         index.insert(task.task_id, task.location)
-        tasks_by_id[task.task_id] = task
-    return index, tasks_by_id
+    return index
 
 
 class TestReachabilityEquivalence:
     @pytest.mark.parametrize("seed", range(12))
-    def test_matrix_and_indexed_match_scalar(self, seed):
+    def test_matrix_matches_scalar(self, seed):
         rng = random.Random(seed)
         workers, tasks = random_instance(rng)
         now = rng.uniform(0.0, 3.0)
         matrix = TravelMatrix(workers, tasks, TRAVEL)
-        index, tasks_by_id = build_index(tasks)
         for worker in workers:
             for max_tasks in (None, 5):
                 scalar = reachable_tasks(worker, tasks, now, TRAVEL, max_tasks=max_tasks)
                 vector = reachable_tasks_matrix(worker, tasks, now, matrix, max_tasks=max_tasks)
-                indexed = reachable_tasks_indexed(
-                    worker, index, tasks_by_id, now, TRAVEL, max_tasks=max_tasks, matrix=matrix
-                )
-                scalar_ids = [t.task_id for t in scalar]
-                assert scalar_ids == [t.task_id for t in vector]
-                assert scalar_ids == [t.task_id for t in indexed]
+                assert [t.task_id for t in scalar] == [t.task_id for t in vector]
 
     def test_transitive_expansion_matches(self):
         # s2 is out of direct reach but within one hop of s1; s3 needs two.
@@ -224,91 +219,66 @@ class TestTVFEquivalence:
 
 
 class TestPlannerEquivalence:
+    """The planner against the scalar oracle: same per-worker reachable
+    sets and ``Q_w``, same components, a valid plan of the same size —
+    whichever kernel (scalar loop, travel-matrix rows, the shared epoch
+    matrix) or candidate source (full scan, index pre-filter) it picked."""
+
+    @pytest.mark.parametrize("indexed", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_identical_assignments_all_paths(self, seed):
+    def test_matches_scalar_oracle(self, seed, indexed):
         rng = random.Random(4000 + seed)
         workers, tasks = random_instance(rng, max_workers=12, max_tasks=35)
         now = rng.uniform(0.0, 2.0)
-        index, _ = build_index(tasks)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+        if indexed:
+            planner.attach_task_index(build_index(tasks))
+        assert_planner_matches_oracle(planner, workers, tasks, now)
 
-        # incremental_replan off: these tests target the *full* pipeline's
-        # scalar / matrix / indexed paths (the incremental engine has its own
-        # equivalence suite above).
-        scalar = TaskPlanner(
-            PlannerConfig(use_travel_matrix=False, incremental_replan=False), travel=TRAVEL
-        )
-        vector = TaskPlanner(
-            PlannerConfig(use_travel_matrix=True, incremental_replan=False), travel=TRAVEL
-        )
-        indexed = TaskPlanner(
-            PlannerConfig(use_travel_matrix=True, incremental_replan=False), travel=TRAVEL
-        )
-        indexed.attach_task_index(index)
-
-        outcomes = [p.plan(workers, tasks, now) for p in (scalar, vector, indexed)]
-        plans = [
-            sorted((wp.worker.worker_id, wp.sequence.task_ids) for wp in o.assignment)
-            for o in outcomes
-        ]
-        assert plans[0] == plans[1] == plans[2]
-        assert outcomes[0].planned_tasks == outcomes[1].planned_tasks == outcomes[2].planned_tasks
-
-    def test_forced_vector_thresholds_equivalent(self, monkeypatch):
-        # Drop every adaptive threshold to 0 so the matrix paths are taken
-        # even on tiny instances, and compare against pure scalar.
-        import repro.assignment.planner as planner_mod
+    @pytest.mark.parametrize("indexed", [False, True])
+    def test_forced_vector_thresholds_match_oracle(self, indexed, monkeypatch):
+        # Drop every adaptive threshold to 0 so the matrix kernels are
+        # taken even on tiny instances.
         import repro.assignment.reachability as reach_mod
         import repro.assignment.sequences as seq_mod
 
-        monkeypatch.setattr(planner_mod, "VECTOR_MIN_TASKS", 0)
         monkeypatch.setattr(reach_mod, "VECTOR_MIN_TASKS", 0)
         monkeypatch.setattr(seq_mod, "_MATRIX_MIN_TASKS", 0)
         rng = random.Random(77)
         for _ in range(5):
             workers, tasks = random_instance(rng)
             now = rng.uniform(0.0, 2.0)
-            scalar = TaskPlanner(
-                PlannerConfig(use_travel_matrix=False, incremental_replan=False),
-                travel=TRAVEL,
-            )
-            vector = TaskPlanner(
-                PlannerConfig(use_travel_matrix=True, incremental_replan=False),
-                travel=TRAVEL,
-            )
-            a = scalar.plan(workers, tasks, now)
-            b = vector.plan(workers, tasks, now)
-            assert sorted(
-                (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment
-            ) == sorted((wp.worker.worker_id, wp.sequence.task_ids) for wp in b.assignment)
+            planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+            if indexed:
+                planner.attach_task_index(build_index(tasks))
+            assert_planner_matches_oracle(planner, workers, tasks, now)
 
-    def test_tvf_guided_identical_assignments(self):
+    def test_predicted_fallback_matches_oracle(self):
+        # Workers with no real task in reach plan over the predicted-
+        # augmented snapshot; everyone else ignores predicted tasks.
+        rng = random.Random(91)
+        for _ in range(6):
+            workers, tasks = random_instance(rng, max_workers=10, max_tasks=36)
+            tasks = [
+                Task(
+                    t.task_id, t.location, t.publication_time, t.expiration_time,
+                    predicted=rng.random() < 0.4,
+                )
+                for t in tasks
+            ]
+            planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+            assert_planner_matches_oracle(planner, workers, tasks, 0.0)
+
+    def test_tvf_guided_stages_match_oracle(self):
         rng = random.Random(123)
         workers, tasks = random_instance(rng, max_workers=10, max_tasks=30)
-        boot = TaskPlanner(PlannerConfig(use_tvf=True), travel=TRAVEL)
-        boot.train_tvf(workers, tasks, 0.0, epochs=2)
-        tvf = boot.tvf
-
-        scalar = TaskPlanner(
-            PlannerConfig(
-                use_travel_matrix=False, use_tvf=True, tvf_min_workers=2,
-                incremental_replan=False,
-            ),
-            travel=TRAVEL,
-            tvf=tvf,
+        planner = TaskPlanner(
+            PlannerConfig(use_tvf=True, tvf_min_workers=2), travel=TRAVEL
         )
-        vector = TaskPlanner(
-            PlannerConfig(
-                use_travel_matrix=True, use_tvf=True, tvf_min_workers=2,
-                incremental_replan=False,
-            ),
-            travel=TRAVEL,
-            tvf=tvf,
+        planner.train_tvf(workers, tasks, 0.0, epochs=2)
+        assert_planner_matches_oracle(
+            planner, workers, tasks, 0.0, expect_optimum=False
         )
-        a = scalar.plan(workers, tasks, 0.0)
-        b = vector.plan(workers, tasks, 0.0)
-        assert sorted(
-            (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment
-        ) == sorted((wp.worker.worker_id, wp.sequence.task_ids) for wp in b.assignment)
 
 
 class TestTravelModelAbstraction:
@@ -419,12 +389,13 @@ def _outcome_signature(outcome):
 
 
 class TestIncrementalEquivalence:
-    """The incremental engine must replay the full pipeline bit-for-bit.
+    """A warm engine must replay the empty-cache pipeline bit-for-bit.
 
     Each test drives a *stream* of planning calls over an evolving snapshot
     (single-event mutations, advancing time) and compares an incremental
-    planner against a fresh full replan at every decision point — the
-    equivalence contract of :mod:`repro.assignment.incremental`.
+    planner against ``incremental_replan=False`` — the same pipeline on a
+    throw-away empty cache — at every decision point: the equivalence
+    contract of :mod:`repro.assignment.incremental`.
     """
 
     @pytest.mark.parametrize("seed", range(10))
@@ -833,7 +804,7 @@ class TestIncrementalEquivalence:
 
 
 class TestPlatformEquivalence:
-    def test_streaming_run_identical_with_and_without_engine(self):
+    def test_streaming_run_identical_with_and_without_task_index(self):
         from repro.assignment.strategies import DTAStrategy
         from repro.datasets.synthetic import SyntheticWorkloadGenerator, WorkloadConfig
         from repro.simulation.platform import PlatformConfig, SCPlatform
@@ -843,9 +814,7 @@ class TestPlatformEquivalence:
         ).generate()
         results = []
         for use in (False, True):
-            strategy = DTAStrategy(
-                config=PlannerConfig(use_travel_matrix=use, incremental_replan=False)
-            )
+            strategy = DTAStrategy(config=PlannerConfig(incremental_replan=False))
             platform = SCPlatform(
                 workload.instance,
                 strategy,
@@ -899,18 +868,7 @@ if HAVE_HYPOTHESIS:
 
         @settings(max_examples=20, deadline=None)
         @given(instance=hypothesis_instance())
-        def test_planner_assignments_match(self, instance):
+        def test_planner_matches_scalar_oracle(self, instance):
             workers, tasks = instance
-            scalar = TaskPlanner(
-                PlannerConfig(use_travel_matrix=False, incremental_replan=False),
-                travel=TRAVEL,
-            )
-            vector = TaskPlanner(
-                PlannerConfig(use_travel_matrix=True, incremental_replan=False),
-                travel=TRAVEL,
-            )
-            a = scalar.plan(workers, tasks, 0.0)
-            b = vector.plan(workers, tasks, 0.0)
-            assert sorted(
-                (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment
-            ) == sorted((wp.worker.worker_id, wp.sequence.task_ids) for wp in b.assignment)
+            planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+            assert_planner_matches_oracle(planner, workers, tasks, 0.0)

@@ -13,11 +13,13 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 # The shared travel-model conformance suite (tests/spatial/conformance.py)
-# is imported by suites in several test directories; make it resolvable
+# and the scalar plan oracle (tests/assignment/reference_pipeline.py) are
+# imported by suites in several test directories; make them resolvable
 # regardless of which file pytest collects first.
-_CONFORMANCE_DIR = Path(__file__).resolve().parent / "spatial"
-if str(_CONFORMANCE_DIR) not in sys.path:
-    sys.path.insert(0, str(_CONFORMANCE_DIR))
+for _shared in ("spatial", "assignment"):
+    _shared_dir = Path(__file__).resolve().parent / _shared
+    if str(_shared_dir) not in sys.path:
+        sys.path.insert(0, str(_shared_dir))
 
 from repro.core.problem import ATAInstance            # noqa: E402
 from repro.core.task import Task                      # noqa: E402

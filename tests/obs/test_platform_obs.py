@@ -99,19 +99,22 @@ class TestSpanCoverage:
             "journal.append",
             "checkpoint.save",
         } <= names
-        # The incremental engine owns this run's planning epochs.
-        assert {"diff", "refresh", "decompose"} <= names
 
-    def test_full_pipeline_spans_without_incremental(self, workload, tmp_path):
-        path = os.fspath(tmp_path / "full.json")
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_one_plan_span_vocabulary(self, workload, tmp_path, incremental):
+        """Warm or cold, a plan is the same five phases — and nothing else
+        sits directly under a ``plan`` span."""
+        path = os.fspath(tmp_path / "plan.json")
         _run(
             workload,
             observability=ObservabilityConfig(trace_path=path),
-            planner_kw={"incremental_replan": False},
+            planner_kw={"incremental_replan": incremental},
             max_replans=6,
         )
-        names = {e["name"] for e in parse_trace(path) if e.get("ph") == "X"}
-        assert {"candidates", "partition", "decompose", "dispatch", "merge"} <= names
+        spans = [e for e in parse_trace(path) if e.get("ph") == "X"]
+        plan_ids = {e["args"]["id"] for e in spans if e["name"] == "plan"}
+        phases = {e["name"] for e in spans if e["args"]["parent"] in plan_ids}
+        assert phases == {"diff", "refresh", "decompose", "dispatch", "merge"}
 
     def test_every_parent_resolves(self, traced):
         _, _, events = traced

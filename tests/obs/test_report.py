@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import os
 
-from repro.obs.report import main, render_report
+import pytest
+
+from repro.obs.report import main, phase_totals, render_report
 from repro.obs.trace import Tracer
 
 
@@ -41,6 +43,23 @@ class TestRenderReport:
             if line and not line.startswith(("Pool", "Counters"))
         }
         assert {"full", "incremental"} <= class_rows
+
+    def test_self_time_plus_children_is_total(self, tmp_path):
+        tracer = _write_sample_trace(os.fspath(tmp_path / "trace.json"))
+        phases = phase_totals(tracer.events)
+        # epoch > {plan > dispatch, journal.append}: every parent's
+        # exclusive time plus its children's totals is its own total.
+        assert phases["plan"]["self_ms"] + phases["dispatch"]["total_ms"] == (
+            pytest.approx(phases["plan"]["total_ms"])
+        )
+        assert (
+            phases["epoch"]["self_ms"]
+            + phases["plan"]["total_ms"]
+            + phases["journal.append"]["total_ms"]
+        ) == pytest.approx(phases["epoch"]["total_ms"])
+        assert phases["dispatch"]["self_ms"] == phases["dispatch"]["total_ms"]
+        header = render_report(tracer.events).splitlines()[1].split()
+        assert header == ["phase", "count", "total_ms", "self_ms", "mean_ms"]
 
     def test_worker_section_only_with_worker_spans(self):
         tracer = Tracer()

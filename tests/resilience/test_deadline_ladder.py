@@ -275,6 +275,37 @@ class TestSelfHealing:
         assert again.repairs == 0
         assert again.rung == "full"
 
+    def test_repair_that_would_trip_again_returns_once(self, caplog):
+        """Corruption that lives in the inputs, not the cache: a travel
+        model whose profile clock reads NaN stamps a NaN horizon on every
+        worker with nothing in reach, so the repair's own rerun would trip
+        the check as well.  It must not: one repair, one answer, and
+        nothing of the rerun left in the live cache."""
+
+        class NaNClock(EuclideanTravelModel):
+            def next_profile_boundary(self, now):
+                return float("nan")
+
+        workers, tasks = TestPlannerDeadline()._snapshot()
+        workers.append(Worker(99, Point(500.0, 500.0), 1.0, 0.0, 60.0))
+        travel = NaNClock(speed=1.0)
+        planner = TaskPlanner(PlannerConfig(), travel=travel)
+        with caplog.at_level("WARNING", logger="repro.resilience.selfheal"):
+            outcome = planner.plan(workers, tasks, 0.0)
+        assert outcome.repairs == 1
+        assert len(caplog.records) == 1
+        unchecked = TaskPlanner(PlannerConfig(self_check=False), travel=travel)
+        assert _plan_tuples(outcome.assignment) == _plan_tuples(
+            unchecked.plan(workers, tasks, 0.0).assignment
+        )
+        engine = planner._engine
+        assert not engine._worker_entries and not engine._components
+        # The next epoch starts from that empty cache.
+        again = planner.plan(workers, tasks, 0.5)
+        assert again.repairs == 1
+        assert again.reused_workers == 0
+        assert again.recomputed_workers == len(workers)
+
 
 class TestPlatformLadder:
     @pytest.fixture(scope="class")

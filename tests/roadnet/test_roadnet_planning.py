@@ -5,10 +5,10 @@ whose point-to-point costs are non-metric, so these tests are the ones
 that probe the PR 1–3 engines (vectorized matrices, dirty-region replans,
 B&B search) outside the Euclidean regime:
 
-* scalar / matrix / indexed reachability and full planner paths must stay
-  bit-for-bit interchangeable (the kernels share float operation
-  sequences);
-* the incremental engine must replay the full pipeline exactly on an
+* scalar / matrix reachability must stay bit-for-bit interchangeable (the
+  kernels share float operation sequences), and the planner — with and
+  without the index pre-filter — must match the scalar oracle;
+* a warm engine must replay the empty-cache pipeline exactly on an
   evolving snapshot stream — the acceptance criterion for the dirty-ball
   generalisation via ``reach_bound``;
 * a complete :class:`SCPlatform` replay over a road-network workload must
@@ -22,7 +22,6 @@ import pytest
 from repro.assignment.planner import PlannerConfig, TaskPlanner
 from repro.assignment.reachability import (
     reachable_tasks,
-    reachable_tasks_indexed,
     reachable_tasks_matrix,
 )
 from repro.assignment.sequences import maximal_valid_sequences
@@ -32,6 +31,8 @@ from repro.roadnet import RoadNetworkTravelModel, grid_network, roadnet_workload
 from repro.spatial.geometry import Point
 from repro.spatial.index import SpatialIndex
 from repro.spatial.travel_matrix import TravelMatrix
+
+from reference_pipeline import assert_planner_matches_oracle
 
 
 @pytest.fixture(scope="module")
@@ -71,16 +72,11 @@ def _outcome_signature(outcome):
 
 class TestRoadnetReachabilityEquivalence:
     @pytest.mark.parametrize("seed", range(6))
-    def test_scalar_matrix_indexed_match(self, seed, road_model):
+    def test_scalar_matrix_match(self, seed, road_model):
         rng = random.Random(1200 + seed)
         workers, tasks = random_instance(rng)
         now = rng.uniform(0.0, 2.0)
         matrix = TravelMatrix(workers, tasks, road_model)
-        index = SpatialIndex(cell_size=1.0)
-        tasks_by_id = {}
-        for task in tasks:
-            index.insert(task.task_id, task.location)
-            tasks_by_id[task.task_id] = task
         for worker in workers:
             for max_tasks in (None, 5):
                 scalar = reachable_tasks(
@@ -89,13 +85,7 @@ class TestRoadnetReachabilityEquivalence:
                 vector = reachable_tasks_matrix(
                     worker, tasks, now, matrix, max_tasks=max_tasks
                 )
-                indexed = reachable_tasks_indexed(
-                    worker, index, tasks_by_id, now, road_model,
-                    max_tasks=max_tasks, matrix=matrix,
-                )
-                scalar_ids = [t.task_id for t in scalar]
-                assert scalar_ids == [t.task_id for t in vector]
-                assert scalar_ids == [t.task_id for t in indexed]
+                assert [t.task_id for t in scalar] == [t.task_id for t in vector]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_sequences_scalar_matrix_match(self, seed, road_model, monkeypatch):
@@ -119,27 +109,19 @@ class TestRoadnetReachabilityEquivalence:
 
 
 class TestRoadnetPlannerEquivalence:
+    @pytest.mark.parametrize("indexed", [False, True])
     @pytest.mark.parametrize("seed", range(5))
-    def test_full_pipeline_paths_identical(self, seed, road_model):
+    def test_matches_scalar_oracle(self, seed, indexed, road_model):
         rng = random.Random(1400 + seed)
         workers, tasks = random_instance(rng)
         now = rng.uniform(0.0, 1.0)
-        scalar = TaskPlanner(
-            PlannerConfig(
-                use_travel_matrix=False, incremental_replan=False, travel_model=road_model
-            )
-        )
-        vector = TaskPlanner(
-            PlannerConfig(
-                use_travel_matrix=True, incremental_replan=False, travel_model=road_model
-            )
-        )
-        a = scalar.plan(workers, tasks, now)
-        b = vector.plan(workers, tasks, now)
-        assert sorted(
-            (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment
-        ) == sorted((wp.worker.worker_id, wp.sequence.task_ids) for wp in b.assignment)
-        assert a.planned_tasks == b.planned_tasks
+        planner = TaskPlanner(PlannerConfig(travel_model=road_model))
+        if indexed:
+            index = SpatialIndex(cell_size=1.0)
+            for task in tasks:
+                index.insert(task.task_id, task.location)
+            planner.attach_task_index(index)
+        assert_planner_matches_oracle(planner, workers, tasks, now)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_incremental_matches_full_on_replay_stream(self, seed, road_model):
