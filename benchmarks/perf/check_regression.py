@@ -16,7 +16,6 @@ run on the same machine in the same session, so the ratio is
 machine-invariant and safe to compare across a dev laptop and a CI
 runner:
 
-* batched TVF scoring speedup (per batch size),
 * incremental-replan speedup: single-event stream (per scale) and
   streaming-platform mean replan latency (per scale),
 * branch-and-bound search: nodes-expanded ratio and latency speedup vs
@@ -138,8 +137,6 @@ def _iter_metrics(data):
     entry's ``gate`` flag downgrades it to ``info`` on hosts too small
     to show a speedup); ``info`` never gates.
     """
-    for scale, entry in data.get("tvf_scoring", {}).items():
-        yield f"tvf_scoring.{scale}.speedup", entry["speedup"], "ratio"
     for scale, entry in data.get("streaming", {}).items():
         yield f"streaming.{scale}.events_per_sec", entry["events_per_sec"], "info"
     incremental = data.get("incremental_replan", {})

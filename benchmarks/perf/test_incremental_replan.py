@@ -33,8 +33,7 @@ from conftest import print_figure
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
 
-#: (name, workers, tasks) — the same density-8 scales as the snapshot
-#: benchmarks in ``test_planning_perf.py``.
+#: (name, workers, tasks) of the density-controlled snapshots.
 STREAM_SCALES = [
     ("small", 25, 150),
     ("medium", 100, 800),

@@ -7,8 +7,9 @@ delivery service, with couriers whose availability windows include breaks
 1. builds a custom :class:`CityModel` with two restaurant clusters and a
    double-peak temporal profile,
 2. gives every courier two availability windows (lunch shift, dinner shift),
-3. runs the adaptive algorithm (Alg. 3) directly through
-   :class:`~repro.assignment.adaptive.AdaptiveAssigner`, and
+3. runs the adaptive algorithm (Alg. 3) — the streaming
+   :class:`~repro.simulation.platform.SCPlatform` replanning with
+   :class:`~repro.assignment.strategies.DTAStrategy` at every event — and
 4. reports how many orders were served and how work was spread over couriers.
 
 Run with::
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 import statistics
 
-from repro.assignment import AdaptiveAssigner, PlannerConfig, TaskPlanner
-from repro.core import AvailabilityWindow, build_event_stream
+from repro.assignment import DTAStrategy, PlannerConfig
+from repro.core import ATAInstance, AvailabilityWindow
 from repro.datasets.synthetic import (
     CityModel,
     DemandFlow,
@@ -29,6 +30,7 @@ from repro.datasets.synthetic import (
     SyntheticWorkloadGenerator,
     WorkloadConfig,
 )
+from repro.simulation import SCPlatform
 from repro.spatial import BoundingBox, Point
 from repro.spatial.travel import EuclideanTravelModel
 
@@ -79,17 +81,18 @@ def main() -> None:
           f"{instance.num_tasks} orders over {horizon / 60:.0f} minutes")
 
     travel = EuclideanTravelModel(speed=config.worker_speed)
-    planner = TaskPlanner(
-        PlannerConfig(max_reachable=6, max_sequence_length=2, node_budget=4000), travel=travel
+    strategy = DTAStrategy(
+        config=PlannerConfig(max_reachable=6, max_sequence_length=2, node_budget=4000),
+        travel=travel,
     )
-    assigner = AdaptiveAssigner(planner=planner, travel=travel)
-    result = assigner.run(build_event_stream(workers, instance.tasks))
+    shifts = ATAInstance(workers, instance.tasks, travel=travel, name="food-delivery")
+    metrics = SCPlatform(shifts, strategy).run()
 
-    served = result.assigned_tasks
+    served = metrics.assigned_tasks
     print(f"\nServed {served} / {instance.num_tasks} orders "
-          f"({100.0 * served / instance.num_tasks:.1f}%) with {result.replans} replanning calls")
+          f"({100.0 * served / instance.num_tasks:.1f}%) with {metrics.replans} replanning calls")
 
-    per_courier = [count for count in result.completed_by_worker.values() if count > 0]
+    per_courier = list(metrics.assigned_per_worker.values())
     if per_courier:
         print(f"Active couriers: {len(per_courier)}, "
               f"orders per active courier: mean {statistics.mean(per_courier):.1f}, "

@@ -13,8 +13,9 @@ The package is organised as follows:
 * :mod:`repro.core` — tasks, workers, sequences, assignments, the ATA problem.
 * :mod:`repro.demand` — the DDGNN demand predictor and its baselines.
 * :mod:`repro.assignment` — worker dependency separation, DFSearch, TVF,
-  the adaptive algorithm, and the five evaluated strategies.
-* :mod:`repro.simulation` — the streaming SC platform simulator.
+  the TPA planner (Alg. 4), and the five evaluated strategies.
+* :mod:`repro.simulation` — the streaming SC platform: the adaptive
+  algorithm (Alg. 3) driving a strategy over an arrival stream.
 * :mod:`repro.datasets` — Yueche / DiDi-like synthetic workload generators.
 * :mod:`repro.experiments` — drivers regenerating every figure and table.
 """
@@ -37,7 +38,6 @@ from repro.demand import (
     LSTMDemandModel,
 )
 from repro.assignment import (
-    AdaptiveAssigner,
     DataWAStrategy,
     DTAPlusTPStrategy,
     DTAStrategy,
@@ -78,7 +78,6 @@ __all__ = [
     "TaskPlanner",
     "PlannerConfig",
     "TaskValueFunction",
-    "AdaptiveAssigner",
     "GreedyStrategy",
     "FTAStrategy",
     "DTAStrategy",

@@ -1,5 +1,5 @@
 """Task assignment (Section IV): worker dependency separation, DFSearch,
-the Task Value Function and the adaptive assignment algorithm.
+the Task Value Function and the evaluated assignment strategies.
 
 Module map
 ----------
@@ -9,10 +9,9 @@ Module map
                              entry point with a validity horizon, over a
                              scalar oracle and a vector kernel
 :mod:`sequences`             maximal valid task sequence generation (Eq. 10)
-:mod:`dependency_graph`      worker dependency graph construction (IV-A.2)
-:mod:`partition`             MCS graph partition into cliques (IV-A.3)
-:mod:`tree`                  recursive tree construction, RTC (IV-A.4)
-:mod:`fast_partition`        IV-A.2 – IV-A.4 on plain adjacency (hot path)
+:mod:`fast_partition`        worker dependency graph, MCS clique partition
+                             and RTC (IV-A.2 – IV-A.4) on plain adjacency
+:mod:`tree`                  the partition tree's node types
 :mod:`dfsearch`              exact DFSearch, Alg. 1 (also collects RL data)
                              and the anytime branch-and-bound engine
 :mod:`tvf`                   Task Value Function, Eq. 11–12
@@ -22,10 +21,14 @@ Module map
                              implementation, with dirty-region reuse across
                              epochs (a full replan is an empty cache)
 :mod:`planner`               ``PlannerConfig`` and the ``TaskPlanner`` facade
-:mod:`adaptive`              the adaptive streaming algorithm, Alg. 3
-:mod:`baselines`             Greedy and FTA comparison methods
+:mod:`baselines`             the Greedy comparison method
 :mod:`strategies`            the five evaluated strategies behind one API
 ==========================  ====================================================
+
+The adaptive streaming loop (Alg. 3) is
+:class:`repro.simulation.platform.SCPlatform`, which drives a strategy.
+Reference/oracle variants of these stages (scalar pipeline, graph-library
+partitioner, scalar TVF featuriser) live in ``tests/assignment/``.
 """
 
 from repro.assignment.reachability import (
@@ -33,25 +36,17 @@ from repro.assignment.reachability import (
     reachable_tasks_matrix,
     reachable_tasks_with_horizon,
 )
-from repro.assignment.sequences import maximal_valid_sequences, best_order_for_subset
-from repro.assignment.dependency_graph import build_worker_dependency_graph
+from repro.assignment.sequences import maximal_valid_sequences
 from repro.assignment.fast_partition import (
     build_adjacency,
     build_partition_tree_fast,
     connected_components,
 )
-from repro.assignment.partition import chordal_cliques, maximum_cardinality_search
-from repro.assignment.tree import PartitionTree, PartitionNode, build_partition_tree
-from repro.assignment.dfsearch import (
-    DFSearchResult,
-    dfsearch,
-    dfsearch_bnb,
-    collect_training_experience,
-)
+from repro.assignment.tree import PartitionTree, PartitionNode
+from repro.assignment.dfsearch import DFSearchResult, dfsearch, dfsearch_bnb
 from repro.assignment.tvf import (
     TaskValueFunction,
     Experience,
-    featurize_state_action,
     featurize_state,
     featurize_actions_batch,
 )
@@ -67,8 +62,7 @@ from repro.assignment.executor import (
     shutdown_shared_pools,
 )
 from repro.assignment.planner import TaskPlanner, PlannerConfig
-from repro.assignment.adaptive import AdaptiveAssigner
-from repro.assignment.baselines import greedy_assignment, fixed_task_assignment
+from repro.assignment.baselines import greedy_assignment
 from repro.assignment.strategies import (
     AssignmentStrategy,
     GreedyStrategy,
@@ -84,23 +78,16 @@ __all__ = [
     "reachable_tasks_matrix",
     "reachable_tasks_with_horizon",
     "maximal_valid_sequences",
-    "best_order_for_subset",
-    "build_worker_dependency_graph",
     "build_adjacency",
     "build_partition_tree_fast",
     "connected_components",
-    "chordal_cliques",
-    "maximum_cardinality_search",
     "PartitionTree",
     "PartitionNode",
-    "build_partition_tree",
     "DFSearchResult",
     "dfsearch",
     "dfsearch_bnb",
-    "collect_training_experience",
     "TaskValueFunction",
     "Experience",
-    "featurize_state_action",
     "featurize_state",
     "featurize_actions_batch",
     "dfsearch_tvf",
@@ -114,9 +101,7 @@ __all__ = [
     "shutdown_shared_pools",
     "TaskPlanner",
     "PlannerConfig",
-    "AdaptiveAssigner",
     "greedy_assignment",
-    "fixed_task_assignment",
     "AssignmentStrategy",
     "GreedyStrategy",
     "FTAStrategy",

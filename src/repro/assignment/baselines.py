@@ -1,23 +1,18 @@
-"""Baseline assignment procedures: Greedy and Fixed Task Assignment helpers.
+"""The Greedy baseline assignment procedure.
 
-* :func:`greedy_assignment` — the Greedy evaluation method: each worker, in
-  turn, takes the maximal valid task set it can greedily build from the
-  still-unassigned tasks (nearest-feasible-next), until tasks or workers
-  are exhausted.  No dependency separation, no search.
-* :func:`fixed_task_assignment` — a one-shot planner used by the FTA
-  strategy: it runs the full worker-dependency-separation + DFSearch
-  pipeline once and the resulting sequences are then frozen.
+:func:`greedy_assignment` is the Greedy evaluation method: each worker, in
+turn, takes the maximal valid task set it can greedily build from the
+still-unassigned tasks (nearest-feasible-next), until tasks or workers
+are exhausted.  No dependency separation, no search.  (The FTA method
+needs no procedure of its own: :class:`~repro.assignment.strategies.
+FTAStrategy` plans through :class:`~repro.assignment.planner.TaskPlanner`
+and freezes the result.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.assignment.dependency_graph import build_worker_dependency_graph
-from repro.assignment.dfsearch import dfsearch
-from repro.assignment.reachability import reachable_tasks
-from repro.assignment.sequences import maximal_valid_sequences
-from repro.assignment.tree import build_partition_tree
 from repro.core.assignment import Assignment, WorkerPlan
 from repro.core.sequence import TaskSequence
 from repro.core.task import Task
@@ -62,57 +57,4 @@ def greedy_assignment(
             time = best_arrival
         if sequence:
             assignment.add(WorkerPlan(worker, TaskSequence(worker, tuple(sequence))))
-    return assignment
-
-
-def fixed_task_assignment(
-    workers: Sequence[Worker],
-    tasks: Sequence[Task],
-    now: float,
-    travel: Optional[TravelModel] = None,
-    max_reachable: int = 10,
-    max_sequence_length: int = 3,
-    max_sequences: int = 32,
-    node_budget: int = 20000,
-) -> Assignment:
-    """One-shot exact plan: dependency separation + DFSearch (no TVF, no replanning)."""
-    travel = travel or EuclideanTravelModel(speed=1.0)
-    active_tasks = [task for task in tasks if not task.is_expired(now)]
-    workers_by_id = {worker.worker_id: worker for worker in workers}
-
-    reachable_by_worker = {
-        worker.worker_id: reachable_tasks(worker, active_tasks, now, travel, max_tasks=max_reachable)
-        for worker in workers
-    }
-    sequences_by_worker: Dict[int, List[TaskSequence]] = {
-        worker.worker_id: maximal_valid_sequences(
-            worker,
-            reachable_by_worker[worker.worker_id],
-            now,
-            travel,
-            max_length=max_sequence_length,
-            max_sequences=max_sequences,
-        )
-        for worker in workers
-    }
-
-    graph = build_worker_dependency_graph(reachable_by_worker)
-    tree = build_partition_tree(graph)
-    tasks_by_id = {task.task_id: task for task in active_tasks}
-
-    assignment = Assignment()
-    for root in tree.roots:
-        result = dfsearch(
-            root,
-            active_tasks,
-            sequences_by_worker,
-            workers_by_id,
-            node_budget=node_budget,
-        )
-        for worker_id, task_ids in result.selections:
-            if not task_ids:
-                continue
-            worker = workers_by_id[worker_id]
-            sequence_tasks = tuple(tasks_by_id[tid] for tid in task_ids)
-            assignment.add(WorkerPlan(worker, TaskSequence(worker, sequence_tasks)))
     return assignment

@@ -882,22 +882,3 @@ def dfsearch_bnb(
         complete=complete,
         deadline_hit=context.deadline_hit,
     )
-
-
-def collect_training_experience(
-    node: PartitionNode,
-    tasks: Sequence[Task],
-    sequences_by_worker: Dict[int, List[TaskSequence]],
-    workers_by_id: Dict[int, Worker],
-    node_budget: int = 20000,
-) -> List[Tuple[dict, dict, float]]:
-    """Convenience wrapper returning only the experience tuples ``U``."""
-    result = dfsearch(
-        node,
-        tasks,
-        sequences_by_worker,
-        workers_by_id,
-        node_budget=node_budget,
-        collect_experience=True,
-    )
-    return result.experience

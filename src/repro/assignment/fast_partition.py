@@ -1,12 +1,9 @@
-"""Allocation-light worker-dependency partitioning for the hot replan path.
+"""Worker dependency separation (Sections IV-A.2 – IV-A.4) on plain adjacency.
 
 The planner rebuilds the worker dependency graph, its chordal-clique
-partition and the RTC tree (Sections IV-A.2 – IV-A.4) at **every** replan
-epoch.  The reference implementations in :mod:`dependency_graph`,
-:mod:`partition` and :mod:`tree` are written against :mod:`networkx`,
-whose per-call graph copies and filtered subgraph views dominate replan
-latency long before the search does.  This module reimplements the same
-three steps on plain ``dict``/``set`` adjacency with zero graph copies:
+partition and the RTC tree for every dirty component at **every** replan
+epoch, so the three steps run on plain ``dict``/``set`` adjacency with
+zero graph copies:
 
 * :func:`build_adjacency` — the WDG as ``{worker_id: set(neighbours)}``,
 * :func:`connected_components` — BFS components, deterministic order,
@@ -14,12 +11,13 @@ three steps on plain ``dict``/``set`` adjacency with zero graph copies:
   perfect-elimination-ordering clique extraction,
 * :func:`build_partition_tree_fast` — the RTC recursion.
 
-The algorithms are the same as the reference modules (MCS with the same
-``(weight, -id)`` tie-break, fill-in in reverse MCS order, RTC choosing
-the clique whose removal yields the most components, smaller cliques
-preferred on ties); only the data structures differ.  Output is fully
-deterministic: cliques are ordered by (size desc, sorted members) and
-every node list is sorted.
+MCS breaks ties by ``(weight, -id)``, the fill-in runs in reverse MCS
+order, and RTC picks the clique whose removal yields the most components
+(smaller cliques preferred on ties).  Output is fully deterministic:
+cliques are ordered by (size desc, sorted members) and every node list is
+sorted.  A graph-library implementation of the same rules lives on the
+tests' side (``tests/assignment/reference_partition.py``) as the oracle
+this module is compared to.
 """
 
 from __future__ import annotations
@@ -35,9 +33,9 @@ Adjacency = Dict[int, Set[int]]
 def build_adjacency(reachable_by_worker: Dict[int, Sequence]) -> Adjacency:
     """Worker dependency adjacency: an edge iff reachable sets intersect.
 
-    Same inversion trick as :func:`~repro.assignment.dependency_graph.
-    build_worker_dependency_graph` — task → workers, then connect all pairs
-    sharing a task — but into plain sets instead of a networkx graph.
+    Inverts to task → workers, then connects all pairs sharing a task:
+    O(sum_t |workers(t)|^2), far cheaper than comparing every worker pair's
+    reachable sets on sparse instances.
     """
     adjacency: Adjacency = {worker_id: set() for worker_id in reachable_by_worker}
     task_to_workers: Dict[int, List[int]] = {}
@@ -212,20 +210,15 @@ def build_component_subtree(
 
 
 def build_partition_tree_fast(adjacency: Adjacency, max_depth: int = 12) -> PartitionTree:
-    """Build the RTC partition forest straight from a plain adjacency dict.
-
-    Semantically equivalent to :func:`~repro.assignment.tree.
-    build_partition_tree` (same MCS / fill-in / clique-selection rules) but
-    with no networkx graphs, copies or subgraph views on the hot path.
-    """
+    """Build the RTC partition forest: one subtree per connected component."""
     roots = [
         _build_subtree_fast(adjacency, set(component), max_depth)
         for component in connected_components(adjacency)
     ]
     tree = PartitionTree(roots=roots)
-    # Property i of the paper (same guard as tree._validate_tree): every
-    # worker appears in the forest exactly once — fail fast rather than
-    # silently skip workers if the clique extraction ever has a bug.
+    # Property i of the paper: every worker appears in the forest exactly
+    # once — fail fast rather than silently skip workers if the clique
+    # extraction ever has a bug.
     covered = tree.all_workers()
     if len(covered) != len(set(covered)):
         raise RuntimeError("partition tree assigned a worker to multiple nodes")

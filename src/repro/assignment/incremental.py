@@ -173,13 +173,13 @@ class PlanningOutcome:
 class DirtySet:
     """Ids of workers / tasks that changed since the last planning call.
 
-    The platform (and the adaptive assigner) tag every decision point with
-    the entities mutated since the previous plan — arrivals, expiries,
-    dispatches, repositioning moves, offline transitions — and hand the set
-    to the strategy before asking for a plan.  The incremental engine
-    treats hinted ids as *forced dirty*: hints can only widen the recompute
-    region, never narrow it, so stale or over-complete hints are harmless;
-    the engine's own snapshot diff remains the correctness backstop.
+    The platform tags every decision point with the entities mutated since
+    the previous plan — arrivals, expiries, dispatches, repositioning moves,
+    offline transitions — and hands the set to the strategy before asking
+    for a plan.  The incremental engine treats hinted ids as *forced
+    dirty*: hints can only widen the recompute region, never narrow it, so
+    stale or over-complete hints are harmless; the engine's own snapshot
+    diff remains the correctness backstop.
     """
 
     worker_ids: Set[int] = field(default_factory=set)
@@ -435,7 +435,6 @@ class IncrementalPlanEngine:
             config.max_sequence_length,
             config.max_sequences,
             config.node_budget,
-            config.adaptive_node_budget,
             config.search_mode,
             config.bound_mode,
             config.per_leg_pricing,
@@ -658,11 +657,9 @@ class IncrementalPlanEngine:
                 # stay bit-for-bit; the guided search ignores it.
                 budget = 0
                 if not guided:
-                    budget = config.node_budget
-                    if config.adaptive_node_budget:
-                        budget = adaptive_node_budget(
-                            budget, len(component), num_sequences
-                        )
+                    budget = adaptive_node_budget(
+                        config.node_budget, len(component), num_sequences
+                    )
                 job = ComponentJob(
                     index=len(jobs),
                     mode=mode,

@@ -62,13 +62,11 @@ class PlannerConfig:
         from the original 20k now that the branch-and-bound engine proves
         optimality on dense components in a few thousand expansions — the
         budget only matters on pathological instances, where more room
-        means feasible answers closer to the optimum.
-    adaptive_node_budget:
-        Scale the per-component budget with the component size
-        (:func:`repro.assignment.dfsearch.adaptive_node_budget` — never
-        below ``node_budget``), so huge components finish instead of
-        degrading at a cap sized for small ones.  Disable to reproduce a
-        fixed-budget search exactly.
+        means feasible answers closer to the optimum.  It is a floor: the
+        per-component budget scales with the component size
+        (:func:`repro.assignment.dfsearch.adaptive_node_budget`), so huge
+        components finish instead of degrading at a cap sized for small
+        ones.
     travel_model:
         Travel model for the whole pipeline (reachability, sequences,
         travel matrices, dirty-region bounds).  ``None`` keeps the
@@ -155,7 +153,6 @@ class PlannerConfig:
     max_sequence_length: int = 3
     max_sequences: int = 32
     node_budget: int = 50000
-    adaptive_node_budget: bool = True
     travel_model: Optional[TravelModel] = None
     search_mode: str = "bnb"
     bound_mode: str = "adaptive"

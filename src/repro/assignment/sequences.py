@@ -19,7 +19,7 @@ floats, so the enumeration result does not depend on which path fed it.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,70 +32,6 @@ from repro.spatial.travel_matrix import LegTimes, TravelMatrix
 #: Below this many reachable tasks the scalar leg precompute is cheaper
 #: than matrix slicing; both sources yield bit-identical leg times.
 _MATRIX_MIN_TASKS = 5
-
-
-def best_order_for_subset(
-    worker: Worker,
-    subset: Sequence[Task],
-    now: float,
-    travel: Optional[TravelModel] = None,
-) -> Optional[TaskSequence]:
-    """Return the minimum-completion-time valid ordering of ``subset``.
-
-    Implements the Eq. 10 criterion by greedy nearest-feasible-next
-    insertion with a fallback to full permutation search for small subsets.
-    Returns ``None`` when no valid ordering exists.
-    """
-    travel = travel or EuclideanTravelModel(speed=worker.speed)
-    subset = list(subset)
-    if not subset:
-        return TaskSequence(worker, ())
-    if len(subset) <= 4:
-        return _best_order_exhaustive(worker, subset, now, travel)
-    return _best_order_greedy(worker, subset, now, travel)
-
-
-def _best_order_exhaustive(
-    worker: Worker, subset: List[Task], now: float, travel: TravelModel
-) -> Optional[TaskSequence]:
-    from itertools import permutations
-
-    best: Optional[Tuple[float, TaskSequence]] = None
-    for order in permutations(subset):
-        sequence = TaskSequence(worker, order)
-        if not sequence.is_valid(now, travel):
-            continue
-        completion = sequence.completion_time(now, travel)
-        if best is None or completion < best[0]:
-            best = (completion, sequence)
-    return best[1] if best else None
-
-
-def _best_order_greedy(
-    worker: Worker, subset: List[Task], now: float, travel: TravelModel
-) -> Optional[TaskSequence]:
-    remaining = list(subset)
-    order: List[Task] = []
-    location = worker.location
-    time = now
-    while remaining:
-        candidates = []
-        for task in remaining:
-            if travel.distance(location, task.location) > worker.reachable_distance + 1e-9:
-                continue
-            arrive = time + travel.time(location, task.location)
-            if arrive < task.expiration_time and arrive < worker.off_time:
-                candidates.append((arrive, task))
-        if not candidates:
-            return None
-        candidates.sort(key=lambda pair: pair[0])
-        arrive, chosen = candidates[0]
-        order.append(chosen)
-        remaining.remove(chosen)
-        location = chosen.location
-        time = arrive
-    sequence = TaskSequence(worker, order)
-    return sequence if sequence.is_valid(now, travel) else None
 
 
 def maximal_valid_sequences(
@@ -335,8 +271,3 @@ def maximal_valid_sequences(
         TaskSequence(worker, tuple(reachable[i] for i in best_by_subset[mask][1]))
         for mask in ranked[:max_sequences]
     ]
-
-
-def sequence_signature(sequence: TaskSequence) -> FrozenSet[int]:
-    """The set of task ids covered by a sequence (used for deduplication)."""
-    return frozenset(sequence.task_ids)

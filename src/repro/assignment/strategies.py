@@ -347,22 +347,8 @@ def make_strategy(
     travel: Optional[TravelModel] = None,
     predicted_task_provider: Optional[PredictedTaskProvider] = None,
     tvf: Optional[TaskValueFunction] = None,
-    search_mode: Optional[str] = None,
 ) -> AssignmentStrategy:
-    """Factory mapping the paper's method names to strategy objects.
-
-    ``search_mode`` overrides the exact-search engine of planner-backed
-    strategies (``"bnb"`` branch-and-bound, the default, or ``"exact"``
-    plain DFSearch) without the caller having to build a full
-    :class:`PlannerConfig`.  The caller's config object is never mutated
-    — the override lives on a copy.
-    """
-    if search_mode is not None:
-        config = (
-            replace(config, search_mode=search_mode)
-            if config is not None
-            else PlannerConfig(search_mode=search_mode)
-        )
+    """Factory mapping the paper's method names to strategy objects."""
     key = name.strip().lower().replace("_", "").replace("-", "").replace("+", "")
     if key == "greedy":
         return GreedyStrategy(travel=travel)

@@ -1,9 +1,9 @@
-"""Recursive Tree Construction (Section IV-A.4).
+"""The partition tree of Recursive Tree Construction (Section IV-A.4).
 
-Given the worker dependency graph and its clique partition, the RTC
-algorithm selects the clique whose removal splits the graph into the most
-components, makes it the root, and recurses on each component.  The
-resulting tree has two properties the search exploits:
+RTC selects the clique of the worker dependency graph whose removal splits
+it into the most components, makes it the root, and recurses on each
+component (:mod:`repro.assignment.fast_partition` builds the tree; these
+are its node types).  The tree has two properties the search exploits:
 
 i.  the union of all node worker-sets is the full worker set, and
 ii. workers in *sibling* subtrees are independent (their sub-problems can
@@ -13,11 +13,7 @@ ii. workers in *sibling* subtrees are independent (their sub-problems can
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
-
-import networkx as nx
-
-from repro.assignment.partition import chordal_cliques
+from typing import List
 
 
 @dataclass
@@ -71,100 +67,3 @@ class PartitionTree:
     @property
     def depth(self) -> int:
         return max((root.depth for root in self.roots), default=0)
-
-
-def _build_subtree(graph: nx.Graph, max_depth: int) -> Optional[PartitionNode]:
-    """RTC on a connected subgraph; returns None for an empty graph."""
-    nodes = list(graph.nodes)
-    if not nodes:
-        return None
-    if len(nodes) == 1 or max_depth <= 1:
-        return PartitionNode(workers=sorted(nodes))
-
-    cliques = chordal_cliques(graph)
-    if not cliques:
-        return PartitionNode(workers=sorted(nodes))
-
-    # Step i: pick the clique whose removal yields the most components.
-    best_clique: Optional[Set] = None
-    best_components: List[Set] = []
-    best_score = -1
-    for clique in cliques:
-        remaining = graph.copy()
-        remaining.remove_nodes_from(clique)
-        components = [set(c) for c in nx.connected_components(remaining)]
-        score = len(components)
-        if score > best_score or (
-            score == best_score and best_clique is not None and len(clique) < len(best_clique)
-        ):
-            best_score = score
-            best_clique = clique
-            best_components = components
-
-    if best_clique is None or len(best_clique) == len(nodes):
-        return PartitionNode(workers=sorted(nodes))
-
-    root = PartitionNode(workers=sorted(best_clique))
-    if not best_components:
-        return root
-
-    # Step ii: recurse on every component of the graph minus the root clique.
-    for component in best_components:
-        child = _build_subtree(graph.subgraph(component).copy(), max_depth - 1)
-        if child is not None:
-            root.children.append(child)
-    return root
-
-
-def build_partition_tree(graph: nx.Graph, max_depth: int = 12) -> PartitionTree:
-    """Build the partition forest for a worker dependency graph.
-
-    Parameters
-    ----------
-    graph:
-        Worker dependency graph (nodes are worker ids).
-    max_depth:
-        Recursion guard; beyond this depth remaining workers are grouped
-        into a single leaf (correct but less separated).
-    """
-    roots: List[PartitionNode] = []
-    for component in nx.connected_components(graph):
-        subtree = _build_subtree(graph.subgraph(component).copy(), max_depth)
-        if subtree is not None:
-            roots.append(subtree)
-    tree = PartitionTree(roots=roots)
-    _validate_tree(tree, graph)
-    return tree
-
-
-def _validate_tree(tree: PartitionTree, graph: nx.Graph) -> None:
-    """Property i of the paper: the tree covers every worker exactly once."""
-    covered = tree.all_workers()
-    if len(covered) != len(set(covered)):
-        raise RuntimeError("partition tree assigned a worker to multiple nodes")
-    if set(covered) != set(graph.nodes):
-        raise RuntimeError("partition tree does not cover every worker")
-
-
-def sibling_independence_violations(tree: PartitionTree, graph: nx.Graph) -> List[tuple]:
-    """Return (worker_a, worker_b) pairs in sibling subtrees that share an edge.
-
-    Used by tests to check property ii.  For chordal-clique-based RTC the
-    list should be empty.
-    """
-    violations: List[tuple] = []
-
-    def visit(node: PartitionNode) -> None:
-        child_sets = [set(child.all_workers()) for child in node.children]
-        for i in range(len(child_sets)):
-            for j in range(i + 1, len(child_sets)):
-                for a in child_sets[i]:
-                    for b in child_sets[j]:
-                        if graph.has_edge(a, b):
-                            violations.append((a, b))
-        for child in node.children:
-            visit(child)
-
-    for root in tree.roots:
-        visit(root)
-    return violations

@@ -11,9 +11,9 @@ Featurization is split into two passes so online scoring stays off the
 per-action Python path: :func:`featurize_state` computes the aggregate
 supply/demand statistics once per state, and :func:`featurize_actions_batch`
 computes the per-action geometry for *all* candidate actions of that state
-as one NumPy batch.  :func:`featurize_state_action` composes the two for a
-single pair and is the scalar reference the batch path must match
-bit-for-bit.
+as one NumPy batch.  A per-pair scalar featuriser lives on the tests' side
+(``tests/assignment/reference_tvf.py``) as the reference the batch path
+must match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro import nn
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.nn.tensor import Tensor, no_grad
-from repro.spatial.geometry import euclidean_distance
 
 #: Dimensionality of the hand-crafted state-action feature vector.
 FEATURE_DIM = 14
@@ -124,77 +123,6 @@ class StateFeatureCache:
         )
 
 
-def _action_features(
-    state: dict,
-    action: dict,
-    workers_by_id: Dict[int, Worker],
-    tasks_by_id: Dict[int, Task],
-) -> np.ndarray:
-    """Per-action geometry features (last 8 features, scalar reference)."""
-    num_tasks = float(state.get("num_tasks", 0))
-    worker = workers_by_id.get(action.get("worker_id"))
-    action_task_ids = action.get("task_ids", ())
-    action_tasks = [tasks_by_id[tid] for tid in action_task_ids if tid in tasks_by_id]
-    sequence_length = float(action.get("sequence_length", len(action_task_ids)))
-
-    if worker is not None:
-        reach = worker.reachable_distance
-        availability = worker.available_time
-        speed = worker.speed
-    else:
-        reach = 0.0
-        availability = 0.0
-        speed = 1.0
-
-    if worker is not None and action_tasks:
-        path_length = euclidean_distance(worker.location, action_tasks[0].location)
-        for a, b in zip(action_tasks, action_tasks[1:]):
-            path_length += euclidean_distance(a.location, b.location)
-        first_leg = euclidean_distance(worker.location, action_tasks[0].location)
-        slack = float(
-            np.mean([t.expiration_time - t.publication_time for t in action_tasks])
-        )
-    else:
-        path_length = 0.0
-        first_leg = 0.0
-        slack = 0.0
-
-    return np.array(
-        [
-            sequence_length,
-            sequence_length / (num_tasks + 1.0),
-            reach,
-            availability,
-            speed,
-            path_length,
-            first_leg,
-            slack,
-        ],
-        dtype=np.float64,
-    )
-
-
-def featurize_state_action(
-    state: dict,
-    action: dict,
-    workers_by_id: Dict[int, Worker],
-    tasks_by_id: Dict[int, Task],
-) -> np.ndarray:
-    """Map a (state, action) pair to a fixed-size feature vector.
-
-    The state contributes aggregate supply/demand statistics (how many
-    workers and tasks remain, how urgent the tasks are); the action
-    contributes the chosen worker's capabilities and the geometry of the
-    chosen task sequence.
-    """
-    return np.concatenate(
-        [
-            featurize_state(state, tasks_by_id),
-            _action_features(state, action, workers_by_id, tasks_by_id),
-        ]
-    )
-
-
 def featurize_actions_batch(
     state: dict,
     actions: Sequence[dict],
@@ -206,8 +134,8 @@ def featurize_actions_batch(
 
     The state-aggregate pass runs once; the per-action geometry (path
     length, first leg, slack) is computed with vectorized NumPy over the
-    whole batch.  Rows are bit-for-bit identical to
-    :func:`featurize_state_action` on the corresponding pair.
+    whole batch.  Rows are bit-for-bit identical to the scalar reference
+    featuriser (``tests/assignment/reference_tvf.py``) on each pair.
     """
     actions = list(actions)
     if not actions:
@@ -260,7 +188,7 @@ def featurize_actions_batch(
         legs = np.sqrt(deltas[:, :, 0] ** 2 + deltas[:, :, 1] ** 2)
         has_path = lengths > 0
         # Accumulate left-to-right (like the scalar += loop) so float
-        # rounding matches featurize_state_action bit-for-bit; zero pads
+        # rounding matches the scalar reference bit-for-bit; zero pads
         # are exact no-ops.
         path_length = legs[:, 0].copy()
         for leg_index in range(1, max_len):
@@ -384,19 +312,6 @@ class TaskValueFunction:
         return losses
 
     # ------------------------------------------------------------------ #
-    def value(
-        self,
-        state: dict,
-        action: dict,
-        workers_by_id: Dict[int, Worker],
-        tasks_by_id: Dict[int, Task],
-    ) -> float:
-        """Predicted value of one (state, action) pair."""
-        features = featurize_state_action(state, action, workers_by_id, tasks_by_id)
-        with no_grad():
-            out = self.network(Tensor(self._normalize(features)[None, :]))
-        return float(out.data[0, 0])
-
     def values(
         self,
         state: dict,

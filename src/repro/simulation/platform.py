@@ -83,9 +83,6 @@ class PlatformConfig:
     #: discard on assignment/expiry) and hand it to the strategy so
     #: reachability becomes a radius query instead of an all-pairs scan.
     maintain_task_index: bool = True
-    #: Bucket edge length of that index; None derives it from the median
-    #: worker reachable distance of the instance.
-    task_index_cell_size: Optional[float] = None
     #: Let a speed-profile boundary of a time-dependent travel model bypass
     #: the ``replan_interval`` throttle (travel costs changed, so the plan
     #: computed under the old profile is stale), and schedule a wake-up at
@@ -199,8 +196,6 @@ class SCPlatform:
         typical query radius is the model's ``reach_bound`` of the median
         reachable distance (identity for the Euclidean default).
         """
-        if self.config.task_index_cell_size is not None:
-            return self.config.task_index_cell_size
         reaches = sorted(w.reachable_distance for w in self.instance.workers)
         if not reaches:
             return 1.0

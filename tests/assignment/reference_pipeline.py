@@ -3,8 +3,9 @@
 Every stage here is the slow, obviously-right variant, and none of it is
 shared with the product pipeline: the scalar ``reachable_tasks`` loop
 (no travel matrix, no spatial index), matrix-free
-``maximal_valid_sequences``, the networkx dependency graph and RTC tree,
-and the plain Algorithm 1 ``dfsearch`` (no branch-and-bound, no TVF).
+``maximal_valid_sequences``, the networkx dependency graph and RTC tree
+(``reference_partition.py``), and the plain Algorithm 1 ``dfsearch`` (no
+branch-and-bound, no TVF).
 Nothing is imported from ``planner.py`` or ``incremental.py``.
 
 What it pins, per snapshot:
@@ -24,14 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.assignment.dependency_graph import build_worker_dependency_graph
 from repro.assignment.dfsearch import dfsearch
 from repro.assignment.reachability import reachable_tasks
 from repro.assignment.sequences import maximal_valid_sequences
-from repro.assignment.tree import build_partition_tree
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.spatial.travel import TravelModel
+
+from reference_partition import build_partition_tree, build_worker_dependency_graph
 
 
 @dataclass

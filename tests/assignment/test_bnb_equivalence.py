@@ -64,8 +64,15 @@ def random_problem(rng, max_workers=10, max_tasks=30, span=6.0):
         Task(100 + j, Point(rng.uniform(0, span), rng.uniform(0, span)), 0.0, rng.uniform(2, 50))
         for j in range(rng.randint(3, max_tasks))
     ]
+    roots, sequences, workers_by_id = search_inputs(workers, tasks)
+    return roots, tasks, sequences, workers_by_id
+
+
+def search_inputs(workers, tasks, max_reachable=8):
+    """Reachability, ``Q_w`` and RTC forest at t=0 -> (roots, Q_w, workers)."""
     reachable = {
-        w.worker_id: reachable_tasks(w, tasks, 0.0, TRAVEL, max_tasks=8) for w in workers
+        w.worker_id: reachable_tasks(w, tasks, 0.0, TRAVEL, max_tasks=max_reachable)
+        for w in workers
     }
     sequences = {
         w.worker_id: maximal_valid_sequences(
@@ -75,7 +82,7 @@ def random_problem(rng, max_workers=10, max_tasks=30, span=6.0):
     }
     tree = build_partition_tree_fast(build_adjacency(reachable))
     workers_by_id = {w.worker_id: w for w in workers}
-    return tree.roots, tasks, sequences, workers_by_id
+    return tree.roots, sequences, workers_by_id
 
 
 def assert_feasible(result, sequences_by_worker):
@@ -291,26 +298,29 @@ class TestAdaptiveNodeBudget:
     def test_budget_scaling_regression(self):
         """With a starvation-level base budget, the adaptive floor must
         restore the complete search (same planned tasks as an ample fixed
-        budget); disabling adaptivity must reproduce the truncated search."""
+        budget); the same component searched at the fixed starvation budget
+        is truncated."""
         workers, tasks = self._dense_component()
-        outcomes = {}
-        for label, adaptive, base in (
-            ("ample", False, AMPLE_BUDGET),
-            ("adaptive", True, 1),
-            ("starved", False, 1),
-        ):
-            planner = TaskPlanner(
-                PlannerConfig(
-                    incremental_replan=False,
-                    node_budget=base,
-                    adaptive_node_budget=adaptive,
-                ),
-                travel=TRAVEL,
-            )
-            outcomes[label] = planner.plan(workers, tasks, 0.0)
-        assert outcomes["adaptive"].planned_tasks == outcomes["ample"].planned_tasks
-        assert outcomes["starved"].planned_tasks <= outcomes["adaptive"].planned_tasks
-        assert outcomes["starved"].nodes_expanded < outcomes["adaptive"].nodes_expanded
+        planner = TaskPlanner(
+            PlannerConfig(incremental_replan=False, node_budget=1), travel=TRAVEL
+        )
+        adaptive = planner.plan(workers, tasks, 0.0)
+
+        roots, sequences, workers_by_id = search_inputs(
+            workers, tasks, max_reachable=planner.config.max_reachable
+        )
+        fixed = {"ample": [0, 0], "starved": [0, 0]}
+        for root in roots:
+            for label, budget in (("ample", AMPLE_BUDGET), ("starved", 1)):
+                result = dfsearch_bnb(
+                    root, tasks, sequences, workers_by_id, node_budget=budget
+                )
+                fixed[label][0] += result.opt
+                fixed[label][1] += result.nodes_expanded
+        assert adaptive.planned_tasks == fixed["ample"][0]
+        assert adaptive.nodes_expanded == fixed["ample"][1]
+        assert fixed["starved"][0] <= adaptive.planned_tasks
+        assert fixed["starved"][1] < adaptive.nodes_expanded
 
     def test_incremental_and_full_agree_under_adaptive_budget(self):
         workers, tasks = self._dense_component()

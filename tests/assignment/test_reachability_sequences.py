@@ -6,7 +6,7 @@ from repro.assignment.reachability import (
     is_reachable,
     reachable_tasks,
 )
-from repro.assignment.sequences import best_order_for_subset, maximal_valid_sequences
+from repro.assignment.sequences import maximal_valid_sequences
 from repro.core.task import Task
 from repro.core.worker import AvailabilityWindow, Worker
 from repro.spatial.geometry import Point
@@ -42,38 +42,6 @@ class TestReachability:
         tasks = [Task(i, Point(float(i), 0.0), 0.0, 100.0) for i in range(1, 5)]
         found = reachable_tasks(simple_worker, tasks, 0.0, unit_travel, max_tasks=2)
         assert [t.task_id for t in found] == [1, 2]
-
-
-class TestBestOrder:
-    def test_empty_subset(self, simple_worker, unit_travel):
-        sequence = best_order_for_subset(simple_worker, [], 0.0, unit_travel)
-        assert sequence is not None and len(sequence) == 0
-
-    def test_exhaustive_picks_min_completion(self, simple_worker, unit_travel):
-        near = Task(1, Point(1, 0), 0.0, 100.0)
-        far = Task(2, Point(3, 0), 0.0, 100.0)
-        sequence = best_order_for_subset(simple_worker, [far, near], 0.0, unit_travel)
-        assert sequence.task_ids == (1, 2)   # visiting near first is faster
-
-    def test_respects_deadlines_over_distance(self, simple_worker, unit_travel):
-        # Serving the relaxed task first would miss the urgent deadline, so
-        # the only valid ordering starts with the urgent task.
-        urgent = Task(1, Point(2, 0), 0.0, 2.2)
-        relaxed = Task(2, Point(1.5, 2), 0.0, 100.0)
-        sequence = best_order_for_subset(simple_worker, [urgent, relaxed], 0.0, unit_travel)
-        assert sequence is not None
-        assert sequence.is_valid(0.0, unit_travel)
-        assert sequence.task_ids == (1, 2)   # must serve the urgent one first
-
-    def test_returns_none_when_infeasible(self, simple_worker, unit_travel):
-        impossible = Task(1, Point(4, 0), 0.0, 1.0)
-        assert best_order_for_subset(simple_worker, [impossible], 0.0, unit_travel) is None
-
-    def test_greedy_path_for_larger_subsets(self, simple_worker, unit_travel):
-        tasks = [Task(i, Point(float(i) * 0.5, 0.0), 0.0, 100.0) for i in range(1, 7)]
-        sequence = best_order_for_subset(simple_worker, tasks, 0.0, unit_travel)
-        assert sequence is not None and len(sequence) == 6
-        assert sequence.is_valid(0.0, unit_travel)
 
 
 class TestMaximalValidSequences:
@@ -124,3 +92,14 @@ class TestMaximalValidSequences:
         assert both
         assert both[0].task_ids == (1, 2)
         assert both[0].completion_time(0.0, unit_travel) == pytest.approx(2.0)
+
+    def test_eq10_respects_deadlines_over_distance(self, simple_worker, unit_travel):
+        # Serving the relaxed task first would miss the urgent deadline, so
+        # the only valid ordering of the pair starts with the urgent task.
+        urgent = Task(1, Point(2, 0), 0.0, 2.2)
+        relaxed = Task(2, Point(1.5, 2), 0.0, 100.0)
+        sequences = maximal_valid_sequences(
+            simple_worker, [urgent, relaxed], 0.0, unit_travel, max_length=2
+        )
+        assert [sequence.task_ids for sequence in sequences] == [(1, 2)]
+        assert sequences[0].is_valid(0.0, unit_travel)

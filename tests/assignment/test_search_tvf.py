@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.assignment.dependency_graph import build_worker_dependency_graph
-from repro.assignment.dfsearch import collect_training_experience, dfsearch
+from repro.assignment.dfsearch import dfsearch
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
+from repro.assignment.fast_partition import build_adjacency, build_partition_tree_fast
 from repro.assignment.reachability import reachable_tasks
 from repro.assignment.sequences import maximal_valid_sequences
-from repro.assignment.tree import PartitionNode, build_partition_tree
-from repro.assignment.tvf import FEATURE_DIM, TaskValueFunction, featurize_state_action
+from repro.assignment.tree import PartitionNode
+from repro.assignment.tvf import FEATURE_DIM, TaskValueFunction, featurize_actions_batch
 from repro.core.sequence import TaskSequence
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -28,10 +28,16 @@ def build_problem(workers, tasks, now=0.0, max_length=2):
         w.worker_id: maximal_valid_sequences(w, reachable[w.worker_id], now, TRAVEL, max_length=max_length)
         for w in workers
     }
-    graph = build_worker_dependency_graph(reachable)
-    tree = build_partition_tree(graph)
+    tree = build_partition_tree_fast(build_adjacency(reachable))
     workers_by_id = {w.worker_id: w for w in workers}
     return tree, sequences, workers_by_id
+
+
+def collect_experience(node, tasks, sequences, workers_by_id):
+    """The ``(state, action, opt)`` tuples ``U`` of one exact search."""
+    return dfsearch(
+        node, tasks, sequences, workers_by_id, collect_experience=True
+    ).experience
 
 
 class TestDFSearch:
@@ -93,7 +99,7 @@ class TestDFSearch:
         worker = Worker(1, Point(0, 0), 10.0, 0.0, 100.0)
         tasks = [Task(1, Point(1, 0), 0.0, 100.0), Task(2, Point(2, 0), 0.0, 100.0)]
         tree, sequences, workers_by_id = build_problem([worker], tasks)
-        experience = collect_training_experience(tree.roots[0], tasks, sequences, workers_by_id)
+        experience = collect_experience(tree.roots[0], tasks, sequences, workers_by_id)
         assert experience
         for state, action, value in experience:
             assert value >= 1.0
@@ -105,24 +111,24 @@ class TestTVF:
         worker = Worker(1, Point(0, 0), 10.0, 0.0, 100.0)
         tasks = [Task(i, Point(i * 0.7, 0), 0.0, 100.0) for i in range(1, 5)]
         tree, sequences, workers_by_id = build_problem([worker], tasks, max_length=2)
-        experience = collect_training_experience(tree.roots[0], tasks, sequences, workers_by_id)
+        experience = collect_experience(tree.roots[0], tasks, sequences, workers_by_id)
         return experience, workers_by_id, {t.task_id: t for t in tasks}
 
     def test_featurize_dimension(self):
         experience, workers_by_id, tasks_by_id = self._experience()
         state, action, _ = experience[0]
-        features = featurize_state_action(state, action, workers_by_id, tasks_by_id)
-        assert features.shape == (FEATURE_DIM,)
+        features = featurize_actions_batch(state, [action], workers_by_id, tasks_by_id)
+        assert features.shape == (1, FEATURE_DIM)
         assert np.isfinite(features).all()
 
     def test_featurize_handles_unknown_ids(self):
-        features = featurize_state_action(
+        features = featurize_actions_batch(
             {"num_workers": 1, "num_tasks": 1, "task_ids": (999,)},
-            {"worker_id": 123, "task_ids": (999,), "sequence_length": 1},
+            [{"worker_id": 123, "task_ids": (999,), "sequence_length": 1}],
             {},
             {},
         )
-        assert features.shape == (FEATURE_DIM,)
+        assert features.shape == (1, FEATURE_DIM)
         assert np.isfinite(features).all()
 
     def test_fit_reduces_loss_and_sets_flag(self):
@@ -145,7 +151,10 @@ class TestTVF:
         tvf = TaskValueFunction(hidden=16, learning_rate=0.02, seed=0)
         tvf.fit(experience, workers_by_id, tasks_by_id, epochs=60)
         predictions = np.array(
-            [tvf.value(state, action, workers_by_id, tasks_by_id) for state, action, _ in experience]
+            [
+                tvf.values(state, [action], workers_by_id, tasks_by_id)[0]
+                for state, action, _ in experience
+            ]
         )
         targets = np.array([value for _, _, value in experience])
         if np.std(targets) < 1e-9:
@@ -166,7 +175,7 @@ class TestDFSearchTVF:
         tasks = [Task(1, Point(1, 0), 0.0, 100.0), Task(2, Point(2, 0), 0.0, 100.0)]
         tree, sequences, workers_by_id = build_problem([worker], tasks)
         tasks_by_id = {t.task_id: t for t in tasks}
-        experience = collect_training_experience(tree.roots[0], tasks, sequences, workers_by_id)
+        experience = collect_experience(tree.roots[0], tasks, sequences, workers_by_id)
         tvf = TaskValueFunction(seed=0)
         tvf.fit(experience, workers_by_id, tasks_by_id, epochs=30)
         exact = dfsearch(tree.roots[0], tasks, sequences, workers_by_id)

@@ -28,7 +28,6 @@ from repro.assignment.tvf import (
     TaskValueFunction,
     featurize_actions_batch,
     featurize_state,
-    featurize_state_action,
 )
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -37,7 +36,13 @@ from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel
 from repro.spatial.travel_matrix import TravelMatrix
 
+from reference_partition import (
+    adjacency_of,
+    build_worker_dependency_graph,
+    sibling_independence_violations,
+)
 from reference_pipeline import assert_planner_matches_oracle
+from reference_tvf import featurize_state_action, scalar_value
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -214,7 +219,9 @@ class TestTVFEquivalence:
         workers, tasks, state, actions = self._random_state_actions(rng)
         tvf = TaskValueFunction(seed=1)
         batched = tvf.values(state, actions, workers, tasks)
-        scalar = np.array([tvf.value(state, a, workers, tasks) for a in actions])
+        scalar = np.array(
+            [scalar_value(tvf, state, a, workers, tasks) for a in actions]
+        )
         np.testing.assert_allclose(batched, scalar, rtol=1e-12, atol=1e-12)
 
 
@@ -342,13 +349,11 @@ class TestFastPartition:
     def test_matches_networkx_reference(self, seed):
         import networkx as nx
 
-        from repro.assignment.dependency_graph import build_worker_dependency_graph
         from repro.assignment.fast_partition import (
             build_adjacency,
             build_partition_tree_fast,
             connected_components,
         )
-        from repro.assignment.tree import sibling_independence_violations
 
         rng = random.Random(6000 + seed)
         workers, tasks = random_instance(rng, max_workers=14, max_tasks=30)
@@ -361,11 +366,7 @@ class TestFastPartition:
         graph = build_worker_dependency_graph(reachable_by_worker)
 
         # Same graph: nodes and edges agree with the networkx reference.
-        assert set(adjacency) == set(graph.nodes)
-        fast_edges = {
-            frozenset((a, b)) for a, nbrs in adjacency.items() for b in nbrs
-        }
-        assert fast_edges == {frozenset(e) for e in graph.edges}
+        assert adjacency == adjacency_of(graph)
         assert [sorted(c) for c in connected_components(adjacency)] == sorted(
             [sorted(c) for c in nx.connected_components(graph)], key=lambda c: c[0]
         )

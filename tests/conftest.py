@@ -13,8 +13,8 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 # The shared travel-model conformance suite (tests/spatial/conformance.py)
-# and the scalar plan oracle (tests/assignment/reference_pipeline.py) are
-# imported by suites in several test directories; make them resolvable
+# and the oracles (tests/assignment/reference_{pipeline,partition,tvf}.py)
+# are imported by suites in several test directories; make them resolvable
 # regardless of which file pytest collects first.
 for _shared in ("spatial", "assignment"):
     _shared_dir = Path(__file__).resolve().parent / _shared

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.assignment.planner import PlannerConfig
-from repro.assignment.strategies import DTAStrategy, GreedyStrategy
+from repro.assignment.strategies import DTAPlusTPStrategy, DTAStrategy, GreedyStrategy
 from repro.core.problem import ATAInstance
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -119,14 +119,39 @@ class TestPlatform:
                              PlatformConfig(max_replans=1)).run()
         assert metrics.replans <= 1
 
-    def test_expired_tasks_recorded(self):
+    @pytest.mark.parametrize("strategy_cls", [GreedyStrategy, DTAStrategy])
+    def test_expired_tasks_recorded(self, strategy_cls):
         travel = EuclideanTravelModel(speed=1.0)
         worker = Worker(1, Point(0, 0), 1.0, 50.0, 100.0)   # online after tasks expire
         tasks = [Task(1, Point(0.5, 0), 0.0, 10.0)]
         instance = ATAInstance([worker], tasks, travel=travel, name="expire")
-        metrics = SCPlatform(instance, GreedyStrategy(travel=travel)).run()
+        metrics = SCPlatform(instance, strategy_cls(travel=travel)).run()
         assert metrics.assigned_tasks == 0
         assert metrics.expired_tasks == 1
+
+    def test_worker_offline_before_task_published(self):
+        travel = EuclideanTravelModel(speed=1.0)
+        worker = Worker(1, Point(0, 0), 5.0, 0.0, 10.0)
+        late_task = Task(1, Point(1, 0), 20.0, 60.0)   # published after the worker left
+        instance = ATAInstance([worker], [late_task], travel=travel, name="offline")
+        platform = SCPlatform(instance, DTAStrategy(travel=travel))
+        metrics = platform.run()
+        assert metrics.assigned_tasks == 0
+        assert platform._workers == {}
+
+    def test_predicted_tasks_guide_but_do_not_count(self):
+        travel = EuclideanTravelModel(speed=1.0)
+        worker = Worker(1, Point(0, 0), 5.0, 0.0, 100.0)
+        real = Task(1, Point(1, 0), 0.0, 50.0)
+        predicted = Task(900, Point(2, 0), 0.0, 50.0, predicted=True)
+        instance = ATAInstance([worker], [real], travel=travel, name="predicted")
+        strategy = DTAPlusTPStrategy(
+            travel=travel, predicted_task_provider=lambda now: [predicted]
+        )
+        metrics = SCPlatform(instance, strategy).run()
+        assert metrics.assigned_tasks == 1   # only the real task counts
+        assert metrics.dispatched_tasks == 1
+        assert metrics.assigned_per_worker == {1: 1}
 
 
 class TestRunner:

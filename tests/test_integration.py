@@ -18,13 +18,15 @@ class TestPaperRunningExample:
     """Sanity checks against the Fig. 1 running example."""
 
     def test_fta_style_plan_reaches_at_least_four_tasks(self, paper_example_instance):
-        from repro.assignment.baselines import fixed_task_assignment
+        from repro.assignment.planner import TaskPlanner
 
         instance = paper_example_instance
-        assignment = fixed_task_assignment(
-            instance.workers[:2], [t for t in instance.tasks if t.publication_time <= 1.0],
-            now=1.0, travel=instance.travel, max_sequence_length=2,
-        )
+        planner = TaskPlanner(PlannerConfig(max_sequence_length=2), travel=instance.travel)
+        assignment = planner.plan(
+            instance.workers[:2],
+            [t for t in instance.tasks if t.publication_time <= 1.0],
+            now=1.0,
+        ).assignment
         # The paper's FTA assigns (s1, s3) and (s2, s4): four tasks at t=1.
         assert assignment.num_assigned_tasks >= 4
         assert instance.validate_assignment(assignment, now=1.0) == []

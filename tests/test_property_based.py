@@ -6,10 +6,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.assignment.dependency_graph import build_worker_dependency_graph
-from repro.assignment.partition import chordal_completion
+from repro.assignment.fast_partition import build_adjacency, build_partition_tree_fast
 from repro.assignment.sequences import maximal_valid_sequences
-from repro.assignment.tree import build_partition_tree, sibling_independence_violations
 from repro.core.assignment import Assignment
 from repro.core.sequence import TaskSequence, arrival_times
 from repro.core.task import Task
@@ -21,6 +19,14 @@ from repro.spatial.geometry import BoundingBox, Point, euclidean_distance, manha
 from repro.spatial.grid import GridSpec
 from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel
+
+from reference_partition import (
+    adjacency_of,
+    build_partition_tree,
+    build_worker_dependency_graph,
+    chordal_completion,
+    sibling_independence_violations,
+)
 
 # ------------------------------------------------------------------ #
 # Strategies
@@ -148,12 +154,15 @@ class TestPartitionProperties:
         graph = nx.Graph()
         graph.add_nodes_from(range(11))
         graph.add_edges_from((a, b) for a, b in edges if a != b)
-        tree = build_partition_tree(graph)
-        covered = tree.all_workers()
-        # Property i: every worker appears exactly once.
-        assert sorted(covered) == sorted(graph.nodes)
-        # Property ii: workers in sibling subtrees are independent.
-        assert sibling_independence_violations(tree, graph) == []
+        for tree in (
+            build_partition_tree(graph),
+            build_partition_tree_fast(adjacency_of(graph)),
+        ):
+            covered = tree.all_workers()
+            # Property i: every worker appears exactly once.
+            assert sorted(covered) == sorted(graph.nodes)
+            # Property ii: workers in sibling subtrees are independent.
+            assert sibling_independence_violations(tree, graph) == []
 
     @given(st.dictionaries(st.integers(1, 8),
                            st.lists(st.integers(1, 10), max_size=5), max_size=8))
@@ -167,6 +176,7 @@ class TestPartitionProperties:
         for a, b in graph.edges:
             shared = {t.task_id for t in reachable[a]} & {t.task_id for t in reachable[b]}
             assert shared
+        assert build_adjacency(reachable) == adjacency_of(graph)
 
 
 # ------------------------------------------------------------------ #
