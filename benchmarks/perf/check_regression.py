@@ -260,9 +260,6 @@ def _iter_metrics(data):
             entry["parallel_mean_ms"],
             "info",
         )
-    tuning = data.get("threshold_tuning", {})
-    for value, entry in tuning.get("vector_min_tasks", {}).items():
-        yield f"threshold_tuning.vector_min_tasks.{value}.mean_ms", entry["mean_ms"], "info"
 
 
 def compare(baseline: dict, candidate: dict, factor: float):

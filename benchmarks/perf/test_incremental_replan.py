@@ -201,7 +201,7 @@ class TestStreamingPlatformIncremental:
             platform = SCPlatform(
                 instance,
                 strategy,
-                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+                PlatformConfig(replan_interval=0.0),
             )
             metrics = platform.run()
             mean_ms, p95_ms = _latency_stats(metrics.cpu_times or [0.0])

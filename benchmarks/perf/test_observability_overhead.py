@@ -91,7 +91,6 @@ class TestObservabilityOverhead:
             DTAStrategy(config=PlannerConfig()),
             PlatformConfig(
                 replan_interval=0.0,
-                maintain_task_index=True,
                 observability=observability,
             ),
         )

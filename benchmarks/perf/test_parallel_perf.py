@@ -1,6 +1,6 @@
-"""Parallel component search soak benchmark + planner threshold sweep.
+"""Parallel component search soak benchmark.
 
-Two sections are merged into ``BENCH_planning.json``:
+One section is merged into ``BENCH_planning.json``:
 
 * **parallel_search** — snapshot replans over dense *multi-cluster*
   scenes (several spatially separated dense components, so the
@@ -14,11 +14,6 @@ Two sections are merged into ``BENCH_planning.json``:
   container records honest numbers without pretending to a speedup it
   cannot physically show).  Backend equivalence is asserted on every
   run regardless of core count.
-* **threshold_tuning** — sweep ``VECTOR_MIN_TASKS`` (the
-  scalar→vectorized reachability crossover) on a large snapshot and
-  record mean cold-plan latency per setting.  Informational (never
-  gated): the committed default is re-confirmed or re-tuned from this
-  data.
 """
 
 from __future__ import annotations
@@ -191,62 +186,4 @@ class TestParallelSearch:
             f"Parallel component search — serial vs {max_workers}-worker pool",
             rows,
             ["scale", "serial_ms", "parallel_ms", "speedup", "cores", "gated"],
-        )
-
-
-class TestThresholdTuning:
-    def test_threshold_sweep(self, bench_scale, perf_results, monkeypatch):
-        """Sweep the vectorization crossover at large scale."""
-        import repro.assignment.reachability as reachability_mod
-        from repro.assignment.planner import PlannerConfig, TaskPlanner
-        from repro.spatial.index import SpatialIndex
-        from repro.spatial.travel import EuclideanTravelModel
-
-        from test_bnb_search import make_dense_snapshot
-
-        repeats = 2 if bench_scale.name == "quick" else 4
-        # Large sparse-ish snapshot behind the platform's task index: the
-        # pre-filter leaves each worker a few dozen candidates, which is
-        # where the scalar/vector choice is actually made.
-        workers, tasks, _, _ = make_dense_snapshot(60, 1200, 4.0, seed=11)
-        index = SpatialIndex(cell_size=1.0)
-        for task in tasks:
-            index.insert(task.task_id, task.location)
-
-        def timed_plan():
-            planner = TaskPlanner(
-                PlannerConfig(incremental_replan=False),
-                travel=EuclideanTravelModel(1.0),
-            )
-            planner.attach_task_index(index)
-            start = time.perf_counter()
-            outcome = planner.plan(workers, tasks, 0.0)
-            return outcome.planned_tasks, time.perf_counter() - start
-
-        section = {"workers": 60, "tasks": 1200}
-        rows = []
-
-        vector_sweep = {}
-        baseline_planned = None
-        for threshold in (8, 16, 32, 64, 128):
-            monkeypatch.setattr(reachability_mod, "VECTOR_MIN_TASKS", threshold)
-            samples = []
-            for _ in range(repeats):
-                planned, elapsed = timed_plan()
-                samples.append(elapsed)
-            if baseline_planned is None:
-                baseline_planned = planned
-            assert planned == baseline_planned, "threshold is a perf knob only"
-            mean_ms = float(np.mean(samples) * 1000.0)
-            vector_sweep[str(threshold)] = {"mean_ms": round(mean_ms, 3)}
-            rows.append(
-                {"knob": "VECTOR_MIN_TASKS", "value": threshold, "mean_ms": f"{mean_ms:.1f}"}
-            )
-
-        section["vector_min_tasks"] = vector_sweep
-        perf_results["threshold_tuning"] = section
-        print_figure(
-            "Planner threshold sweep — 60 workers / 1200 tasks, one-shot plans",
-            rows,
-            ["knob", "value", "mean_ms"],
         )

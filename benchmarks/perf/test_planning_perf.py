@@ -51,7 +51,7 @@ class TestStreamingThroughput:
             platform = SCPlatform(
                 instance,
                 strategy,
-                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+                PlatformConfig(replan_interval=0.0),
             )
             start = time.perf_counter()
             metrics = platform.run()

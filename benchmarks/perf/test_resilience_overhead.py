@@ -68,7 +68,6 @@ class TestResilienceOverhead:
             planner_config = PlannerConfig(deadline_s=30.0, self_check=True)
             platform_config = PlatformConfig(
                 replan_interval=0.0,
-                maintain_task_index=True,
                 validate_events=True,
                 journal=InMemoryJournal(),
                 checkpoint_store=InMemoryCheckpointStore(),
@@ -77,7 +76,6 @@ class TestResilienceOverhead:
             planner_config = PlannerConfig(deadline_s=None, self_check=False)
             platform_config = PlatformConfig(
                 replan_interval=0.0,
-                maintain_task_index=True,
                 validate_events=False,
             )
         return SCPlatform(

@@ -9,7 +9,8 @@ a reinforcement-learned Task Value Function.
 The package is organised as follows:
 
 * :mod:`repro.nn` — NumPy autograd / neural-network substrate.
-* :mod:`repro.spatial` — geometry, grids, spatial index, travel models.
+* :mod:`repro.spatial` — geometry, grids, travel models and per-epoch travel
+  matrices, the bucket index road networks snap points with.
 * :mod:`repro.core` — tasks, workers, sequences, assignments, the ATA problem.
 * :mod:`repro.demand` — the DDGNN demand predictor and its baselines.
 * :mod:`repro.assignment` — worker dependency separation, DFSearch, TVF,

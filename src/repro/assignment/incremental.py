@@ -316,16 +316,11 @@ class _RefreshInputs(NamedTuple):
     now: float
     real: List[Task]
     active: List[Task]
-    #: Task id -> position in ``real`` when the platform's spatial index
-    #: covers the snapshot (the candidate pre-filter is on), else ``None``.
-    positions: Optional[Dict[int, int]]
-    #: One ``(tx, ty)`` float64 extraction per task list per epoch, shared
-    #: by the single-row matrix rebuilds over ``real`` / ``active``.
-    coords_cache: Dict[int, tuple]
-    #: The shared W×T matrix over ``active``, with the columns of ``real``
-    #: in it, when the whole snapshot refreshes at once.
-    matrix: Optional[TravelMatrix] = None
-    real_cols: Optional[np.ndarray] = None
+    #: The epoch's k×T matrix — the k workers due a reachability refresh
+    #: over ``active`` — with the columns of ``real`` in it; ``None`` when
+    #: the snapshot is too small to pay for NumPy (scalar kernel).
+    matrix: Optional[TravelMatrix]
+    real_cols: Optional[np.ndarray]
 
 
 class IncrementalPlanEngine:
@@ -537,14 +532,6 @@ class IncrementalPlanEngine:
             self._forced_tasks.clear()
             diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
 
-        # The persistent platform index only tracks real open tasks; it is
-        # a valid candidate pre-filter only while it covers every real
-        # task of this snapshot (a strategy may plan over a filtered
-        # subset, which is fine — the query result is intersected with
-        # the given tasks).
-        index = planner.task_index
-        use_index = index is not None and all(task.task_id in index for task in real)
-
         # ---- per-worker refresh ------------------------------------------ #
         reachable_by_worker: Dict[int, List[Task]] = {}
         sequences_by_worker: Dict[int, List[TaskSequence]] = {}
@@ -552,29 +539,31 @@ class IncrementalPlanEngine:
         recomputed_workers = 0
         reach_sets_changed = False
         with obs.span("refresh") as refresh_span:
-            if use_index:
-                inputs = _RefreshInputs(
-                    now, real, active, {task.task_id: i for i, task in enumerate(real)}, {}
+            # Workers due a reachability refresh, in snapshot order, mapped
+            # to whether their own fingerprint changed (or they are new).
+            stale: Dict[int, bool] = {}
+            for worker in workers:
+                wid = worker.worker_id
+                entry = self._worker_entries.get(wid)
+                moved = entry is None or not _worker_unchanged(entry.fingerprint, worker)
+                if moved or wid in dirty or now >= entry.reach_horizon:
+                    stale[wid] = moved
+            matrix = real_cols = None
+            if stale and vector_kernel_pays(len(active)):
+                # One k×T matrix serves every refresh of the epoch (k = W on
+                # an empty cache).  Rows are bit-identical to the scalar
+                # kernel's floats, so the choice moves cost only.
+                matrix = TravelMatrix(
+                    [workers_by_id[wid] for wid in stale], active, travel, now=now
                 )
-            elif len(dirty) >= len(workers) and vector_kernel_pays(len(active)):
-                # The whole snapshot is dirty (an empty cache, a batch that
-                # touched everyone): one W×T matrix replaces W single-row
-                # rebuilds, each of which pays O(T) Python to index its
-                # tasks.  Rows are bit-identical either way, so the choice
-                # moves cost only; an index narrows candidates per worker
-                # instead.
-                matrix = TravelMatrix(workers, active, travel, now=now)
-                inputs = _RefreshInputs(
-                    now, real, active, None, {}, matrix, matrix.task_cols(real)
-                )
-            else:
-                inputs = _RefreshInputs(now, real, active, None, {})
+                real_cols = matrix.task_cols(real)
+            inputs = _RefreshInputs(now, real, active, matrix, real_cols)
             for worker in workers:
                 wid = worker.worker_id
                 entry = self._worker_entries.get(wid)
                 old_reachable_ids = entry.reachable_ids if entry is not None else None
-                moved = entry is None or not _worker_unchanged(entry.fingerprint, worker)
-                if moved or wid in dirty or now >= entry.reach_horizon:
+                moved = stale.get(wid)
+                if moved is not None:
                     entry = self._refresh_worker(worker, entry, inputs, force_bump=moved)
                     recomputed_workers += 1
                 elif now >= entry.seq_horizon:
@@ -587,7 +576,12 @@ class IncrementalPlanEngine:
                 entry.last_seen = self._epoch
                 reachable_by_worker[wid] = entry.reachable
                 sequences_by_worker[wid] = entry.sequences
-            refresh_span.set(reused=reused_workers, recomputed=recomputed_workers)
+            refresh_span.set(
+                reused=reused_workers,
+                recomputed=recomputed_workers,
+                rows=len(stale) if matrix is not None else 0,
+                tasks=len(active),
+            )
         if obs.enabled:
             obs.count("incremental.reused_workers", reused_workers)
             obs.count("incremental.recomputed_workers", recomputed_workers)
@@ -908,60 +902,6 @@ class IncrementalPlanEngine:
         return outcome
 
     # ------------------------------------------------------------------ #
-    def _candidates_for(self, worker: Worker, inputs: _RefreshInputs) -> List[Task]:
-        """Candidate pre-filter for the real-task pipeline.
-
-        With a covering index, only tasks inside the ``(hops + 1) · reach``
-        ball can ever appear in the reachable set, and the candidates keep
-        snapshot order, so the result is exactly what the scan over all
-        of ``real`` would return — independent of index-bucket iteration
-        order.  (Each transitive hop extends the horizon by one worker
-        reach; the travel model's ``reach_bound`` converts that
-        travel-distance budget into the Euclidean radius the index can
-        query.)
-        """
-        real, positions = inputs.real, inputs.positions
-        if positions is None:
-            return real
-        radius = self.planner.travel.reach_bound(
-            (_HOPS + 1.0) * worker.reachable_distance
-        ) + 1e-6
-        in_scope = [
-            tid
-            for tid in self.planner.task_index.query_radius(worker.location, radius)
-            if tid in positions
-        ]
-        in_scope.sort(key=positions.__getitem__)
-        return [real[positions[tid]] for tid in in_scope]
-
-    def _single_row(
-        self,
-        worker: Worker,
-        tasks: List[Task],
-        inputs: _RefreshInputs,
-    ) -> Optional[TravelMatrix]:
-        """``worker``'s own 1×T travel matrix over ``tasks``, or ``None``
-        when they are too few to pay for NumPy.
-
-        Rebuilds over the epoch's ``real`` / ``active`` lists share one
-        coordinate extraction (keyed by list identity — the lists live
-        exactly as long as the plan call); index-narrowed candidate lists
-        are per-worker and extract their own.
-        """
-        if not vector_kernel_pays(len(tasks)):
-            return None
-        coords = None
-        if tasks is inputs.real or tasks is inputs.active:
-            coords = inputs.coords_cache.get(id(tasks))
-            if coords is None:
-                coords = inputs.coords_cache[id(tasks)] = (
-                    np.array([t.location.x for t in tasks], dtype=np.float64),
-                    np.array([t.location.y for t in tasks], dtype=np.float64),
-                )
-        return TravelMatrix.for_single_worker(
-            worker, tasks, self.planner.travel, now=inputs.now, task_coords=coords
-        )
-
     def _refresh_worker(
         self,
         worker: Worker,
@@ -974,15 +914,11 @@ class IncrementalPlanEngine:
         planner = self.planner
         config = planner.config
         travel = planner.travel
-        now, active = inputs.now, inputs.active
+        now, active, matrix = inputs.now, inputs.active, inputs.matrix
 
-        candidates = self._candidates_for(worker, inputs)
-        matrix = inputs.matrix
-        if matrix is None:
-            matrix = self._single_row(worker, candidates, inputs)
         reachable, uncapped_ids, reach_horizon = reachable_tasks_with_horizon(
             worker,
-            candidates,
+            inputs.real,
             now,
             travel,
             max_tasks=config.max_reachable,
@@ -997,8 +933,6 @@ class IncrementalPlanEngine:
             # reachable task plans over the full (predicted-augmented)
             # snapshot so prediction-aware strategies can reposition it.
             fallback = True
-            if inputs.matrix is None:
-                matrix = self._single_row(worker, active, inputs)
             reachable, uncapped_ids, reach_horizon = reachable_tasks_with_horizon(
                 worker,
                 active,

@@ -41,7 +41,6 @@ from repro.assignment.tvf import TaskValueFunction
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.obs.runtime import OBS_DISABLED
-from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel, TravelModel
 
 
@@ -202,9 +201,6 @@ class TaskPlanner:
         self.tvf = tvf
         if self.config.use_tvf and self.tvf is None:
             self.tvf = TaskValueFunction()
-        #: Optional persistent index of open tasks (attached by the platform)
-        #: used to pre-filter reachability candidates by radius query.
-        self.task_index: Optional[SpatialIndex] = None
         #: The plan pipeline and its cross-epoch caches.
         self._engine = IncrementalPlanEngine(self)
         #: Dispatch backend (created lazily on the first planning call).
@@ -214,10 +210,6 @@ class TaskPlanner:
         self.obs = OBS_DISABLED
 
     # ------------------------------------------------------------------ #
-    def attach_task_index(self, index: Optional[SpatialIndex]) -> None:
-        """Use ``index`` (task id -> location) as the reachability pre-filter."""
-        self.task_index = index
-
     def attach_observability(self, obs) -> None:
         """Route this planner's spans and metrics through ``obs``.
 

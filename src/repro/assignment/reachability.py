@@ -46,7 +46,7 @@ def vector_kernel_pays(num_tasks: int) -> bool:
     """Whether ``num_tasks`` candidates amortise a travel-matrix row.
 
     The single reader of :data:`VECTOR_MIN_TASKS`: the plan pipeline asks
-    before building a worker's :class:`TravelMatrix`, and
+    before building an epoch's :class:`TravelMatrix`, and
     :func:`reachable_tasks_with_horizon` before using one it was handed.
     """
     return num_tasks >= VECTOR_MIN_TASKS
@@ -257,12 +257,10 @@ def reachable_tasks_with_horizon(
                 horizon = min(horizon, task.expiration_time)
         # Travel costs themselves may flip at the next speed-profile
         # boundary (an empty set can become non-empty there, which no
-        # per-task boundary above covers).  Either source may have
-        # produced the costs (the matrix on large candidate sets, the
-        # scalar model otherwise and in the horizon loop above), so clamp
-        # to the minimum boundary over both — over-clamping is sound, and
-        # when both reference the same model (the supported
-        # configuration) the minimum is that model's boundary.
+        # per-task boundary above covers).  A matrix built over another
+        # model instance than ``travel`` is clamped to its boundary too:
+        # over-clamping is sound, and for the one model the pipeline
+        # shares the minimum is that model's boundary.
         horizon = min(horizon, travel.next_profile_boundary(now))
         if matrix is not None:
             horizon = min(horizon, matrix.travel.next_profile_boundary(now))

@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.sequence import TaskSequence, arrival_times
+from repro.core.sequence import TaskSequence
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.spatial.travel import EuclideanTravelModel, TravelModel

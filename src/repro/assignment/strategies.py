@@ -55,16 +55,6 @@ class AssignmentStrategy(ABC):
     def notify_dispatch(self, worker_id: int, task_id: int) -> None:
         """Inform the strategy that a planned task has been executed."""
 
-    def attach_task_index(self, index) -> None:
-        """Receive the platform's persistent open-task spatial index.
-
-        The platform keeps a :class:`~repro.spatial.index.SpatialIndex` of
-        open tasks incrementally up to date across events; strategies that
-        can exploit it (the planner-backed ones) use it to turn the
-        per-worker reachability scan into a radius query.  The default is a
-        no-op so index-unaware strategies keep working unchanged.
-        """
-
     def notify_dirty(self, dirty) -> None:
         """Receive the platform's dirty set for the upcoming decision point.
 
@@ -160,9 +150,6 @@ class _PlannerBackedStrategy(AssignmentStrategy):
         # runs (part of the platform re-entrancy contract).
         self.planner.reset_cache()
         self._last_outcome = None
-
-    def attach_task_index(self, index) -> None:
-        self.planner.attach_task_index(index)
 
     def notify_dirty(self, dirty) -> None:
         self.planner.note_dirty(dirty)

@@ -63,7 +63,6 @@ from repro.resilience.checkpoint import PlatformCheckpoint
 from repro.simulation.clock import SimulationClock
 from repro.simulation.metrics import SimulationMetrics
 from repro.spatial.geometry import Point
-from repro.spatial.index import SpatialIndex
 
 #: Child of ``repro.resilience`` so resilience-wide log configuration
 #: (and test captures pinned to that name) still applies.
@@ -79,16 +78,6 @@ class PlatformConfig:
     replan_interval: float = 0.0
     #: Safety valve on the number of planning calls (None = unlimited).
     max_replans: Optional[int] = None
-    #: Maintain a persistent spatial index of open tasks (insert on arrival,
-    #: discard on assignment/expiry) and hand it to the strategy so
-    #: reachability becomes a radius query instead of an all-pairs scan.
-    maintain_task_index: bool = True
-    #: Let a speed-profile boundary of a time-dependent travel model bypass
-    #: the ``replan_interval`` throttle (travel costs changed, so the plan
-    #: computed under the old profile is stale), and schedule a wake-up at
-    #: the next boundary so throttled runs never sleep through one.  Static
-    #: travel models report no boundaries, so this is a no-op for them.
-    boundary_aware_replan: bool = True
     #: Validate arrival events at ingestion and count-and-drop malformed
     #: ones instead of letting them poison the planning stack.
     validate_events: bool = True
@@ -174,11 +163,6 @@ class SCPlatform:
         #: the strategy at every decision point so incremental replanning
         #: knows exactly which region of the previous plan is stale.
         self._dirty = DirtySet()
-        self._task_index: Optional[SpatialIndex] = (
-            SpatialIndex(cell_size=self._index_cell_size())
-            if self.config.maintain_task_index
-            else None
-        )
         # Streaming position and epoch bookkeeping (rebuilt per run).
         self._events: List[ArrivalEvent] = []
         self._event_index: int = 0
@@ -188,21 +172,6 @@ class SCPlatform:
         self._carryover_enabled: bool = False
         self._replay_replans: bool = False
         self._clear_epoch_scratch()
-
-    def _index_cell_size(self) -> float:
-        """Bucket size for the open-task index (~ the typical query radius).
-
-        The index is Euclidean, so under a non-Euclidean travel model the
-        typical query radius is the model's ``reach_bound`` of the median
-        reachable distance (identity for the Euclidean default).
-        """
-        reaches = sorted(w.reachable_distance for w in self.instance.workers)
-        if not reaches:
-            return 1.0
-        radius = self.instance.travel.reach_bound(reaches[len(reaches) // 2])
-        if not math.isfinite(radius):
-            radius = reaches[len(reaches) // 2]
-        return max(radius, 1e-6)
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -321,9 +290,6 @@ class SCPlatform:
         self._last_boundary_wakeup = -float("inf")
         self._dirty.clear()
         self.strategy.reset()
-        if self._task_index is not None:
-            self._task_index.clear()
-        self.strategy.attach_task_index(self._task_index)
         # A fresh handle per run keeps spans and metrics scoped to one
         # replay (run() is re-entrant); the strategy forwards it to its
         # planner, which the incremental engine and executor read it from.
@@ -460,8 +426,6 @@ class SCPlatform:
             self.metrics.record_duplicate_event()
             return
         self._pending[task.task_id] = task
-        if self._task_index is not None:
-            self._task_index.insert(task.task_id, task.location)
         self._dirty.note_task(task.task_id)
 
     # ------------------------------------------------------------------ #
@@ -589,8 +553,6 @@ class SCPlatform:
         """
         if now - self._last_plan_time >= self.config.replan_interval:
             return False
-        if not self.config.boundary_aware_replan:
-            return True
         return self.instance.travel.next_profile_boundary(self._last_plan_time) > now
 
     def _schedule_boundary_wakeup(self, now: float) -> None:
@@ -603,7 +565,7 @@ class SCPlatform:
         and deduplicated so consecutive planning epochs inside one window
         do not pile up identical wake-ups.
         """
-        if not self.config.boundary_aware_replan or self.config.replan_interval <= 0:
+        if self.config.replan_interval <= 0:
             return
         boundary = self.instance.travel.next_profile_boundary(now)
         if not math.isfinite(boundary) or boundary >= self.instance.end_time:
@@ -685,8 +647,6 @@ class SCPlatform:
         runtime.reposition = None
         self._assigned_ids.add(task.task_id)
         self._pending.pop(task.task_id, None)
-        if self._task_index is not None:
-            self._task_index.discard(task.task_id)
         runtime.busy_until = completion
         runtime.completed += 1
         runtime.worker = runtime.worker.moved_to(task.location)
@@ -830,10 +790,6 @@ class SCPlatform:
         self.metrics = state["metrics"]
         self._last_plans = dict(state["last_plans"])
         self.strategy.restore_state(state["strategy"])
-        if self._task_index is not None:
-            self._task_index.clear()
-            for task in self._pending.values():
-                self._task_index.insert(task.task_id, task.location)
         self._epoch_seq = state["seq"]
         return state["seq"]
 
@@ -914,8 +870,6 @@ class SCPlatform:
         expired = [tid for tid, task in self._pending.items() if task.is_expired(now)]
         for tid in expired:
             del self._pending[tid]
-            if self._task_index is not None:
-                self._task_index.discard(tid)
             self._dirty.note_task(tid)
         if expired:
             self.metrics.record_expiry(len(expired))

@@ -3,8 +3,9 @@
 The assignment component of DATA-WA reasons about worker reachability
 (travel distance and travel time between locations) and the prediction
 component partitions the study region into disjoint uniform grid cells.
-This package provides both, plus a grid-bucket spatial index so that the
-reachable-task computation scales to thousands of tasks.
+This package provides both, plus the per-epoch travel matrices behind the
+vectorized reachability kernel and a grid-bucket spatial index (the road
+network snaps points to nodes with it).
 """
 
 from repro.spatial.geometry import (

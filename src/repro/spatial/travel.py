@@ -21,9 +21,8 @@ A travel model provides three layers:
   optimisation; a model may return ``None`` to request the cached scalar
   fallback instead.
 * **Locality bound** — :meth:`TravelModel.reach_bound` maps a travel-distance
-  budget to a Euclidean radius guaranteed to contain it, which is what lets
-  Euclidean spatial indexes (and the incremental engine's dirty balls)
-  stay sound under non-Euclidean travel.
+  budget to a Euclidean radius guaranteed to contain it, which is what keeps
+  the incremental engine's dirty balls sound under non-Euclidean travel.
 * **Epoch clock** — :meth:`TravelModel.begin_epoch` /
   :meth:`TravelModel.next_profile_boundary`, the hooks time-dependent
   models (:class:`repro.spatial.timedep.TimeDependentTravelModel`, the
@@ -258,9 +257,8 @@ class TravelModel(ABC):
         Contract: for any chain of legs ``a_0 → a_1 → … → a_k`` with
         ``sum(distance(a_i, a_i+1)) <= reach``, the straight-line distance
         from ``a_0`` to ``a_k`` must be ``<= reach_bound(reach)``.  The
-        spatial-index radius queries and the incremental engine's dirty
-        balls rely on this to over-approximate travel-distance balls with
-        Euclidean ones.
+        incremental engine's dirty balls rely on this to over-approximate
+        travel-distance balls with Euclidean ones.
 
         The default returns ``reach`` unchanged, which is sound whenever
         ``distance(a, b) >= euclidean(a, b)`` (true for the built-in

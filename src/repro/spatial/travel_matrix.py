@@ -60,7 +60,6 @@ class TravelMatrix:
         tasks: Sequence["Task"],
         travel: TravelModel,
         now: Optional[float] = None,
-        task_coords: Optional[tuple] = None,
     ) -> None:
         if now is not None:
             travel.begin_epoch(now)
@@ -75,15 +74,9 @@ class TravelMatrix:
         }
 
         #: Task coordinates, shape (T,) each — the base data for task→task
-        #: blocks.  ``task_coords`` lets a caller planning many single-row
-        #: matrices over the same task list (the incremental engine's
-        #: per-dirty-worker rebuilds) share one ``(tx, ty)`` pair instead
-        #: of re-extracting it per worker; the arrays are read-only here.
-        if task_coords is not None:
-            self.tx, self.ty = task_coords
-        else:
-            self.tx = np.array([t.location.x for t in self.tasks], dtype=np.float64)
-            self.ty = np.array([t.location.y for t in self.tasks], dtype=np.float64)
+        #: blocks.
+        self.tx = np.array([t.location.x for t in self.tasks], dtype=np.float64)
+        self.ty = np.array([t.location.y for t in self.tasks], dtype=np.float64)
 
         #: Worker→task distances ``td(w.l, s.l)`` (W, T) and travel times
         #: ``c(w.l, s.l)`` (W, T), via the model's ``pairwise`` protocol.
@@ -96,28 +89,6 @@ class TravelMatrix:
         self.expirations: np.ndarray = np.array(
             [t.expiration_time for t in self.tasks], dtype=np.float64
         )
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def for_single_worker(
-        cls,
-        worker: "Worker",
-        tasks: Sequence["Task"],
-        travel: TravelModel,
-        now: Optional[float] = None,
-        task_coords: Optional[tuple] = None,
-    ) -> "TravelMatrix":
-        """A 1×T matrix holding only ``worker``'s row.
-
-        The incremental replan engine recomputes travel rows per *dirty*
-        worker instead of rebuilding the full W×T epoch matrix; this
-        constructor is that single-row rebuild.  The row is produced by the
-        same vectorized formulas as the full constructor, so its floats are
-        bit-identical to both the full matrix and the scalar travel model.
-        ``task_coords`` shares one extracted ``(tx, ty)`` pair across the
-        epoch's single-row rebuilds (see ``__init__``).
-        """
-        return cls([worker], tasks, travel, now=now, task_coords=task_coords)
 
     # ------------------------------------------------------------------ #
     def __contains__(self, task_id: int) -> bool:

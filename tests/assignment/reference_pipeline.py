@@ -2,7 +2,7 @@
 
 Every stage here is the slow, obviously-right variant, and none of it is
 shared with the product pipeline: the scalar ``reachable_tasks`` loop
-(no travel matrix, no spatial index), matrix-free
+(no travel matrix), matrix-free
 ``maximal_valid_sequences``, the networkx dependency graph and RTC tree
 (``reference_partition.py``), and the plain Algorithm 1 ``dfsearch`` (no
 branch-and-bound, no TVF).
@@ -12,8 +12,8 @@ What it pins, per snapshot:
 
 * ``reachable_ids`` / ``sequence_ids`` — every worker's capped reachable
   set and ``Q_w``, order included.  This is where the product chooses
-  between scalar loop, vector kernel and index pre-filter, so these must
-  match bit for bit.
+  between the scalar loop and the vector kernel, so these must match bit
+  for bit.
 * ``num_components`` — the dependency graph's connected components.
 * ``planned_tasks`` — the optimum, valid when ``complete`` (every search
   finished inside its budget).  The product's tree and search engine
@@ -122,9 +122,22 @@ def assert_planner_matches_oracle(planner, workers, tasks, now, expect_optimum=T
     ``expect_optimum=False`` for TVF-guided planners, whose search is a
     heuristic.  Returns the planner's outcome.
     """
-    config = planner.config
     planner.reset_cache()
     outcome = planner.plan(workers, tasks, now)
+    assert_outcome_matches_oracle(planner, outcome, workers, tasks, now, expect_optimum)
+    return outcome
+
+
+def assert_outcome_matches_oracle(
+    planner, outcome, workers, tasks, now, expect_optimum=True, node_budget=200_000
+):
+    """Hold ``outcome`` — what ``planner`` just returned for this snapshot,
+    from a cache in any state — against the oracle.  Mid-stream this pins
+    the warm engine's reused and partially refreshed per-worker state, not
+    only its agreement with a cold run of the same code.  ``node_budget``
+    bounds the oracle's plain search (the optimum is compared only when it
+    finishes inside it); the per-worker stages are compared regardless."""
+    config = planner.config
     reference = reference_plan(
         workers,
         tasks,
@@ -134,17 +147,19 @@ def assert_planner_matches_oracle(planner, workers, tasks, now, expect_optimum=T
         max_sequence_length=config.max_sequence_length,
         max_sequences=config.max_sequences,
         per_leg_pricing=config.per_leg_pricing,
+        node_budget=node_budget,
     )
     assert outcome.num_components == reference.num_components
     if not reference.num_components:
         assert outcome.planned_tasks == 0
-        return outcome
+        return
+    # The live cache may also hold workers absent from this snapshot.
     entries = planner._engine._worker_entries
     assert {
-        wid: entry.reachable_ids for wid, entry in entries.items()
+        wid: entries[wid].reachable_ids for wid in reference.reachable_ids
     } == reference.reachable_ids
     assert {
-        wid: entry.seq_tuples for wid, entry in entries.items()
+        wid: entries[wid].seq_tuples for wid in reference.sequence_ids
     } == reference.sequence_ids
     # A valid plan over the oracle's Q_w: own candidate, no task twice.
     used = []
@@ -155,4 +170,3 @@ def assert_planner_matches_oracle(planner, workers, tasks, now, expect_optimum=T
     assert len(used) == len(set(used)) == outcome.planned_tasks
     if expect_optimum and reference.complete:
         assert outcome.planned_tasks == reference.planned_tasks
-    return outcome

@@ -40,7 +40,6 @@ from repro.assignment.sequences import maximal_valid_sequences
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.spatial.geometry import Point
-from repro.spatial.index import SpatialIndex
 from repro.spatial.travel_matrix import TravelMatrix
 
 from reference_pipeline import assert_planner_matches_oracle
@@ -208,15 +207,10 @@ class TestIncrementalSoundness:
             )
             for j in range(rng.randint(5, 25))
         }
-        index = SpatialIndex(cell_size=1.0)
-        for tid, task in tasks.items():
-            index.insert(tid, task.location)
         incremental = TaskPlanner(
             PlannerConfig(incremental_replan=True, travel_model=model)
         )
         full = TaskPlanner(PlannerConfig(incremental_replan=False, travel_model=model))
-        incremental.attach_task_index(index)
-        full.attach_task_index(index)
         now = 0.0
         next_tid = 1000
         for _ in range(15):
@@ -227,18 +221,14 @@ class TestIncrementalSoundness:
             assert _outcome_signature(a) == _outcome_signature(b)
             event = rng.random()
             if event < 0.3 and tasks:
-                tid = rng.choice(sorted(tasks))
-                del tasks[tid]
-                index.discard(tid)
+                del tasks[rng.choice(sorted(tasks))]
             elif event < 0.6:
-                task = Task(
+                tasks[next_tid] = Task(
                     next_tid,
                     Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                     now,
                     now + rng.uniform(1, 40),
                 )
-                tasks[next_tid] = task
-                index.insert(next_tid, task.location)
                 next_tid += 1
             elif workers:
                 wid = rng.choice(sorted(workers))
@@ -248,19 +238,15 @@ class TestIncrementalSoundness:
             now += rng.uniform(0.0, 1.5)
 
     def test_infinite_reach_bound_scans_everything(self):
-        """The inf bound turns the index prefilter into a full scan rather
-        than crashing or silently dropping candidates."""
+        """Under an infinite reach bound no Euclidean ball narrows anything:
+        tasks far outside the worker's straight-line reach are still
+        candidates."""
         model = ShortcutModel(speed=1.0)
-        index = SpatialIndex(cell_size=1.0)
         tasks = {
             j: Task(j, Point(float(j * 50), 0.0), 0.0, 100.0) for j in range(5)
         }
-        for tid, task in tasks.items():
-            index.insert(tid, task.location)
-        assert sorted(index.query_radius(Point(0.0, 0.0), float("inf"))) == list(range(5))
         worker = Worker(1, Point(0.0, 0.0), 30.0, 0.0, 100.0)
         planner = TaskPlanner(PlannerConfig(), travel=model)
-        planner.attach_task_index(index)
         assert_planner_matches_oracle(planner, [worker], list(tasks.values()), 0.0)
         reference = reachable_tasks(worker, list(tasks.values()), 0.0, model)
         # The shortcut metric reaches tasks the Euclidean ball would miss.

@@ -1,9 +1,9 @@
 """Property-based equivalence: the plan pipeline vs its scalar oracle.
 
-The vectorized kernels (travel matrices, index pre-filter, batched TVF
-featurization) must be a pure optimisation: on any instance the planner
-has to return bit-for-bit the same reachable sets, sequences and feature
-vectors — and the same optimum — as the scalar oracle in
+The vectorized kernels (travel matrices, batched TVF featurization) must be
+a pure optimisation: on any instance the planner has to return bit-for-bit
+the same reachable sets, sequences and feature vectors — and the same
+optimum — as the scalar oracle in
 ``reference_pipeline.py``; and a warm engine has to replay, call for call,
 what the same pipeline returns on an empty cache.  These tests assert that
 on randomised instances — through ``hypothesis`` where it is installed,
@@ -32,7 +32,6 @@ from repro.assignment.tvf import (
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.spatial.geometry import Point
-from repro.spatial.index import SpatialIndex
 from repro.spatial.travel import EuclideanTravelModel
 from repro.spatial.travel_matrix import TravelMatrix
 
@@ -41,7 +40,10 @@ from reference_partition import (
     build_worker_dependency_graph,
     sibling_independence_violations,
 )
-from reference_pipeline import assert_planner_matches_oracle
+from reference_pipeline import (
+    assert_outcome_matches_oracle,
+    assert_planner_matches_oracle,
+)
 from reference_tvf import featurize_state_action, scalar_value
 
 try:
@@ -72,13 +74,6 @@ def random_instance(rng, max_workers=10, max_tasks=40):
         for j in range(num_tasks)
     ]
     return workers, tasks
-
-
-def build_index(tasks):
-    index = SpatialIndex(cell_size=1.0)
-    for task in tasks:
-        index.insert(task.task_id, task.location)
-    return index
 
 
 class TestReachabilityEquivalence:
@@ -228,22 +223,17 @@ class TestTVFEquivalence:
 class TestPlannerEquivalence:
     """The planner against the scalar oracle: same per-worker reachable
     sets and ``Q_w``, same components, a valid plan of the same size —
-    whichever kernel (scalar loop, travel-matrix rows, the shared epoch
-    matrix) or candidate source (full scan, index pre-filter) it picked."""
+    whichever kernel (scalar loop, the epoch's travel matrix) it picked."""
 
-    @pytest.mark.parametrize("indexed", [False, True])
     @pytest.mark.parametrize("seed", range(8))
-    def test_matches_scalar_oracle(self, seed, indexed):
+    def test_matches_scalar_oracle(self, seed):
         rng = random.Random(4000 + seed)
         workers, tasks = random_instance(rng, max_workers=12, max_tasks=35)
         now = rng.uniform(0.0, 2.0)
         planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
-        if indexed:
-            planner.attach_task_index(build_index(tasks))
         assert_planner_matches_oracle(planner, workers, tasks, now)
 
-    @pytest.mark.parametrize("indexed", [False, True])
-    def test_forced_vector_thresholds_match_oracle(self, indexed, monkeypatch):
+    def test_forced_vector_thresholds_match_oracle(self, monkeypatch):
         # Drop every adaptive threshold to 0 so the matrix kernels are
         # taken even on tiny instances.
         import repro.assignment.reachability as reach_mod
@@ -256,8 +246,6 @@ class TestPlannerEquivalence:
             workers, tasks = random_instance(rng)
             now = rng.uniform(0.0, 2.0)
             planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
-            if indexed:
-                planner.attach_task_index(build_index(tasks))
             assert_planner_matches_oracle(planner, workers, tasks, now)
 
     def test_predicted_fallback_matches_oracle(self):
@@ -389,19 +377,50 @@ def _outcome_signature(outcome):
     )
 
 
+def _stream_shape(rng, dense, workers, tasks, lifetime):
+    """``(num_workers, num_tasks, task lifetime bounds, max movers)``.
+
+    A test's own sizes keep most snapshots under ``VECTOR_MIN_TASKS`` (the
+    scalar kernel).  ``dense`` streams hold more long-lived tasks than
+    that while a step touches 1-3 workers, so the warm engine refreshes
+    k < W workers against one k×T matrix — the case no benchmark workload
+    reaches."""
+    if dense:
+        return rng.randint(6, 10), rng.randint(45, 60), (30.0, 80.0), 3
+    return rng.randint(*workers), rng.randint(*tasks), lifetime, 1
+
+
+def _assert_step(incremental, full, workers, tasks, now, expect_optimum=True):
+    """One decision point: warm engine == empty-cache engine == oracle
+    (whose exhaustive search gets a small budget here — a stream has
+    hundreds of decision points, and the cold engine's optimum is held to
+    the oracle's in ``TestPlannerEquivalence``)."""
+    warm = incremental.plan(workers, tasks, now)
+    cold = full.plan(workers, tasks, now)
+    assert _outcome_signature(warm) == _outcome_signature(cold)
+    assert_outcome_matches_oracle(
+        incremental, warm, workers, tasks, now, expect_optimum, node_budget=2_000
+    )
+
+
 class TestIncrementalEquivalence:
     """A warm engine must replay the empty-cache pipeline bit-for-bit.
 
     Each test drives a *stream* of planning calls over an evolving snapshot
     (single-event mutations, advancing time) and compares an incremental
     planner against ``incremental_replan=False`` — the same pipeline on a
-    throw-away empty cache — at every decision point: the equivalence
-    contract of :mod:`repro.assignment.incremental`.
+    throw-away empty cache — and against the scalar oracle at every
+    decision point: the equivalence contract of
+    :mod:`repro.assignment.incremental`.
     """
 
+    @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("seed", range(10))
-    def test_snapshot_stream_matches_full_replan(self, seed):
+    def test_snapshot_stream_matches_full_replan(self, seed, dense):
         rng = random.Random(7000 + seed)
+        num_workers, num_tasks, lifetime, movers = _stream_shape(
+            rng, dense, (2, 12), (5, 40), (1.0, 40.0)
+        )
         workers = {
             i: Worker(
                 i,
@@ -410,16 +429,16 @@ class TestIncrementalEquivalence:
                 0.0,
                 rng.uniform(5, 50),
             )
-            for i in range(rng.randint(2, 12))
+            for i in range(num_workers)
         }
         tasks = {
             100 + j: Task(
                 100 + j,
                 Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                 0.0,
-                rng.uniform(1, 40),
+                rng.uniform(*lifetime),
             )
-            for j in range(rng.randint(5, 40))
+            for j in range(num_tasks)
         }
         incremental = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
         full = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
@@ -428,9 +447,7 @@ class TestIncrementalEquivalence:
         for _ in range(20):
             snapshot_workers = [w for _, w in sorted(workers.items())]
             snapshot_tasks = [t for _, t in sorted(tasks.items())]
-            a = incremental.plan(snapshot_workers, snapshot_tasks, now)
-            b = full.plan(snapshot_workers, snapshot_tasks, now)
-            assert _outcome_signature(a) == _outcome_signature(b)
+            _assert_step(incremental, full, snapshot_workers, snapshot_tasks, now)
             event = rng.random()
             if event < 0.3 and tasks:
                 del tasks[rng.choice(sorted(tasks))]
@@ -439,21 +456,23 @@ class TestIncrementalEquivalence:
                     next_tid,
                     Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                     now,
-                    now + rng.uniform(1, 40),
+                    now + rng.uniform(*lifetime),
                 )
                 next_tid += 1
-            elif workers:
-                wid = rng.choice(sorted(workers))
-                workers[wid] = workers[wid].moved_to(
-                    Point(rng.uniform(0, 10), rng.uniform(0, 10))
-                )
+            else:
+                for _ in range(rng.randint(1, movers)):
+                    wid = rng.choice(sorted(workers))
+                    workers[wid] = workers[wid].moved_to(
+                        Point(rng.uniform(0, 10), rng.uniform(0, 10))
+                    )
             now += rng.uniform(0.0, 2.0)
 
+    @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("seed", range(4))
-    def test_guided_predicted_churn_stream_matches(self, seed):
+    def test_guided_predicted_churn_stream_matches(self, seed, dense):
         # TVF-guided search + predicted-task fallback + workers toggling in
-        # and out of the snapshot (the FTA / busy-worker pattern) + a
-        # persistent spatial index, all at once.
+        # and out of the snapshot (the FTA / busy-worker pattern), all at
+        # once.
         boot_rng = random.Random(7)
         boot_workers = [
             Worker(i, Point(boot_rng.uniform(0, 10), boot_rng.uniform(0, 10)), 2.0, 0.0, 40.0)
@@ -470,6 +489,9 @@ class TestIncrementalEquivalence:
         tvf = boot.tvf
 
         rng = random.Random(8000 + seed)
+        num_workers, num_tasks, lifetime, movers = _stream_shape(
+            rng, dense, (3, 10), (5, 30), (1.0, 40.0)
+        )
         workers = {
             i: Worker(
                 i,
@@ -478,21 +500,18 @@ class TestIncrementalEquivalence:
                 0.0,
                 rng.uniform(5, 50),
             )
-            for i in range(rng.randint(3, 10))
+            for i in range(num_workers)
         }
         tasks = {
             100 + j: Task(
                 100 + j,
                 Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                 0.0,
-                rng.uniform(1, 40),
+                rng.uniform(*lifetime),
             )
-            for j in range(rng.randint(5, 30))
+            for j in range(num_tasks)
         }
         predicted = {}
-        index = SpatialIndex(cell_size=1.0)
-        for tid, task in tasks.items():
-            index.insert(tid, task.location)
         incremental = TaskPlanner(
             PlannerConfig(use_tvf=True, tvf_min_workers=2, incremental_replan=True),
             travel=TRAVEL,
@@ -503,8 +522,6 @@ class TestIncrementalEquivalence:
             travel=TRAVEL,
             tvf=tvf,
         )
-        incremental.attach_task_index(index)
-        full.attach_task_index(index)
         now = 0.0
         next_tid = 1000
         benched = set()
@@ -516,29 +533,27 @@ class TestIncrementalEquivalence:
                 t for _, t in sorted(predicted.items())
             ]
             if snapshot_workers and snapshot_tasks:
-                a = incremental.plan(snapshot_workers, snapshot_tasks, now)
-                b = full.plan(snapshot_workers, snapshot_tasks, now)
-                assert _outcome_signature(a) == _outcome_signature(b)
+                _assert_step(
+                    incremental, full, snapshot_workers, snapshot_tasks, now,
+                    expect_optimum=False,
+                )
             event = rng.random()
             if event < 0.2 and tasks:
-                tid = rng.choice(sorted(tasks))
-                del tasks[tid]
-                index.discard(tid)
+                del tasks[rng.choice(sorted(tasks))]
             elif event < 0.4:
-                task = Task(
+                tasks[next_tid] = Task(
                     next_tid,
                     Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                     now,
-                    now + rng.uniform(1, 40),
+                    now + rng.uniform(*lifetime),
                 )
-                tasks[next_tid] = task
-                index.insert(next_tid, task.location)
                 next_tid += 1
-            elif event < 0.55 and workers:
-                wid = rng.choice(sorted(workers))
-                workers[wid] = workers[wid].moved_to(
-                    Point(rng.uniform(0, 10), rng.uniform(0, 10))
-                )
+            elif event < 0.55:
+                for _ in range(rng.randint(1, movers)):
+                    wid = rng.choice(sorted(workers))
+                    workers[wid] = workers[wid].moved_to(
+                        Point(rng.uniform(0, 10), rng.uniform(0, 10))
+                    )
             elif event < 0.7:
                 if predicted and rng.random() < 0.5:
                     del predicted[rng.choice(sorted(predicted))]
@@ -556,8 +571,9 @@ class TestIncrementalEquivalence:
                 benched.symmetric_difference_update({wid})
             now += rng.uniform(0.0, 1.5)
 
+    @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("seed", range(6))
-    def test_timedep_stream_matches_full_across_boundaries(self, seed):
+    def test_timedep_stream_matches_full_across_boundaries(self, seed, dense):
         # Rush-hour profiles break the "static per ordered pair" assumption
         # between windows; horizon clamping must keep the engine bit-for-bit
         # equivalent through (and exactly on) every profile boundary.
@@ -571,6 +587,9 @@ class TestIncrementalEquivalence:
             period=40.0,
         )
         model = TimeDependentTravelModel(EuclideanTravelModel(speed=1.0), profile)
+        num_workers, num_tasks, lifetime, movers = _stream_shape(
+            rng, dense, (2, 10), (5, 35), (5.0, 45.0)
+        )
         workers = {
             i: Worker(
                 i,
@@ -579,16 +598,16 @@ class TestIncrementalEquivalence:
                 0.0,
                 rng.uniform(20, 60),
             )
-            for i in range(rng.randint(2, 10))
+            for i in range(num_workers)
         }
         tasks = {
             100 + j: Task(
                 100 + j,
                 Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                 0.0,
-                rng.uniform(5, 45),
+                rng.uniform(*lifetime),
             )
-            for j in range(rng.randint(5, 35))
+            for j in range(num_tasks)
         }
         incremental = TaskPlanner(
             PlannerConfig(incremental_replan=True, travel_model=model)
@@ -599,9 +618,7 @@ class TestIncrementalEquivalence:
         for _ in range(22):
             snapshot_workers = [w for _, w in sorted(workers.items())]
             snapshot_tasks = [t for _, t in sorted(tasks.items())]
-            a = incremental.plan(snapshot_workers, snapshot_tasks, now)
-            b = full.plan(snapshot_workers, snapshot_tasks, now)
-            assert _outcome_signature(a) == _outcome_signature(b)
+            _assert_step(incremental, full, snapshot_workers, snapshot_tasks, now)
             event = rng.random()
             if event < 0.25 and tasks:
                 del tasks[rng.choice(sorted(tasks))]
@@ -610,14 +627,15 @@ class TestIncrementalEquivalence:
                     next_tid,
                     Point(rng.uniform(0, 10), rng.uniform(0, 10)),
                     now,
-                    now + rng.uniform(2, 40),
+                    now + rng.uniform(*lifetime),
                 )
                 next_tid += 1
-            elif workers:
-                wid = rng.choice(sorted(workers))
-                workers[wid] = workers[wid].moved_to(
-                    Point(rng.uniform(0, 10), rng.uniform(0, 10))
-                )
+            else:
+                for _ in range(rng.randint(1, movers)):
+                    wid = rng.choice(sorted(workers))
+                    workers[wid] = workers[wid].moved_to(
+                        Point(rng.uniform(0, 10), rng.uniform(0, 10))
+                    )
             advance = rng.random()
             if advance < 0.2:
                 now = profile.next_boundary(now)  # land exactly on a boundary
@@ -626,8 +644,9 @@ class TestIncrementalEquivalence:
             else:
                 now += rng.uniform(0.0, 2.0)
 
+    @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize("seed", range(3))
-    def test_roadnet_rushhour_stream_matches_full(self, seed):
+    def test_roadnet_rushhour_stream_matches_full(self, seed, dense):
         # Per-edge-class congestion: the fastest paths themselves (and the
         # Dijkstra rows behind every travel cost) change per window.
         from repro.roadnet import (
@@ -655,6 +674,9 @@ class TestIncrementalEquivalence:
             edge_profiles=profiles,
             edge_class=classify_edges_by_speed(network, len(profiles)),
         )
+        num_workers, num_tasks, lifetime, movers = _stream_shape(
+            rng, dense, (2, 8), (5, 25), (5.0, 45.0)
+        )
         workers = {
             i: Worker(
                 i,
@@ -663,16 +685,16 @@ class TestIncrementalEquivalence:
                 0.0,
                 rng.uniform(20, 60),
             )
-            for i in range(rng.randint(2, 8))
+            for i in range(num_workers)
         }
         tasks = {
             100 + j: Task(
                 100 + j,
                 Point(rng.uniform(0, 7), rng.uniform(0, 7)),
                 0.0,
-                rng.uniform(5, 45),
+                rng.uniform(*lifetime),
             )
-            for j in range(rng.randint(5, 25))
+            for j in range(num_tasks)
         }
         incremental = TaskPlanner(
             PlannerConfig(incremental_replan=True, travel_model=model)
@@ -683,9 +705,7 @@ class TestIncrementalEquivalence:
         for _ in range(16):
             snapshot_workers = [w for _, w in sorted(workers.items())]
             snapshot_tasks = [t for _, t in sorted(tasks.items())]
-            a = incremental.plan(snapshot_workers, snapshot_tasks, now)
-            b = full.plan(snapshot_workers, snapshot_tasks, now)
-            assert _outcome_signature(a) == _outcome_signature(b)
+            _assert_step(incremental, full, snapshot_workers, snapshot_tasks, now)
             event = rng.random()
             if event < 0.25 and tasks:
                 del tasks[rng.choice(sorted(tasks))]
@@ -694,14 +714,15 @@ class TestIncrementalEquivalence:
                     next_tid,
                     Point(rng.uniform(0, 7), rng.uniform(0, 7)),
                     now,
-                    now + rng.uniform(2, 40),
+                    now + rng.uniform(*lifetime),
                 )
                 next_tid += 1
-            elif workers:
-                wid = rng.choice(sorted(workers))
-                workers[wid] = workers[wid].moved_to(
-                    Point(rng.uniform(0, 7), rng.uniform(0, 7))
-                )
+            else:
+                for _ in range(rng.randint(1, movers)):
+                    wid = rng.choice(sorted(workers))
+                    workers[wid] = workers[wid].moved_to(
+                        Point(rng.uniform(0, 7), rng.uniform(0, 7))
+                    )
             if rng.random() < 0.25:
                 now = model.next_profile_boundary(now)
             else:
@@ -736,7 +757,7 @@ class TestIncrementalEquivalence:
             platform = SCPlatform(
                 workload.instance,
                 strategy,
-                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+                PlatformConfig(replan_interval=0.0),
             )
             metrics = platform.run()
             results.append(
@@ -772,6 +793,68 @@ class TestIncrementalEquivalence:
         assert second.searched_components == 0
         assert second.reused_components == second.num_components
 
+    def test_one_travel_matrix_per_epoch_with_k_rows(self, monkeypatch):
+        # Each plan() builds at most one TravelMatrix, holding one row per
+        # worker refreshed that epoch (k, not W) over the whole snapshot —
+        # and none below VECTOR_MIN_TASKS.  The refresh span reports the
+        # same numbers.
+        import repro.assignment.incremental as incremental_mod
+        from repro.assignment.reachability import VECTOR_MIN_TASKS
+        from repro.obs import Observability
+
+        built = []
+
+        class RecordingMatrix(TravelMatrix):
+            def __init__(self, workers, tasks, *args, **kwargs):
+                super().__init__(workers, tasks, *args, **kwargs)
+                built.append((len(self.workers), len(self.tasks)))
+
+        monkeypatch.setattr(incremental_mod, "TravelMatrix", RecordingMatrix)
+        rng = random.Random(17)
+        # Far-off deadlines: no horizon expires mid-stream, so exactly the
+        # moved workers refresh.
+        workers = [
+            Worker(i, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 2.0, 0.0, 1000.0)
+            for i in range(8)
+        ]
+        tasks = [
+            Task(100 + j, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 0.0, 1000.0)
+            for j in range(VECTOR_MIN_TASKS + 8)
+        ]
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        obs = Observability()
+        planner.attach_observability(obs)
+
+        def plan(snapshot_tasks, now):
+            del built[:]
+            outcome = planner.plan(workers, snapshot_tasks, now)
+            span = [e for e in obs.tracer.events if e["name"] == "refresh"][-1]
+            return outcome, span["args"]
+
+        _, args = plan(tasks, 0.0)
+        assert built == [(len(workers), len(tasks))]
+        assert (args["rows"], args["tasks"]) == built[0]
+        for step in range(1, 9):
+            moved = rng.sample(range(len(workers)), rng.randint(1, 3))
+            for i in moved:
+                workers[i] = workers[i].moved_to(
+                    Point(rng.uniform(0, 10), rng.uniform(0, 10))
+                )
+            outcome, args = plan(tasks, 0.01 * step)
+            assert outcome.recomputed_workers == len(moved) < len(workers)
+            assert built == [(len(moved), len(tasks))]
+            assert (args["rows"], args["tasks"]) == built[0]
+        # Nothing to refresh: no matrix at all.
+        outcome, args = plan(tasks, 0.1)
+        assert outcome.recomputed_workers == 0 and built == []
+        assert (args["rows"], args["tasks"]) == (0, len(tasks))
+        # Below the threshold the scalar kernel serves a fully dirty epoch.
+        few = tasks[: VECTOR_MIN_TASKS - 1]
+        planner.reset_cache()
+        outcome, args = plan(few, 0.2)
+        assert outcome.recomputed_workers == len(workers) and built == []
+        assert (args["rows"], args["tasks"]) == (0, len(few))
+
     @pytest.mark.parametrize("strategy_name", ["dta", "fta"])
     def test_streaming_platform_incremental_vs_full(self, strategy_name):
         from repro.assignment.strategies import make_strategy
@@ -789,7 +872,7 @@ class TestIncrementalEquivalence:
             platform = SCPlatform(
                 workload.instance,
                 strategy,
-                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+                PlatformConfig(replan_interval=0.0),
             )
             metrics = platform.run()
             results.append(
@@ -801,28 +884,6 @@ class TestIncrementalEquivalence:
                     dict(metrics.assigned_per_worker),
                 )
             )
-        assert results[0] == results[1]
-
-
-class TestPlatformEquivalence:
-    def test_streaming_run_identical_with_and_without_task_index(self):
-        from repro.assignment.strategies import DTAStrategy
-        from repro.datasets.synthetic import SyntheticWorkloadGenerator, WorkloadConfig
-        from repro.simulation.platform import PlatformConfig, SCPlatform
-
-        workload = SyntheticWorkloadGenerator(
-            config=WorkloadConfig(num_workers=12, num_tasks=80, seed=5)
-        ).generate()
-        results = []
-        for use in (False, True):
-            strategy = DTAStrategy(config=PlannerConfig(incremental_replan=False))
-            platform = SCPlatform(
-                workload.instance,
-                strategy,
-                PlatformConfig(replan_interval=0.0, maintain_task_index=use),
-            )
-            metrics = platform.run()
-            results.append((metrics.assigned_tasks, metrics.expired_tasks, metrics.replans))
         assert results[0] == results[1]
 
 

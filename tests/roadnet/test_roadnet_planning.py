@@ -6,8 +6,8 @@ that probe the PR 1–3 engines (vectorized matrices, dirty-region replans,
 B&B search) outside the Euclidean regime:
 
 * scalar / matrix reachability must stay bit-for-bit interchangeable (the
-  kernels share float operation sequences), and the planner — with and
-  without the index pre-filter — must match the scalar oracle;
+  kernels share float operation sequences), and the planner must match
+  the scalar oracle;
 * a warm engine must replay the empty-cache pipeline exactly on an
   evolving snapshot stream — the acceptance criterion for the dirty-ball
   generalisation via ``reach_bound``;
@@ -29,7 +29,6 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.roadnet import RoadNetworkTravelModel, grid_network, roadnet_workload
 from repro.spatial.geometry import Point
-from repro.spatial.index import SpatialIndex
 from repro.spatial.travel_matrix import TravelMatrix
 
 from reference_pipeline import assert_planner_matches_oracle
@@ -109,18 +108,12 @@ class TestRoadnetReachabilityEquivalence:
 
 
 class TestRoadnetPlannerEquivalence:
-    @pytest.mark.parametrize("indexed", [False, True])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_scalar_oracle(self, seed, indexed, road_model):
+    def test_matches_scalar_oracle(self, seed, road_model):
         rng = random.Random(1400 + seed)
         workers, tasks = random_instance(rng)
         now = rng.uniform(0.0, 1.0)
         planner = TaskPlanner(PlannerConfig(travel_model=road_model))
-        if indexed:
-            index = SpatialIndex(cell_size=1.0)
-            for task in tasks:
-                index.insert(task.task_id, task.location)
-            planner.attach_task_index(index)
         assert_planner_matches_oracle(planner, workers, tasks, now)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -148,17 +141,12 @@ class TestRoadnetPlannerEquivalence:
             )
             for j in range(rng.randint(6, 30))
         }
-        index = SpatialIndex(cell_size=1.0)
-        for tid, task in tasks.items():
-            index.insert(tid, task.location)
         incremental = TaskPlanner(
             PlannerConfig(incremental_replan=True, travel_model=road_model)
         )
         full = TaskPlanner(
             PlannerConfig(incremental_replan=False, travel_model=road_model)
         )
-        incremental.attach_task_index(index)
-        full.attach_task_index(index)
         now = 0.0
         next_tid = 1000
         for _ in range(20):
@@ -169,18 +157,14 @@ class TestRoadnetPlannerEquivalence:
             assert _outcome_signature(a) == _outcome_signature(b)
             event = rng.random()
             if event < 0.3 and tasks:
-                tid = rng.choice(sorted(tasks))
-                del tasks[tid]
-                index.discard(tid)
+                del tasks[rng.choice(sorted(tasks))]
             elif event < 0.6:
-                task = Task(
+                tasks[next_tid] = Task(
                     next_tid,
                     Point(rng.uniform(0, 7), rng.uniform(0, 7)),
                     now,
                     now + rng.uniform(3, 40),
                 )
-                tasks[next_tid] = task
-                index.insert(next_tid, task.location)
                 next_tid += 1
             elif workers:
                 wid = rng.choice(sorted(workers))
@@ -225,7 +209,7 @@ class TestRoadnetPlatform:
             platform = SCPlatform(
                 workload.instance,
                 strategy,
-                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+                PlatformConfig(replan_interval=0.0),
             )
             metrics = platform.run()
             results.append(

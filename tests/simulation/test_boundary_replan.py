@@ -57,47 +57,31 @@ class TestBoundaryWakeup:
         assert metrics.assigned_tasks == 1
         assert metrics.expired_tasks == 0
 
-    def test_regression_throttle_skips_boundary_when_disabled(self):
-        """The pre-fix behaviour, pinned: with boundary awareness off the
-        throttle sleeps straight through t=50 — no decision point ever
-        falls inside the fast window, so the task goes unserved."""
+    def test_interval_zero_unaffected(self):
+        """Without a throttle the boundary logic must stand down entirely
+        (replan_interval <= 0 guard): no wakeup is ever scheduled.  (With
+        every decision point tied to an arrival at t=0, the post-rush task
+        is unreachable here by construction — rescuing it is exactly what
+        the throttle + boundary wakeup combination buys.)"""
         instance = _rush_hour_instance()
         platform = SCPlatform(
             instance,
             GreedyStrategy(travel=instance.travel),
-            PlatformConfig(replan_interval=100.0, boundary_aware_replan=False),
+            PlatformConfig(replan_interval=0.0),
         )
         metrics = platform.run()
+        assert not platform._wakeups
+        assert platform._last_boundary_wakeup == -float("inf")
         assert metrics.assigned_tasks == 0
-        # The task is still stranded in the open pool at stream end.
-        assert 1 in platform._pending
-
-    def test_interval_zero_unaffected(self):
-        """Without a throttle the boundary logic must stand down entirely
-        (replan_interval <= 0 guard): no wakeups, identical runs either
-        way.  (With every decision point tied to an arrival at t=0, the
-        post-rush task is unreachable here by construction — rescuing it
-        is exactly what the throttle + boundary wakeup combination buys.)"""
-        instance = _rush_hour_instance()
-        states = {}
-        for aware in (True, False):
-            platform = SCPlatform(
-                instance,
-                GreedyStrategy(travel=instance.travel),
-                PlatformConfig(replan_interval=0.0, boundary_aware_replan=aware),
-            )
-            states[aware] = platform.run().deterministic_state()
-            assert not platform._wakeups
-        assert states[True] == states[False]
 
 
 class TestDeferPredicate:
-    def _platform(self, interval, aware=True):
+    def _platform(self, interval):
         instance = _rush_hour_instance()
         return SCPlatform(
             instance,
             GreedyStrategy(travel=instance.travel),
-            PlatformConfig(replan_interval=interval, boundary_aware_replan=aware),
+            PlatformConfig(replan_interval=interval),
         )
 
     def test_boundary_overrides_throttle(self):
@@ -108,14 +92,6 @@ class TestDeferPredicate:
         assert not platform._should_defer_replan(50.0)  # boundary reached
         assert not platform._should_defer_replan(120.0)  # interval elapsed
 
-    def test_disabled_flag_restores_pure_throttle(self):
-        platform = self._platform(100.0, aware=False)
-        platform._reset_run_state(clear_durability=False)
-        platform._last_plan_time = 10.0
-        assert platform._should_defer_replan(50.0)
-        assert platform._should_defer_replan(60.0)
-        assert not platform._should_defer_replan(110.0)
-
 
 class TestStaticModelNoOp:
     @pytest.fixture(scope="class")
@@ -123,14 +99,15 @@ class TestStaticModelNoOp:
         return generate_yueche(scale=0.015, seed=7)
 
     def test_bit_for_bit_on_static_travel(self, workload):
-        """Static models report boundary=inf, so the feature must change
-        nothing: flag on and off give identical deterministic state."""
-        states = {}
-        for aware in (True, False):
-            platform = SCPlatform(
-                workload.instance,
-                DTAStrategy(config=PlannerConfig()),
-                PlatformConfig(replan_interval=5.0, boundary_aware_replan=aware),
-            )
-            states[aware] = platform.run().deterministic_state()
-        assert states[True] == states[False]
+        """Static models report boundary=inf, so a throttled run must
+        never schedule a boundary wake-up or let one bypass the throttle."""
+        platform = SCPlatform(
+            workload.instance,
+            DTAStrategy(config=PlannerConfig()),
+            PlatformConfig(replan_interval=5.0),
+        )
+        platform.run()
+        assert platform._last_boundary_wakeup == -float("inf")
+        platform._last_plan_time = 10.0
+        assert platform._should_defer_replan(12.0)
+        assert not platform._should_defer_replan(15.0)

@@ -42,7 +42,7 @@ class TestRunReentrancy:
         platform = SCPlatform(
             workload.instance,
             strategy,
-            PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+            PlatformConfig(replan_interval=0.0),
         )
         first = _metrics_signature(platform.run())
         second = _metrics_signature(platform.run())
@@ -59,7 +59,7 @@ class TestRunReentrancy:
             return SCPlatform(
                 workload.instance,
                 DTAStrategy(),
-                PlatformConfig(replan_interval=0.0, maintain_task_index=True),
+                PlatformConfig(replan_interval=0.0),
             )
 
         reference = _metrics_signature(build().run())

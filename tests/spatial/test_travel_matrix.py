@@ -139,25 +139,20 @@ class TestTravelModelProtocol:
         ids=["euclidean", "manhattan", "scalar-fallback"],
     )
     def test_precomputed_dest_coords_bit_identical(self, travel):
-        # PR 10: the incremental engine extracts (tx, ty) once per epoch
-        # and threads it through every single-row rebuild; the shortcut
-        # must not perturb a single bit of the matrices.
+        # TravelMatrix hands its extracted (tx, ty) to ``pairwise`` so the
+        # model skips its own destination rebuild; the shortcut must not
+        # perturb a single bit, and a k-row matrix over a worker subset
+        # (the engine's per-epoch k×T build) must hold exactly the full
+        # matrix's rows.
         workers, tasks = _random_instance(31, num_workers=4, num_tasks=12)
         tx = np.array([t.location.x for t in tasks], dtype=np.float64)
         ty = np.array([t.location.y for t in tasks], dtype=np.float64)
 
         plain = TravelMatrix(workers, tasks, travel)
-        shared = TravelMatrix(workers, tasks, travel, task_coords=(tx, ty))
-        assert shared.tx is tx and shared.ty is ty
-        np.testing.assert_array_equal(shared.wt_dist, plain.wt_dist)
-        np.testing.assert_array_equal(shared.wt_time, plain.wt_time)
-
-        single = TravelMatrix.for_single_worker(
-            workers[0], tasks, travel, task_coords=(tx, ty)
-        )
-        assert single.tx is tx
-        np.testing.assert_array_equal(single.wt_dist, plain.wt_dist[:1])
-        np.testing.assert_array_equal(single.wt_time, plain.wt_time[:1])
+        subset = TravelMatrix([workers[2], workers[0]], tasks, travel)
+        np.testing.assert_array_equal(subset.wt_dist, plain.wt_dist[[2, 0]])
+        np.testing.assert_array_equal(subset.wt_time, plain.wt_time[[2, 0]])
+        assert subset.worker_row(workers[0].worker_id) == 1
 
         d_plain, t_plain = travel.pairwise(workers, tasks)
         d_shared, t_shared = travel.pairwise(workers, tasks, dest_coords=(tx, ty))
