@@ -25,8 +25,8 @@ runner:
   (matching-bound) search over the additive bound on contested
   components (the nodes ratio itself gates at an absolute floor, below),
 * road-network planning: the Euclidean/roadnet same-snapshot efficiency
-  ratio, the roadnet incremental-replan speedup, and the multi-source
-  Dijkstra row-cache (cold vs warm) speedup,
+  ratio and the roadnet incremental-replan speedup (the Dijkstra row
+  cache is gated in-test on exact row counts, not here),
 * time-dependent (rush-hour) planning: the incremental-replan speedup on
   boundary-crossing streams over the time-dependent Euclidean wrapper
   and over the per-edge-class road-network backend,
@@ -182,8 +182,7 @@ def _iter_metrics(data):
             "info",
         )
     for scale, entry in roadnet.get("dijkstra_cache", {}).items():
-        yield f"roadnet_planning.dijkstra_cache.{scale}.speedup", entry["speedup"], "ratio"
-        yield f"roadnet_planning.dijkstra_cache.{scale}.warm_ms", entry["warm_ms"], "info"
+        yield f"roadnet_planning.dijkstra_cache.{scale}.unique_rows", entry["unique_rows"], "info"
     timedep = data.get("timedep_planning", {})
     for family in ("incremental_stream", "rushhour_roadnet_stream"):
         for scale, entry in timedep.get(family, {}).items():

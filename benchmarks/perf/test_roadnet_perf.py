@@ -16,8 +16,12 @@ modules survive):
   event, speedup regression-gated.  This is the proof that the PR 2
   engine survives asymmetric non-metric travel.
 * **dijkstra_cache** — the multi-source Dijkstra row cache: the identical
-  many-to-many block computed cold (empty caches) and warm (rows cached);
-  the speedup is gated and floors are asserted in-test.
+  ``pairwise`` block computed cold (empty caches) and warm (rows cached).
+  Gated on what is machine-invariant, exactly and in-test: the cold call
+  computes one row per distinct snapped source (``unique_rows``), the
+  warm call computes none and returns bit-identical matrices.  A
+  cold ÷ warm wall-clock ratio is deliberately not gated: it falls
+  whenever the cold path gets faster.
 """
 
 from __future__ import annotations
@@ -240,7 +244,10 @@ class TestRoadnetIncrementalStream:
 
 
 class TestDijkstraRowCache:
-    def test_many_to_many_cache_speedup(self, perf_results):
+    #: Distinct snapped source nodes of the 120 seeded points below.
+    UNIQUE_ROWS = 110
+
+    def test_pairwise_block_served_from_row_cache(self, perf_results):
         from repro.roadnet import RoadNetworkTravelModel, grid_network
         from repro.spatial.geometry import Point
 
@@ -251,42 +258,20 @@ class TestDijkstraRowCache:
             Point(rng.uniform(0, 23), rng.uniform(0, 23)) for _ in range(120)
         ]
 
-        model.clear_caches()
-        start = time.perf_counter()
         cold_dist, cold_time = model.pairwise(points, points)
-        cold = time.perf_counter() - start
         misses = model.row_cache_misses
-
-        start = time.perf_counter()
         warm_dist, warm_time = model.pairwise(points, points)
-        warm = time.perf_counter() - start
 
+        assert misses == self.UNIQUE_ROWS
+        assert model.row_cache_misses == misses  # fully served from cache
         # Cache hits must be bit-identical to cold computation.
         assert np.array_equal(cold_dist, warm_dist)
         assert np.array_equal(cold_time, warm_time)
-        assert model.row_cache_misses == misses  # fully served from cache
 
-        speedup = cold / max(warm, 1e-9)
-        entry = {
-            "nodes": network.num_nodes,
-            "points": len(points),
-            "cold_ms": round(cold * 1000.0, 3),
-            "warm_ms": round(warm * 1000.0, 3),
-            "unique_rows": misses,
-            "speedup": round(speedup, 2),
+        perf_results.setdefault("roadnet_planning", {})["dijkstra_cache"] = {
+            "grid24": {
+                "nodes": network.num_nodes,
+                "points": len(points),
+                "unique_rows": misses,
+            }
         }
-        perf_results.setdefault("roadnet_planning", {})["dijkstra_cache"] = {"grid24": entry}
-        print_figure(
-            "Multi-source Dijkstra row cache — cold vs warm many-to-many block",
-            [
-                {
-                    "graph": f"24x24 grid ({network.num_nodes} nodes)",
-                    "block": f"{len(points)}x{len(points)}",
-                    "cold_ms": entry["cold_ms"],
-                    "warm_ms": entry["warm_ms"],
-                    "speedup": f"{speedup:.1f}x",
-                }
-            ],
-            ["graph", "block", "cold_ms", "warm_ms", "speedup"],
-        )
-        assert speedup >= 2.0

@@ -249,15 +249,20 @@ class TaskPlanner:
         return self._executor
 
     def close(self) -> None:
-        """Release the executor's backend resources.
+        """Release the executor's backend resources and the incremental cache.
 
         Shared process pools survive a ``close()`` by design (they are warm
         infrastructure reused across planner instances); this only detaches
-        this planner from the backend.  Safe to call repeatedly.
+        this planner from the backend.  The engine's per-worker and
+        per-component cache is dropped so that whoever still holds a closed
+        planner does not keep its last run's state alive; a later
+        ``plan()`` starts cold, as after :meth:`reset_cache`.  Safe to call
+        repeatedly.
         """
         if self._executor is not None:
             self._executor.close()
             self._executor = None
+        self._engine.invalidate()
 
     # ------------------------------------------------------------------ #
     def plan(

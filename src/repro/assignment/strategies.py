@@ -108,7 +108,9 @@ class AssignmentStrategy(ABC):
 
         Called by the platform when a run finishes.  The default is a
         no-op; planner-backed strategies detach their search executor
-        (shared worker pools stay warm for the next run by design).
+        (shared worker pools stay warm for the next run by design) and
+        drop the planner's incremental cache, so a strategy kept after the
+        run does not keep the run's per-worker state alive.
         """
 
 

@@ -3,8 +3,8 @@
 The paper treats the road network abstractly (travel time = distance /
 speed).  This subsystem makes it concrete: a lightweight directed road
 graph in CSR form (:class:`RoadNetwork`, with synthetic grid/radial
-generators and an edge-list file loader), NumPy-backed many-to-many
-shortest-path rows (:mod:`repro.roadnet.dijkstra`), and
+generators and an edge-list file loader), single-source shortest-path
+rows (:mod:`repro.roadnet.dijkstra`), and
 :class:`RoadNetworkTravelModel` — a drop-in
 :class:`~repro.spatial.travel.TravelModel` backend that snaps workers and
 tasks to their nearest network node and serves asymmetric, non-metric
@@ -13,7 +13,7 @@ uses.  :mod:`repro.roadnet.scenario` builds complete road-network
 workloads for the simulation platform.
 """
 
-from repro.roadnet.dijkstra import dijkstra_row, many_to_many
+from repro.roadnet.dijkstra import dijkstra_row
 from repro.roadnet.graph import (
     RoadNetwork,
     classify_edges_by_speed,
@@ -38,7 +38,6 @@ __all__ = [
     "save_edge_list",
     "classify_edges_by_speed",
     "dijkstra_row",
-    "many_to_many",
     "RoadNetworkTravelModel",
     "roadnet_city",
     "roadnet_workload",

@@ -57,6 +57,10 @@ class RoadNetwork:
         ``indices[indptr[u]:indptr[u+1]]``.
     edge_length, edge_time:
         Per-edge travel distance and travel time, aligned with ``indices``.
+
+    The arrays are read-only by convention once anything has been derived
+    from them (``min_dilation``, :meth:`csr_lists`, a travel model's
+    cached rows): none of those is recomputed after an in-place edit.
     """
 
     node_x: np.ndarray
@@ -67,6 +71,9 @@ class RoadNetwork:
     edge_time: np.ndarray
     name: str = "roadnet"
     _min_dilation: Optional[float] = field(default=None, repr=False, compare=False)
+    _csr_lists: Optional[Tuple[List[int], List[int], List[float]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     @property
@@ -88,6 +95,27 @@ class RoadNetwork:
             self.edge_length[start:end],
             self.edge_time[start:end],
         )
+
+    def csr_lists(self) -> Tuple[List[int], List[int], List[float]]:
+        """``(indptr, indices, edge_length)`` as plain Python lists.
+
+        What the Dijkstra kernel iterates: unboxed once per network on the
+        first row computed over it — never at construction — and kept.
+        Derived state like ``min_dilation`` (not compared or repr'd), and
+        additionally left out of pickles and copies.
+        """
+        if self._csr_lists is None:
+            self._csr_lists = (
+                self.indptr.tolist(),
+                self.indices.tolist(),
+                self.edge_length.tolist(),
+            )
+        return self._csr_lists
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_csr_lists"] = None
+        return state
 
     @property
     def min_dilation(self) -> float:

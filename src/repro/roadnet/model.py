@@ -29,7 +29,12 @@ Caching makes the model fast enough for per-event replanning:
 * a **row cache** (LRU over Dijkstra rows, the "landmarks" of the
   current epoch) — each replan touches a bounded set of snapped source
   nodes, and consecutive epochs touch almost the same set, so the
-  many-to-many matrices of a steady replay are pure gathers.
+  many-to-many matrices of a steady replay are pure gathers.  A miss is
+  one :func:`~repro.roadnet.dijkstra.dijkstra_row` over plain-list views
+  of the graph (:meth:`RoadNetwork.csr_lists`) and of the active
+  window's edge times (one list per window signature, kept beside the
+  scaled arrays); both are built by the first cold row that needs them,
+  so constructing a model or latching an epoch stays cheap.
 
 Every cached value is a pure function of the network (and, with
 time-dependent profiles, of the active speed-profile *window*), so cache
@@ -53,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +152,10 @@ class RoadNetworkTravelModel(TravelModel):
         self._window_sig: Tuple[float, ...] = ()
         self._edge_time: np.ndarray = network.edge_time
         self._edge_time_by_sig: Dict[Tuple[float, ...], np.ndarray] = {}
+        #: The same edge times per signature as plain lists — what the
+        #: Dijkstra kernel iterates.  Filled by the first cold row of a
+        #: window, not here and not by ``begin_epoch``.
+        self._edge_time_lists: Dict[Tuple[float, ...], List[float]] = {}
         cell = float(np.mean(network.edge_length)) if network.num_edges else 1.0
         self._nodes_index: SpatialIndex = SpatialIndex(cell_size=max(cell, 1e-9))
         for node in range(network.num_nodes):
@@ -186,6 +195,11 @@ class RoadNetworkTravelModel(TravelModel):
         #: the expensive part — one pass serves both.  Scoped to the
         #: active profile window (reset on window changes).
         self._last_blocks = None
+        #: One-entry ``(now, boundary)`` memo of ``next_profile_boundary``:
+        #: reachability and sequence enumeration each ask once per
+        #: refreshed worker, all with the epoch's ``now``.  A pure function
+        #: of ``now`` over immutable profiles, so it never goes stale.
+        self._last_boundary: Optional[Tuple[float, float]] = None
         if self.edge_profiles is not None:
             self.begin_epoch(0.0)
 
@@ -230,7 +244,12 @@ class RoadNetworkTravelModel(TravelModel):
     def next_profile_boundary(self, now: float) -> float:
         if self.edge_profiles is None:
             return float("inf")
-        return min(profile.next_boundary(now) for profile in self.edge_profiles)
+        memo = self._last_boundary
+        if memo is not None and memo[0] == now:
+            return memo[1]
+        boundary = min(profile.next_boundary(now) for profile in self.edge_profiles)
+        self._last_boundary = (now, boundary)
+        return boundary
 
     # ------------------------------------------------------------------ #
     # Snapping
@@ -297,12 +316,16 @@ class RoadNetworkTravelModel(TravelModel):
             self.row_cache_hits += 1
             return hit
         self.row_cache_misses += 1
+        edge_time = self._edge_time_lists.get(self._window_sig)
+        if edge_time is None:
+            edge_time = self._edge_time.tolist()
+            self._edge_time_lists[self._window_sig] = edge_time
         tracer = self._tracer
         if tracer is not None:
             with tracer.span("roadnet.dijkstra_row", node=node):
-                row = dijkstra_row(self.network, node, edge_time=self._edge_time)
+                row = dijkstra_row(self.network, node, edge_time=edge_time)
         else:
-            row = dijkstra_row(self.network, node, edge_time=self._edge_time)
+            row = dijkstra_row(self.network, node, edge_time=edge_time)
         cache[key] = row
         if len(cache) > self._row_cache_size:
             cache.popitem(last=False)
@@ -327,6 +350,7 @@ class RoadNetworkTravelModel(TravelModel):
         self._row_cache.clear()
         self._snap_cache.clear()
         self._last_blocks = None
+        self._last_boundary = None
         self.row_cache_hits = 0
         self.row_cache_misses = 0
         self.snap_cache_hits = 0

@@ -191,10 +191,13 @@ class SCPlatform:
         return self._run_loop()
 
     def close(self) -> None:
-        """Release strategy-held resources (the planner's search executor).
+        """Release strategy-held resources (the planner's search executor
+        and its incremental plan cache).
 
         Idempotent; shared process pools stay warm across platforms by
         design, so closing one platform never stalls another mid-run.
+        ``run()`` / ``resume()`` reset the strategy on entry, so a closed
+        platform can be run again and replays identically.
         """
         close = getattr(self.strategy, "close", None)
         if close is not None:

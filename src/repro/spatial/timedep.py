@@ -31,7 +31,7 @@ model — same floats, same horizons, same assignments.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,10 @@ class TimeDependentTravelModel(TravelModel):
         self._bound_factor = 1.0 / min(1.0, profile.min_multiplier)
         self._epoch_now: float = now
         self._multiplier: float = profile.multiplier_at(now)
+        #: One-entry ``(now, boundary)`` memo of ``next_profile_boundary``
+        #: (asked once or twice per refreshed worker with the epoch's
+        #: ``now``; a pure function of ``now``).
+        self._last_boundary: Optional[Tuple[float, float]] = None
         base.begin_epoch(now)
 
     # ------------------------------------------------------------------ #
@@ -84,9 +88,14 @@ class TimeDependentTravelModel(TravelModel):
 
     def next_profile_boundary(self, now: float) -> float:
         """Travel costs change at the profile's (or the base's) next boundary."""
-        return min(
+        memo = self._last_boundary
+        if memo is not None and memo[0] == now:
+            return memo[1]
+        boundary = min(
             self.profile.next_boundary(now), self.base.next_profile_boundary(now)
         )
+        self._last_boundary = (now, boundary)
+        return boundary
 
     def leg_pricer(self, now: float) -> Optional[LegPricer]:
         """Per-leg departure-window pricer (PR 10).

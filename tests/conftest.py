@@ -13,10 +13,11 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 # The shared travel-model conformance suite (tests/spatial/conformance.py)
-# and the oracles (tests/assignment/reference_{pipeline,partition,tvf}.py)
-# are imported by suites in several test directories; make them resolvable
-# regardless of which file pytest collects first.
-for _shared in ("spatial", "assignment"):
+# and the oracles (tests/assignment/reference_{pipeline,partition,tvf}.py,
+# tests/roadnet/reference_dijkstra.py) are imported by suites in several
+# test directories; make them resolvable regardless of which file pytest
+# collects first.
+for _shared in ("spatial", "assignment", "roadnet"):
     _shared_dir = Path(__file__).resolve().parent / _shared
     if str(_shared_dir) not in sys.path:
         sys.path.insert(0, str(_shared_dir))

@@ -12,7 +12,6 @@ from repro.roadnet import (
     dijkstra_row,
     grid_network,
     load_edge_list,
-    many_to_many,
     radial_network,
     save_edge_list,
 )
@@ -147,12 +146,6 @@ class TestDijkstra:
         assert times[2] == pytest.approx(2.0)
         assert lengths[2] == pytest.approx(4.0)
 
-    def test_many_to_many_shapes_and_duplicates(self):
-        net = grid_network(4, 4, seed=1)
-        times, lengths = many_to_many(net, [0, 3, 0], [1, 2])
-        assert times.shape == lengths.shape == (3, 2)
-        assert np.array_equal(times[0], times[2])
-
     def test_invalid_source(self):
         net = grid_network(2, 2)
         with pytest.raises(ValueError):
@@ -232,6 +225,15 @@ class TestRoadNetworkTravelModel:
         model.distance(a, b)
         assert model.row_cache_misses == misses
         assert model.row_cache_hits >= 2
+
+    def test_pairwise_duplicate_sources_share_one_row(self):
+        model = RoadNetworkTravelModel(grid_network(4, 4, seed=1))
+        origins = [Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 0.0)]
+        dist, time = model.pairwise(origins, [Point(1.0, 0.0), Point(2.0, 0.0)])
+        assert dist.shape == time.shape == (3, 2)
+        assert np.array_equal(time[0], time[2])
+        assert np.array_equal(dist[0], dist[2])
+        assert model.row_cache_misses == 2  # nodes 0 and 3, the repeat is a hit
 
     def test_unreachable_pairs_are_infinite(self):
         nodes = [(0.0, 0.0), (10.0, 0.0)]
@@ -347,6 +349,11 @@ class TestRushHourRoadnet:
         model = RoadNetworkTravelModel(net, edge_profiles=profiles)
         assert model.next_profile_boundary(0.0) == 10.0
         assert model.next_profile_boundary(10.0) == 30.0
+        # The one-entry memo is keyed on `now`: repeats and interleavings
+        # answer as the first query did.
+        assert model.next_profile_boundary(10.0) == 30.0
+        assert model.next_profile_boundary(0.0) == 10.0
+        assert model._last_boundary == (0.0, 10.0)
         static = RoadNetworkTravelModel(net)
         assert static.next_profile_boundary(0.0) == float("inf")
 

@@ -139,6 +139,20 @@ class TestPlatform:
         assert metrics.assigned_tasks == 0
         assert platform._workers == {}
 
+    def test_close_releases_the_incremental_cache(self, tiny_workload):
+        instance = tiny_workload.instance
+        strategy = DTAStrategy(travel=instance.travel)
+        platform = SCPlatform(instance, strategy)
+        first = platform.run().deterministic_state()
+        engine = strategy.planner._engine
+        assert engine._worker_entries and engine._task_refs
+        platform.close()
+        assert not engine._worker_entries and not engine._components
+        assert not engine._task_refs and not engine._task_owners
+        assert engine._adjacency is None
+        # A closed platform runs again, from a cold cache, to the same result.
+        assert platform.run().deterministic_state() == first
+
     def test_predicted_tasks_guide_but_do_not_count(self):
         travel = EuclideanTravelModel(speed=1.0)
         worker = Worker(1, Point(0, 0), 5.0, 0.0, 100.0)

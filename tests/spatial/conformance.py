@@ -252,6 +252,10 @@ def check_epoch_clock_contract(
             assert [
                 (model.distance(a, b), model.time(a, b)) for a, b in pairs
             ] == latched, f"costs moved inside window [{now}, {boundary})"
+            # The boundary is a function of the queried time alone, not of
+            # the latch or of what was asked last (backends memoise it).
+            assert model.next_profile_boundary(probe) == boundary
+            assert model.next_profile_boundary(now) == boundary
         model.begin_epoch(now)
         assert [(model.distance(a, b), model.time(a, b)) for a, b in pairs] == latched
 
