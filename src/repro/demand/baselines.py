@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import nn
 from repro.demand.appnp import APPNP
-from repro.nn.tensor import Tensor, stack
+from repro.nn.tensor import Tensor, no_grad, stack
 
 
 class LSTMDemandModel(nn.Module):
@@ -44,8 +44,6 @@ class LSTMDemandModel(nn.Module):
         return self.head(last_hidden).sigmoid()
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        from repro.nn.tensor import no_grad
-
         with no_grad():
             return self.forward(Tensor(windows)).data
 
@@ -113,7 +111,5 @@ class GraphWaveNetDemandModel(nn.Module):
         return self.head(propagated + last_step).sigmoid()
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        from repro.nn.tensor import no_grad
-
         with no_grad():
             return self.forward(Tensor(windows)).data

@@ -25,7 +25,7 @@ import numpy as np
 from repro import nn
 from repro.demand.appnp import APPNP
 from repro.demand.dependency import DemandDependencyLearner, normalized_adjacency
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad, stack
 
 
 class DDGNN(nn.Module):
@@ -99,6 +99,7 @@ class DDGNN(nn.Module):
         self.static_adjacency = (
             None if static_adjacency is None else np.asarray(static_adjacency, dtype=np.float64)
         )
+        self._self_loops = Tensor(np.eye(num_cells))
 
     # ------------------------------------------------------------------ #
     def adjacency(self, last_window: Tensor) -> Tensor:
@@ -106,12 +107,10 @@ class DDGNN(nn.Module):
         if self.static_adjacency is not None:
             return Tensor(normalized_adjacency(self.static_adjacency))
         learned = self.dependency(last_window)
-        # Symmetric normalisation with self loops (the \hat{A} of Eq. 8).
-        # Done on tensor data to keep gradients flowing through `learned`
-        # is unnecessary for stability; the paper normalises the softmax
-        # output, so we renormalise with self loops added as constants.
-        eye = Tensor(np.eye(self.num_cells))
-        with_loops = learned + eye
+        # The \hat{A} of Eq. 8: self loops are added as constants and every
+        # row is renormalised to sum to one; both steps are tensor ops, so
+        # the gradient flows through `learned`.
+        with_loops = learned + self._self_loops
         degrees = with_loops.sum(axis=1, keepdims=True)
         return with_loops / degrees
 
@@ -130,10 +129,7 @@ class DDGNN(nn.Module):
         """
         windows = windows if isinstance(windows, Tensor) else Tensor(windows)
         if windows.ndim == 4:
-            outputs = [self.forward(windows[i]) for i in range(windows.shape[0])]
-            from repro.nn.tensor import stack
-
-            return stack(outputs, axis=0)
+            return stack([self.forward(windows[i]) for i in range(windows.shape[0])], axis=0)
         if windows.ndim != 3:
             raise ValueError("expected input of shape (history, M, k)")
         if windows.shape[1] != self.num_cells or windows.shape[2] != self.k:
@@ -162,8 +158,6 @@ class DDGNN(nn.Module):
     # ------------------------------------------------------------------ #
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Inference helper returning a plain NumPy array of probabilities."""
-        from repro.nn.tensor import no_grad
-
         with no_grad():
             out = self.forward(Tensor(windows))
         return out.data

@@ -127,15 +127,7 @@ class CausalConv1d(Conv1d):
     def forward(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         left = (self.kernel_size - 1) * self.dilation
-        padded = self._pad(x, left, 0)
-        # Re-use the parent implementation without extra padding.
-        original_padding = self.padding
-        self.padding = 0
-        try:
-            out = Conv1d.forward(self, padded)
-        finally:
-            self.padding = original_padding
-        return out
+        return super().forward(self._pad(x, left, 0))
 
 
 class GatedTCNBlock(Module):

@@ -7,6 +7,17 @@ covers exactly the operations required by the models in this repository
 (element-wise arithmetic, matrix multiplication, reductions, reshaping,
 slicing, concatenation, and the usual nonlinearities) while keeping the
 semantics of broadcasting identical to NumPy's.
+
+Tape contract.  A non-leaf tensor references its parents and a backward
+function that receives the tensor's gradient as an argument; nothing points
+from a parent to its result, so the graph holds no reference cycle and
+reference counting alone frees it -- a forward that is simply dropped, or a
+graph that has been differentiated, needs no garbage-collector pass.
+:meth:`Tensor.backward` *consumes* the graph: each node is released (backward
+function, parent links, intermediate ``grad``) right after its gradient has
+been handed on.  Leaf gradients (``Parameter.grad``) persist and accumulate
+across graphs until ``zero_grad``.  There is no double backward: a second
+``backward()`` through a released graph raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -57,10 +68,25 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is NumPy basic indexing, which selects no position twice."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None or item is Ellipsis or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items
+    )
+
+
+def _released(grad: np.ndarray) -> None:
+    """``_backward`` of a node whose graph a ``backward()`` already consumed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() released")
+
+
 class Tensor:
     """A NumPy-backed tensor with reverse-mode autodiff support."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op", "__weakref__")
 
     def __init__(
         self,
@@ -74,7 +100,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[], None]] = None
+        self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: tuple = tuple(_parents) if self.requires_grad or _parents else ()
         self._op = _op
 
@@ -124,15 +150,16 @@ class Tensor:
         requires = any(p.requires_grad for p in parents) and _GRAD_ENABLED
         out = Tensor(data, requires_grad=requires, _parents=parents if requires else (), _op=op)
         if requires:
-            out._backward = backward(out)
+            out._backward = backward
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        if grad.shape != self.data.shape:
+            grad = _unbroadcast(grad, self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
         else:
-            self.grad = self.grad + grad
+            self.grad += grad  # in place: the buffer is the copy made above
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -141,13 +168,11 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data + other.data
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad)
-                if other.requires_grad:
-                    other._accumulate(out.grad)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad)
+            if other.requires_grad:
+                other._accumulate(grad)
 
         return self._make(data, (self, other), "add", backward)
 
@@ -156,11 +181,9 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         data = -self.data
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(-out.grad)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(-grad)
 
         return self._make(data, (self,), "neg", backward)
 
@@ -175,13 +198,11 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other.data
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * other.data)
-                if other.requires_grad:
-                    other._accumulate(out.grad * self.data)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * other.data)
+            if other.requires_grad:
+                other._accumulate(grad * self.data)
 
         return self._make(data, (self, other), "mul", backward)
 
@@ -191,13 +212,11 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data / other.data
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad / other.data)
-                if other.requires_grad:
-                    other._accumulate(-out.grad * self.data / (other.data ** 2))
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad / other.data)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data / (other.data ** 2))
 
         return self._make(data, (self, other), "div", backward)
 
@@ -207,11 +226,9 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         data = self.data ** exponent
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
         return self._make(data, (self,), "pow", backward)
 
@@ -219,25 +236,20 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data @ other.data
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    if other.data.ndim == 1:
-                        grad = np.outer(out.grad, other.data) if out.grad.ndim == 1 else out.grad[..., None] * other.data
-                        if self.data.ndim == 1:
-                            grad = out.grad @ other.data.T if other.data.ndim > 1 else out.grad * other.data
-                        self._accumulate(np.asarray(grad).reshape(self.data.shape))
-                    else:
-                        grad = out.grad @ np.swapaxes(other.data, -1, -2)
-                        self._accumulate(_unbroadcast(grad, self.data.shape))
-                if other.requires_grad:
+        def backward(grad):
+            if self.requires_grad:
+                if other.data.ndim == 1:
+                    mine = np.outer(grad, other.data) if grad.ndim == 1 else grad[..., None] * other.data
                     if self.data.ndim == 1:
-                        grad = np.outer(self.data, out.grad)
-                        other._accumulate(_unbroadcast(grad, other.data.shape))
-                    else:
-                        grad = np.swapaxes(self.data, -1, -2) @ out.grad
-                        other._accumulate(_unbroadcast(grad, other.data.shape))
-            return fn
+                        mine = grad * other.data
+                    self._accumulate(np.asarray(mine).reshape(self.data.shape))
+                else:
+                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                if self.data.ndim == 1:
+                    other._accumulate(np.outer(self.data, grad))
+                else:
+                    other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
 
         return self._make(data, (self, other), "matmul", backward)
 
@@ -247,15 +259,12 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
-        def backward(out):
-            def fn():
-                if not self.requires_grad:
-                    return
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis=axis)
-                self._accumulate(np.broadcast_to(grad, self.data.shape))
-            return fn
+        def backward(grad):
+            if not self.requires_grad:
+                return
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis=axis)
+            self._accumulate(np.broadcast_to(grad, self.data.shape))
 
         return self._make(data, (self,), "sum", backward)
 
@@ -267,33 +276,27 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.data.shape[a] for a in axes]))
 
-        def backward(out):
-            def fn():
-                if not self.requires_grad:
-                    return
-                grad = out.grad
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis=axis)
-                self._accumulate(np.broadcast_to(grad, self.data.shape) / count)
-            return fn
+        def backward(grad):
+            if not self.requires_grad:
+                return
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis=axis)
+            self._accumulate(np.broadcast_to(grad, self.data.shape) / count)
 
         return self._make(data, (self,), "mean", backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)
 
-        def backward(out):
-            def fn():
-                if not self.requires_grad:
-                    return
-                grad = out.grad
-                full = self.data.max(axis=axis, keepdims=True)
-                mask = (self.data == full).astype(np.float64)
-                mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-                if axis is not None and not keepdims:
-                    grad = np.expand_dims(grad, axis=axis)
-                self._accumulate(np.broadcast_to(grad, self.data.shape) * mask)
-            return fn
+        def backward(grad):
+            if not self.requires_grad:
+                return
+            full = self.data.max(axis=axis, keepdims=True)
+            mask = (self.data == full).astype(np.float64)
+            mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
+            if axis is not None and not keepdims:
+                grad = np.expand_dims(grad, axis=axis)
+            self._accumulate(np.broadcast_to(grad, self.data.shape) * mask)
 
         return self._make(data, (self,), "max", backward)
 
@@ -305,11 +308,9 @@ class Tensor:
             shape = tuple(shape[0])
         data = self.data.reshape(shape)
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad.reshape(self.data.shape))
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad.reshape(self.data.shape))
 
         return self._make(data, (self,), "reshape", backward)
 
@@ -321,25 +322,24 @@ class Tensor:
         data = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad.transpose(inverse))
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad.transpose(inverse))
 
         return self._make(data, (self,), "transpose", backward)
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
 
-        def backward(out):
-            def fn():
-                if not self.requires_grad:
-                    return
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, index, out.grad)
-                self._accumulate(grad)
-            return fn
+        def backward(grad):
+            if not self.requires_grad:
+                return
+            scattered = np.zeros_like(self.data)
+            if _is_basic_index(index):
+                scattered[index] += grad  # no position repeats: plain add
+            else:
+                np.add.at(scattered, index, grad)
+            self._accumulate(scattered)
 
         return self._make(data, (self,), "getitem", backward)
 
@@ -349,44 +349,36 @@ class Tensor:
     def exp(self) -> "Tensor":
         data = np.exp(self.data)
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * data)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * data)
 
         return self._make(data, (self,), "exp", backward)
 
     def log(self) -> "Tensor":
         data = np.log(self.data)
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad / self.data)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad / self.data)
 
         return self._make(data, (self,), "log", backward)
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * (1.0 - data ** 2))
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * (1.0 - data ** 2))
 
         return self._make(data, (self,), "tanh", backward)
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * data * (1.0 - data))
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * data * (1.0 - data))
 
         return self._make(data, (self,), "sigmoid", backward)
 
@@ -394,11 +386,9 @@ class Tensor:
         mask = (self.data > 0).astype(np.float64)
         data = self.data * mask
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * mask)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * mask)
 
         return self._make(data, (self,), "relu", backward)
 
@@ -407,13 +397,11 @@ class Tensor:
         exps = np.exp(shifted)
         data = exps / exps.sum(axis=axis, keepdims=True)
 
-        def backward(out):
-            def fn():
-                if not self.requires_grad:
-                    return
-                dot = (out.grad * data).sum(axis=axis, keepdims=True)
-                self._accumulate(data * (out.grad - dot))
-            return fn
+        def backward(grad):
+            if not self.requires_grad:
+                return
+            dot = (grad * data).sum(axis=axis, keepdims=True)
+            self._accumulate(data * (grad - dot))
 
         return self._make(data, (self,), "softmax", backward)
 
@@ -421,11 +409,9 @@ class Tensor:
         data = np.clip(self.data, low, high)
         mask = ((self.data >= low) & (self.data <= high)).astype(np.float64)
 
-        def backward(out):
-            def fn():
-                if self.requires_grad:
-                    self._accumulate(out.grad * mask)
-            return fn
+        def backward(grad):
+            if self.requires_grad:
+                self._accumulate(grad * mask)
 
         return self._make(data, (self,), "clip", backward)
 
@@ -447,7 +433,8 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
-        self.grad = np.asarray(grad, dtype=np.float64).reshape(self.data.shape)
+        # A copy: later accumulation into a leaf root adds in place.
+        self.grad = np.array(grad, dtype=np.float64).reshape(self.data.shape)
 
         # Topological sort of the computation graph.
         order: list[Tensor] = []
@@ -466,9 +453,15 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+        # Walk from the root, releasing each node as soon as its gradient has
+        # been handed on, so the tape shrinks while gradients flow.
+        while order:
+            node = order.pop()
+            if node._backward is None:  # leaf: its grad is the result
+                continue
+            if node.grad is not None:
+                node._backward(node.grad)
+            node._backward, node._parents, node.grad = _released, (), None
 
 
 def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
@@ -485,13 +478,13 @@ def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     if requires:
         sizes = [t.data.shape[axis] for t in tensors]
 
-        def fn():
+        def fn(grad):
             start = 0
             for t, size in zip(tensors, sizes):
                 if t.requires_grad:
                     index = [slice(None)] * data.ndim
                     index[axis] = slice(start, start + size)
-                    t._accumulate(out.grad[tuple(index)])
+                    t._accumulate(grad[tuple(index)])
                 start += size
 
         out._backward = fn
@@ -505,10 +498,10 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     requires = any(t.requires_grad for t in tensors) and _GRAD_ENABLED
     out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else (), _op="stack")
     if requires:
-        def fn():
+        def fn(grad):
             for i, t in enumerate(tensors):
                 if t.requires_grad:
-                    t._accumulate(np.take(out.grad, i, axis=axis))
+                    t._accumulate(np.take(grad, i, axis=axis))
 
         out._backward = fn
     return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -28,6 +29,20 @@ from repro.core.worker import Worker                  # noqa: E402
 from repro.spatial.geometry import BoundingBox, Point  # noqa: E402
 from repro.spatial.grid import GridSpec               # noqa: E402
 from repro.spatial.travel import EuclideanTravelModel  # noqa: E402
+
+
+@pytest.fixture
+def no_gc():
+    """Run the test with the cyclic garbage collector off (restored after),
+    so only reference counting can free what the test drops."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @pytest.fixture
