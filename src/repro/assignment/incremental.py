@@ -42,6 +42,17 @@ afterwards.  Reuse rests on three structural facts:
   TVF-guided search additionally reads global snapshot statistics, so
   guided components are reused only while the active task set is unchanged.
 
+Dependency components are maintained, not rebuilt.  Workers depend on each
+other iff their *capped* reachable sets share a task, so the engine keeps a
+task → holders map over those sets (not the uncapped ``_task_owners``) and
+a worker → component map, and each epoch re-derives (BFS over the holders)
+only the components of workers whose capped set changed, or who joined or
+left, absorbing whatever they now link to: the list equals
+``connected_components(build_adjacency(...))`` over the snapshot.  A kept
+component keeps its cache *hit* until a member's ``version`` is bumped at
+refresh, so an untouched one costs a lookup; one that re-forms or lost its
+hit falls back to the cache keyed by member set and member versions.
+
 Equivalence contract: for any sequence of ``plan()`` calls with
 non-decreasing ``now``, a warm engine returns bit-for-bit the outcome an
 empty-cache engine produces for each call in isolation — same selections
@@ -62,11 +73,7 @@ import numpy as np
 
 from repro.assignment.dfsearch import adaptive_node_budget
 from repro.assignment.executor import ComponentJob
-from repro.assignment.fast_partition import (
-    build_adjacency,
-    build_component_subtree,
-    connected_components,
-)
+from repro.assignment.fast_partition import build_adjacency, build_component_subtree
 from repro.assignment.reachability import (
     reachable_tasks_with_horizon,
     vector_kernel_pays,
@@ -310,6 +317,19 @@ class _ComponentEntry:
     last_used: int
 
 
+class _Component:
+    """One dependency component, kept across epochs while it is untouched."""
+
+    __slots__ = ("members", "hit")
+
+    def __init__(self, members: List[int]) -> None:
+        #: Sorted worker ids.
+        self.members = members
+        #: The cached result this component last replayed or produced;
+        #: dropped when a member's version is bumped.
+        self.hit: Optional[_ComponentEntry] = None
+
+
 class _RefreshInputs(NamedTuple):
     """What every worker refresh of one plan call shares."""
 
@@ -347,14 +367,12 @@ class IncrementalPlanEngine:
         #: set contains it (drives removal invalidation).
         self._task_owners: Dict[int, Set[int]] = {}
         self._components: Dict[FrozenSet[int], _ComponentEntry] = {}
-        #: Cached dependency structure of the previous epoch: when no
-        #: worker's version changed and the worker stream is identical,
-        #: the adjacency (a pure function of the reachable id-sets) and
-        #: its component decomposition are reused verbatim instead of
-        #: being rebuilt per epoch.
-        self._adjacency: Optional[Dict[int, Set[int]]] = None
-        self._adjacency_components: Optional[List[List[int]]] = None
-        self._adjacency_key: Optional[Tuple[int, ...]] = None
+        #: Maintained components (module docstring): the capped reachable
+        #: ids each snapshot worker is registered with, and their inverse.
+        self._registered: Dict[int, Tuple[int, ...]] = {}
+        self._holders: Dict[int, Set[int]] = {}
+        self._component_of: Dict[int, _Component] = {}
+        self._component_list: List[_Component] = []
         self._last_present: Set[int] = set()
         self._forced_workers: Set[int] = set()
         self._forced_tasks: Set[int] = set()
@@ -533,11 +551,12 @@ class IncrementalPlanEngine:
             diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
 
         # ---- per-worker refresh ------------------------------------------ #
-        reachable_by_worker: Dict[int, List[Task]] = {}
         sequences_by_worker: Dict[int, List[TaskSequence]] = {}
         reused_workers = 0
         recomputed_workers = 0
-        reach_sets_changed = False
+        registered = self._registered
+        # Workers whose capped reachable set is not the registered one.
+        touched: List[int] = []
         with obs.span("refresh") as refresh_span:
             # Workers due a reachability refresh, in snapshot order, mapped
             # to whether their own fingerprint changed (or they are new).
@@ -561,7 +580,6 @@ class IncrementalPlanEngine:
             for worker in workers:
                 wid = worker.worker_id
                 entry = self._worker_entries.get(wid)
-                old_reachable_ids = entry.reachable_ids if entry is not None else None
                 moved = stale.get(wid)
                 if moved is not None:
                     entry = self._refresh_worker(worker, entry, inputs, force_bump=moved)
@@ -571,10 +589,11 @@ class IncrementalPlanEngine:
                     recomputed_workers += 1
                 else:
                     reused_workers += 1
-                if entry.reachable_ids != old_reachable_ids:
-                    reach_sets_changed = True
+                reach = entry.reachable_ids
+                derived_from = registered.get(wid)
+                if derived_from is not reach and derived_from != reach:
+                    touched.append(wid)
                 entry.last_seen = self._epoch
-                reachable_by_worker[wid] = entry.reachable
                 sequences_by_worker[wid] = entry.sequences
             refresh_span.set(
                 reused=reused_workers,
@@ -587,27 +606,9 @@ class IncrementalPlanEngine:
             obs.count("incremental.recomputed_workers", recomputed_workers)
 
         # ---- components: reuse untouched, search the rest ---------------- #
-        # The adjacency is a pure function of the per-worker reachable
-        # id-sets — so when no reachable set changed (sequence-only
-        # refreshes included: they cannot move a dependency edge) and the
-        # worker stream is the same (same ids, same order, nobody joined
-        # or left), last epoch's adjacency and component decomposition are
-        # reused verbatim.
-        worker_stream_key = tuple(worker.worker_id for worker in workers)
         with obs.span("decompose") as decompose_span:
-            if (
-                not reach_sets_changed
-                and self._adjacency is not None
-                and self._adjacency_key == worker_stream_key
-            ):
-                adjacency = self._adjacency
-                components = self._adjacency_components
-            else:
-                adjacency = build_adjacency(reachable_by_worker)
-                components = connected_components(adjacency)
-                self._adjacency = adjacency
-                self._adjacency_components = components
-                self._adjacency_key = worker_stream_key
+            rebuilt = self._update_components(touched, workers_by_id)
+            components = self._component_list
             # ---- decompose: replay cache hits, extract jobs for the rest - #
             # Slots keep the component order; a slot is either the cached
             # entry to replay or the index of a ComponentJob handed to the
@@ -620,27 +621,39 @@ class IncrementalPlanEngine:
                 self._available_ids = frozenset(tasks_by_id)
                 self._available_ids_epoch = self._task_epoch
             available_ids = self._available_ids
+            task_epoch = self._task_epoch
+            entries = self._worker_entries
             slots: List[Tuple[str, object]] = []
             jobs: List[ComponentJob] = []
-            job_meta: List[Tuple[FrozenSet[int], Dict[int, int], str]] = []
-            for component in components:
-                key = frozenset(component)
-                versions = {
-                    wid: self._worker_entries[wid].version for wid in component
-                }
+            job_components: List[_Component] = []
+            for held in components:
+                component = held.members
                 guided = use_guided and len(component) >= config.tvf_min_workers
                 mode = "tvf" if guided else config.search_mode
-                cached = self._components.get(key)
+                cached = held.hit
+                if cached is None:
+                    # Re-formed, or a member's version moved: fall back to
+                    # the member-set cache, valid for unchanged versions.
+                    cached = self._components.get(frozenset(component))
+                    if cached is not None and cached.versions != {
+                        wid: entries[wid].version for wid in component
+                    }:
+                        cached = None
                 if (
                     cached is not None
-                    and cached.versions == versions
                     and cached.mode == mode
-                    and (not guided or cached.task_epoch == self._task_epoch)
+                    and (not guided or cached.task_epoch == task_epoch)
                 ):
+                    held.hit = cached
                     slots.append(("cached", cached))
                     continue
                 if config.use_partition:
-                    root = build_component_subtree(adjacency, component)
+                    root = build_component_subtree(
+                        build_adjacency(
+                            {wid: entries[wid].reachable for wid in component}
+                        ),
+                        component,
+                    )
                 else:
                     root = PartitionNode(workers=list(component))
                 num_sequences = sum(
@@ -671,8 +684,10 @@ class IncrementalPlanEngine:
                 )
                 slots.append(("job", len(jobs)))
                 jobs.append(job)
-                job_meta.append((key, versions, mode))
-            decompose_span.set(components=len(components), searched=len(jobs))
+                job_components.append(held)
+            decompose_span.set(
+                components=len(components), searched=len(jobs), rebuilt=rebuilt
+            )
 
         # ---- dispatch ----------------------------------------------------- #
         with obs.span("dispatch", jobs=len(jobs)) as dispatch_span:
@@ -698,7 +713,6 @@ class IncrementalPlanEngine:
                 else:
                     job_index = payload
                     result = results[job_index]
-                    key, versions, mode = job_meta[job_index]
                     job = jobs[job_index]
                     searched_components += 1
                     if result.skipped:
@@ -730,14 +744,16 @@ class IncrementalPlanEngine:
                             # replay a degraded plan on healthy future
                             # epochs.  Experience traces change the search's
                             # node counts, so those stay out as well.
-                            self._components[key] = _ComponentEntry(
-                                versions=versions,
+                            held = job_components[job_index]
+                            held.hit = _ComponentEntry(
+                                versions={wid: entries[wid].version for wid in job.worker_ids},
                                 selections=selections,
                                 nodes_expanded=nodes,
-                                mode=mode,
+                                mode=job.mode,
                                 task_epoch=self._task_epoch,
                                 last_used=self._epoch,
                             )
+                            self._components[frozenset(job.worker_ids)] = held.hit
                 nodes_expanded += nodes
                 epoch_selections.extend(selections)
                 for _, task_ids in selections:
@@ -967,6 +983,7 @@ class IncrementalPlanEngine:
             or old.seq_tuples != seq_tuples
         ):
             version += 1
+            self._drop_hit(worker.worker_id)
 
         if old is not None:
             # Reuse the existing entry object in place: a refresh per dirty
@@ -1024,10 +1041,76 @@ class IncrementalPlanEngine:
         seq_tuples = tuple(sequence.task_ids for sequence in sequences)
         if seq_tuples != entry.seq_tuples:
             entry.version += 1
+            self._drop_hit(worker.worker_id)
         entry.sequences = sequences
         entry.seq_tuples = seq_tuples
         entry.seq_set = frozenset(seq_tuples)
         entry.seq_horizon = horizon_box[0]
+
+    def _drop_hit(self, worker_id: int) -> None:
+        """A member's version moved: its component's hit is void."""
+        held = self._component_of.get(worker_id)
+        if held is not None:
+            held.hit = None
+
+    def _update_components(self, touched: List[int], workers_by_id: Dict[int, Worker]) -> int:
+        """Bring the components to this snapshot (module docstring) and
+        return how many were re-derived: those of ``touched`` workers and
+        of departed ones, plus whatever those now link to."""
+        registered, holders = self._registered, self._holders
+        if not touched and len(registered) == len(workers_by_id):
+            return 0
+        component_of = self._component_of
+        retired: Set[_Component] = set()
+        seeds: List[int] = []
+
+        def reregister(worker_id: int, ids: Tuple[int, ...]) -> None:
+            for tid in registered.pop(worker_id, ()):
+                holders[tid].discard(worker_id)
+                if not holders[tid]:
+                    del holders[tid]
+            held = component_of.pop(worker_id, None)
+            if held is not None and held not in retired:
+                retired.add(held)
+                seeds.extend(held.members)
+            if worker_id in workers_by_id:
+                registered[worker_id] = ids
+                for tid in ids:
+                    holders.setdefault(tid, set()).add(worker_id)
+                seeds.append(worker_id)
+
+        for wid in [wid for wid in registered if wid not in workers_by_id]:
+            reregister(wid, ())
+        for wid in touched:
+            reregister(wid, self._worker_entries[wid].reachable_ids)
+
+        fresh: List[_Component] = []
+        for start in seeds:
+            held = component_of.get(start)
+            if start not in registered or (held is not None and held not in retired):
+                continue  # departed, or placed by an earlier search
+            members = [start]
+            placed = component_of[start] = _Component(members)
+            for node in members:  # grows while iterated: a BFS queue
+                for tid in registered[node]:
+                    for other in holders[tid]:
+                        held = component_of.get(other)
+                        if held is placed:
+                            continue
+                        if held is not None:
+                            # A neighbour's component merges in (possibly
+                            # one untouched so far); the search covers it.
+                            retired.add(held)
+                        component_of[other] = placed
+                        members.append(other)
+            members.sort()
+            fresh.append(placed)
+
+        kept = [held for held in self._component_list if held not in retired]
+        kept.extend(fresh)
+        kept.sort(key=lambda held: held.members[0])
+        self._component_list = kept
+        return len(fresh)
 
     def _drop_worker(self, worker_id: int) -> None:
         """Forget a departed worker's entry and ownership registrations."""

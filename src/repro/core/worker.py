@@ -104,11 +104,15 @@ class Worker:
         """Whether the worker is inside ``[on, off)`` at ``now``."""
         return self.on_time <= now < self.off_time
 
+    # Hot per epoch: no AvailabilityWindow per call; the default [on, off)
+    # window is inlined with the same float expressions.
     def is_available(self, now: float) -> bool:
         """Whether the worker can accept a task at ``now`` (window-aware)."""
         if not self.is_online(now):
             return False
-        return any(window.contains(now) for window in self.availability_windows())
+        if not self.windows:
+            return True
+        return any(window.contains(now) for window in self.windows)
 
     def availability_remaining(self, now: float) -> float:
         """Remaining time in the current (or next) availability window.
@@ -116,8 +120,14 @@ class Worker:
         This is the paper's ``T_w``: the horizon within which new tasks must
         be completable for this worker.
         """
+        if not self.windows:
+            if self.on_time <= now < self.off_time:
+                return self.off_time - max(now, self.on_time)
+            if self.on_time > now:
+                return max(0.0, self.off_time - self.on_time)
+            return 0.0
         remaining = 0.0
-        for window in self.availability_windows():
+        for window in self.windows:
             if window.contains(now):
                 return window.remaining(now)
             if window.start > now:

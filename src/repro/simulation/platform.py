@@ -441,21 +441,11 @@ class SCPlatform:
         # repositioning costs below (and any plan computed this step) all
         # use the multiplier active *now* (no-op for static models).
         self.instance.travel.begin_epoch(now)
-        for runtime in self._workers.values():
-            if runtime.reposition is not None:
-                # The worker moves along its repositioning leg, so its
-                # location at this decision point differs from the one the
-                # previous plan was computed with.
-                self._dirty.note_worker(runtime.worker.worker_id)
-            runtime.advance_reposition(now)
-        self._garbage_collect(now)
+        idle_workers, pending_tasks = self._advance_fleet(now)
         if self.config.max_replans is not None and self.metrics.replans >= self.config.max_replans:
             return
         if self._should_defer_replan(now):
             return
-
-        idle_workers = [st.worker for st in self._workers.values() if st.is_idle(now)]
-        pending_tasks = [t for t in self._pending.values() if t.is_available(now)]
         if not idle_workers:
             return
 
@@ -822,16 +812,10 @@ class SCPlatform:
             )
         self._clear_epoch_scratch()
         self.instance.travel.begin_epoch(now)
-        for runtime in self._workers.values():
-            if runtime.reposition is not None:
-                self._dirty.note_worker(runtime.worker.worker_id)
-            runtime.advance_reposition(now)
-        self._garbage_collect(now)
+        idle_workers, pending_tasks = self._advance_fleet(now)
         if not entry["planned"]:
             return
         if self._replay_replans:
-            idle_workers = [st.worker for st in self._workers.values() if st.is_idle(now)]
-            pending_tasks = [t for t in self._pending.values() if t.is_available(now)]
             if idle_workers:
                 self.strategy.notify_dirty(self._dirty)
                 self.strategy.plan(idle_workers, pending_tasks, now)
@@ -869,16 +853,38 @@ class SCPlatform:
                 )
 
     # ------------------------------------------------------------------ #
-    def _garbage_collect(self, now: float) -> None:
-        expired = [tid for tid, task in self._pending.items() if task.is_expired(now)]
-        for tid in expired:
-            del self._pending[tid]
-            self._dirty.note_task(tid)
-        if expired:
-            self.metrics.record_expiry(len(expired))
-        offline = [wid for wid, st in self._workers.items() if now >= st.worker.off_time]
+    def _advance_fleet(self, now: float) -> Tuple[List[Worker], List[Task]]:
+        """Advance repositioning, drop offline workers, expire tasks (all
+        noted dirty); return the idle workers and open tasks at ``now``."""
+        dirty = self._dirty
+        idle_workers: List[Worker] = []
+        offline: List[int] = []
+        for wid, runtime in self._workers.items():
+            if runtime.reposition is not None:
+                # The worker moves along its repositioning leg, so its
+                # location at this decision point differs from the one the
+                # previous plan was computed with.
+                dirty.note_worker(wid)
+                runtime.advance_reposition(now)
+            if now >= runtime.worker.off_time:
+                offline.append(wid)
+            elif runtime.is_idle(now):
+                idle_workers.append(runtime.worker)
         for wid in offline:
             del self._workers[wid]
-            self._dirty.note_worker(wid)
+            dirty.note_worker(wid)
             if self._carryover_enabled:
                 self._last_plans.pop(wid, None)
+        pending_tasks: List[Task] = []
+        expired: List[int] = []
+        for tid, task in self._pending.items():
+            if task.is_expired(now):
+                expired.append(tid)
+            elif task.is_available(now):
+                pending_tasks.append(task)
+        for tid in expired:
+            del self._pending[tid]
+            dirty.note_task(tid)
+        if expired:
+            self.metrics.record_expiry(len(expired))
+        return idle_workers, pending_tasks

@@ -357,10 +357,10 @@ class TestAllocationReuse:
         assert 999 in engine._available_ids
 
 
-class TestAdjacencyRebuildSkip:
-    """When no worker version changes between epochs, the engine must not
-    rebuild the dependency adjacency (ROADMAP follow-on: per-epoch engine
-    overhead bounded the platform-replay speedup)."""
+class TestComponentRederivation:
+    """The engine keeps its dependency components across epochs and
+    re-derives only those a changed, joining or departing worker touches;
+    the ``decompose`` span reports how many it re-derived (``rebuilt``)."""
 
     def _snapshot(self):
         rng = random.Random(21)
@@ -374,95 +374,97 @@ class TestAdjacencyRebuildSkip:
         ]
         return workers, tasks
 
-    def test_quiet_epochs_reuse_adjacency(self, monkeypatch):
-        import repro.assignment.incremental as incremental_module
+    def _planner(self):
+        from repro.obs import Observability
 
-        workers, tasks = self._snapshot()
         planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
-        calls = []
-        original = incremental_module.build_adjacency
-        monkeypatch.setattr(
-            incremental_module,
-            "build_adjacency",
-            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
+        obs = Observability()
+        planner.attach_observability(obs)
+
+        def plan(workers, tasks, now):
+            outcome = planner.plan(workers, tasks, now)
+            span = [e for e in obs.tracer.events if e["name"] == "decompose"][-1]
+            return outcome, span["args"]["rebuilt"]
+
+        return planner, plan
+
+    @staticmethod
+    def _scratch_components(planner, workers):
+        """What a from-scratch decomposition of the engine's reach sets gives."""
+        from repro.assignment.fast_partition import build_adjacency, connected_components
+
+        entries = planner._engine._worker_entries
+        return connected_components(
+            build_adjacency({w.worker_id: entries[w.worker_id].reachable for w in workers})
         )
-        planner.plan(workers, tasks, 0.0)
-        assert len(calls) == 1  # cold start builds it
-        quiet = planner.plan(workers, tasks, 0.05)
+
+    @staticmethod
+    def _components(planner):
+        return [held.members for held in planner._engine._component_list]
+
+    def test_quiet_epochs_rebuild_nothing(self):
+        workers, tasks = self._snapshot()
+        planner, plan = self._planner()
+        cold, rebuilt = plan(workers, tasks, 0.0)
+        assert rebuilt == cold.num_components  # cold start derives them all
+        quiet, rebuilt = plan(workers, tasks, 0.05)
         assert quiet.recomputed_workers == 0
-        assert len(calls) == 1  # identical epoch: no rebuild
-        planner.plan(workers, tasks, 0.1)
-        assert len(calls) == 1
+        assert rebuilt == 0
+        assert quiet.reused_components == quiet.num_components
+        _, rebuilt = plan(workers, tasks, 0.1)
+        assert rebuilt == 0
+        assert self._components(planner) == self._scratch_components(planner, workers)
 
-    def test_version_change_rebuilds_adjacency(self, monkeypatch):
-        import repro.assignment.incremental as incremental_module
-
+    def test_moved_worker_rederives_its_components(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner, plan = self._planner()
         full = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
-        calls = []
-        original = incremental_module.build_adjacency
-        monkeypatch.setattr(
-            incremental_module,
-            "build_adjacency",
-            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
-        )
-        planner.plan(workers, tasks, 0.0)
-        # Move a worker into a different neighbourhood: version bump must
-        # force an adjacency rebuild and results must still match a fresh
-        # full replan.
+        plan(workers, tasks, 0.0)
+        # Move a worker into a different neighbourhood: its old and new
+        # components are re-derived and results still match a fresh full
+        # replan.
         moved = list(workers)
         moved[0] = moved[0].moved_to(Point(4.0, 4.0))
-        a = planner.plan(moved, tasks, 0.1)
-        assert len(calls) == 2
+        a, rebuilt = plan(moved, tasks, 0.1)
+        assert 1 <= rebuilt <= a.num_components
+        assert self._components(planner) == self._scratch_components(planner, moved)
         b = full.plan(moved, tasks, 0.1)
         assert [
             (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment
         ] == [(wp.worker.worker_id, wp.sequence.task_ids) for wp in b.assignment]
         assert a.nodes_expanded == b.nodes_expanded
 
-    def test_worker_set_change_rebuilds_adjacency(self, monkeypatch):
-        import repro.assignment.incremental as incremental_module
-
+    def test_departure_rederives_its_component(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
-        calls = []
-        original = incremental_module.build_adjacency
-        monkeypatch.setattr(
-            incremental_module,
-            "build_adjacency",
-            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
-        )
-        planner.plan(workers, tasks, 0.0)
+        planner, plan = self._planner()
+        plan(workers, tasks, 0.0)
+        former = next(c for c in self._components(planner) if 0 in c)
         # A worker leaving the stream changes the node set even when every
-        # remaining worker's version is untouched.
-        planner.plan(workers[1:], tasks, 0.1)
-        assert len(calls) == 2
+        # remaining worker's version is untouched: exactly what is left of
+        # its component is re-derived.
+        _, rebuilt = plan(workers[1:], tasks, 0.1)
+        after = self._components(planner)
+        assert after == self._scratch_components(planner, workers[1:])
+        assert rebuilt == sum(1 for c in after if set(c) & set(former))
+        assert all(0 not in c for c in after)
 
-    def test_refresh_without_reachable_change_keeps_adjacency(self, monkeypatch):
-        import repro.assignment.incremental as incremental_module
-
+    def test_refresh_without_reachable_change_rebuilds_nothing(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner, plan = self._planner()
         full = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
-        calls = []
-        original = incremental_module.build_adjacency
-        monkeypatch.setattr(
-            incremental_module,
-            "build_adjacency",
-            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs),
-        )
-        planner.plan(workers, tasks, 0.0)
+        plan(workers, tasks, 0.0)
         # A nudge far below the snapshot geometry forces a worker refresh
         # (new fingerprint) but cannot change any reachable set: the
-        # dependency graph is provably identical, so no rebuild.
+        # dependency graph is provably identical, so nothing is re-derived;
+        # the version bump only voids that component's cache hit.
         nudged = list(workers)
         nudged[0] = nudged[0].moved_to(
             Point(nudged[0].location.x + 1e-12, nudged[0].location.y)
         )
-        a = planner.plan(nudged, tasks, 0.1)
+        a, rebuilt = plan(nudged, tasks, 0.1)
         assert a.recomputed_workers == 1
-        assert len(calls) == 1
+        assert rebuilt == 0
+        assert a.searched_components == 1
         b = full.plan(nudged, tasks, 0.1)
         assert [
             (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment

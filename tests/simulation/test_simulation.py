@@ -149,7 +149,7 @@ class TestPlatform:
         platform.close()
         assert not engine._worker_entries and not engine._components
         assert not engine._task_refs and not engine._task_owners
-        assert engine._adjacency is None
+        assert not engine._component_list and not engine._holders
         # A closed platform runs again, from a cold cache, to the same result.
         assert platform.run().deterministic_state() == first
 
