@@ -15,9 +15,10 @@ rush-hour speed profiles) with every observability feature armed:
   class.
 
 The run writes a Trace Event Format file — load it at https://ui.perfetto.dev
-or chrome://tracing — validates its span coverage, and renders the
-plain-text report the ``repro.obs.report`` CLI produces from the same
-file.
+or chrome://tracing — validates its span coverage and that every
+``refresh`` span carries its worker account, and renders the plain-text
+report the ``repro.obs.report`` CLI produces from the same file
+(refresh-account line included).
 
 Run with::
 
@@ -33,7 +34,7 @@ from repro.assignment.planner import PlannerConfig
 from repro.assignment.strategies import make_strategy
 from repro.datasets.synthetic import WorkloadConfig
 from repro.obs import ObservabilityConfig
-from repro.obs.report import render_report
+from repro.obs.report import REFRESH_ACCOUNT, render_report
 from repro.obs.trace import build_span_tree, parse_trace
 from repro.resilience.checkpoint import InMemoryCheckpointStore
 from repro.resilience.journal import InMemoryJournal
@@ -118,6 +119,16 @@ def main() -> int:
     missing = EXPECTED_SPANS - names
     if missing:
         print(f"trace is missing expected spans: {sorted(missing)}")
+        return 1
+    # The report's refresh account sums these; a span without one of them
+    # would silently count as zero.
+    unaccounted = sum(
+        1
+        for e in spans
+        if e["name"] == "refresh" and not set(REFRESH_ACCOUNT) <= set(e["args"])
+    )
+    if unaccounted:
+        print(f"{unaccounted} refresh spans lack one of {list(REFRESH_ACCOUNT)}")
         return 1
     tree = build_span_tree(spans)
     roots = sum(1 for e in spans if e["args"]["parent"] is None)

@@ -30,10 +30,13 @@ afterwards.  Reuse rests on three structural facts:
   :meth:`~repro.spatial.travel.TravelModel.reach_bound` converts the
   travel-distance budget into that Euclidean radius (identity for the
   built-in models; a dilation-corrected radius for road networks; models
-  without a usable bound return ``inf`` and fall back to dirtying every
-  worker, which is always sound).  So a task arrival dirties only
-  geometrically nearby workers, and a task removal dirties only the
-  workers whose uncapped reachable set contained it.
+  without a usable bound return ``inf`` and fall back to testing every
+  worker, which is always sound).  The ball only pre-filters: a worker
+  whose entry is otherwise valid is refreshed only if an arrival is
+  directly reachable or within reach (``<=``) of a cached uncapped
+  member, since members alone feed the capped set, ``uncapped_ids`` and
+  the horizon.  A task removal dirties only the workers whose uncapped
+  reachable set contained it.
 * **Time-free search.**  The exact DFSearch outcome of a partition
   component depends only on the component's tree, its workers' sequence
   id-sets and the availability of the referenced task ids — never on
@@ -75,6 +78,8 @@ from repro.assignment.dfsearch import adaptive_node_budget
 from repro.assignment.executor import ComponentJob
 from repro.assignment.fast_partition import build_adjacency, build_component_subtree
 from repro.assignment.reachability import (
+    _REACH_EPS,
+    is_reachable,
     reachable_tasks_with_horizon,
     vector_kernel_pays,
 )
@@ -517,6 +522,8 @@ class IncrementalPlanEngine:
                 # arrivals while away; their cache cannot be trusted.
                 if worker.worker_id not in self._last_present:
                     dirty.add(worker.worker_id)
+            # Worker -> added tasks inside its arrival ball, for the exact test.
+            near: Dict[int, List[Task]] = {}
             if added:
                 any_predicted = any(task.predicted for task in added)
                 # Worker-major so that an already-dirty worker (every worker,
@@ -544,8 +551,7 @@ class IncrementalPlanEngine:
                         if task.predicted and ignores_predicted:
                             continue
                         if euclidean_distance(worker.location, task.location) <= radius:
-                            dirty.add(wid)
-                            break
+                            near.setdefault(wid, []).append(task)
             self._forced_workers.clear()
             self._forced_tasks.clear()
             diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
@@ -561,12 +567,19 @@ class IncrementalPlanEngine:
             # Workers due a reachability refresh, in snapshot order, mapped
             # to whether their own fingerprint changed (or they are new).
             stale: Dict[int, bool] = {}
+            # Ball hits the exact arrival test cleared (entry kept as is).
+            skipped = 0
             for worker in workers:
                 wid = worker.worker_id
                 entry = self._worker_entries.get(wid)
                 moved = entry is None or not _worker_unchanged(entry.fingerprint, worker)
                 if moved or wid in dirty or now >= entry.reach_horizon:
                     stale[wid] = moved
+                elif wid in near:
+                    if self._arrival_enters(worker, entry, near[wid], now, tasks_by_id):
+                        stale[wid] = False
+                    else:
+                        skipped += 1
             matrix = real_cols = None
             if stale and vector_kernel_pays(len(active)):
                 # One k×T matrix serves every refresh of the epoch (k = W on
@@ -598,6 +611,7 @@ class IncrementalPlanEngine:
             refresh_span.set(
                 reused=reused_workers,
                 recomputed=recomputed_workers,
+                skipped=skipped,
                 rows=len(stale) if matrix is not None else 0,
                 tasks=len(active),
             )
@@ -793,8 +807,8 @@ class IncrementalPlanEngine:
 
         if len(self._components) > _COMPONENT_CACHE_MAX:
             cutoff = self._epoch - _COMPONENT_CACHE_TTL
-            stale = [k for k, e in self._components.items() if e.last_used < cutoff]
-            for k in stale:
+            unused = [k for k, e in self._components.items() if e.last_used < cutoff]
+            for k in unused:
                 del self._components[k]
         # Evict workers that left the stream long ago (offline, or planned
         # by a different caller): their entries and task-ownership
@@ -1046,6 +1060,28 @@ class IncrementalPlanEngine:
         entry.seq_tuples = seq_tuples
         entry.seq_set = frozenset(seq_tuples)
         entry.seq_horizon = horizon_box[0]
+
+    def _arrival_enters(
+        self,
+        worker: Worker,
+        entry: _WorkerEntry,
+        arrivals: List[Task],
+        now: float,
+        tasks_by_id: Dict[int, Task],
+    ) -> bool:
+        """Whether an arrival joins ``worker``'s in-horizon cached set under
+        the kernel's own predicates (module docstring, "Geometric
+        locality"); hop legs from every uncapped member only widen it."""
+        travel = self.planner.travel
+        reach = worker.reachable_distance + _REACH_EPS
+        for task in arrivals:
+            if is_reachable(worker, task, now, travel):
+                return True
+            for tid in entry.uncapped_ids:
+                member = tasks_by_id.get(tid)
+                if member is None or travel.distance(member.location, task.location) <= reach:
+                    return True
+        return False
 
     def _drop_hit(self, worker_id: int) -> None:
         """A member's version moved: its component's hit is void."""

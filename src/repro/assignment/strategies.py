@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.assignment.baselines import greedy_assignment
 from repro.assignment.planner import PlannerConfig, PlanningOutcome, TaskPlanner

@@ -9,7 +9,8 @@ The report is computed purely from the Trace Event Format file that
 shows where the run's time went (per-phase inclusive totals and exclusive
 ``self_ms``: a span's duration minus what its children cover), the
 replan-latency distribution per epoch class (full / incremental /
-degraded), what the pool workers did, and the final cache counter samples.
+degraded), the worker-refresh account, what the pool workers did, and
+the final cache counter samples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.obs.metrics import StreamingHistogram
 from repro.obs.trace import build_span_tree, parse_trace
 
-__all__ = ["main", "phase_totals", "render_report"]
+__all__ = ["REFRESH_ACCOUNT", "main", "phase_totals", "refresh_account", "render_report"]
+
+#: Worker counters every ``refresh`` span carries: refreshed, served from
+#: cache, and arrival-ball hits the exact arrival test spared a refresh.
+REFRESH_ACCOUNT = ("recomputed", "reused", "skipped")
 
 
 def _fmt_ms(value: float) -> str:
@@ -59,6 +64,18 @@ def phase_totals(events: Sequence[Dict[str, object]]) -> Dict[str, Dict[str, flo
     return phases
 
 
+def refresh_account(events: Sequence[Dict[str, object]]) -> Optional[str]:
+    """:data:`REFRESH_ACCOUNT` totalled over every ``refresh`` span, as one
+    line; ``None`` when the trace has no ``refresh`` span."""
+    spans = [
+        e.get("args", {}) for e in events if e.get("ph") == "X" and e["name"] == "refresh"
+    ]
+    if not spans:
+        return None
+    counts = " ".join(f"{k}={sum(int(a.get(k, 0)) for a in spans)}" for k in REFRESH_ACCOUNT)
+    return f"Refresh account: {counts} over {len(spans)} refresh spans"
+
+
 def render_report(events: List[Dict[str, object]]) -> str:
     """Build the plain-text report for a parsed event list."""
     spans = [e for e in events if e.get("ph") == "X"]
@@ -79,6 +96,9 @@ def render_report(events: List[Dict[str, object]]) -> str:
         )
     ]
     out.extend(_table(rows, ("phase", "count", "total_ms", "self_ms", "mean_ms")))
+    account = refresh_account(events)
+    if account is not None:
+        out.extend(["", account])
 
     # ---- replan latency per epoch class ---------------------------------- #
     by_class: Dict[str, StreamingHistogram] = {}

@@ -18,12 +18,14 @@ from repro.assignment.incremental import (
 )
 from repro.assignment.planner import PlannerConfig, TaskPlanner
 from repro.assignment.reachability import (
+    _REACH_EPS,
     reachable_tasks,
     reachable_tasks_with_horizon,
 )
 from repro.assignment.sequences import maximal_valid_sequences
 from repro.core.task import Task
 from repro.core.worker import AvailabilityWindow, Worker
+from repro.obs import Observability
 from repro.spatial.geometry import Point
 from repro.spatial.travel import EuclideanTravelModel
 
@@ -560,3 +562,177 @@ class TestProfileHorizonClamping:
         planner.plan(workers, tasks, 0.0)
         later = planner.plan(workers, tasks, 500.0)
         assert later.reused_workers == 1 and later.recomputed_workers == 0
+
+
+def _entry_state(planner, workers):
+    """What each snapshot worker's cached entry feeds the plan: capped and
+    uncapped ids, ``Q_w`` and the reachability horizon.  ``fallback`` is
+    left out: it only steers the arrival filter when the set is non-empty,
+    and an empty set kept across a predicted arrival keeps its old flag.
+    So is ``seq_horizon``: it is a conservative bound whose last bit
+    depends on the ``now`` it was computed at."""
+    entries = planner._engine._worker_entries
+    return {
+        w.worker_id: (
+            entries[w.worker_id].reachable_ids,
+            entries[w.worker_id].uncapped_ids,
+            entries[w.worker_id].seq_tuples,
+            entries[w.worker_id].reach_horizon,
+        )
+        for w in workers
+    }
+
+
+def outcome_ids(outcome):
+    return {tid for wp in outcome.assignment for tid in wp.sequence.task_ids}
+
+
+def _signature(outcome):
+    return (
+        [(wp.worker.worker_id, wp.sequence.task_ids) for wp in outcome.assignment],
+        outcome.planned_tasks,
+        outcome.nodes_expanded,
+        outcome.num_components,
+    )
+
+
+class TestExactArrivalTest:
+    """An arrival inside a worker's ``(hops + 1)·reach`` ball refreshes the
+    worker only when it passes the kernel's own predicates against the
+    cached entry — directly reachable, or within reach of a cached member;
+    a cleared ball hit keeps its entry and counts as ``skipped`` on the
+    ``refresh`` span.  Every step is held to an empty-cache engine, on the
+    outcome and on the cached entries."""
+
+    @staticmethod
+    def _warm():
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        obs = Observability()
+        planner.attach_observability(obs)
+        return planner, obs
+
+    @staticmethod
+    def _step(planner, obs, workers, tasks, now):
+        """Plan one step warm and on an empty cache; return the warm
+        outcome and the step's ``skipped`` count."""
+        outcome = planner.plan(workers, tasks, now)
+        cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        assert _signature(outcome) == _signature(cold.plan(workers, tasks, now))
+        assert _entry_state(planner, workers) == _entry_state(cold, workers)
+        span = [e for e in obs.tracer.events if e["name"] == "refresh"][-1]
+        return outcome, span["args"]["skipped"]
+
+    def _arrive(self, workers, tasks, arrival, now=0.1):
+        planner, obs = self._warm()
+        self._step(planner, obs, workers, tasks, 0.0)
+        return self._step(planner, obs, workers, tasks + [arrival], now)
+
+    def test_ball_hit_failing_both_tests_is_not_refreshed(self):
+        workers = [Worker(1, Point(0.0, 0.0), 1.0, 0.0, 1000.0)]
+        member = Task(100, Point(0.5, 0.0), 0.0, 1000.0)
+        # 1.8 from the worker (inside the 2·reach ball, outside reach) and
+        # 1.87 from the only member.
+        arrival = Task(101, Point(0.0, 1.8), 0.1, 1000.0)
+        outcome, skipped = self._arrive(workers, [member], arrival)
+        assert outcome.recomputed_workers == 0
+        assert skipped == 1
+
+    def test_hop_at_exactly_reach_from_a_member_is_refreshed(self):
+        # The member sits at the worker's reach; the arrival lies at exactly
+        # ``reachable_distance + _REACH_EPS`` beyond it, which the kernel's
+        # inclusive hop test admits, but not directly reachable.
+        workers = [Worker(1, Point(-1.0, 0.0), 1.0, 0.0, 1000.0)]
+        member = Task(100, Point(0.0, 0.0), 0.0, 1000.0)
+        reach = 1.0 + _REACH_EPS
+        arrival = Task(101, Point(reach, 0.0), 0.1, 1000.0)
+        assert TRAVEL.distance(member.location, arrival.location) == reach
+        outcome, skipped = self._arrive(workers, [member], arrival)
+        assert outcome.recomputed_workers == 1
+        assert skipped == 0
+        assert 101 in outcome_ids(outcome)
+
+    def test_arrival_exactly_at_expiry_is_not_refreshed(self):
+        # Within distance, but the leg (1.0) equals the time left until
+        # expiry: the strict ``<`` makes it unreachable.
+        workers = [Worker(1, Point(0.0, 0.0), 2.0, 0.0, 1000.0)]
+        member = Task(100, Point(-1.5, 0.0), 0.0, 1000.0)  # 2.5 from the arrival
+        arrival = Task(101, Point(1.0, 0.0), 0.5, 1.5)
+        outcome, skipped = self._arrive(workers, [member], arrival, now=0.5)
+        assert outcome.recomputed_workers == 0
+        assert skipped == 1
+
+    def test_predicted_hop_of_a_fallback_member_is_refreshed(self):
+        # No real task in reach: the worker plans over predicted tasks, and
+        # a predicted arrival one hop from a predicted member joins that set.
+        workers = [Worker(1, Point(0.0, 0.0), 1.0, 0.0, 1000.0)]
+        tasks = [
+            Task(100, Point(50.0, 50.0), 0.0, 1000.0),
+            Task(200, Point(0.8, 0.0), 0.0, 1000.0, predicted=True),
+        ]
+        arrival = Task(201, Point(1.6, 0.0), 0.1, 1000.0, predicted=True)
+        planner, obs = self._warm()
+        self._step(planner, obs, workers, tasks, 0.0)
+        assert planner._engine._worker_entries[1].fallback
+        outcome, skipped = self._step(planner, obs, workers, tasks + [arrival], 0.1)
+        assert outcome.recomputed_workers == 1
+        assert skipped == 0
+        assert 201 in planner._engine._worker_entries[1].uncapped_ids
+
+    @pytest.mark.parametrize("x, refreshed", [(0.5, True), (1.5, False)])
+    def test_predicted_arrival_for_an_empty_set_needs_direct_reach(self, x, refreshed):
+        # The real set is empty and no predicted task existed yet: only a
+        # directly reachable predicted arrival can make the fallback set
+        # non-empty.
+        workers = [Worker(1, Point(0.0, 0.0), 1.0, 0.0, 1000.0)]
+        tasks = [Task(100, Point(50.0, 50.0), 0.0, 1000.0)]
+        arrival = Task(200, Point(x, 0.0), 0.1, 1000.0, predicted=True)
+        outcome, skipped = self._arrive(workers, tasks, arrival)
+        assert outcome.recomputed_workers == int(refreshed)
+        assert skipped == int(not refreshed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_arrival_stream_matches_empty_cache(self, seed):
+        # Real and predicted arrivals, removals and moves over a fleet whose
+        # balls overlap: warm == empty-cache engine at every step, with the
+        # exact test clearing some ball hits along the way.
+        rng = random.Random(4200 + seed)
+        workers = {
+            i: Worker(
+                i,
+                Point(rng.uniform(0, 8), rng.uniform(0, 8)),
+                rng.uniform(0.6, 1.8),
+                0.0,
+                rng.uniform(40, 80),
+            )
+            for i in range(rng.randint(5, 9))
+        }
+        tasks = {}
+        planner, obs = self._warm()
+        now, next_tid, skipped_total = 0.0, 100, 0
+        for _ in range(40):
+            event = rng.random()
+            if event < 0.15 and tasks:
+                del tasks[rng.choice(sorted(tasks))]
+            elif event < 0.8:
+                tasks[next_tid] = Task(
+                    next_tid,
+                    Point(rng.uniform(0, 8), rng.uniform(0, 8)),
+                    now,
+                    now + rng.uniform(2.0, 20.0),
+                    predicted=rng.random() < 0.3,
+                )
+                next_tid += 1
+            else:
+                wid = rng.choice(sorted(workers))
+                workers[wid] = workers[wid].moved_to(
+                    Point(rng.uniform(0, 8), rng.uniform(0, 8))
+                )
+            snapshot = [t for _, t in sorted(tasks.items()) if not t.is_expired(now)]
+            if snapshot:
+                _, skipped = self._step(
+                    planner, obs, [w for _, w in sorted(workers.items())], snapshot, now
+                )
+                skipped_total += skipped
+            now += rng.uniform(0.0, 1.0)
+        assert skipped_total > 0
+

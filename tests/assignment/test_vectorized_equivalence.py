@@ -10,7 +10,6 @@ on randomised instances — through ``hypothesis`` where it is installed,
 and through a seeded-random sweep otherwise.
 """
 
-import math
 import random
 
 import numpy as np

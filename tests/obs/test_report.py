@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.obs.report import main, phase_totals, render_report
+from repro.obs.report import main, phase_totals, refresh_account, render_report
 from repro.obs.trace import Tracer
 
 
@@ -60,6 +60,25 @@ class TestRenderReport:
         assert phases["dispatch"]["self_ms"] == phases["dispatch"]["total_ms"]
         header = render_report(tracer.events).splitlines()[1].split()
         assert header == ["phase", "count", "total_ms", "self_ms", "mean_ms"]
+
+    def test_refresh_account_line(self):
+        tracer = Tracer()
+        with tracer.span("plan"):
+            with tracer.span("refresh") as refresh:
+                pass
+            refresh.set(reused=4, recomputed=3, skipped=2, rows=0, tasks=9)
+        with tracer.span("plan"):
+            with tracer.span("refresh") as refresh:
+                pass
+            refresh.set(reused=3, recomputed=2, skipped=0, rows=2, tasks=9)
+        line = "Refresh account: recomputed=5 reused=7 skipped=2 over 2 refresh spans"
+        assert refresh_account(tracer.events) == line
+        assert line in render_report(tracer.events).splitlines()
+
+    def test_no_refresh_account_without_refresh_spans(self, tmp_path):
+        tracer = _write_sample_trace(os.fspath(tmp_path / "trace.json"))
+        assert refresh_account(tracer.events) is None
+        assert "Refresh account" not in render_report(tracer.events)
 
     def test_worker_section_only_with_worker_spans(self):
         tracer = Tracer()
