@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.assignment.dfsearch import _action_snapshot, _state_snapshot, DFSearchResult, SearchContext
+from repro.assignment.dfsearch import _action_snapshot, _state_snapshot, DFSearchResult
 from repro.assignment.tree import PartitionNode
 from repro.assignment.tvf import StateFeatureCache, TaskValueFunction
 from repro.core.sequence import TaskSequence

@@ -128,10 +128,11 @@ class ComponentJob:
     def restricted(self) -> "ComponentJob":
         """Copy with the shared lookup dicts narrowed to this component.
 
-        The planner builds jobs against the full per-epoch dictionaries so
-        the serial path adds zero copying; before a job crosses a process
-        boundary the dictionaries are cut down to the component's workers,
-        which is what keeps pickles small on dense snapshots.
+        The planner builds each job's candidate sets for its own workers
+        but shares the snapshot's worker dictionary, so the serial path
+        copies nothing more; before a job crosses a process boundary both
+        are cut down to the component's workers, which is what keeps
+        pickles small on dense snapshots.
         """
         return replace(
             self,

@@ -56,6 +56,16 @@ component keeps its cache *hit* until a member's ``version`` is bumped at
 refresh, so an untouched one costs a lookup; one that re-forms or lost its
 hit falls back to the cache keyed by member set and member versions.
 
+Cost model.  Per call there is one identity pass over the snapshot (an
+unchanged frozen ``Worker`` costs one ``is`` check; an equal-field
+replacement one field compare, after which its entry holds the new
+object) and one walk over the components (a kept hit costs an attribute
+read).  The pass also runs the arrival ball for workers not already due
+a refresh, and emits the ordered work list.  Everything else — the k×T
+matrix, reachability and sequence refreshes, component re-derivation and
+job extraction — is proportional to the work list and the searched
+components; departures and absences come from set differences.
+
 Equivalence contract: for any sequence of ``plan()`` calls with
 non-decreasing ``now``, a warm engine returns bit-for-bit the outcome an
 empty-cache engine produces for each call in isolation — same selections
@@ -230,9 +240,10 @@ def _worker_fingerprint(worker: Worker) -> tuple:
 
 def _worker_unchanged(fingerprint: tuple, worker: Worker) -> bool:
     """``fingerprint == _worker_fingerprint(worker)`` without building the
-    tuple — the steady-state path compares every worker every epoch, and
-    the 7-tuple allocation per (worker, epoch) was pure garbage-collector
-    load.  Field order must mirror :func:`_worker_fingerprint`."""
+    tuple — the identity pass runs it on every new ``Worker`` object a
+    snapshot hands over, and a 7-tuple per compare was pure
+    garbage-collector load.  Field order must mirror
+    :func:`_worker_fingerprint`."""
     location = worker.location
     return (
         fingerprint[0] == location.x
@@ -274,6 +285,9 @@ class _WorkerEntry:
     """Cached per-worker pipeline state (reachability + sequences)."""
 
     fingerprint: tuple
+    #: The (frozen) ``Worker`` the fingerprint was last checked against:
+    #: ``entry.worker is worker`` means unchanged without a field compare.
+    worker: Worker
     #: Capped reachable set — what feeds the sequence enumerator and the
     #: dependency graph.
     reachable: List[Task]
@@ -296,9 +310,10 @@ class _WorkerEntry:
     #: Bumped whenever the worker's plan-relevant state changes (location /
     #: window fingerprint, reachable ids, or sequence id-tuples).
     version: int
-    #: Last epoch this worker appeared in a snapshot (drives eviction of
-    #: permanently departed workers; returning workers are re-dirtied by
-    #: the ``_last_present`` rule regardless).
+    #: Last epoch this worker appeared in a snapshot, stamped when it
+    #: leaves one (drives eviction of permanently departed workers;
+    #: returning workers are re-dirtied by the ``_last_present`` rule
+    #: regardless).
     last_seen: int = 0
 
 
@@ -484,6 +499,7 @@ class IncrementalPlanEngine:
             self._next_travel_boundary = travel.next_profile_boundary(now)
 
         real = [task for task in active if not task.predicted]
+        entries = self._worker_entries
 
         with obs.span("diff") as diff_span:
             # ---- snapshot diff (object-identity fast path, field fallback) #
@@ -517,29 +533,48 @@ class IncrementalPlanEngine:
                 owners = self._task_owners.get(tid)
                 if owners:
                     dirty.update(owners)
+            # Workers absent from the previous snapshot may have missed
+            # arrivals while away; their cache cannot be trusted.
+            dirty |= workers_by_id.keys() - self._last_present
+            self._forced_workers.clear()
+            self._forced_tasks.clear()
+            diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
+
+        # ---- per-worker refresh ------------------------------------------ #
+        registered = self._registered
+        # Workers whose capped reachable set is not the registered one.
+        touched: List[int] = []
+        with obs.span("refresh") as refresh_span:
+            # The identity pass: the work list holds, in snapshot order,
+            # every worker due a refresh and whether its own fingerprint
+            # changed or it is new (``None``: sequences only).  ``stale``
+            # are the workers due a reachability refresh.
+            work: List[Tuple[Worker, Optional[bool]]] = []
+            stale: List[Worker] = []
+            # Ball hits the exact arrival test cleared (entry kept as is).
+            skipped = 0
+            any_predicted = any(task.predicted for task in added)
             for worker in workers:
-                # Workers absent from the previous snapshot may have missed
-                # arrivals while away; their cache cannot be trusted.
-                if worker.worker_id not in self._last_present:
-                    dirty.add(worker.worker_id)
-            # Worker -> added tasks inside its arrival ball, for the exact test.
-            near: Dict[int, List[Task]] = {}
-            if added:
-                any_predicted = any(task.predicted for task in added)
-                # Worker-major so that an already-dirty worker (every worker,
-                # on an empty cache) costs one set probe, not one per task.
-                for worker in workers:
-                    wid = worker.worker_id
-                    if wid in dirty:
-                        continue
+                wid = worker.worker_id
+                entry = entries.get(wid)
+                if entry is None or (
+                    entry.worker is not worker
+                    and not _worker_unchanged(entry.fingerprint, worker)
+                ):
+                    stale.append(worker)
+                    work.append((worker, True))
+                    continue
+                entry.worker = worker  # re-latch an equal-field replacement
+                if wid in dirty or now >= entry.reach_horizon:
+                    stale.append(worker)
+                    work.append((worker, False))
+                    continue
+                if added:
                     # Predicted tasks only feed the empty-reachable
                     # fallback; a worker on the real pipeline with a
                     # non-empty set cannot be affected by one.
-                    entry = self._worker_entries.get(wid) if any_predicted else None
                     ignores_predicted = (
-                        entry is not None
-                        and entry.reachable_ids
-                        and not entry.fallback
+                        any_predicted and entry.reachable_ids and not entry.fallback
                     )
                     # Euclidean check against the model's reach bound: sound
                     # for any travel model honouring the reach_bound
@@ -547,67 +582,39 @@ class IncrementalPlanEngine:
                     radius = travel.reach_bound(
                         (_HOPS + 1.0) * worker.reachable_distance
                     ) + 1e-6
-                    for task in added:
-                        if task.predicted and ignores_predicted:
+                    near = [
+                        task
+                        for task in added
+                        if not (task.predicted and ignores_predicted)
+                        and euclidean_distance(worker.location, task.location) <= radius
+                    ]
+                    if near:
+                        if self._arrival_enters(worker, entry, near, now, tasks_by_id):
+                            stale.append(worker)
+                            work.append((worker, False))
                             continue
-                        if euclidean_distance(worker.location, task.location) <= radius:
-                            near.setdefault(wid, []).append(task)
-            self._forced_workers.clear()
-            self._forced_tasks.clear()
-            diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
-
-        # ---- per-worker refresh ------------------------------------------ #
-        sequences_by_worker: Dict[int, List[TaskSequence]] = {}
-        reused_workers = 0
-        recomputed_workers = 0
-        registered = self._registered
-        # Workers whose capped reachable set is not the registered one.
-        touched: List[int] = []
-        with obs.span("refresh") as refresh_span:
-            # Workers due a reachability refresh, in snapshot order, mapped
-            # to whether their own fingerprint changed (or they are new).
-            stale: Dict[int, bool] = {}
-            # Ball hits the exact arrival test cleared (entry kept as is).
-            skipped = 0
-            for worker in workers:
-                wid = worker.worker_id
-                entry = self._worker_entries.get(wid)
-                moved = entry is None or not _worker_unchanged(entry.fingerprint, worker)
-                if moved or wid in dirty or now >= entry.reach_horizon:
-                    stale[wid] = moved
-                elif wid in near:
-                    if self._arrival_enters(worker, entry, near[wid], now, tasks_by_id):
-                        stale[wid] = False
-                    else:
                         skipped += 1
+                if now >= entry.seq_horizon:
+                    work.append((worker, None))
             matrix = real_cols = None
             if stale and vector_kernel_pays(len(active)):
                 # One k×T matrix serves every refresh of the epoch (k = W on
                 # an empty cache).  Rows are bit-identical to the scalar
                 # kernel's floats, so the choice moves cost only.
-                matrix = TravelMatrix(
-                    [workers_by_id[wid] for wid in stale], active, travel, now=now
-                )
+                matrix = TravelMatrix(stale, active, travel, now=now)
                 real_cols = matrix.task_cols(real)
             inputs = _RefreshInputs(now, real, active, matrix, real_cols)
-            for worker in workers:
-                wid = worker.worker_id
-                entry = self._worker_entries.get(wid)
-                moved = stale.get(wid)
-                if moved is not None:
-                    entry = self._refresh_worker(worker, entry, inputs, force_bump=moved)
-                    recomputed_workers += 1
-                elif now >= entry.seq_horizon:
-                    self._refresh_sequences(entry, worker, now)
-                    recomputed_workers += 1
-                else:
-                    reused_workers += 1
-                reach = entry.reachable_ids
-                derived_from = registered.get(wid)
-                if derived_from is not reach and derived_from != reach:
-                    touched.append(wid)
-                entry.last_seen = self._epoch
-                sequences_by_worker[wid] = entry.sequences
+            for worker, moved in work:
+                if moved is None:
+                    self._refresh_sequences(worker, now)
+                    continue
+                entry = self._refresh_worker(
+                    worker, entries.get(worker.worker_id), inputs, force_bump=moved
+                )
+                if registered.get(worker.worker_id) != entry.reachable_ids:
+                    touched.append(worker.worker_id)
+            recomputed_workers = len(work)
+            reused_workers = len(workers) - recomputed_workers
             refresh_span.set(
                 reused=reused_workers,
                 recomputed=recomputed_workers,
@@ -623,9 +630,9 @@ class IncrementalPlanEngine:
         with obs.span("decompose") as decompose_span:
             rebuilt = self._update_components(touched, workers_by_id)
             components = self._component_list
-            # ---- decompose: replay cache hits, extract jobs for the rest - #
-            # Slots keep the component order; a slot is either the cached
-            # entry to replay or the index of a ComponentJob handed to the
+            # ---- decompose: keep cache hits, extract jobs for the rest ---- #
+            # A component that replays its hit gets no job; ``job_of`` maps
+            # every other one to the index of the ComponentJob handed to the
             # executor.  Everything a job needs (subtree, budget, candidate
             # sets) is fixed here, before any search runs.
             use_guided = (
@@ -636,15 +643,16 @@ class IncrementalPlanEngine:
                 self._available_ids_epoch = self._task_epoch
             available_ids = self._available_ids
             task_epoch = self._task_epoch
-            entries = self._worker_entries
-            slots: List[Tuple[str, object]] = []
+            search_mode = config.search_mode
             jobs: List[ComponentJob] = []
-            job_components: List[_Component] = []
+            job_of: Dict[_Component, int] = {}
             for held in components:
                 component = held.members
                 guided = use_guided and len(component) >= config.tvf_min_workers
-                mode = "tvf" if guided else config.search_mode
                 cached = held.hit
+                if cached is not None and not guided and cached.mode == search_mode:
+                    continue  # a kept component with a still-valid hit
+                mode = "tvf" if guided else search_mode
                 if cached is None:
                     # Re-formed, or a member's version moved: fall back to
                     # the member-set cache, valid for unchanged versions.
@@ -659,7 +667,6 @@ class IncrementalPlanEngine:
                     and (not guided or cached.task_epoch == task_epoch)
                 ):
                     held.hit = cached
-                    slots.append(("cached", cached))
                     continue
                 if config.use_partition:
                     root = build_component_subtree(
@@ -670,9 +677,8 @@ class IncrementalPlanEngine:
                     )
                 else:
                     root = PartitionNode(workers=list(component))
-                num_sequences = sum(
-                    len(sequences_by_worker.get(wid, [])) for wid in component
-                )
+                sequences_by_worker = {wid: entries[wid].sequences for wid in component}
+                num_sequences = sum(map(len, sequences_by_worker.values()))
                 # The per-component budget is a pure function of the
                 # component's workers and their candidate sets, so replays
                 # stay bit-for-bit; the guided search ignores it.
@@ -696,9 +702,8 @@ class IncrementalPlanEngine:
                     tvf=tvf if guided else None,
                     num_sequences=num_sequences,
                 )
-                slots.append(("job", len(jobs)))
+                job_of[held] = len(jobs)
                 jobs.append(job)
-                job_components.append(held)
             decompose_span.set(
                 components=len(components), searched=len(jobs), rebuilt=rebuilt
             )
@@ -715,17 +720,16 @@ class IncrementalPlanEngine:
         rung_level = 0
         experience: List = []
         epoch_selections: List[Tuple[int, Tuple[int, ...]]] = []
-        used_ids: Set[int] = set()
         with obs.span("merge") as merge_span:
-            for slot_kind, payload in slots:
-                if slot_kind == "cached":
-                    cached = payload
+            for held in components:
+                job_index = job_of.get(held)
+                if job_index is None:
+                    cached = held.hit
                     selections = cached.selections
                     nodes = cached.nodes_expanded
                     cached.last_used = self._epoch
                     reused_components += 1
                 else:
-                    job_index = payload
                     result = results[job_index]
                     job = jobs[job_index]
                     searched_components += 1
@@ -737,10 +741,11 @@ class IncrementalPlanEngine:
                         # components (each fill consumes from what earlier
                         # components left), so it runs here at merge time,
                         # in component order.
+                        used_ids = {tid for _, ids in epoch_selections for tid in ids}
                         selections = tuple(
                             greedy_component_fill(
                                 list(job.worker_ids),
-                                sequences_by_worker,
+                                job.sequences_by_worker,
                                 set(tasks_by_id) - used_ids,
                             )
                         )
@@ -758,7 +763,6 @@ class IncrementalPlanEngine:
                             # replay a degraded plan on healthy future
                             # epochs.  Experience traces change the search's
                             # node counts, so those stay out as well.
-                            held = job_components[job_index]
                             held.hit = _ComponentEntry(
                                 versions={wid: entries[wid].version for wid in job.worker_ids},
                                 selections=selections,
@@ -770,8 +774,6 @@ class IncrementalPlanEngine:
                             self._components[frozenset(job.worker_ids)] = held.hit
                 nodes_expanded += nodes
                 epoch_selections.extend(selections)
-                for _, task_ids in selections:
-                    used_ids.update(task_ids)
             merge_span.set(reused=reused_components, searched=searched_components)
         if obs.enabled:
             obs.count("incremental.reused_components", reused_components)
@@ -813,15 +815,23 @@ class IncrementalPlanEngine:
         # Evict workers that left the stream long ago (offline, or planned
         # by a different caller): their entries and task-ownership
         # registrations would otherwise grow with every worker ever seen.
-        if len(self._worker_entries) > max(64, 2 * len(workers)):
+        # A worker's ``last_seen`` is stamped as it leaves, before the check.
+        for wid in self._last_present - workers_by_id.keys():
+            entries[wid].last_seen = self._epoch - 1
+        if len(entries) > max(64, 2 * len(workers)):
             cutoff = self._epoch - _COMPONENT_CACHE_TTL
-            departed = [
+            departed = {
                 wid
-                for wid, entry in self._worker_entries.items()
-                if entry.last_seen < cutoff
-            ]
-            for wid in departed:
-                self._drop_worker(wid)
+                for wid, entry in entries.items()
+                if entry.last_seen < cutoff and wid not in workers_by_id
+            }
+            if departed:
+                for wid in departed:
+                    self._drop_worker(wid)
+                # A returning worker's entry restarts at version 1, so a
+                # cached result naming a dropped worker could match it.
+                for key in [k for k in self._components if not departed.isdisjoint(k)]:
+                    del self._components[key]
 
         self._last_present = set(workers_by_id)
 
@@ -1009,6 +1019,7 @@ class IncrementalPlanEngine:
             entry = old
             if force_bump:
                 entry.fingerprint = _worker_fingerprint(worker)
+                entry.worker = worker
             entry.reachable = list(reachable)
             entry.reachable_ids = reachable_ids
             entry.uncapped_ids = uncapped_ids
@@ -1023,6 +1034,7 @@ class IncrementalPlanEngine:
             old_uncapped = frozenset()
             entry = _WorkerEntry(
                 fingerprint=_worker_fingerprint(worker),
+                worker=worker,
                 reachable=list(reachable),
                 reachable_ids=reachable_ids,
                 uncapped_ids=uncapped_ids,
@@ -1038,9 +1050,10 @@ class IncrementalPlanEngine:
         self._worker_entries[worker.worker_id] = entry
         return entry
 
-    def _refresh_sequences(self, entry: _WorkerEntry, worker: Worker, now: float) -> None:
+    def _refresh_sequences(self, worker: Worker, now: float) -> None:
         """Re-enumerate sequences over an unchanged reachable set."""
         config = self.planner.config
+        entry = self._worker_entries[worker.worker_id]
         horizon_box: List[float] = []
         sequences = maximal_valid_sequences(
             worker,
@@ -1115,7 +1128,7 @@ class IncrementalPlanEngine:
                     holders.setdefault(tid, set()).add(worker_id)
                 seeds.append(worker_id)
 
-        for wid in [wid for wid in registered if wid not in workers_by_id]:
+        for wid in registered.keys() - workers_by_id.keys():
             reregister(wid, ())
         for wid in touched:
             reregister(wid, self._worker_entries[wid].reachable_ids)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.problem import ATAInstance
 from repro.core.task import Task
-from repro.core.worker import AvailabilityWindow, Worker
+from repro.core.worker import Worker
 from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.profiles import DAY_SECONDS, SpeedProfile
 from repro.spatial.timedep import TimeDependentTravelModel

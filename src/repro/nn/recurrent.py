@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, concatenate, stack
+from repro.nn.tensor import Tensor, stack
 
 
 class LSTMCell(Module):

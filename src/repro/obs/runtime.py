@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
-from repro.obs.metrics import MetricsRegistry, StreamingHistogram
-from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, _NULL_SPAN, _NullSpan, _Span
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, _NULL_SPAN, _NullSpan
 
 __all__ = ["ObservabilityConfig", "Observability", "OBS_DISABLED"]
 

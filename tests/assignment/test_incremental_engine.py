@@ -736,3 +736,185 @@ class TestExactArrivalTest:
             now += rng.uniform(0.0, 1.0)
         assert skipped_total > 0
 
+
+
+class TestIdentityPass:
+    """One identity pass over the snapshot decides who is refreshed: an
+    unchanged ``Worker`` object costs one ``is`` check, an equal-field
+    replacement one field compare (after which the entry re-latches the
+    new object), and only the work list reaches ``_refresh_worker`` /
+    ``_refresh_sequences``.  Every step is held to an empty-cache engine."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Count field-compare fallbacks and the two refresh kinds."""
+        from repro.assignment import incremental
+
+        counts = {"unchanged": 0, "refresh": [], "sequences": []}
+        compare = incremental._worker_unchanged
+        refresh = incremental.IncrementalPlanEngine._refresh_worker
+        sequences = incremental.IncrementalPlanEngine._refresh_sequences
+
+        def counting_compare(fingerprint, worker):
+            counts["unchanged"] += 1
+            return compare(fingerprint, worker)
+
+        def counting_refresh(self, worker, old, inputs, force_bump):
+            counts["refresh"].append(worker.worker_id)
+            return refresh(self, worker, old, inputs, force_bump)
+
+        def counting_sequences(self, worker, now):
+            counts["sequences"].append(worker.worker_id)
+            return sequences(self, worker, now)
+
+        monkeypatch.setattr(incremental, "_worker_unchanged", counting_compare)
+        monkeypatch.setattr(
+            incremental.IncrementalPlanEngine, "_refresh_worker", counting_refresh
+        )
+        monkeypatch.setattr(
+            incremental.IncrementalPlanEngine, "_refresh_sequences", counting_sequences
+        )
+
+        def reset():
+            counts.update(unchanged=0, refresh=[], sequences=[])
+
+        counts["reset"] = reset
+        return counts
+
+    @staticmethod
+    def _snapshot():
+        rng = random.Random(31)
+        workers = [
+            Worker(i, Point(rng.uniform(0, 8), rng.uniform(0, 8)), 2.0, 0.0, 1000.0)
+            for i in range(6)
+        ]
+        tasks = [
+            Task(100 + j, Point(rng.uniform(0, 8), rng.uniform(0, 8)), 0.0, 1000.0)
+            for j in range(20)
+        ]
+        return workers, tasks
+
+    @staticmethod
+    def _plan(planner, workers, tasks, now, calls):
+        """Plan warm; return the outcome and the calls that plan made."""
+        calls["reset"]()
+        outcome = planner.plan(workers, tasks, now)
+        made = dict(calls)
+        calls["reset"]()  # fresh lists: the cold plan below counts apart
+        cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        assert _signature(outcome) == _signature(cold.plan(workers, tasks, now))
+        return outcome, made
+
+    def test_quiet_epoch_touches_no_worker(self, calls):
+        workers, tasks = self._snapshot()
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        self._plan(planner, workers, tasks, 0.0, calls)
+        quiet, made = self._plan(planner, workers, tasks, 0.1, calls)
+        assert made["unchanged"] == 0
+        assert made["refresh"] == [] and made["sequences"] == []
+        assert quiet.reused_workers == len(workers)
+
+    def test_equal_field_replacement_is_reused_and_relatched(self, calls):
+        import dataclasses
+
+        workers, tasks = self._snapshot()
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        self._plan(planner, workers, tasks, 0.0, calls)
+        copies = [dataclasses.replace(worker) for worker in workers]
+        assert all(c is not w and c == w for c, w in zip(copies, workers))
+        outcome, made = self._plan(planner, copies, tasks, 0.1, calls)
+        assert made["unchanged"] == len(copies)
+        assert made["refresh"] == [] and made["sequences"] == []
+        assert outcome.reused_workers == len(copies)
+        entries = planner._engine._worker_entries
+        assert all(entries[c.worker_id].worker is c for c in copies)
+        # Re-latched: the copies now pass on identity alone.
+        _, made = self._plan(planner, copies, tasks, 0.2, calls)
+        assert made["unchanged"] == 0
+
+    def test_moved_worker_is_refreshed(self, calls):
+        workers, tasks = self._snapshot()
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        self._plan(planner, workers, tasks, 0.0, calls)
+        moved = list(workers)
+        moved[2] = moved[2].moved_to(Point(4.0, 4.0))
+        outcome, made = self._plan(planner, moved, tasks, 0.1, calls)
+        assert made["unchanged"] == 1
+        assert made["refresh"] == [moved[2].worker_id]
+        assert outcome.recomputed_workers == 1
+        assert planner._engine._worker_entries[moved[2].worker_id].worker is moved[2]
+
+    def test_worker_past_only_its_sequence_horizon_refreshes_sequences(self, calls):
+        # Via ``a`` the worker reaches ``b`` by 1 + sqrt(2); directly by 1.
+        # The sequence (a, b) therefore dies before ``b`` leaves the
+        # reachable set: between the two horizons only ``Q_w`` is redone.
+        workers = [Worker(1, Point(0.0, 0.0), 2.0, 0.0, 1000.0)]
+        tasks = [
+            Task(100, Point(0.0, 1.0), 0.0, 1000.0),
+            Task(101, Point(1.0, 0.0), 0.0, 10.0),
+        ]
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        self._plan(planner, workers, tasks, 0.0, calls)
+        entry = planner._engine._worker_entries[1]
+        now = 8.0
+        assert entry.seq_horizon <= now < entry.reach_horizon
+        outcome, made = self._plan(planner, workers, tasks, now, calls)
+        assert made["refresh"] == []
+        assert made["sequences"] == [1]
+        assert outcome.recomputed_workers == 1
+
+
+class TestWorkerEviction:
+    """Entries of workers gone for more than ``_COMPONENT_CACHE_TTL`` epochs
+    are dropped once the table outgrows ``max(64, 2·W)``; a worker's
+    ``last_seen`` is stamped as it leaves, so one that was present for
+    longer than the TTL is not dropped the moment it leaves, and present
+    workers are never dropped."""
+
+    def test_departed_entries_dropped_after_ttl(self):
+        from repro.assignment.incremental import _COMPONENT_CACHE_TTL as ttl
+
+        # A line of isolated workers, every third one with a task of its
+        # own, and one task far off that nobody reaches yet.
+        fleet = [Worker(i, Point(10.0 * i, 0.0), 1.5, 0.0, 1e6) for i in range(70)]
+        tasks = [
+            Task(1000 + i, Point(10.0 * i + 0.5, 0.0), 0.0, 1e6) for i in range(0, 70, 3)
+        ] + [Task(999, Point(500.0, 500.0), 0.0, 1e6)]
+        stay, leave = fleet[:2], fleet[2:]
+        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        epoch, now = 0, 0.0
+
+        def step(workers):
+            nonlocal epoch, now
+            epoch += 1
+            now += 0.01
+            return planner.plan(workers, tasks, now)
+
+        def entries():
+            return planner._engine._worker_entries
+
+        # Present for longer than the TTL, then most of the fleet leaves.
+        for _ in range(ttl + 6):
+            step(fleet)
+        left_at = epoch
+        for _ in range(ttl):
+            step(stay)
+            # Gone for at most the TTL: still cached, and so is the fleet
+            # that stayed (present workers are never dropped).
+            assert len(entries()) == len(fleet)
+        step(stay)
+        assert epoch - left_at == ttl + 1  # absent for more than the TTL
+        assert sorted(entries()) == [w.worker_id for w in stay]
+        gone = {w.worker_id for w in leave}
+        assert not any(gone & owners for owners in planner._engine._task_owners.values())
+
+        # A returning worker is refreshed from scratch and plans like an
+        # empty-cache engine: back where it was, or (worker 4, whose old
+        # plan was empty) next to the task nobody could reach.
+        for back in (fleet[3], fleet[4].moved_to(Point(500.5, 500.0))):
+            snapshot = stay + [back]
+            outcome = step(snapshot)
+            assert back.worker_id in entries()
+            assert outcome.recomputed_workers >= 1
+            cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+            assert _signature(outcome) == _signature(cold.plan(snapshot, tasks, now))

@@ -136,3 +136,27 @@ class TestPublicAPI:
         instance = ATAInstance(workers, tasks, travel=EuclideanTravelModel(speed=1.0))
         report = SimulationRunner(instance).run_strategy("DATA-WA")
         assert report.assigned_tasks == 1
+
+    def test_quickstart_example_title_matches_its_table(self, capsys):
+        """``examples/quickstart.py`` states the assigned counts in its
+        title; they must be the counts its own table prints."""
+        import re
+        import runpy
+        from pathlib import Path
+
+        example = Path(__file__).resolve().parents[1] / "examples" / "quickstart.py"
+        runpy.run_path(str(example))["main"]()
+        out = capsys.readouterr().out
+        title = re.search(
+            r"Greedy assigns (\d+), FTA and the adaptive methods assign (\d+)", out
+        )
+        assert title is not None, out
+        counts = {}
+        for line in out.splitlines():
+            fields = line.split()
+            if fields and fields[0] in ("Greedy", "FTA", "DTA", "DTA+TP", "DATA-WA"):
+                counts[fields[0]] = int(fields[1])
+        assert len(counts) == 5, out
+        greedy, others = (int(n) for n in title.groups())
+        assert counts.pop("Greedy") == greedy
+        assert set(counts.values()) == {others}
