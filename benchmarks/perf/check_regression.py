@@ -41,7 +41,13 @@ runner:
   candidate may not exceed the baseline.  Both are deterministic counts
   (machine-invariant), so the ceiling is exact; the same-run wall-clock
   ``overhead_ratio`` is printed as info only (every cheaper replan
-  raises it, and it spread across 1.05 run to run on identical code).
+  raises it, and it spread across 1.05 run to run on identical code),
+* search node counts: ``bnb_search.*.bnb_nodes`` / ``.bnb_mean_nodes``
+  and ``lp_bound.*.lp_nodes``, gated as a **ceiling** too.  They are
+  integer search statistics over identical inputs, reproduced exactly on
+  every host, so a kernel change that expands more nodes fails here even
+  when the wall-clock ``speedup`` ratios beside them are too noisy to
+  tell.
 
 Some families are gated at an absolute **floor** instead (``FLOORS``
 maps metric-name prefixes to their thresholds):
@@ -171,9 +177,9 @@ def _iter_metrics(data):
         for scale, entry in bnb.get(family, {}).items():
             yield f"bnb_search.{family}.{scale}.nodes_ratio", entry["nodes_ratio"], "ratio"
             yield f"bnb_search.{family}.{scale}.speedup", entry["speedup"], "ratio"
-            for info_key in ("bnb_nodes", "bnb_mean_nodes"):
-                if info_key in entry:
-                    yield f"bnb_search.{family}.{scale}.{info_key}", entry[info_key], "info"
+            for count in ("bnb_nodes", "bnb_mean_nodes"):
+                if count in entry:
+                    yield f"bnb_search.{family}.{scale}.{count}", entry[count], "ceiling"
     roadnet = data.get("roadnet_planning", {})
     for scale, entry in roadnet.get("snapshot", {}).items():
         yield f"roadnet_planning.snapshot.{scale}.efficiency", entry["efficiency"], "ratio"
@@ -200,7 +206,7 @@ def _iter_metrics(data):
         # Node counts are deterministic: the floor holds on every host and
         # the ratio-gate catches any drift from the committed baseline.
         yield f"lp_bound.component_search.{scale}.nodes_ratio", entry["nodes_ratio"], "floor"
-        yield f"lp_bound.component_search.{scale}.lp_nodes", entry["lp_nodes"], "info"
+        yield f"lp_bound.component_search.{scale}.lp_nodes", entry["lp_nodes"], "ceiling"
         yield f"lp_bound.component_search.{scale}.speedup", entry["speedup"], "ratio"
     per_leg = data.get("per_leg_pricing", {})
     for scale, entry in per_leg.get("boundary_stream", {}).items():

@@ -9,9 +9,9 @@ assignment and, optionally, the ``(state, action, opt)`` experience tuples
 used to train the Task Value Function.
 
 ``dfsearch_bnb`` solves the identical problem with branch-and-bound
-pruning: every sub-problem carries an admissible upper bound (a capped
-fractional-matching relaxation over the candidate sequences, evaluated as
-bitmask intersections), branches are ordered so the incumbent tightens
+pruning: every sub-problem carries an admissible upper bound (a per-worker
+capped relaxation over the candidate sequences, evaluated as bitmask
+intersections), branches are ordered so the incumbent tightens
 early, sequences whose task sets are subsets of an already-explored
 sibling — with the sibling's extra tasks invisible to the remaining
 workers — are skipped (dominance), and memoisation keys are restricted
@@ -59,6 +59,10 @@ _DEADLINE_CHECK_INTERVAL = 64
 #: double-counts shared tasks.  Every kind is admissible, so the engine
 #: stays exact under all of them.
 BOUND_MODES = ("additive", "lp", "adaptive")
+
+#: The shipped bound kind: the one default of ``PlannerConfig``,
+#: ``ComponentJob`` and :func:`dfsearch_bnb` (why: ``PlannerConfig``).
+DEFAULT_BOUND_MODE = "additive"
 
 #: Work cap of one max-flow bound evaluation, counted in augmenting-path
 #: steps.  The flow search is *anytime*: on hitting the cap it abandons the
@@ -418,6 +422,7 @@ class _BnBNode:
         "worker_ids",
         "desc_worker_ids",
         "candidates",
+        "holders",
         "own_bounds",
         "desc_bounds",
         "all_bounds",
@@ -432,7 +437,7 @@ class _BnBNode:
         bit_of: Dict[int, int],
         sequences_by_worker: Dict[int, List[TaskSequence]],
         counter: List[int],
-        bound_mode: str = "additive",
+        bound_mode: str,
     ) -> None:
         self.key = counter[0]
         counter[0] += 1
@@ -446,27 +451,34 @@ class _BnBNode:
         #: (mask, length, task_id_tuple), longest first so the incumbent
         #: tightens early and the suffix-bound cut can break the loop.
         self.candidates = []
+        #: holders[i][b] — bitmask over the indices of worker i's
+        #: candidates that contain the task at bit position b: clearing
+        #: the holders of every unavailable task leaves the live ones.
+        self.holders = []
         #: own_bounds[i] — (union mask, longest length) per worker: the
         #: per-worker term of the relaxation bound.
         self.own_bounds = []
         for worker_id in self.worker_ids:
             cands = []
+            holders = [0] * len(bit_of)
             union = 0
-            longest = 0
-            for sequence in sequences_by_worker.get(worker_id, []):
+            sequences = sequences_by_worker.get(worker_id, [])
+            # Longest first; the sort is stable, so ties keep Q_w rank.
+            for sequence in sorted(sequences, key=lambda seq: -len(seq.task_ids)):
                 ids = sequence.task_ids
                 if not ids or any(tid not in bit_of for tid in ids):
                     continue  # references a task outside this sub-problem
                 mask = 0
+                flag = 1 << len(cands)
                 for tid in ids:
-                    mask |= 1 << bit_of[tid]
+                    position = bit_of[tid]
+                    mask |= 1 << position
+                    holders[position] |= flag
                 cands.append((mask, len(ids), ids))
                 union |= mask
-                if len(ids) > longest:
-                    longest = len(ids)
-            cands.sort(key=lambda item: -item[1])  # stable: keeps Q_w rank
             self.candidates.append(cands)
-            self.own_bounds.append((union, longest))
+            self.holders.append(holders)
+            self.own_bounds.append((union, cands[0][1] if cands else 0))
 
         #: Flattened (union mask, longest) of every descendant worker, and
         #: the matching flattened descendant worker ids (experience states).
@@ -547,14 +559,14 @@ class _BnBNode:
         With :attr:`lp_active` the additive value is refined by the exact
         fractional-matching max-flow over the same ``(union ∩ available,
         capacity)`` structure, which never double-counts a shared task.
-        The bound is **recomputed from scratch for every** ``(i,
-        available)`` **with the node's active kind** — an additive value
-        must never stand in for an LP call site (or vice versa) once a
-        caller has used it to size a suffix cut, and both kinds are
-        monotone in ``available``, which is what makes the suffix cuts
-        sound.  On a step-cap abort the flow search discards its partial
-        flow (a lower bound of the relaxation, inadmissible) and the
-        additive value stands.
+        A value is only ever reused for the identical ``(i, available)``
+        **under the node's active kind** (the option-0 child inherits its
+        parent's rest bound) — an additive value must never stand in for
+        an LP call site (or vice versa) once a caller has used it to size
+        a suffix cut, and both kinds are monotone in ``available``, which
+        is what makes the suffix cuts sound.  On a step-cap abort the flow
+        search discards its partial flow (a lower bound of the relaxation,
+        inadmissible) and the additive value stands.
         """
         cap = (available & self.rel_from[i]).bit_count()
         if cap == 0:
@@ -708,13 +720,19 @@ def _bnb_children(
 
 
 def _bnb_solve(
-    info: _BnBNode, i: int, available: int, context: _BnBContext
+    info: _BnBNode,
+    i: int,
+    available: int,
+    context: _BnBContext,
+    upper: Optional[int] = None,
 ) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...], bool]:
     """Branch-and-bound over worker ``i`` of ``info`` (then ``i+1``…).
 
-    Returns ``(opt, selections, complete)`` where ``complete`` is False
-    iff the budget cut exploration somewhere below (in which case ``opt``
-    is still a feasible lower bound and the selections reuse no task).
+    ``upper`` is ``info.bound(i, available)`` when the caller already
+    holds it (the option-0 child of worker ``i - 1``).  Returns ``(opt,
+    selections, complete)`` where ``complete`` is False iff the budget cut
+    exploration somewhere below (in which case ``opt`` is still a feasible
+    lower bound and the selections reuse no task).
     """
     if i == len(info.worker_ids):
         return _bnb_children(info, available, context)
@@ -728,7 +746,8 @@ def _bnb_solve(
         return 0, info.empty_tail[i:], False
     context.nodes_expanded += 1
 
-    upper = info.bound(i, available)
+    if upper is None:
+        upper = info.bound(i, available)
     if upper == 0:
         result = (0, info.empty_tail[i:])
         context.memo[key] = result
@@ -741,13 +760,27 @@ def _bnb_solve(
     best_selection: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
     complete = True
     tried: List[int] = []
-    for mask, length, task_ids in info.candidates[i]:
+    # Live candidates: clear the holders of every unavailable task, then
+    # walk the surviving indices lowest-first (candidate order).  The
+    # break tests fire at the same processed candidate as a scan of every
+    # candidate would: ``length`` never grows and ``best_opt`` only moves
+    # at a processed one.
+    candidates = info.candidates[i]
+    holders = info.holders[i]
+    live = (1 << len(candidates)) - 1
+    gone = info.own_bounds[i][0] & ~available
+    while gone:
+        bit = gone & -gone
+        live &= ~holders[bit.bit_length() - 1]
+        gone ^= bit
+    while live:
+        low = live & -live
+        live ^= low
+        mask, length, task_ids = candidates[low.bit_length() - 1]
         if best_opt >= upper:
             break  # incumbent met the sub-problem bound: proven optimal
         if length + rest_upper <= best_opt:
             break  # longest-first order: every later candidate bounds lower
-        if mask & ~available:
-            continue  # not fully available
         # Dominance: a sequence whose task set is a subset of an explored
         # sibling's is skippable only when the sibling's extra tasks are
         # invisible to the remaining sub-problem — then both branches
@@ -791,7 +824,9 @@ def _bnb_solve(
     # Option 0 (assign nothing) — skipped when the rest-of-problem bound
     # proves it cannot beat the incumbent.
     if best_selection is None or (best_opt < upper and rest_upper > best_opt):
-        sub_opt, sub_sel, sub_complete = _bnb_solve(info, i + 1, available, context)
+        sub_opt, sub_sel, sub_complete = _bnb_solve(
+            info, i + 1, available, context, rest_upper
+        )
         complete = complete and sub_complete
         if sub_opt > best_opt or best_selection is None:
             best_opt = sub_opt
@@ -811,16 +846,17 @@ def dfsearch_bnb(
     collect_experience: bool = False,
     deadline: Optional[float] = None,
     available_ids: Optional[FrozenSet[int]] = None,
-    bound_mode: str = "adaptive",
+    bound_mode: str = DEFAULT_BOUND_MODE,
 ) -> DFSearchResult:
     """Anytime branch-and-bound equivalent of :func:`dfsearch`.
 
     ``bound_mode`` selects the admissible bound (see :data:`BOUND_MODES`):
-    the per-worker ``additive`` relaxation, the fractional-matching ``lp``
-    refinement, or ``adaptive`` (the default), which pays for the flow
-    search only on contested nodes.  The mode changes how much is pruned —
-    ``nodes_expanded`` and the tie-broken selections may differ — but
-    never the optimality guarantees below, which hold for every kind.
+    the per-worker ``additive`` relaxation (the default), the
+    fractional-matching ``lp`` refinement, or ``adaptive``, which pays for
+    the flow search only on contested nodes.  The mode changes how much
+    is pruned — ``nodes_expanded`` and the tie-broken selections may
+    differ — but never the optimality guarantees below, which hold for
+    every kind.
 
     Guarantees, for the same inputs:
 

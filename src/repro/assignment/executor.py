@@ -46,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.assignment.dfsearch import dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import DEFAULT_BOUND_MODE, dfsearch, dfsearch_bnb
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
 from repro.assignment.tree import PartitionNode
 from repro.core.sequence import TaskSequence
@@ -111,7 +111,7 @@ class ComponentJob:
     #: :data:`repro.assignment.dfsearch.BOUND_MODES`); exact/TVF jobs
     #: ignore it.  Part of the job payload so pool workers prune exactly
     #: like the serial path would.
-    bound_mode: str = "adaptive"
+    bound_mode: str = DEFAULT_BOUND_MODE
     #: Active tasks (TVF mode only: global snapshot statistics).
     tasks: Optional[Sequence[Task]] = None
     #: The trained value function (TVF mode only; numpy state, picklable).

@@ -10,6 +10,9 @@ The contract under test (see :func:`repro.assignment.dfsearch.dfsearch_bnb`):
   and the memo key no longer collides across tree nodes.
 """
 
+import dataclasses
+import hashlib
+import inspect
 import math
 import random
 
@@ -25,11 +28,13 @@ except ImportError:  # pragma: no cover - optional dependency
 
 from repro.assignment.dfsearch import (
     BOUND_MODES,
+    DEFAULT_BOUND_MODE,
     _matching_bound,
     adaptive_node_budget,
     dfsearch,
     dfsearch_bnb,
 )
+from repro.assignment.executor import ComponentJob
 from repro.assignment.fast_partition import build_adjacency, build_partition_tree_fast
 from repro.assignment.planner import PlannerConfig, TaskPlanner
 from repro.assignment.reachability import reachable_tasks
@@ -83,6 +88,29 @@ def search_inputs(workers, tasks, max_reachable=8):
     tree = build_partition_tree_fast(build_adjacency(reachable))
     workers_by_id = {w.worker_id: w for w in workers}
     return tree.roots, sequences, workers_by_id
+
+
+def dense_component_snapshot(num_workers, num_tasks, seed):
+    """Seeded dense snapshot ``(workers, tasks)``: every worker reaches
+    most of a small pool (the contested 5-7 driver shape the dense-batch
+    replay searches)."""
+    rng = random.Random(seed)
+    workers = [
+        Worker(i, Point(rng.uniform(0, 2.2), rng.uniform(0, 2.2)), 2.5, 0.0, 60.0)
+        for i in range(num_workers)
+    ]
+    tasks = [
+        Task(100 + j, Point(rng.uniform(0, 2.2), rng.uniform(0, 2.2)), 0.0, rng.uniform(6, 45))
+        for j in range(num_tasks)
+    ]
+    return workers, tasks
+
+
+def dense_component_problem(num_workers, num_tasks, seed):
+    """:func:`dense_component_snapshot` as search inputs."""
+    workers, tasks = dense_component_snapshot(num_workers, num_tasks, seed)
+    roots, sequences, workers_by_id = search_inputs(workers, tasks)
+    return roots, tasks, sequences, workers_by_id
 
 
 def assert_feasible(result, sequences_by_worker):
@@ -284,16 +312,7 @@ class TestAdaptiveNodeBudget:
         assert adaptive_node_budget(100, 50, 10) >= adaptive_node_budget(100, 40, 10)
 
     def _dense_component(self):
-        rng = random.Random(4711)
-        workers = [
-            Worker(i, Point(rng.uniform(0, 2.2), rng.uniform(0, 2.2)), 2.5, 0.0, 60.0)
-            for i in range(7)
-        ]
-        tasks = [
-            Task(100 + j, Point(rng.uniform(0, 2.2), rng.uniform(0, 2.2)), 0.0, rng.uniform(6, 45))
-            for j in range(22)
-        ]
-        return workers, tasks
+        return dense_component_snapshot(7, 22, seed=4711)
 
     def test_budget_scaling_regression(self):
         """With a starvation-level base budget, the adaptive floor must
@@ -546,8 +565,9 @@ def _brute_force_b_matching(units):
     return best
 
 
-def contested_hub_problem(num_pinned=8, num_central=6, num_ring=14, seed=7):
-    """Hub-and-ring instance where the additive bound is provably loose.
+def contested_hub_snapshot(num_pinned=8, num_central=6, num_ring=14, seed=7):
+    """Hub-and-ring snapshot ``(workers, tasks)`` where the additive bound
+    is provably loose.
 
     Many short-reach workers crowd a small central pool (worker surplus at
     the hub) while the far ring holds more tasks than the rovers' total
@@ -579,6 +599,12 @@ def contested_hub_problem(num_pinned=8, num_central=6, num_ring=14, seed=7):
         workers.append(
             Worker(100 + i, Point(4.6 * math.cos(ang), 4.6 * math.sin(ang)), 11.0, 0.0, 240.0)
         )
+    return workers, tasks
+
+
+def contested_hub_problem(**snapshot):
+    """:func:`contested_hub_snapshot` as search inputs."""
+    workers, tasks = contested_hub_snapshot(**snapshot)
     # max_tasks mirrors the planner's default ``max_reachable``: the
     # rovers see their ten nearest tasks, which keeps the rim contested.
     reachable = {
@@ -726,3 +752,168 @@ class TestLPBound:
                 )
                 assert bnb.opt == exact.opt
                 assert_feasible(bnb, sequences)
+
+
+#: Instances of the kernel golden: two dense components (flat trees), a
+#: three-level partition tree (exercises the children recursion) and the
+#: contested hub (where ``lp`` / ``adaptive`` prune what ``additive`` cannot).
+GOLDEN_INSTANCES = {
+    "dense_6x15": lambda: dense_component_problem(6, 15, seed=2),
+    "dense_7x16": lambda: dense_component_problem(7, 16, seed=3),
+    "tree_17": lambda: random_problem(random.Random(17), max_workers=14, max_tasks=40),
+    "hub": contested_hub_problem,
+}
+
+#: A budget that cuts every golden instance under every bound kind.
+STARVED_BUDGET = 9
+
+#: sha256 prefixes of :func:`kernel_digest`, recorded on the search kernel
+#: before the live-candidate index and the inherited rest bound went in —
+#: both are pure work-skipping, so every digest must stay bit-identical.
+KERNEL_GOLDEN = {
+    "dense_6x15/additive/ample/plain": "3881e16883505620",
+    "dense_6x15/additive/ample/experience": "9f10314edbd4a3b1",
+    "dense_6x15/additive/starved/plain": "d87691fcdde81e18",
+    "dense_6x15/additive/starved/experience": "935a60f26d32d005",
+    "dense_6x15/lp/ample/plain": "3881e16883505620",
+    "dense_6x15/lp/ample/experience": "9f10314edbd4a3b1",
+    "dense_6x15/lp/starved/plain": "d87691fcdde81e18",
+    "dense_6x15/lp/starved/experience": "935a60f26d32d005",
+    "dense_6x15/adaptive/ample/plain": "3881e16883505620",
+    "dense_6x15/adaptive/ample/experience": "9f10314edbd4a3b1",
+    "dense_6x15/adaptive/starved/plain": "d87691fcdde81e18",
+    "dense_6x15/adaptive/starved/experience": "935a60f26d32d005",
+    "dense_7x16/additive/ample/plain": "b2f3be1b4e8ebd60",
+    "dense_7x16/additive/ample/experience": "1fba464a2be46f4b",
+    "dense_7x16/additive/starved/plain": "e12e540f6f62966a",
+    "dense_7x16/additive/starved/experience": "f381e248d8a94b53",
+    "dense_7x16/lp/ample/plain": "b2f3be1b4e8ebd60",
+    "dense_7x16/lp/ample/experience": "1fba464a2be46f4b",
+    "dense_7x16/lp/starved/plain": "e12e540f6f62966a",
+    "dense_7x16/lp/starved/experience": "f381e248d8a94b53",
+    "dense_7x16/adaptive/ample/plain": "b2f3be1b4e8ebd60",
+    "dense_7x16/adaptive/ample/experience": "1fba464a2be46f4b",
+    "dense_7x16/adaptive/starved/plain": "e12e540f6f62966a",
+    "dense_7x16/adaptive/starved/experience": "f381e248d8a94b53",
+    "hub/additive/ample/plain": "27796e7e805bf345",
+    "hub/additive/ample/experience": "3de4f3676ad40489",
+    "hub/additive/starved/plain": "b44ffe564a2045bf",
+    "hub/additive/starved/experience": "a20f40f281bb1fbd",
+    "hub/lp/ample/plain": "7869ed583849f32a",
+    "hub/lp/ample/experience": "38a527b2719c013e",
+    "hub/lp/starved/plain": "b44ffe564a2045bf",
+    "hub/lp/starved/experience": "a20f40f281bb1fbd",
+    "hub/adaptive/ample/plain": "7869ed583849f32a",
+    "hub/adaptive/ample/experience": "38a527b2719c013e",
+    "hub/adaptive/starved/plain": "b44ffe564a2045bf",
+    "hub/adaptive/starved/experience": "a20f40f281bb1fbd",
+    "tree_17/additive/ample/plain": "44c3daf1cfa38355",
+    "tree_17/additive/ample/experience": "00eeb645f9a3ba1c",
+    "tree_17/additive/starved/plain": "650590f5f17e1bc1",
+    "tree_17/additive/starved/experience": "88ea47580c5460e5",
+    "tree_17/lp/ample/plain": "44c3daf1cfa38355",
+    "tree_17/lp/ample/experience": "00eeb645f9a3ba1c",
+    "tree_17/lp/starved/plain": "650590f5f17e1bc1",
+    "tree_17/lp/starved/experience": "88ea47580c5460e5",
+    "tree_17/adaptive/ample/plain": "44c3daf1cfa38355",
+    "tree_17/adaptive/ample/experience": "00eeb645f9a3ba1c",
+    "tree_17/adaptive/starved/plain": "650590f5f17e1bc1",
+    "tree_17/adaptive/starved/experience": "88ea47580c5460e5",
+}
+
+
+def kernel_digest(instance, bound_mode, budget, collect_experience):
+    """Digest of everything the search reports, over every forest root:
+    ``(opt, selections, nodes_expanded, memo_hits, complete)`` and the
+    experience tuples in recording order."""
+    roots, tasks, sequences, workers_by_id = GOLDEN_INSTANCES[instance]()
+    digest = hashlib.sha256()
+    for root in roots:
+        result = dfsearch_bnb(
+            root,
+            tasks,
+            sequences,
+            workers_by_id,
+            node_budget=budget,
+            collect_experience=collect_experience,
+            bound_mode=bound_mode,
+        )
+        digest.update(
+            repr(
+                (
+                    result.opt,
+                    result.selections,
+                    result.nodes_expanded,
+                    result.memo_hits,
+                    result.complete,
+                )
+            ).encode()
+        )
+        digest.update(repr(result.experience).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestSearchKernelGolden:
+    """The branch-and-bound kernel is pinned bit for bit: any change to
+    which candidates it visits, in which order, or which bound it computes
+    moves at least one digest."""
+
+    @pytest.mark.parametrize("collect_experience", [False, True], ids=["plain", "experience"])
+    @pytest.mark.parametrize("budget", ["ample", "starved"])
+    @pytest.mark.parametrize("bound_mode", BOUND_MODES)
+    @pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
+    def test_kernel_matches_golden(self, instance, bound_mode, budget, collect_experience):
+        node_budget = AMPLE_BUDGET if budget == "ample" else STARVED_BUDGET
+        key = f"{instance}/{bound_mode}/{budget}/{'experience' if collect_experience else 'plain'}"
+        assert kernel_digest(instance, bound_mode, node_budget, collect_experience) == KERNEL_GOLDEN[key]
+
+    def test_starved_budget_cuts_every_instance(self):
+        for instance, build in GOLDEN_INSTANCES.items():
+            roots, tasks, sequences, workers_by_id = build()
+            for bound_mode in BOUND_MODES:
+                results = [
+                    dfsearch_bnb(
+                        root, tasks, sequences, workers_by_id,
+                        node_budget=STARVED_BUDGET, bound_mode=bound_mode,
+                    )
+                    for root in roots
+                ]
+                assert not all(r.complete for r in results), (instance, bound_mode)
+
+
+class TestShippedBound:
+    """One default bound kind, shared by every entry point, that plans
+    what the matching-bound kinds plan."""
+
+    def test_entry_points_share_the_default(self):
+        job_default = {f.name: f.default for f in dataclasses.fields(ComponentJob)}
+        assert PlannerConfig().bound_mode == DEFAULT_BOUND_MODE
+        assert job_default["bound_mode"] == DEFAULT_BOUND_MODE
+        assert (
+            inspect.signature(dfsearch_bnb).parameters["bound_mode"].default
+            == DEFAULT_BOUND_MODE
+        )
+        assert DEFAULT_BOUND_MODE in BOUND_MODES
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [
+            lambda: dense_component_snapshot(6, 15, seed=2),
+            lambda: dense_component_snapshot(7, 16, seed=3),
+            lambda: dense_component_snapshot(8, 20, seed=3),
+            contested_hub_snapshot,
+            lambda: contested_hub_snapshot(num_pinned=10, num_ring=16, seed=3),
+        ],
+        ids=["dense_6x15", "dense_7x16", "dense_8x20", "hub", "hub_wide"],
+    )
+    def test_default_plans_the_adaptive_opt(self, snapshot):
+        workers, tasks = snapshot()
+        outcomes = {
+            mode: TaskPlanner(
+                PlannerConfig(bound_mode=mode, incremental_replan=False), travel=TRAVEL
+            ).plan(workers, tasks, 0.0)
+            for mode in (DEFAULT_BOUND_MODE, "adaptive")
+        }
+        shipped, adaptive = outcomes[DEFAULT_BOUND_MODE], outcomes["adaptive"]
+        assert shipped.planned_tasks == adaptive.planned_tasks > 0
+        assert shipped.num_components == adaptive.num_components
