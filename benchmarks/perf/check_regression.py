@@ -52,15 +52,6 @@ runner:
 Some families are gated at an absolute **floor** instead (``FLOORS``
 maps metric-name prefixes to their thresholds):
 
-* ``parallel_search.*.speedup`` — the process-pool backend's wall-clock
-  win over the serial backend on dense multi-cluster snapshots — must be
-  at least ``PARALLEL_SPEEDUP_FLOOR`` at 4 workers.  The floor arms
-  itself from the *candidate* entry's ``gate`` flag (recorded true only
-  on hosts with >= 4 usable cores): a 1-core container records honest
-  numbers and is exempt, CI's 4-vCPU runners enforce the floor.  Floor
-  metrics are driven by the candidate, not the baseline, so the gate
-  cannot be disabled by a baseline that was committed from a small
-  machine.
 * ``lp_bound.*.nodes_ratio`` — node expansions of the additive-bound
   exact search over the LP-relaxation bound's on contested components.
   Node counts are integer search statistics over identical float inputs
@@ -82,8 +73,9 @@ Absolute wall-clock numbers (latencies, events/sec) are printed for
 context but never fail the check — they are not comparable across
 machines.  A ratio fails when ``candidate < baseline / factor``; a bound
 fails when ``candidate > OVERHEAD_LIMIT``; a ceiling fails when
-``candidate > baseline``; a floor fails when
-``candidate < PARALLEL_SPEEDUP_FLOOR`` on a gated host.  Missing
+``candidate > baseline``; a floor fails when the candidate is below its
+``FLOORS`` threshold.  Floor metrics are driven by the candidate, not the
+baseline, so a floor cannot be disabled by the baseline file.  Missing
 sections are skipped with a note so partial baselines stay usable.
 """
 
@@ -98,11 +90,6 @@ from pathlib import Path
 #: Absolute ceiling for 'bound' metrics: the fault-tolerance machinery may
 #: cost at most 5% of the bare-metal wall-clock on a healthy stream.
 OVERHEAD_LIMIT = 1.05
-
-#: Absolute floor for the parallel-search family: the 4-worker pool must
-#: beat the serial backend by at least this much on gated (>= 4-core)
-#: hosts.
-PARALLEL_SPEEDUP_FLOOR = 1.5
 
 #: Absolute floor for the LP-relaxation bound: the additive-bound search
 #: must expand at least 2x the nodes on contested components (the PR 10
@@ -120,7 +107,6 @@ ALLOC_REDUCTION_FLOOR = 2.0
 #: 'floor'-kind metrics gate at the threshold mapped from their metric
 #: name's leading section.
 FLOORS = {
-    "parallel_search.": PARALLEL_SPEEDUP_FLOOR,
     "lp_bound.": LP_NODES_RATIO_FLOOR,
     "per_leg_pricing.": PER_LEG_SERVED_FLOOR,
     "replan_alloc.": ALLOC_REDUCTION_FLOOR,
@@ -142,10 +128,8 @@ def _iter_metrics(data):
     absolute ``OVERHEAD_LIMIT`` (fails when the candidate exceeds it,
     regardless of the baseline); ``ceiling`` gates a deterministic count
     against the baseline (fails when the candidate exceeds it);
-    ``floor`` gates against the absolute
-    ``PARALLEL_SPEEDUP_FLOOR`` and is driven by the *candidate* (the
-    entry's ``gate`` flag downgrades it to ``info`` on hosts too small
-    to show a speedup); ``info`` never gates.
+    ``floor`` gates against the absolute threshold :data:`FLOORS` maps
+    its name to and is driven by the *candidate*; ``info`` never gates.
     """
     for scale, entry in data.get("streaming", {}).items():
         yield f"streaming.{scale}.events_per_sec", entry["events_per_sec"], "info"
@@ -264,14 +248,6 @@ def _iter_metrics(data):
             entry["traced_ms"],
             "info",
         )
-    for scale, entry in data.get("parallel_search", {}).items():
-        kind = "floor" if entry.get("gate") else "info"
-        yield f"parallel_search.{scale}.speedup", entry["speedup"], kind
-        yield (
-            f"parallel_search.{scale}.parallel_mean_ms",
-            entry["parallel_mean_ms"],
-            "info",
-        )
 
 
 def compare(baseline: dict, candidate: dict, factor: float):
@@ -289,9 +265,7 @@ def compare(baseline: dict, candidate: dict, factor: float):
         cand_value, cand_kind = candidate_metrics[name]
         if cand_kind == "floor":
             # Floor metrics are candidate-driven (handled below, even when
-            # absent from the baseline): the candidate's own gate flag
-            # decides whether they gate, not whatever machine the baseline
-            # happened to be recorded on.
+            # absent from the baseline): the baseline cannot disarm them.
             continue
         if kind == "info" or cand_kind == "info":
             rows.append((name, base_value, cand_value, "info (not gated)"))

@@ -6,13 +6,8 @@ rush-hour speed profiles) with every observability feature armed:
 * hierarchical spans over the whole plan pipeline — epoch → plan →
   diff/refresh/decompose → dispatch → per-component search → merge —
   plus journal/checkpoint writes and Dijkstra row computations;
-* the process-pool executor, so the trace shows pool-worker search spans
-  on their own tracks, parented under the dispatch span that submitted
-  them (every component is forced through the pool to make the tracks
-  interesting even on small machines);
-* streaming metrics: travel-cache hit/miss counters, pool IPC cost
-  (pickled bytes, queue wait), replan-latency percentiles per epoch
-  class.
+* streaming metrics: travel-cache hit/miss counters and replan-latency
+  percentiles per epoch class.
 
 The run writes a Trace Event Format file — load it at https://ui.perfetto.dev
 or chrome://tracing — validates its span coverage and that every
@@ -29,7 +24,6 @@ from __future__ import annotations
 
 import sys
 
-import repro.assignment.executor as executor_mod
 from repro.assignment.planner import PlannerConfig
 from repro.assignment.strategies import make_strategy
 from repro.datasets.synthetic import WorkloadConfig
@@ -81,17 +75,8 @@ def main() -> int:
         num_hotspots=3,
     )
 
-    # Force every component search through the process pool: the inline
-    # shortcut would otherwise keep small components on the main track
-    # and the example's worker lanes would be empty on a small machine.
-    executor_mod.INLINE_MIN_SEQUENCES = 0
     strategy = make_strategy(
-        "dta",
-        config=PlannerConfig(
-            executor="parallel",
-            max_workers=2,
-            travel_model=workload.instance.travel,
-        ),
+        "dta", config=PlannerConfig(travel_model=workload.instance.travel)
     )
     journal, checkpoints = InMemoryJournal(), InMemoryCheckpointStore()
     platform = SCPlatform(
@@ -137,19 +122,11 @@ def main() -> int:
     if orphans:
         print(f"{orphans} spans have unresolvable parents")
         return 1
-    main_tid = next(
-        e["tid"] for e in spans if e["args"]["parent"] is None
-    )
-    worker_tracks = {e["tid"] for e in spans if e["tid"] != main_tid}
     counter_names = {str(e["name"]) for e in events if e.get("ph") == "C"}
     print(
         f"Trace: {len(events)} events, {len(spans)} spans "
-        f"({roots} roots, 0 orphans), pool-worker tracks: "
-        f"{sorted(worker_tracks)}, counter tracks: {sorted(counter_names)}."
+        f"({roots} roots, 0 orphans), counter tracks: {sorted(counter_names)}."
     )
-    if not worker_tracks:
-        print("expected pool-worker spans on their own tracks")
-        return 1
 
     # ---- the report the CLI would render from the same file ------------ #
     print()

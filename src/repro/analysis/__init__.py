@@ -7,9 +7,6 @@ hand-enforced conventions into CI-gated checks:
   reads inside the deterministic packages;
 * ``ordered-iteration`` — set iteration order must not reach ordered
   sinks (lists, float sums, tie-breaking min/max, selection);
-* ``pool-picklability`` — the call graph under ``run_component_job``
-  stays closure-free, handle-free and independent of parent-side
-  mutable globals; the boundary dataclasses carry only picklable types;
 * ``cache-key`` — every ``PlannerConfig`` field is reflected in the
   incremental ``context_key`` or registered cache-exempt;
 * ``metrics-partition`` — every ``SimulationMetrics`` field is read in
@@ -27,7 +24,6 @@ from repro.analysis.config import (
     AnalysisConfig,
     CacheKeyContract,
     MetricsContract,
-    PoolContract,
 )
 from repro.analysis.core import Finding, Project, Rule, SourceModule
 from repro.analysis.engine import Report, load_modules, run_analysis
@@ -42,7 +38,6 @@ __all__ = [
     "CacheKeyContract",
     "Finding",
     "MetricsContract",
-    "PoolContract",
     "Project",
     "Report",
     "Rule",

@@ -27,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Contract-enforcing static analysis for the repro codebase: "
-            "determinism, set-iteration order, pool picklability, "
-            "cache-key completeness, metrics partition."
+            "determinism, set-iteration order, cache-key completeness, "
+            "metrics partition."
         ),
     )
     parser.add_argument(

@@ -57,21 +57,6 @@ class MetricsContract:
 
 
 @dataclass(frozen=True)
-class PoolContract:
-    """Rule 'pool-picklability': the executor-boundary closure."""
-
-    entry_module: str  # relpath suffix holding the pool entry point
-    entry_function: str
-    boundary_classes: Tuple[str, ...] = ()
-    #: "<path_suffix>:<global name>" -> reason a module-global read is safe.
-    allowed_globals: Dict[str, str] = field(default_factory=dict)
-    #: path suffix -> reason: modules reached by the walk whose
-    #: closure/handle/global checks are skipped wholesale (e.g. autograd
-    #: internals whose closures are created and consumed in-process).
-    exempt_modules: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     """Everything a run needs besides the file list."""
 
@@ -81,7 +66,6 @@ class AnalysisConfig:
     determinism_allowlist: Tuple[AllowEntry, ...] = ()
     cache_key: Optional[CacheKeyContract] = None
     metrics: Optional[MetricsContract] = None
-    pool: Optional[PoolContract] = None
     #: Report registry entries that no longer match anything.  Disabled
     #: automatically for partial-tree runs (``--paths``), where absence
     #: of a match proves nothing.

@@ -66,18 +66,6 @@ class SourceModule:
         if not self.aliases:
             self.aliases = collect_aliases(self.tree)
 
-    def functions(self) -> Dict[str, ast.AST]:
-        """Module-level functions and methods, keyed ``name`` / ``Cls.name``."""
-        table: Dict[str, ast.AST] = {}
-        for node in self.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                table[node.name] = node
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        table[f"{node.name}.{item.name}"] = item
-        return table
-
     def find_class(self, name: str) -> Optional[ast.ClassDef]:
         for node in self.tree.body:
             if isinstance(node, ast.ClassDef) and node.name == name:
@@ -161,16 +149,6 @@ def resolve_dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
         return None
     parts.append(root)
     return ".".join(reversed(parts))
-
-
-def call_name(node: ast.Call, aliases: Dict[str, str]) -> Optional[str]:
-    return resolve_dotted(node.func, aliases)
-
-
-def iter_functions(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield node
 
 
 def dataclass_fields(cls: ast.ClassDef) -> List[Tuple[str, str, int]]:

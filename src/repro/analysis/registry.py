@@ -16,12 +16,11 @@ from repro.analysis.config import (
     AnalysisConfig,
     CacheKeyContract,
     MetricsContract,
-    PoolContract,
 )
 
 #: Packages whose outputs must be a pure function of the simulated input
-#: stream: the bit-for-bit contracts (serial/parallel equivalence,
-#: checkpoint resume, incremental-vs-full replay) all live here.
+#: stream: the bit-for-bit contracts (checkpoint resume,
+#: incremental-vs-full replay) all live here.
 DETERMINISTIC_GLOBS = (
     "*repro/assignment/*",
     "*repro/spatial/*",
@@ -42,23 +41,10 @@ DETERMINISM_ALLOWLIST = (
         "ladder), never cached when degraded",
     ),
     AllowEntry(
-        "assignment/planner.py",
-        "os.environ",
-        "config entry point: REPRO_EXECUTOR resolution in "
-        "PlannerConfig.__post_init__; an explicit config value always wins "
-        "and the backend never changes planning output",
-    ),
-    AllowEntry(
         "assignment/executor.py",
         "time.perf_counter",
-        "deadline checks plus search_s/wall_s/overhead_s executor stats — "
-        "wall-clock observability excluded from deterministic outputs",
-    ),
-    AllowEntry(
-        "assignment/executor.py",
-        "os.environ",
-        "config entry point: REPRO_MAX_WORKERS default resolution; "
-        "explicit max_workers wins, pool size never changes output",
+        "deadline check before a component search starts; an expired "
+        "deadline degrades to the greedy fill, which is never cached",
     ),
     AllowEntry(
         "assignment/dfsearch.py",
@@ -96,50 +82,20 @@ CACHE_EXEMPT_FIELDS = {
         "audit-only toggle: detects cache corruption, never changes the "
         "planning output"
     ),
-    "executor": (
-        "dispatch backend moves wall-clock only; results are bit-for-bit "
-        "identical across backends, and caches must survive a backend "
-        "switch by design (see executor.py module docs)"
-    ),
-    "max_workers": (
-        "pool sizing for the parallel backend; same bit-for-bit contract "
-        "as 'executor'"
-    ),
+    "executor": "kept for the frozen e2e harness; always serial",
 }
 
 #: SimulationMetrics fields excluded from ``deterministic_state()``.
 #: Every other field must be read inside that method — the bit-for-bit
 #: checkpoint/recovery contract is exactly this partition.
 METRICS_WALL_CLOCK_EXEMPT = {
-    "parallel_components": (
-        "backend-dependent by definition (0 under the serial executor); "
-        "the bit-for-bit contract spans backends"
-    ),
-    "executor_overhead_s": (
-        "wall-clock measurement (pickling/IPC/scheduling cost), like the "
-        "per-epoch entries of cpu_times"
-    ),
+    "parallel_components": "kept for the frozen e2e harness; always 0",
+    "executor_overhead_s": "kept for the frozen e2e harness; always 0",
     "latency_by_class": (
         "streaming histograms over the same wall-clock measurements as "
         "cpu_times (replan latency per epoch class); only sample counts "
         "could ever agree across runs, and those are already covered by "
         "num_cpu_samples / degradation_rungs"
-    ),
-}
-
-#: "<path_suffix>:<global>" -> reason a module-global read on the pool
-#: path is safe (immutable in practice, or identical in every worker).
-POOL_ALLOWED_GLOBALS: dict = {}
-
-#: Modules reached by the pool-boundary walk whose closure/handle/global
-#: checks are skipped wholesale, with the reason on record.
-POOL_EXEMPT_MODULES = {
-    "nn/tensor.py": (
-        "autograd tape closures are constructed and consumed within one "
-        "process during TVF inference/training; nothing closure-shaped "
-        "ever crosses the pool — the TVF ships as numpy weight arrays, "
-        "verified end-to-end by the guided-TVF parallel equivalence suite "
-        "(tests/assignment/test_parallel_search.py)"
     ),
 }
 
@@ -161,12 +117,5 @@ def default_config() -> AnalysisConfig:
             metrics_class="SimulationMetrics",
             method="deterministic_state",
             exempt=METRICS_WALL_CLOCK_EXEMPT,
-        ),
-        pool=PoolContract(
-            entry_module="assignment/executor.py",
-            entry_function="run_component_job",
-            boundary_classes=("ComponentJob", "ComponentResult"),
-            allowed_globals=POOL_ALLOWED_GLOBALS,
-            exempt_modules=POOL_EXEMPT_MODULES,
         ),
     )

@@ -10,12 +10,10 @@ from repro.analysis.rules.cache_key import CacheKeyRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.metrics_partition import MetricsPartitionRule
 from repro.analysis.rules.ordered_iteration import OrderedIterationRule
-from repro.analysis.rules.picklability import PicklabilityRule
 
 ALL_RULE_CLASSES = (
     DeterminismRule,
     OrderedIterationRule,
-    PicklabilityRule,
     CacheKeyRule,
     MetricsPartitionRule,
 )
@@ -24,14 +22,12 @@ ALL_RULE_CLASSES = (
 def build_rules(config: AnalysisConfig) -> List[Rule]:
     """Instantiate every rule that the config activates.
 
-    The structural rules (cache-key, metrics-partition, pool-picklability)
+    The structural rules (cache-key, metrics-partition)
     only run when the config names their anchor modules; the site rules
     (determinism, ordered-iteration) only run over modules matched by
     ``deterministic_globs``.
     """
     rules: List[Rule] = [DeterminismRule(config), OrderedIterationRule(config)]
-    if config.pool is not None:
-        rules.append(PicklabilityRule(config))
     if config.cache_key is not None:
         rules.append(CacheKeyRule(config))
     if config.metrics is not None:

@@ -1,8 +1,8 @@
 """Rule ``determinism`` — no wall-clock, entropy or environment reads on
 deterministic paths.
 
-Every bit-for-bit guarantee in this repo (serial/parallel equivalence,
-checkpoint resume, incremental-vs-full replay) requires planning output to
+Every bit-for-bit guarantee in this repo (checkpoint resume,
+incremental-vs-full replay) requires planning output to
 be a pure function of the simulated event stream.  This rule flags, inside
 the configured deterministic packages:
 

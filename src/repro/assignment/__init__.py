@@ -16,7 +16,7 @@ Module map
                              and the anytime branch-and-bound engine
 :mod:`tvf`                   Task Value Function, Eq. 11–12
 :mod:`dfsearch_tvf`          TVF-guided search, Alg. 2
-:mod:`executor`              pluggable search backends (serial / process pool)
+:mod:`executor`              one component search as a value (job + runner)
 :mod:`incremental`           the TPA plan pipeline, Alg. 4 — the one
                              implementation, with dirty-region reuse across
                              epochs (a full replan is an empty cache)
@@ -54,12 +54,7 @@ from repro.assignment.dfsearch_tvf import dfsearch_tvf
 from repro.assignment.executor import (
     ComponentJob,
     ComponentResult,
-    ParallelExecutor,
-    SearchExecutor,
-    SerialExecutor,
-    make_executor,
     run_component_job,
-    shutdown_shared_pools,
 )
 from repro.assignment.planner import TaskPlanner, PlannerConfig
 from repro.assignment.baselines import greedy_assignment
@@ -93,12 +88,7 @@ __all__ = [
     "dfsearch_tvf",
     "ComponentJob",
     "ComponentResult",
-    "SearchExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "make_executor",
     "run_component_job",
-    "shutdown_shared_pools",
     "TaskPlanner",
     "PlannerConfig",
     "greedy_assignment",

@@ -361,8 +361,8 @@ def dfsearch(
         Currently unassigned tasks available to this sub-problem.  The
         search only ever reads their ids; pass ``available_ids`` instead
         (with ``tasks=None``) to make the call a pure function of plain
-        picklable data — the form :mod:`repro.assignment.executor` ships
-        across process boundaries.
+        data — the form :func:`repro.assignment.executor.run_component_job`
+        calls it in.
     sequences_by_worker:
         Pre-computed ``Q_w`` for every worker appearing in the tree.
     workers_by_id:
@@ -880,7 +880,7 @@ def dfsearch_bnb(
 
     Like :func:`dfsearch`, the engine only reads task *ids*: passing
     ``available_ids`` (with ``tasks=None``) yields the same result from
-    plain picklable data.
+    plain data.
     """
     if bound_mode not in BOUND_MODES:
         raise ValueError(

@@ -85,7 +85,7 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, T
 import numpy as np
 
 from repro.assignment.dfsearch import adaptive_node_budget
-from repro.assignment.executor import ComponentJob
+from repro.assignment.executor import ComponentJob, ComponentResult, run_component_job
 from repro.assignment.fast_partition import build_adjacency, build_component_subtree
 from repro.assignment.reachability import (
     _REACH_EPS,
@@ -183,12 +183,6 @@ class PlanningOutcome:
     #: Invariant-check repairs performed while producing this outcome
     #: (each one is a cache drop + a replan on an empty cache).
     repairs: int = 0
-    #: Component searches that crossed a process boundary this epoch
-    #: (always 0 under the serial backend).
-    parallel_components: int = 0
-    #: Estimated dispatch cost (pickling + IPC + scheduling) of this
-    #: epoch's executor stage, in seconds.
-    executor_overhead_s: float = 0.0
 
 
 @dataclass
@@ -632,9 +626,9 @@ class IncrementalPlanEngine:
             components = self._component_list
             # ---- decompose: keep cache hits, extract jobs for the rest ---- #
             # A component that replays its hit gets no job; ``job_of`` maps
-            # every other one to the index of the ComponentJob handed to the
-            # executor.  Everything a job needs (subtree, budget, candidate
-            # sets) is fixed here, before any search runs.
+            # every other one to the index of its ComponentJob.  Everything
+            # a job needs (subtree, budget, candidate sets) is fixed here,
+            # before any search runs.
             use_guided = (
                 config.use_tvf and tvf is not None and not collect_experience
             )
@@ -708,10 +702,22 @@ class IncrementalPlanEngine:
                 components=len(components), searched=len(jobs), rebuilt=rebuilt
             )
 
-        # ---- dispatch ----------------------------------------------------- #
-        with obs.span("dispatch", jobs=len(jobs)) as dispatch_span:
-            results, stats = planner.executor().run(jobs, deadline=deadline, obs=obs)
-            dispatch_span.set(parallel=stats.parallel_jobs)
+        # ---- dispatch: in process, in submission order ------------------- #
+        results: List[ComponentResult] = []
+        with obs.span("dispatch", jobs=len(jobs)):
+            for job in jobs:
+                if not obs.enabled:
+                    results.append(run_component_job(job, deadline))
+                    continue
+                with obs.span(
+                    "component.search",
+                    index=job.index,
+                    mode=job.mode,
+                    sequences=job.num_sequences,
+                ) as search_span:
+                    result = run_component_job(job, deadline)
+                    search_span.set(nodes=result.nodes_expanded, skipped=result.skipped)
+                results.append(result)
 
         # ---- merge: component order, cache writes applied here ------------ #
         nodes_expanded = 0
@@ -847,8 +853,6 @@ class IncrementalPlanEngine:
             searched_components=searched_components,
             rung=DEGRADATION_RUNGS[rung_level],
             deadline_hit=rung_level > 0,
-            parallel_components=stats.parallel_jobs,
-            executor_overhead_s=stats.overhead_s,
         )
 
     # ------------------------------------------------------------------ #

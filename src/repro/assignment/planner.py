@@ -18,18 +18,11 @@ the pipeline itself has one implementation,
 
 from __future__ import annotations
 
-import os
 import time as _time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.assignment.dfsearch import BOUND_MODES, DEFAULT_BOUND_MODE
-from repro.assignment.executor import (
-    EXECUTOR_ENV,
-    SearchExecutor,
-    default_max_workers,
-    make_executor,
-)
 from repro.assignment.incremental import (  # noqa: F401 - re-exported API
     DEGRADATION_RUNGS,
     DirtySet,
@@ -129,19 +122,11 @@ class PlannerConfig:
         disables the deadline entirely — planning is then bit-for-bit
         identical to a deadline-free build.
     executor:
-        Dispatch backend for the per-component searches: ``"serial"``
-        (inline, the reference) or ``"parallel"`` (warm process pool; see
-        :mod:`repro.assignment.executor`).  Both produce bit-for-bit
-        identical assignments, metrics and TVF experience — the choice
-        only moves wall-clock.  ``None`` (default) resolves the
-        ``REPRO_EXECUTOR`` environment variable, falling back to
-        ``"serial"``; an explicit value always wins, which is how CI
-        reruns whole suites under the parallel backend without touching
-        call sites.
-    max_workers:
-        Pool size for the parallel executor.  0 (default) resolves
-        ``REPRO_MAX_WORKERS``, falling back to the process's usable CPU
-        count.  Ignored by the serial backend.
+        Accepts only ``"serial"``: component searches always run in
+        process, in submission order.  Kept because
+        ``benchmarks/e2e/workloads.py`` and ``benchmarks/e2e/measure.py``
+        pass it; it goes in the next benchmark-change PR (ROADMAP
+        item 4), alongside ``bound_mode``.
     self_check:
         Run the engine's post-replan invariant check (no double-booked
         task or worker, selections drawn from the cached ``Q_w``, horizons
@@ -164,19 +149,13 @@ class PlannerConfig:
     incremental_replan: bool = True
     deadline_s: Optional[float] = None
     self_check: bool = True
-    executor: Optional[str] = None
-    max_workers: int = 0
+    executor: str = "serial"
 
     def __post_init__(self) -> None:
-        if self.executor is None:
-            self.executor = os.environ.get(EXECUTOR_ENV) or "serial"
-        if self.executor not in ("serial", "parallel"):
+        if self.executor != "serial":
             raise ValueError(
-                f"unknown executor: {self.executor!r} "
-                "(expected 'serial' or 'parallel')"
+                f"unknown executor: {self.executor!r} (expected 'serial')"
             )
-        if not self.max_workers:
-            self.max_workers = default_max_workers()
 
 
 class TaskPlanner:
@@ -205,8 +184,6 @@ class TaskPlanner:
             self.tvf = TaskValueFunction()
         #: The plan pipeline and its cross-epoch caches.
         self._engine = IncrementalPlanEngine(self)
-        #: Dispatch backend (created lazily on the first planning call).
-        self._executor: Optional[SearchExecutor] = None
         #: Per-run observability handle (spans + metrics).  The disabled
         #: singleton by default; the platform attaches a live one per run.
         self.obs = OBS_DISABLED
@@ -241,29 +218,14 @@ class TaskPlanner:
         """
         self._engine.invalidate()
 
-    def executor(self) -> SearchExecutor:
-        """The dispatch backend, created on first use."""
-        if self._executor is None:
-            # __post_init__ has resolved the env default by now; the
-            # `or` keeps the narrowing visible to the type checker.
-            kind = self.config.executor or "serial"
-            self._executor = make_executor(kind, self.config.max_workers)
-        return self._executor
-
     def close(self) -> None:
-        """Release the executor's backend resources and the incremental cache.
+        """Drop the incremental cache.
 
-        Shared process pools survive a ``close()`` by design (they are warm
-        infrastructure reused across planner instances); this only detaches
-        this planner from the backend.  The engine's per-worker and
-        per-component cache is dropped so that whoever still holds a closed
-        planner does not keep its last run's state alive; a later
-        ``plan()`` starts cold, as after :meth:`reset_cache`.  Safe to call
-        repeatedly.
+        The engine's per-worker and per-component cache is dropped so that
+        whoever still holds a closed planner does not keep its last run's
+        state alive; a later ``plan()`` starts cold, as after
+        :meth:`reset_cache`.  Safe to call repeatedly.
         """
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
         self._engine.invalidate()
 
     # ------------------------------------------------------------------ #

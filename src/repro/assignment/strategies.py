@@ -104,13 +104,12 @@ class AssignmentStrategy(ABC):
         """Restore a snapshot produced by :meth:`snapshot_state`."""
 
     def close(self) -> None:
-        """Release planner/executor resources held by the strategy.
+        """Release planner resources held by the strategy.
 
         Called by the platform when a run finishes.  The default is a
-        no-op; planner-backed strategies detach their search executor
-        (shared worker pools stay warm for the next run by design) and
-        drop the planner's incremental cache, so a strategy kept after the
-        run does not keep the run's per-worker state alive.
+        no-op; planner-backed strategies drop the planner's incremental
+        cache, so a strategy kept after the run does not keep the run's
+        per-worker state alive.
         """
 
 

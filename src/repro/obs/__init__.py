@@ -25,7 +25,6 @@ from repro.obs.trace import (
     Tracer,
     build_span_tree,
     parse_trace,
-    span_event,
 )
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "span_event",
     "parse_trace",
     "build_span_tree",
     "configure_logging",

@@ -7,8 +7,6 @@ logger:
   events, resume fallbacks;
 * ``repro.resilience.selfheal`` — incremental-cache invariant
   violations and repairs;
-* ``repro.assignment.executor`` — parallel-dispatch failures and serial
-  fallbacks;
 * ``repro.obs`` — the observability layer itself.
 
 All of them are children of the ``repro`` root logger, so one

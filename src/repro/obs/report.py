@@ -9,8 +9,8 @@ The report is computed purely from the Trace Event Format file that
 shows where the run's time went (per-phase inclusive totals and exclusive
 ``self_ms``: a span's duration minus what its children cover), the
 replan-latency distribution per epoch class (full / incremental /
-degraded), the worker-refresh account, what the pool workers did, and
-the final cache counter samples.
+degraded), the worker-refresh account and the final cache counter
+samples.
 """
 
 from __future__ import annotations
@@ -126,27 +126,6 @@ def render_report(events: List[Dict[str, object]]) -> str:
                 )
             )
         out.extend(_table(rows, ("class", "count", "p50", "p95", "p99", "max")))
-
-    # ---- pool workers ---------------------------------------------------- #
-    main_tid = None
-    for event in spans:
-        if event.get("args", {}).get("parent") is None:
-            main_tid = event.get("tid")
-            break
-    worker_spans = [e for e in spans if e.get("tid") != main_tid]
-    if worker_spans:
-        by_worker: Dict[object, List[float]] = {}
-        for event in worker_spans:
-            by_worker.setdefault(event.get("tid"), []).append(
-                float(event["dur"]) / 1000.0
-            )
-        out.append("")
-        out.append("Pool workers")
-        rows = [
-            (str(tid), str(len(durs)), _fmt_ms(sum(durs)))
-            for tid, durs in sorted(by_worker.items(), key=lambda item: str(item[0]))
-        ]
-        out.extend(_table(rows, ("worker (tid)", "spans", "busy_ms")))
 
     # ---- final counter samples ------------------------------------------- #
     counters: Dict[str, Dict[str, object]] = {}

@@ -1,8 +1,8 @@
-"""The per-run observability handle: tracer + metrics + profiling knobs.
+"""The per-run observability handle: tracer + metrics.
 
 One :class:`Observability` object travels with one platform run; every
-instrumented layer (platform, planner, incremental engine, executor,
-travel model) sees the same handle, so spans nest across layers and
+instrumented layer (platform, planner, incremental engine, travel
+model) sees the same handle, so spans nest across layers and
 metrics land in one registry.  The disabled path is the module singleton
 :data:`OBS_DISABLED` — a distinct class whose every method is a
 constant-time no-op, so hot-path call sites can hold an observability
@@ -13,7 +13,7 @@ call (or nothing at all, when they guard on ``obs.enabled``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer, _NULL_SPAN, _NullSpan
@@ -34,17 +34,11 @@ class ObservabilityConfig:
     trace_path:
         When set, the platform writes the trace here at the end of the
         run (Perfetto-loadable JSON; see :meth:`Tracer.write`).
-    profile_ipc:
-        Measure pool IPC cost per dispatched job: pickled payload bytes
-        and queue wait (submit → job start).  Slightly more expensive
-        than plain tracing (an extra ``pickle.dumps`` per pooled job),
-        which is why it has its own switch.
     """
 
     trace: bool = True
     metrics: bool = True
     trace_path: Optional[str] = None
-    profile_ipc: bool = True
 
 
 class Observability:
@@ -58,7 +52,6 @@ class Observability:
             Tracer() if self.config.trace else NULL_TRACER
         )
         self.registry = MetricsRegistry()
-        self.profile_ipc = self.config.profile_ipc
         #: Registry operations performed (one int add per op) — the event
         #: count the overhead benchmark multiplies by a microbenched
         #: per-op cost (see benchmarks/perf/test_observability_overhead.py).
@@ -75,12 +68,6 @@ class Observability:
 
     def counter_event(self, name: str, **values: float) -> None:
         self.tracer.counter(name, **values)
-
-    def current_span_id(self) -> Optional[int]:
-        return self.tracer.current_span_id()
-
-    def adopt(self, spans: Iterable[Dict[str, object]]) -> None:
-        self.tracer.adopt(spans)
 
     # ------------------------------------------------------------------ #
     # Metrics
@@ -124,7 +111,6 @@ class _DisabledObservability:
     """The no-op twin of :class:`Observability` (module singleton)."""
 
     enabled = False
-    profile_ipc = False
     tracer = NULL_TRACER
     ops = 0
 
@@ -135,12 +121,6 @@ class _DisabledObservability:
         pass
 
     def counter_event(self, name: str, **values: float) -> None:
-        pass
-
-    def current_span_id(self) -> None:
-        return None
-
-    def adopt(self, spans) -> None:
         pass
 
     def count(self, name: str, amount: float = 1.0) -> None:

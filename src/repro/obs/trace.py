@@ -16,15 +16,6 @@ Span hierarchy is carried two ways at once:
   ``parent`` id, so :func:`build_span_tree` (the report CLI and the
   round-trip tests) reconstructs the exact tree without relying on
   timestamp containment.
-
-Pool workers cannot share the parent's tracer object.  Instead a worker
-builds raw span dicts (see ``run_component_job``) stamped with its own
-pid and the parent span id it was handed through the job; the parent
-:meth:`Tracer.adopt`\\ s them at merge time, rewriting ``pid`` to the
-main process (one process group in the viewer) while keeping ``tid`` as
-the worker's pid (one track per pool worker).  ``perf_counter`` is
-``CLOCK_MONOTONIC`` on Linux and survives ``fork``, so worker timestamps
-line up with the parent's without any clock translation.
 """
 
 from __future__ import annotations
@@ -32,13 +23,12 @@ from __future__ import annotations
 import json
 import os
 import time as _time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "span_event",
     "parse_trace",
     "build_span_tree",
 ]
@@ -51,32 +41,6 @@ _perf_counter = _time.perf_counter
 
 def _now_us() -> int:
     return int(_perf_counter() * 1_000_000)
-
-
-def span_event(
-    name: str,
-    start_us: int,
-    end_us: int,
-    pid: int,
-    tid: int,
-    span_id: int,
-    parent: Optional[int],
-    cat: str = "span",
-    **args: object,
-) -> Dict[str, object]:
-    """Build one complete-span event dict (the worker-side constructor)."""
-    payload: Dict[str, object] = {"id": span_id, "parent": parent}
-    payload.update(args)
-    return {
-        "name": name,
-        "cat": cat,
-        "ph": "X",
-        "ts": start_us,
-        "dur": max(end_us - start_us, 0),
-        "pid": pid,
-        "tid": tid,
-        "args": payload,
-    }
 
 
 class _Span:
@@ -130,8 +94,8 @@ class Tracer:
     """Per-run trace collector (single-threaded by design: the platform).
 
     Storage is a single ordered list mixing compact span records (tuples,
-    appended by :class:`_Span`) with ready event dicts (instants, counter
-    samples, adopted worker spans).  :attr:`events` materializes the
+    appended by :class:`_Span`) with ready event dicts (instants and
+    counter samples).  :attr:`events` materializes the
     Trace Event Format view on demand; the per-span args dicts are shared
     between records and materialized events, so post-exit ``set()`` on a
     span is visible in every later :attr:`events` read.
@@ -174,9 +138,6 @@ class Tracer:
     def span(self, name: str, cat: str = "span", **args: object) -> _Span:
         return _Span(self, name, cat, args)
 
-    def current_span_id(self) -> Optional[int]:
-        return self._stack[-1] if self._stack else None
-
     def instant(self, name: str, **args: object) -> None:
         self._records.append(
             {
@@ -204,20 +165,6 @@ class Tracer:
             }
         )
 
-    def adopt(self, spans: Iterable[Dict[str, object]]) -> None:
-        """Merge worker-emitted span dicts into this trace.
-
-        ``pid`` is rewritten to the main process so every track lives in
-        one process group; ``tid`` keeps the worker's pid (one track per
-        pool worker).  Span ids inside worker events are namespaced by
-        ``(tid, id)`` at tree-build time, so they cannot collide with the
-        parent's ids.
-        """
-        for span in spans:
-            adopted = dict(span)
-            adopted["pid"] = self.pid
-            self._records.append(adopted)
-
     # ------------------------------------------------------------------ #
     def write(self, path: str) -> None:
         """Write the trace as a Perfetto-loadable JSON array."""
@@ -239,16 +186,10 @@ class NullTracer:
     def span(self, name: str, cat: str = "span", **args: object) -> "_NullSpan":
         return _NULL_SPAN
 
-    def current_span_id(self) -> Optional[int]:
-        return None
-
     def instant(self, name: str, **args: object) -> None:
         pass
 
     def counter(self, name: str, **values: float) -> None:
-        pass
-
-    def adopt(self, spans: Iterable[Dict[str, object]]) -> None:
         pass
 
     def write(self, path: str) -> None:
@@ -285,22 +226,14 @@ def parse_trace(path: str) -> List[Dict[str, object]]:
 
 
 def _span_key(event: Dict[str, object]) -> tuple:
-    """Globally unique span key: worker span ids are namespaced by track."""
+    """Span key: the span id, namespaced by track."""
     return (event.get("tid"), event["args"]["id"])
 
 
 def build_span_tree(events: Sequence[Dict[str, object]]) -> Dict[tuple, Dict]:
-    """Index complete-span events into ``key -> {event, children}``.
-
-    A worker span's ``parent`` id refers to a span on the *main* track
-    (the dispatch span that submitted its job), so parent resolution
-    tries the same track first, then the main track.
-    """
+    """Index complete-span events into ``key -> {event, children}``;
+    a span's parent is the span with its ``parent`` id on the same track."""
     spans = [e for e in events if e.get("ph") == "X"]
-    main_tid = None
-    for event in spans:
-        if event["args"].get("parent") is None and main_tid is None:
-            main_tid = event.get("tid")
     nodes: Dict[tuple, Dict] = {
         _span_key(e): {"event": e, "children": []} for e in spans
     }
@@ -308,9 +241,7 @@ def build_span_tree(events: Sequence[Dict[str, object]]) -> Dict[tuple, Dict]:
         parent_id = event["args"].get("parent")
         if parent_id is None:
             continue
-        parent = nodes.get((event.get("tid"), parent_id)) or nodes.get(
-            (main_tid, parent_id)
-        )
+        parent = nodes.get((event.get("tid"), parent_id))
         if parent is not None:
             parent["children"].append(nodes[_span_key(event)])
     return nodes

@@ -40,14 +40,11 @@ class SimulationMetrics:
     #: How many counted planning epochs each degradation rung served
     #: (``full`` / ``partial`` / ``greedy`` / ``carryover``).
     degradation_rungs: Dict[str, int] = field(default_factory=dict)
-    #: Component searches dispatched to pool workers (0 under the serial
-    #: backend).  Backend-dependent by definition, so it lives in
-    #: :meth:`as_dict` but NOT in :meth:`deterministic_state` — the
-    #: bit-for-bit contract spans backends.
+    #: Always 0: component searches run in process.  Both fields stay
+    #: because ``benchmarks/e2e/measure.py`` reads them; they go in the
+    #: next benchmark-change PR (ROADMAP item 4), alongside
+    #: ``PlannerConfig.bound_mode``.  Not part of :meth:`deterministic_state`.
     parallel_components: int = 0
-    #: Executor time not spent searching (pickling, IPC, scheduling),
-    #: summed over epochs.  Wall-clock, hence excluded from the
-    #: deterministic state like ``cpu_times``.
     executor_overhead_s: float = 0.0
     #: Replan-latency distribution per epoch class (see
     #: :data:`EPOCH_CLASSES`): streaming log-scale histograms answering
@@ -84,10 +81,6 @@ class SimulationMetrics:
 
     def record_repairs(self, count: int = 1) -> None:
         self.invariant_repairs += count
-
-    def record_executor(self, parallel_components: int, overhead_s: float) -> None:
-        self.parallel_components += parallel_components
-        self.executor_overhead_s += overhead_s
 
     # ------------------------------------------------------------------ #
     @property
@@ -135,8 +128,6 @@ class SimulationMetrics:
             "duplicate_events": float(self.duplicate_events),
             "invariant_repairs": float(self.invariant_repairs),
             "degraded_epochs": float(self.degraded_epochs),
-            "parallel_components": float(self.parallel_components),
-            "executor_overhead_s": self.executor_overhead_s,
         }
 
     def deterministic_state(self) -> Dict[str, object]:

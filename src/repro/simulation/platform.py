@@ -191,13 +191,11 @@ class SCPlatform:
         return self._run_loop()
 
     def close(self) -> None:
-        """Release strategy-held resources (the planner's search executor
-        and its incremental plan cache).
+        """Release strategy-held resources (the planner's incremental plan
+        cache).
 
-        Idempotent; shared process pools stay warm across platforms by
-        design, so closing one platform never stalls another mid-run.
-        ``run()`` / ``resume()`` reset the strategy on entry, so a closed
-        platform can be run again and replays identically.
+        Idempotent.  ``run()`` / ``resume()`` reset the strategy on entry,
+        so a closed platform can be run again and replays identically.
         """
         close = getattr(self.strategy, "close", None)
         if close is not None:
@@ -295,7 +293,7 @@ class SCPlatform:
         self.strategy.reset()
         # A fresh handle per run keeps spans and metrics scoped to one
         # replay (run() is re-entrant); the strategy forwards it to its
-        # planner, which the incremental engine and executor read it from.
+        # planner, which the incremental engine reads it from.
         self.obs = (
             Observability(self.config.observability)
             if self.config.observability is not None
@@ -469,10 +467,6 @@ class SCPlatform:
             repairs = outcome.repairs
             if repairs:
                 self.metrics.record_repairs(repairs)
-            if outcome.parallel_components or outcome.executor_overhead_s:
-                self.metrics.record_executor(
-                    outcome.parallel_components, outcome.executor_overhead_s
-                )
         if self._carryover_enabled:
             if outcome is not None and outcome.deadline_hit:
                 if self._carryover(plan, idle_workers, now):

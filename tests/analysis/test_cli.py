@@ -30,7 +30,7 @@ def test_full_tree_run_is_clean_and_exits_zero():
     assert "0 finding(s)" in out.getvalue()
 
 
-def test_full_tree_json_reports_all_five_rules():
+def test_full_tree_json_reports_all_four_rules():
     out = io.StringIO()
     assert main(["--root", REPO_ROOT, "--format", "json"], out=out) == 0
     payload = json.loads(out.getvalue())
@@ -38,7 +38,6 @@ def test_full_tree_json_reports_all_five_rules():
     assert set(payload["rules"]) == {
         "determinism",
         "ordered-iteration",
-        "pool-picklability",
         "cache-key",
         "metrics-partition",
     }

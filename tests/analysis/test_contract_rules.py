@@ -1,5 +1,5 @@
-"""Fixture coverage for the structural contract rules: ``cache-key``,
-``metrics-partition`` and ``pool-picklability``."""
+"""Fixture coverage for the structural contract rules: ``cache-key`` and
+``metrics-partition``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from repro.analysis import (
     AnalysisConfig,
     CacheKeyContract,
     MetricsContract,
-    PoolContract,
 )
 
 from analysis_helpers import findings_by_rule, run_fixtures
@@ -31,17 +30,6 @@ def metrics_config(exempt):
             module="metricsmod.py",
             metrics_class="RunMetrics",
             exempt=exempt,
-        )
-    )
-
-
-def pool_config(**kwargs):
-    return AnalysisConfig(
-        pool=PoolContract(
-            entry_module="poolmod.py",
-            entry_function="run_job",
-            boundary_classes=("Job", "Result"),
-            **kwargs,
         )
     )
 
@@ -152,65 +140,3 @@ class TestMetricsPartitionRule:
         )
         stale = findings_by_rule(report, "stale-registry")
         assert [f.symbol for f in stale] == ["ghost"]
-
-
-class TestPicklabilityRule:
-    FILES = ["poolmod.py", "pool_exempt.py"]
-
-    def test_every_boundary_violation_is_flagged(self):
-        report = run_fixtures(self.FILES, pool_config())
-        symbols = {f.symbol for f in findings_by_rule(report, "pool-picklability")}
-        assert symbols == {
-            "Job.callback",  # Callable field on a boundary dataclass
-            "run_job:lambda",
-            "run_job:threading.Lock",
-            "helper:inner",  # reachable through the run_job -> helper call
-            "helper:open",
-            "helper:SHARED_CACHE",  # mutable module global read in a worker
-            "exempt_helper:lambda",  # reachable through the cross-module import
-        }
-
-    def test_exempt_module_skips_checks_but_not_the_walk(self):
-        report = run_fixtures(
-            self.FILES,
-            pool_config(exempt_modules={"pool_exempt.py": "fixture: in-process only"}),
-        )
-        symbols = {f.symbol for f in findings_by_rule(report, "pool-picklability")}
-        assert "exempt_helper:lambda" not in symbols
-        assert "helper:open" in symbols
-        assert not findings_by_rule(report, "stale-registry")
-
-    def test_unused_module_exemption_is_stale_registry(self):
-        report = run_fixtures(
-            self.FILES,
-            pool_config(exempt_modules={"unreached.py": "fixture: matches nothing"}),
-        )
-        stale = findings_by_rule(report, "stale-registry")
-        assert [f.symbol for f in stale] == ["unreached.py"]
-
-    def test_allowed_global_registry_silences_the_read(self):
-        report = run_fixtures(
-            self.FILES,
-            pool_config(
-                allowed_globals={"poolmod.py:SHARED_CACHE": "fixture: fork-stable"}
-            ),
-        )
-        symbols = {f.symbol for f in findings_by_rule(report, "pool-picklability")}
-        assert "helper:SHARED_CACHE" not in symbols
-        assert not findings_by_rule(report, "stale-registry")
-
-    def test_unused_allowed_global_is_stale_registry(self):
-        report = run_fixtures(
-            self.FILES,
-            pool_config(allowed_globals={"poolmod.py:GHOST": "fixture: no such name"}),
-        )
-        stale = findings_by_rule(report, "stale-registry")
-        assert [f.symbol for f in stale] == ["poolmod.py:GHOST"]
-
-    def test_missing_entry_function_loses_the_anchor(self):
-        config = AnalysisConfig(
-            pool=PoolContract(entry_module="poolmod.py", entry_function="renamed_entry")
-        )
-        report = run_fixtures(self.FILES, config)
-        stale = findings_by_rule(report, "stale-registry")
-        assert [f.symbol for f in stale] == ["renamed_entry"]

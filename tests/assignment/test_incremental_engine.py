@@ -3,7 +3,8 @@
 The streaming equivalence suites (``test_vectorized_equivalence.py``)
 assert the end-to-end contract; these tests pin down the primitives it
 rests on: validity horizons (reachability and sequences), dirty
-classification, and the forced-dirty hint path.
+classification, the forced-dirty hint path, and the in-process dispatch
+stage.
 """
 
 import math
@@ -11,6 +12,7 @@ import random
 
 import pytest
 
+from repro.assignment.executor import ComponentJob, run_component_job
 from repro.assignment.incremental import (
     DirtySet,
     _task_fingerprint,
@@ -23,6 +25,7 @@ from repro.assignment.reachability import (
     reachable_tasks_with_horizon,
 )
 from repro.assignment.sequences import maximal_valid_sequences
+from repro.assignment.tree import PartitionNode
 from repro.core.task import Task
 from repro.core.worker import AvailabilityWindow, Worker
 from repro.obs import Observability
@@ -918,3 +921,95 @@ class TestWorkerEviction:
             assert outcome.recomputed_workers >= 1
             cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
             assert _signature(outcome) == _signature(cold.plan(snapshot, tasks, now))
+
+
+class TestDispatch:
+    """The dispatch stage: every component search runs in process, in
+    submission order, inside the engine's ``dispatch`` span."""
+
+    @staticmethod
+    def _snapshot(seed):
+        return random_instance(random.Random(seed), max_workers=12, max_tasks=36)
+
+    def test_expired_deadline_skips_every_job(self):
+        """A deadline already in the past never reaches a search engine."""
+        workers, tasks = self._snapshot(41)
+        planner = TaskPlanner(PlannerConfig(deadline_s=0.0), travel=TRAVEL)
+        obs = Observability()
+        planner.attach_observability(obs)
+        outcome = planner.plan(workers, tasks, 0.0)
+        assert outcome.rung == "greedy" and outcome.deadline_hit
+        assert outcome.nodes_expanded == 0
+        searches = [e for e in obs.tracer.events if e["name"] == "component.search"]
+        assert searches
+        assert all(e["args"]["skipped"] for e in searches)
+
+        job = ComponentJob(
+            index=0,
+            mode="bnb",
+            root=PartitionNode(workers=[0]),
+            worker_ids=(0,),
+            sequences_by_worker={0: []},
+            workers_by_id={},
+            task_ids=frozenset(),
+        )
+        result = run_component_job(job, deadline=0.0)
+        assert result.skipped and result.selections == () and result.nodes_expanded == 0
+
+    def test_empty_dispatch(self):
+        """A replay whose components all hit the cache dispatches nothing."""
+        workers, tasks = self._snapshot(7)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+        obs = Observability()
+        planner.attach_observability(obs)
+        first = planner.plan(workers, tasks, 0.0)
+        assert first.searched_components > 0
+        seen = len(obs.tracer.events)
+        replay = planner.plan(workers, tasks, 0.0)
+        events = obs.tracer.events[seen:]
+        dispatch = [e for e in events if e["name"] == "dispatch"]
+        assert [e["args"]["jobs"] for e in dispatch] == [0]
+        assert not [e for e in events if e["name"] == "component.search"]
+        assert replay.searched_components == 0
+        assert _signature(replay) == _signature(first)
+
+    def test_experience_collection_leaves_live_cache_untouched(self):
+        """Collection runs the pipeline on a throw-away cache: the live one
+        neither serves it (everything is searched, TVF bypassed) nor keeps
+        anything from it."""
+        workers, tasks = self._snapshot(72)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+        warm = planner.plan(workers, tasks, 0.0)
+        engine = planner._engine
+        entries = dict(engine._worker_entries)
+        versions = {wid: entry.version for wid, entry in entries.items()}
+        components = dict(engine._components)
+
+        collected = planner.plan(workers, tasks, 0.0, collect_experience=True)
+        assert collected.experience
+        assert collected.reused_workers == collected.reused_components == 0
+        assert collected.searched_components == collected.num_components
+
+        assert engine._worker_entries == entries
+        assert {w: e.version for w, e in engine._worker_entries.items()} == versions
+        assert engine._components == components
+        replay = planner.plan(workers, tasks, 0.0)
+        assert replay.reused_workers == len(workers)
+        assert replay.searched_components == 0
+        assert _signature(replay)[0] == _signature(warm)[0]
+
+    def test_executor_accepts_only_serial(self):
+        assert PlannerConfig().executor == "serial"
+        with pytest.raises(ValueError):
+            PlannerConfig(executor="parallel")
+
+    def test_executor_env_var_is_ignored(self, monkeypatch):
+        workers, tasks = self._snapshot(19)
+        expected = _signature(
+            TaskPlanner(PlannerConfig(), travel=TRAVEL).plan(workers, tasks, 0.0)
+        )
+        monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
+        config = PlannerConfig()
+        assert config.executor == "serial"
+        outcome = TaskPlanner(config, travel=TRAVEL).plan(workers, tasks, 0.0)
+        assert _signature(outcome) == expected

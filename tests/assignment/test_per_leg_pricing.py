@@ -11,7 +11,7 @@ The contract under test:
 
 * uniform (boundary-free) profiles take the exact frozen path and are
   **bit-for-bit identical** with the flag on or off, at every backend
-  (serial, parallel, incremental, road network);
+  (serial, incremental, road network);
 * ``leg_pricer`` returns ``None`` exactly when the frozen path is already
   exact (static model, uniform profile, time-dependent base);
 * on a boundary-crossing stream, pricing legs at their simulated
@@ -176,10 +176,9 @@ class TestUniformBitForBit:
         "backend_config",
         [
             {},  # serial full replan
-            {"executor": "parallel", "max_workers": 2},
             {"incremental_replan": True},
         ],
-        ids=["serial", "parallel", "incremental"],
+        ids=["serial", "incremental"],
     )
     def test_planner_backends(self, backend_config):
         workers, tasks = _uniform_snapshot()

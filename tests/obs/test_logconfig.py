@@ -17,7 +17,7 @@ def _restore_repro_loggers():
     saved = (root.level, list(root.handlers), root.propagate)
     branches = {
         name: logging.getLogger(name).level
-        for name in ("repro.resilience", "repro.assignment.executor")
+        for name in ("repro.resilience", "repro.obs")
     }
     yield
     root.setLevel(saved[0])
@@ -42,11 +42,11 @@ def test_subsystem_overrides_resolve_bare_and_qualified_names():
     stream = io.StringIO()
     configure_logging(
         level="WARNING",
-        subsystems={"resilience": "DEBUG", "repro.assignment.executor": "ERROR"},
+        subsystems={"resilience": "DEBUG", "repro.obs": "ERROR"},
         stream=stream,
     )
     assert logging.getLogger("repro.resilience").level == logging.DEBUG
-    assert logging.getLogger("repro.assignment.executor").level == logging.ERROR
+    assert logging.getLogger("repro.obs").level == logging.ERROR
     logging.getLogger("repro.resilience.selfheal").debug("cache repair detail")
     assert "cache repair detail" in stream.getvalue()
 

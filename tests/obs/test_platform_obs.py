@@ -4,9 +4,9 @@ Three contracts:
 
 * **no-op equivalence** — observability must never influence results:
   :meth:`SimulationMetrics.deterministic_state` is bit-identical with
-  observability on and off, on both the serial and the pooled executor;
+  observability on and off;
 * **span coverage** — a traced run covers the whole hot path (epoch →
-  plan → dispatch → merge, journal/checkpoint writes, pooled component
+  plan → dispatch → merge, journal/checkpoint writes, component
   searches) and every span's parent resolves;
 * **cache instrumentation** — the road-network travel model's row cache
   serves the overwhelming majority of lookups from memory, and the run's
@@ -19,7 +19,6 @@ import os
 
 import pytest
 
-import repro.assignment.executor as executor_mod
 from repro.assignment.planner import PlannerConfig
 from repro.assignment.strategies import DTAStrategy, make_strategy
 from repro.datasets.synthetic import WorkloadConfig
@@ -55,18 +54,6 @@ class TestNoOpEquivalence:
         _, off = _run(workload)
         _, on = _run(workload, observability=ObservabilityConfig())
         assert on.deterministic_state() == off.deterministic_state()
-
-    def test_parallel_state_identical(self, workload, monkeypatch):
-        """Forced pooling: every component through worker processes."""
-        monkeypatch.setattr(executor_mod, "INLINE_MIN_SEQUENCES", 0)
-        planner_kw = {"executor": "parallel", "max_workers": 2}
-        _, serial = _run(workload)
-        _, off = _run(workload, planner_kw=planner_kw)
-        _, on = _run(
-            workload, observability=ObservabilityConfig(), planner_kw=planner_kw
-        )
-        assert on.deterministic_state() == off.deterministic_state()
-        assert on.deterministic_state() == serial.deterministic_state()
 
     def test_disabled_run_keeps_noop_singleton(self, workload):
         platform, _ = _run(workload)

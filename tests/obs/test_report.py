@@ -80,12 +80,6 @@ class TestRenderReport:
         assert refresh_account(tracer.events) is None
         assert "Refresh account" not in render_report(tracer.events)
 
-    def test_worker_section_only_with_worker_spans(self):
-        tracer = Tracer()
-        with tracer.span("plan"):
-            pass
-        assert "Pool workers" not in render_report(tracer.events)
-
 
 class TestCli:
     def test_renders_trace(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from repro.obs.trace import (
     Tracer,
     build_span_tree,
     parse_trace,
-    span_event,
 )
 
 
@@ -65,16 +64,6 @@ class TestTracer:
         span.set(cls="incremental")
         assert tracer.events[-1]["args"]["cls"] == "incremental"
 
-    def test_current_span_id_tracks_stack(self):
-        tracer = Tracer()
-        assert tracer.current_span_id() is None
-        with tracer.span("outer") as outer:
-            assert tracer.current_span_id() == outer.span_id
-            with tracer.span("inner") as inner:
-                assert tracer.current_span_id() == inner.span_id
-            assert tracer.current_span_id() == outer.span_id
-        assert tracer.current_span_id() is None
-
     def test_write_parse_round_trip(self, tmp_path):
         tracer = Tracer()
         with tracer.span("epoch", seq=0):
@@ -96,68 +85,13 @@ class TestTracer:
             parse_trace(os.fspath(path))
 
 
-class TestWorkerSpanAdoption:
-    def test_adopted_worker_span_parents_on_main_track(self):
-        tracer = Tracer()
-        with tracer.span("epoch"):
-            with tracer.span("dispatch") as dispatch:
-                worker = span_event(
-                    "component.search",
-                    start_us=0,
-                    end_us=10,
-                    pid=99999,
-                    tid=99999,
-                    span_id=-1,
-                    parent=dispatch.span_id,
-                    cat="worker",
-                    index=0,
-                )
-                tracer.adopt([worker])
-        adopted = [e for e in tracer.events if e.get("cat") == "worker"]
-        assert len(adopted) == 1
-        # pid rewritten to the main process, tid kept as the worker's.
-        assert adopted[0]["pid"] == tracer.pid
-        assert adopted[0]["tid"] == 99999
-        tree = build_span_tree(tracer.events)
-        dispatch_node = next(
-            n for n in tree.values() if n["event"]["name"] == "dispatch"
-        )
-        assert [c["event"]["name"] for c in dispatch_node["children"]] == [
-            "component.search"
-        ]
-
-    def test_worker_span_ids_namespaced_by_track(self):
-        # Two workers may emit the same span id; (tid, id) keys must not
-        # collide with each other or with main-track ids.
-        tracer = Tracer()
-        with tracer.span("dispatch") as dispatch:
-            for wpid in (11111, 22222):
-                tracer.adopt(
-                    [
-                        span_event(
-                            "component.search",
-                            0,
-                            5,
-                            pid=wpid,
-                            tid=wpid,
-                            span_id=-1,
-                            parent=dispatch.span_id,
-                        )
-                    ]
-                )
-        tree = build_span_tree(tracer.events)
-        assert len(tree) == 3
-
-
 class TestNullTracer:
     def test_null_tracer_collects_nothing(self):
         with NULL_TRACER.span("anything", cost=1) as span:
             span.set(more=2)
         NULL_TRACER.instant("x")
         NULL_TRACER.counter("c", v=1.0)
-        NULL_TRACER.adopt([{"name": "w"}])
         assert NULL_TRACER.events == []
-        assert NULL_TRACER.current_span_id() is None
 
     def test_null_tracer_refuses_to_write(self, tmp_path):
         with pytest.raises(RuntimeError):
