@@ -8,9 +8,7 @@ hand-enforced conventions into CI-gated checks:
 * ``ordered-iteration`` — set iteration order must not reach ordered
   sinks (lists, float sums, tie-breaking min/max, selection);
 * ``cache-key`` — every ``PlannerConfig`` field is reflected in the
-  incremental ``context_key`` or registered cache-exempt;
-* ``metrics-partition`` — every ``SimulationMetrics`` field is read in
-  ``deterministic_state()`` or registered wall-clock-exempt.
+  incremental ``context_key`` or registered cache-exempt.
 
 Run ``python -m repro.analysis`` from the repo root; see the README's
 "Static analysis" section and CONTRIBUTING.md for the contracts, the
@@ -23,7 +21,6 @@ from repro.analysis.config import (
     AllowEntry,
     AnalysisConfig,
     CacheKeyContract,
-    MetricsContract,
 )
 from repro.analysis.core import Finding, Project, Rule, SourceModule
 from repro.analysis.engine import Report, load_modules, run_analysis
@@ -37,7 +34,6 @@ __all__ = [
     "Baseline",
     "CacheKeyContract",
     "Finding",
-    "MetricsContract",
     "Project",
     "Report",
     "Rule",

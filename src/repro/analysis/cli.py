@@ -27,8 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Contract-enforcing static analysis for the repro codebase: "
-            "determinism, set-iteration order, cache-key completeness, "
-            "metrics partition."
+            "determinism, set-iteration order, cache-key completeness."
         ),
     )
     parser.add_argument(

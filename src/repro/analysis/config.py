@@ -45,18 +45,6 @@ class CacheKeyContract:
 
 
 @dataclass(frozen=True)
-class MetricsContract:
-    """Rule 'metrics-partition': every metrics field is deterministic or
-    declared wall-clock-exempt."""
-
-    module: str
-    metrics_class: str
-    method: str = "deterministic_state"
-    #: field -> reason it is excluded from the deterministic state.
-    exempt: Dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class AnalysisConfig:
     """Everything a run needs besides the file list."""
 
@@ -65,7 +53,6 @@ class AnalysisConfig:
     deterministic_globs: Tuple[str, ...] = ()
     determinism_allowlist: Tuple[AllowEntry, ...] = ()
     cache_key: Optional[CacheKeyContract] = None
-    metrics: Optional[MetricsContract] = None
     #: Report registry entries that no longer match anything.  Disabled
     #: automatically for partial-tree runs (``--paths``), where absence
     #: of a match proves nothing.

@@ -165,16 +165,3 @@ def dataclass_fields(cls: ast.ClassDef) -> List[Tuple[str, str, int]]:
                 continue
             fields.append((node.target.id, annotation, node.lineno))
     return fields
-
-
-def attribute_reads(tree: ast.AST, base: str) -> Dict[str, int]:
-    """Attributes read off the name ``base`` within ``tree`` -> first line."""
-    reads: Dict[str, int] = {}
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == base
-        ):
-            reads.setdefault(node.attr, node.lineno)
-    return reads

@@ -2,11 +2,12 @@
 
 This module is *data*: which packages are deterministic, which call
 sites are allowlisted and why, which ``PlannerConfig`` fields are
-declared cache-exempt, which ``SimulationMetrics`` fields are wall-clock.
-Rules read these through :class:`repro.analysis.config.AnalysisConfig`;
-adding a new config knob or metrics field without registering it here
-(or reflecting it in the context key / deterministic state) is a CI
-failure by design.
+declared cache-exempt.  Rules read these through
+:class:`repro.analysis.config.AnalysisConfig`; adding a new config knob
+without registering it here (or reflecting it in the context key) is a
+CI failure by design.  (Which ``SimulationMetrics`` fields may stay out
+of ``deterministic_state()`` is a behavioural test:
+``tests/obs/test_metrics_partition.py``.)
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.analysis.config import (
     AllowEntry,
     AnalysisConfig,
     CacheKeyContract,
-    MetricsContract,
 )
 
 #: Packages whose outputs must be a pure function of the simulated input
@@ -85,20 +85,6 @@ CACHE_EXEMPT_FIELDS = {
     "executor": "kept for the frozen e2e harness; always serial",
 }
 
-#: SimulationMetrics fields excluded from ``deterministic_state()``.
-#: Every other field must be read inside that method — the bit-for-bit
-#: checkpoint/recovery contract is exactly this partition.
-METRICS_WALL_CLOCK_EXEMPT = {
-    "parallel_components": "kept for the frozen e2e harness; always 0",
-    "executor_overhead_s": "kept for the frozen e2e harness; always 0",
-    "latency_by_class": (
-        "streaming histograms over the same wall-clock measurements as "
-        "cpu_times (replan latency per epoch class); only sample counts "
-        "could ever agree across runs, and those are already covered by "
-        "num_cpu_samples / degradation_rungs"
-    ),
-}
-
 
 def default_config() -> AnalysisConfig:
     """The live-tree configuration ``python -m repro.analysis`` runs with."""
@@ -111,11 +97,5 @@ def default_config() -> AnalysisConfig:
             key_module="assignment/incremental.py",
             key_var="context_key",
             exempt=CACHE_EXEMPT_FIELDS,
-        ),
-        metrics=MetricsContract(
-            module="simulation/metrics.py",
-            metrics_class="SimulationMetrics",
-            method="deterministic_state",
-            exempt=METRICS_WALL_CLOCK_EXEMPT,
         ),
     )

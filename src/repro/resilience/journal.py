@@ -1,28 +1,10 @@
 """Write-ahead event journal: the platform's per-epoch durability log.
 
-One journal entry is appended after each completed platform epoch (one
-arrival or wake-up plus the decision point it triggered).  An entry is a
-plain JSON-serialisable dict recording everything the epoch decided that a
-replay cannot re-derive deterministically on its own:
-
-``seq``
-    Zero-based epoch number (dense, strictly increasing).
-``src``
-    What drove the epoch: ``"a"`` (the next arrival event) or ``"w"``
-    (the earliest wake-up).
-``now``
-    Simulated time of the epoch.  Python float repr round-trips exactly
-    through JSON, so replay can require bit-equality.
-``planned`` / ``counted`` / ``cpu`` / ``rung`` / ``repairs``
-    Whether a plan was computed, whether it counted towards the CPU-time
-    metric, its measured wall-clock cost (replay re-records the *original*
-    measurement instead of re-planning), the degradation-ladder rung that
-    served the epoch, and invariant repairs performed.
-``dispatches`` / ``repositions``
-    The executed ``[worker_id, task_id]`` dispatches and
-    ``[worker_id, x, y, arrival]`` repositioning legs — the *outputs* of
-    the planning call, which is exactly what makes replay independent of
-    planner wall-clock behaviour.
+One journal entry is appended after each completed platform epoch.  An
+entry is the JSON-serialisable dict
+:meth:`repro.simulation.record.EpochRecord.to_entry` returns; the
+record's docstring is the description of the format.  This module only
+stores entries.
 
 Torn tails: a crash can cut the last line of a file journal mid-write.
 ``entries()`` therefore parses lines up to the first undecodable or

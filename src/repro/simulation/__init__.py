@@ -11,11 +11,13 @@ call.
 from repro.simulation.clock import SimulationClock
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.platform import SCPlatform, PlatformConfig
+from repro.simulation.record import EpochRecord
 from repro.simulation.runner import SimulationRunner, SimulationReport
 
 __all__ = [
     "SimulationClock",
     "SimulationMetrics",
+    "EpochRecord",
     "SCPlatform",
     "PlatformConfig",
     "SimulationRunner",

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.obs.metrics import StreamingHistogram
+from repro.simulation.record import EpochRecord
 
 #: Epoch classes the replan-latency distribution is partitioned by:
 #: ``full`` — the epoch was fully recomputed; ``incremental`` — the
@@ -54,33 +55,26 @@ class SimulationMetrics:
     latency_by_class: Dict[str, StreamingHistogram] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
-    def record_dispatch(self, worker_id: int) -> None:
-        self.dispatched_tasks += 1
-        self.assigned_tasks += 1
-        self.assigned_per_worker[worker_id] = self.assigned_per_worker.get(worker_id, 0) + 1
-
-    def record_expiry(self, count: int = 1) -> None:
-        self.expired_tasks += count
-
-    def record_plan(self, cpu_time: float, epoch_class: str = "full") -> None:
-        self.replans += 1
-        self.cpu_times.append(cpu_time)
-        histogram = self.latency_by_class.get(epoch_class)
-        if histogram is None:
-            histogram = self.latency_by_class[epoch_class] = StreamingHistogram()
-        histogram.record(cpu_time)
-
-    def record_rung(self, rung: str) -> None:
-        self.degradation_rungs[rung] = self.degradation_rungs.get(rung, 0) + 1
-
-    def record_invalid_event(self) -> None:
-        self.rejected_events += 1
-
-    def record_duplicate_event(self) -> None:
-        self.duplicate_events += 1
-
-    def record_repairs(self, count: int = 1) -> None:
-        self.invariant_repairs += count
+    def fold(self, record: EpochRecord) -> None:
+        """Accumulate one epoch's record: the only way the counters move."""
+        self.rejected_events += record.rejected
+        self.duplicate_events += record.duplicates
+        self.expired_tasks += record.expired
+        self.invariant_repairs += record.repairs
+        if record.counted:
+            self.replans += 1
+            self.cpu_times.append(record.cpu)
+            histogram = self.latency_by_class.get(record.cls)
+            if histogram is None:
+                histogram = self.latency_by_class[record.cls] = StreamingHistogram()
+            histogram.record(record.cpu)
+            rungs = self.degradation_rungs
+            rungs[record.rung] = rungs.get(record.rung, 0) + 1
+        self.dispatched_tasks += len(record.dispatches)
+        self.assigned_tasks += len(record.dispatches)
+        per_worker = self.assigned_per_worker
+        for worker_id, _task_id in record.dispatches:
+            per_worker[worker_id] = per_worker.get(worker_id, 0) + 1
 
     # ------------------------------------------------------------------ #
     @property

@@ -9,6 +9,11 @@ for CPU time, mirroring how a production dispatcher would amortise
 planning cost; the default (0) replans at every event, exactly like
 Algorithm 3.
 
+Each epoch (one arrival or wake-up plus the decision point it triggers)
+builds one :class:`~repro.simulation.record.EpochRecord`: the journal
+appends it, :meth:`SimulationMetrics.fold` counts it, and a resumed run
+replays journaled records through the same epoch body.
+
 Fault-tolerant runtime
 ----------------------
 The platform is built to keep serving under degraded conditions:
@@ -24,15 +29,16 @@ The platform is built to keep serving under degraded conditions:
   components the deadline skipped), or ``carryover`` (idle workers the
   degraded plan left empty keep their previous still-valid sequences).
 * **Write-ahead journal + checkpoints** — with ``PlatformConfig.journal``
-  set, every epoch appends its decisions (dispatches, repositionings,
-  recorded CPU cost, rung) to the journal; with ``checkpoint_store`` set,
-  the full runtime state is snapshotted every ``checkpoint_interval``
-  epochs.  :meth:`SCPlatform.resume` restores the newest snapshot, replays
-  the journal tail, and continues the run live — reproducing the metrics
-  of an uninterrupted run bit-for-bit for deterministic configurations
-  (no planner deadline; deadline runs are inherently wall-clock-dependent,
-  so replay reproduces their *journaled* decisions but later live epochs
-  may legitimately differ).
+  set, every epoch appends its record (dispatches, repositionings,
+  recorded CPU cost, rung, latency class) to the journal; with
+  ``checkpoint_store`` set, the full runtime state is snapshotted every
+  ``checkpoint_interval`` epochs.  :meth:`SCPlatform.resume` restores the
+  newest snapshot, replays the journal tail through the live epoch body
+  (journaled decisions instead of planning), and continues the run live —
+  reproducing the metrics of an uninterrupted run bit-for-bit for
+  deterministic configurations (no planner deadline; deadline runs are
+  inherently wall-clock-dependent, so replay reproduces their *journaled*
+  decisions but later live epochs may legitimately differ).
 * **Chaos hooks** — ``PlatformConfig.fault_injector`` perturbs the event
   stream (dropout, duplicates, reordering, malformed payloads) and raises
   :class:`~repro.resilience.chaos.InjectedCrash` at a scheduled epoch,
@@ -47,7 +53,7 @@ import math
 import pickle
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.assignment.incremental import DirtySet
 from repro.assignment.strategies import AssignmentStrategy
@@ -62,6 +68,7 @@ from repro.resilience.chaos import FaultInjector, InjectedCrash
 from repro.resilience.checkpoint import PlatformCheckpoint
 from repro.simulation.clock import SimulationClock
 from repro.simulation.metrics import SimulationMetrics
+from repro.simulation.record import EpochRecord
 from repro.spatial.geometry import Point
 
 #: Child of ``repro.resilience`` so resilience-wide log configuration
@@ -166,12 +173,11 @@ class SCPlatform:
         # Streaming position and epoch bookkeeping (rebuilt per run).
         self._events: List[ArrivalEvent] = []
         self._event_index: int = 0
-        self._epoch_seq: int = 0
+        self._next_seq: int = 0
         # Carryover rung state: the last non-empty real plan per worker.
         self._last_plans: Dict[int, WorkerPlan] = {}
         self._carryover_enabled: bool = False
         self._replay_replans: bool = False
-        self._clear_epoch_scratch()
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -222,10 +228,12 @@ class SCPlatform:
         state: a checkpoint whose payload no longer unpickles (torn or
         truncated write) is skipped in favour of the next older snapshot
         — or a cold start when none survives — and a gap in the journal
-        sequence (a lost segment, not just a torn tail) stops replay at
-        the last contiguous entry, redoing the rest live.  Either fallback
-        costs replay fidelity for the missing span but always yields a
-        completed run.
+        sequence (a lost segment, not just a torn tail) or a parseable but
+        malformed entry stops replay at the last good entry, redoing the
+        rest live.  Each fallback costs replay fidelity for the missing
+        span but always yields a completed run.  A well-formed entry that
+        contradicts the replayed state (another clock, a dispatch of a task
+        that is not pending) raises :class:`RuntimeError`.
         """
         if journal is None:
             journal = self.config.journal
@@ -261,21 +269,29 @@ class SCPlatform:
                 self._reset_run_state(clear_durability=False)
                 self._replay_replans = self.strategy.snapshot_state() is not None
                 start_seq = 0
-        if journal is not None:
-            for entry in journal.entries():
-                if entry["seq"] < start_seq:
-                    continue
-                if entry["seq"] != self._epoch_seq:
-                    _LOG.warning(
-                        "journal gap: expected epoch %s, found %s — "
-                        "stopping replay and continuing live",
-                        self._epoch_seq,
-                        entry["seq"],
-                    )
-                    break
-                self._replay_epoch(entry)
-                self._epoch_seq += 1
-        return self._run_loop()
+        return self._run_loop(self._journal_tail(journal, start_seq))
+
+    @staticmethod
+    def _journal_tail(journal: Optional[object], start_seq: int) -> List[EpochRecord]:
+        """The journaled epochs to replay: well-formed and contiguous from
+        ``start_seq``.  A malformed entry or a sequence gap ends the tail."""
+        records: List[EpochRecord] = []
+        if journal is None:
+            return records
+        for entry in journal.entries():
+            record = EpochRecord.from_entry(entry)
+            if record is not None and record.seq < start_seq:
+                continue
+            expected = start_seq + len(records)
+            if record is None or record.seq != expected:
+                _LOG.warning(
+                    "%s at epoch %s — stopping replay and continuing live",
+                    "malformed journal entry" if record is None else "journal gap",
+                    expected,
+                )
+                break
+            records.append(record)
+        return records
 
     # ------------------------------------------------------------------ #
     # Run-state lifecycle
@@ -311,7 +327,7 @@ class SCPlatform:
             events = injector.perturb_events(events)
         self._events = events
         self._event_index = 0
-        self._epoch_seq = 0
+        self._next_seq = 0
         self._last_plans = {}
         #: Last degradation rung served (drives rung-transition instants).
         self._last_rung = "full"
@@ -321,66 +337,85 @@ class SCPlatform:
             getattr(getattr(self.strategy, "config", None), "deadline_s", None)
             is not None
         )
-        self._clear_epoch_scratch()
         if clear_durability:
             if self.config.journal is not None:
                 self.config.journal.clear()
             if self.config.checkpoint_store is not None:
                 self.config.checkpoint_store.clear()
 
-    def _clear_epoch_scratch(self) -> None:
-        self._epoch_planned = False
-        self._epoch_counted = False
-        self._epoch_cpu = 0.0
-        self._epoch_rung = "full"
-        self._epoch_cls = "full"
-        self._epoch_repairs = 0
-        self._epoch_dispatches: List[Tuple[int, int]] = []
-        self._epoch_repositions: List[Tuple[int, float, float, float]] = []
+    def _run_loop(self, journaled: Sequence[EpochRecord] = ()) -> SimulationMetrics:
+        """Algorithm 3: one epoch per arrival or wake-up until both run out.
 
-    def _run_loop(self) -> SimulationMetrics:
+        ``journaled`` are the recorded epochs a resumed run replays first;
+        a journal that outlasts the event stream raises.
+        """
+        replay = iter(journaled)
+        while self._event_index < len(self._events) or self._wakeups:
+            self._epoch(next(replay, None))
+        leftover = next(replay, None)
+        if leftover is not None:
+            raise RuntimeError(
+                f"journal epoch {leftover.seq} has no arrival or wake-up left to replay"
+            )
+        self._finish_observability()
+        return self.metrics
+
+    def _epoch(self, journaled: Optional[EpochRecord]) -> None:
+        """One epoch: the next arrival or wake-up and its decision point.
+
+        A live epoch plans, dispatches, journals and checkpoints.  A
+        replayed one (``journaled`` given) must reach the journaled
+        ``(src, now)``, takes its decisions from the journal, and skips
+        the journal write, the checkpoint and the crash hooks.  Either way
+        the epoch's :class:`EpochRecord` is folded into the metrics.
+        """
         injector = self.config.fault_injector
         obs = self.obs
-        while self._event_index < len(self._events) or self._wakeups:
-            seq = self._epoch_seq
-            with obs.span("epoch", seq=seq) as epoch_span:
-                next_arrival = (
-                    self._events[self._event_index].time
-                    if self._event_index < len(self._events)
-                    else float("inf")
+        seq = self._next_seq
+        with obs.span("epoch", seq=seq) as epoch_span:
+            next_arrival = (
+                self._events[self._event_index].time
+                if self._event_index < len(self._events)
+                else float("inf")
+            )
+            next_wakeup = self._wakeups[0] if self._wakeups else float("inf")
+            event = None
+            if next_arrival <= next_wakeup:
+                event = self._events[self._event_index]
+                self._event_index += 1
+                # Out-of-order deliveries (chaos, external feeds) carry a
+                # timestamp in the past; the platform processes them at the
+                # current instant instead of moving time backwards.
+                now = self.clock.advance_to(max(event.time, self.clock.now))
+                src = "a"
+            else:
+                now = self.clock.advance_to(heapq.heappop(self._wakeups))
+                src = "w"
+            if journaled is not None and (journaled.src, journaled.now) != (src, now):
+                raise RuntimeError(
+                    f"journal epoch {seq} diverged: replay reached "
+                    f"({src!r}, t={now!r}), journal recorded "
+                    f"({journaled.src!r}, t={journaled.now!r})"
                 )
-                next_wakeup = self._wakeups[0] if self._wakeups else float("inf")
+            record = EpochRecord(seq=seq, src=src, now=now)
+            if event is not None:
+                self._ingest(event, record)
+            if obs.enabled:
+                epoch_span.set(src=src, now=now)
 
-                if next_arrival <= next_wakeup:
-                    event = self._events[self._event_index]
-                    self._event_index += 1
-                    # Out-of-order deliveries (chaos, external feeds) carry
-                    # a timestamp in the past; the platform processes them
-                    # at the current instant instead of moving time
-                    # backwards.
-                    now = self.clock.advance_to(max(event.time, self.clock.now))
-                    src = "a"
-                    self._ingest(event, now)
-                else:
-                    now = self.clock.advance_to(heapq.heappop(self._wakeups))
-                    src = "w"
-                if obs.enabled:
-                    epoch_span.set(src=src, now=now)
+            self._step(record, journaled)
+            self.metrics.fold(record)
 
-                self._step(now)
-
+            if journaled is None:
                 if injector is not None and injector.should_crash(seq, mid=True):
                     # Crash before the journal write: this epoch's entry is
                     # torn away and recovery must redo the epoch live.
                     raise InjectedCrash(f"injected crash mid-epoch {seq}")
-                self._journal_epoch(seq, src, now)
+                self._journal_epoch(record)
                 self._maybe_checkpoint(seq)
                 if injector is not None and injector.should_crash(seq, mid=False):
                     raise InjectedCrash(f"injected crash after epoch {seq}")
-            self._epoch_seq = seq + 1
-
-        self._finish_observability()
-        return self.metrics
+        self._next_seq = seq + 1
 
     def _finish_observability(self) -> None:
         """End-of-run exports: cache gauges and the configured trace file."""
@@ -396,35 +431,35 @@ class SCPlatform:
     # ------------------------------------------------------------------ #
     # Event handling
     # ------------------------------------------------------------------ #
-    def _ingest(self, event: ArrivalEvent, now: float) -> None:
+    def _ingest(self, event: ArrivalEvent, record: EpochRecord) -> None:
         if self.config.validate_events:
             try:
                 validate_event(event)
             except InvalidEventError as exc:
                 _LOG.warning("rejecting malformed event: %s", exc)
-                self.metrics.record_invalid_event()
+                record.rejected += 1
                 return
         if event.is_worker:
-            self._on_worker(event.payload, now)
+            self._on_worker(event.payload, record)
         else:
-            self._on_task(event.payload, now)
+            self._on_task(event.payload, record)
 
-    def _on_worker(self, worker: Worker, now: float) -> None:
+    def _on_worker(self, worker: Worker, record: EpochRecord) -> None:
         existing = self._workers.get(worker.worker_id)
-        if existing is not None and now < existing.worker.off_time:
+        if existing is not None and record.now < existing.worker.off_time:
             # Duplicate delivery of a worker that is still online: honouring
             # it would teleport the worker back to its arrival location.  A
             # re-arrival after going offline (dropout/rejoin) is legitimate.
-            self.metrics.record_duplicate_event()
+            record.duplicates += 1
             return
-        self._workers[worker.worker_id] = _WorkerRuntime(worker=worker, busy_until=now)
+        self._workers[worker.worker_id] = _WorkerRuntime(worker=worker, busy_until=record.now)
         self._dirty.note_worker(worker.worker_id)
 
-    def _on_task(self, task: Task, now: float) -> None:
+    def _on_task(self, task: Task, record: EpochRecord) -> None:
         if task.predicted:
             return
         if task.task_id in self._assigned_ids or task.task_id in self._pending:
-            self.metrics.record_duplicate_event()
+            record.duplicates += 1
             return
         self._pending[task.task_id] = task
         self._dirty.note_task(task.task_id)
@@ -432,85 +467,96 @@ class SCPlatform:
     # ------------------------------------------------------------------ #
     # Decision points
     # ------------------------------------------------------------------ #
-    def _step(self, now: float) -> None:
-        """One decision point: clean up, (maybe) replan, dispatch."""
-        self._clear_epoch_scratch()
+    def _step(self, record: EpochRecord, journaled: Optional[EpochRecord]) -> None:
+        """One decision point: clean up, (maybe) replan, dispatch.
+
+        A replayed epoch re-applies the ``journaled`` decision instead of
+        planning; only strategies that carry state across epochs re-plan,
+        so that state evolves exactly as in the crashed run.
+        """
+        now = record.now
         # Latch the travel model's speed-profile window: the dispatch and
         # repositioning costs below (and any plan computed this step) all
         # use the multiplier active *now* (no-op for static models).
         self.instance.travel.begin_epoch(now)
-        idle_workers, pending_tasks = self._advance_fleet(now)
-        if self.config.max_replans is not None and self.metrics.replans >= self.config.max_replans:
-            return
-        if self._should_defer_replan(now):
-            return
-        if not idle_workers:
-            return
+        idle_workers, pending_tasks = self._advance_fleet(record)
+        if journaled is None:
+            cap = self.config.max_replans
+            if cap is not None and self.metrics.replans >= cap:
+                return
+            if self._should_defer_replan(now) or not idle_workers:
+                return
+            plan = self._plan(idle_workers, pending_tasks, record)
+        else:
+            if not journaled.planned:
+                return
+            if self._replay_replans and idle_workers:
+                self.strategy.notify_dirty(self._dirty)
+                self.strategy.plan(idle_workers, pending_tasks, now)
+                self.strategy.consume_last_outcome()
+            # The crashed run's own measurement, not a re-measurement:
+            # replay must not let recovery wall-clock into the metrics.
+            record.counted, record.cpu = journaled.counted, journaled.cpu
+            record.rung, record.cls = journaled.rung, journaled.cls
+            record.repairs = journaled.repairs
+        record.planned = True
+        self._last_plan_time = now
+        self._dirty.clear()
+        self._schedule_boundary_wakeup(now)
 
+        if journaled is not None:
+            self._reapply(journaled, record)
+        elif plan:
+            # No span for empty plans: most epochs dispatch nothing, and a
+            # zero-duration span per epoch is pure trace-budget noise.
+            with self.obs.span("dispatch_plan", planned=len(plan)):
+                self._dispatch(plan, record)
+
+    def _plan(
+        self, idle_workers: List[Worker], pending_tasks: List[Task], record: EpochRecord
+    ) -> Assignment:
+        """Ask the strategy for a plan; stamp its cost, rung and class."""
         # The strategy is consulted even when no real task is pending so that
         # prediction-aware methods can reposition idle workers towards future
         # demand; only instants with real pending tasks count towards the
         # CPU-time metric (the paper's "task assignment at each time instance").
         obs = self.obs
+        now = record.now
         self.strategy.notify_dirty(self._dirty)
         start = _time.perf_counter()
         with obs.span(
             "plan", workers=len(idle_workers), tasks=len(pending_tasks)
         ) as plan_span:
             plan = self.strategy.plan(idle_workers, pending_tasks, now)
-        elapsed = _time.perf_counter() - start
+        record.cpu = _time.perf_counter() - start
+        record.counted = bool(pending_tasks)
         outcome = self.strategy.consume_last_outcome()
-        rung = "full"
-        repairs = 0
         if outcome is not None:
-            rung = outcome.rung
-            repairs = outcome.repairs
-            if repairs:
-                self.metrics.record_repairs(repairs)
+            record.rung = outcome.rung
+            record.repairs = outcome.repairs
         if self._carryover_enabled:
             if outcome is not None and outcome.deadline_hit:
                 if self._carryover(plan, idle_workers, now):
-                    rung = "carryover"
+                    record.rung = "carryover"
             self._remember_plans(plan, idle_workers)
         # The epoch's latency class: any rung below ``full`` is degraded;
         # otherwise an epoch that reused cached per-worker or per-component
         # state is incremental; everything else paid for a full replan.
-        if rung != "full":
-            cls = "degraded"
+        if record.rung != "full":
+            record.cls = "degraded"
         elif outcome is not None and (
             outcome.reused_workers or outcome.reused_components
         ):
-            cls = "incremental"
-        else:
-            cls = "full"
+            record.cls = "incremental"
         if obs.enabled:
             # The span's args dict is shared with the emitted event, so
             # stamping after exit still lands in the trace.
-            plan_span.set(cls=cls, rung=rung)
-            if rung != self._last_rung:
-                obs.instant("rung.transition", previous=self._last_rung, rung=rung)
-                self._last_rung = rung
+            plan_span.set(cls=record.cls, rung=record.rung)
+            if record.rung != self._last_rung:
+                obs.instant("rung.transition", previous=self._last_rung, rung=record.rung)
+                self._last_rung = record.rung
             self._emit_cache_counters()
-        if pending_tasks:
-            self.metrics.record_plan(elapsed, cls)
-            self.metrics.record_rung(rung)
-        self._epoch_planned = True
-        self._epoch_counted = bool(pending_tasks)
-        self._epoch_cpu = elapsed
-        self._epoch_rung = rung
-        self._epoch_cls = cls
-        self._epoch_repairs = repairs
-        self._last_plan_time = now
-        self._dirty.clear()
-        self._schedule_boundary_wakeup(now)
-
-        if plan:
-            # No span for empty plans: most epochs dispatch nothing, and a
-            # zero-duration span per epoch is pure trace-budget noise.
-            with obs.span("dispatch_plan", planned=len(plan)):
-                self._dispatch(plan, now)
-        else:
-            self._dispatch(plan, now)
+        return plan
 
     def _emit_cache_counters(self) -> None:
         """Per-epoch travel-cache counter samples (roadnet models only)."""
@@ -611,7 +657,8 @@ class SCPlatform:
     # ------------------------------------------------------------------ #
     # Dispatch semantics
     # ------------------------------------------------------------------ #
-    def _dispatch(self, plan: Assignment, now: float) -> None:
+    def _dispatch(self, plan: Assignment, record: EpochRecord) -> None:
+        now = record.now
         for worker_plan in plan:
             runtime = self._workers.get(worker_plan.worker.worker_id)
             if runtime is None or not runtime.is_idle(now):
@@ -623,12 +670,30 @@ class SCPlatform:
                 # demand (the paper's intended use of predictions) so it is
                 # nearby when the real task materialises.  Repositioning does
                 # not count as an assignment.
-                self._reposition(worker_plan, runtime, now)
+                self._reposition(worker_plan, runtime, record)
                 continue
-            self._execute_dispatch(runtime, task, now)
+            self._execute_dispatch(runtime, task, record)
 
-    def _execute_dispatch(self, runtime: _WorkerRuntime, task: Task, now: float) -> None:
+    def _reapply(self, journaled: EpochRecord, record: EpochRecord) -> None:
+        """Re-execute a journaled epoch's dispatches and repositioning legs."""
+        for worker_id, task_id in journaled.dispatches:
+            runtime = self._workers.get(worker_id)
+            task = self._pending.get(task_id)
+            if runtime is None or task is None:
+                raise RuntimeError(
+                    f"journal epoch {journaled.seq} dispatches task {task_id} "
+                    f"to worker {worker_id}, but replay state has no such "
+                    f"pending task / online worker"
+                )
+            self._execute_dispatch(runtime, task, record)
+        for worker_id, target_x, target_y, arrival in journaled.repositions:
+            runtime = self._workers.get(worker_id)
+            if runtime is not None and runtime.reposition is None:
+                self._start_reposition(runtime, Point(target_x, target_y), arrival, record)
+
+    def _execute_dispatch(self, runtime: _WorkerRuntime, task: Task, record: EpochRecord) -> None:
         """Commit one dispatch (cancelling any repositioning in progress)."""
+        now = record.now
         travel_time = self.instance.travel.time(runtime.worker.location, task.location)
         completion = now + travel_time
         runtime.reposition = None
@@ -639,15 +704,16 @@ class SCPlatform:
         runtime.worker = runtime.worker.moved_to(task.location)
         self._dirty.note_worker(runtime.worker.worker_id)
         self._dirty.note_task(task.task_id)
-        self.metrics.record_dispatch(runtime.worker.worker_id)
         self.strategy.notify_dispatch(runtime.worker.worker_id, task.task_id)
-        self._epoch_dispatches.append((runtime.worker.worker_id, task.task_id))
+        record.dispatches.append((runtime.worker.worker_id, task.task_id))
         if completion < runtime.worker.off_time:
             # max() only differs under corrupted (negative) travel costs,
             # where it keeps the wake-up from moving the clock backwards.
             heapq.heappush(self._wakeups, max(completion, now))
 
-    def _reposition(self, worker_plan: WorkerPlan, runtime: _WorkerRuntime, now: float) -> None:
+    def _reposition(
+        self, worker_plan: WorkerPlan, runtime: _WorkerRuntime, record: EpochRecord
+    ) -> None:
         """Start an interruptible move towards the first feasible predicted task.
 
         The worker keeps counting as idle — it can be dispatched on a real
@@ -656,6 +722,7 @@ class SCPlatform:
         """
         if runtime.reposition is not None:
             return
+        now = record.now
         travel = self.instance.travel
         worker = runtime.worker
         for task in worker_plan.sequence:
@@ -666,11 +733,15 @@ class SCPlatform:
             arrival = now + travel.time(worker.location, task.location)
             if arrival >= worker.off_time:
                 continue
-            runtime.reposition = (now, worker.location, task.location, arrival)
-            self._epoch_repositions.append(
-                (worker.worker_id, task.location.x, task.location.y, arrival)
-            )
+            self._start_reposition(runtime, task.location, arrival, record)
             return
+
+    @staticmethod
+    def _start_reposition(
+        runtime: _WorkerRuntime, target: Point, arrival: float, record: EpochRecord
+    ) -> None:
+        runtime.reposition = (record.now, runtime.worker.location, target, arrival)
+        record.repositions.append((runtime.worker.worker_id, target.x, target.y, arrival))
 
     def _first_executable_task(
         self, worker_plan: WorkerPlan, runtime: _WorkerRuntime, now: float
@@ -696,24 +767,11 @@ class SCPlatform:
     # ------------------------------------------------------------------ #
     # Durability: journal, checkpoints, replay
     # ------------------------------------------------------------------ #
-    def _journal_epoch(self, seq: int, src: str, now: float) -> None:
+    def _journal_epoch(self, record: EpochRecord) -> None:
         if self.config.journal is None:
             return
-        entry = {
-            "seq": seq,
-            "src": src,
-            "now": now,
-            "planned": self._epoch_planned,
-            "counted": self._epoch_counted,
-            "cpu": self._epoch_cpu,
-            "rung": self._epoch_rung,
-            "cls": self._epoch_cls,
-            "repairs": self._epoch_repairs,
-            "dispatches": [list(item) for item in self._epoch_dispatches],
-            "repositions": [list(item) for item in self._epoch_repositions],
-        }
-        with self.obs.span("journal.append", seq=seq):
-            self.config.journal.append(entry)
+        with self.obs.span("journal.append", seq=record.seq):
+            self.config.journal.append(record.to_entry())
 
     def _maybe_checkpoint(self, seq: int) -> None:
         store = self.config.checkpoint_store
@@ -777,79 +835,14 @@ class SCPlatform:
         self.metrics = state["metrics"]
         self._last_plans = dict(state["last_plans"])
         self.strategy.restore_state(state["strategy"])
-        self._epoch_seq = state["seq"]
+        self._next_seq = state["seq"]
         return state["seq"]
 
-    def _replay_epoch(self, entry: Dict[str, object]) -> None:
-        """Re-apply one journaled epoch: recorded decisions, no planning."""
-        if entry["src"] == "a":
-            if self._event_index >= len(self._events):
-                raise RuntimeError(
-                    f"journal epoch {entry['seq']} consumes an arrival but "
-                    f"the event stream is exhausted"
-                )
-            event = self._events[self._event_index]
-            self._event_index += 1
-            now = self.clock.advance_to(max(event.time, self.clock.now))
-            self._ingest(event, now)
-        else:
-            if not self._wakeups:
-                raise RuntimeError(
-                    f"journal epoch {entry['seq']} consumes a wake-up but "
-                    f"none is scheduled"
-                )
-            now = self.clock.advance_to(heapq.heappop(self._wakeups))
-        if now != entry["now"]:
-            raise RuntimeError(
-                f"journal epoch {entry['seq']} diverged: replay reached "
-                f"t={now!r}, journal recorded t={entry['now']!r}"
-            )
-        self._clear_epoch_scratch()
-        self.instance.travel.begin_epoch(now)
-        idle_workers, pending_tasks = self._advance_fleet(now)
-        if not entry["planned"]:
-            return
-        if self._replay_replans:
-            if idle_workers:
-                self.strategy.notify_dirty(self._dirty)
-                self.strategy.plan(idle_workers, pending_tasks, now)
-                self.strategy.consume_last_outcome()
-        if entry["counted"]:
-            # The crashed run's own measurement, not a re-measurement:
-            # replay must not let recovery wall-clock into the metrics.
-            # Journals written before the epoch class existed replay as
-            # "full" — the conservative default.
-            self.metrics.record_plan(entry["cpu"], entry.get("cls", "full"))
-            self.metrics.record_rung(entry["rung"])
-        if entry["repairs"]:
-            self.metrics.record_repairs(entry["repairs"])
-        self._last_plan_time = now
-        self._dirty.clear()
-        self._schedule_boundary_wakeup(now)
-        for worker_id, task_id in entry["dispatches"]:
-            runtime = self._workers.get(worker_id)
-            task = self._pending.get(task_id)
-            if runtime is None or task is None:
-                raise RuntimeError(
-                    f"journal epoch {entry['seq']} dispatches task {task_id} "
-                    f"to worker {worker_id}, but replay state has no such "
-                    f"pending task / online worker"
-                )
-            self._execute_dispatch(runtime, task, now)
-        for worker_id, target_x, target_y, arrival in entry["repositions"]:
-            runtime = self._workers.get(worker_id)
-            if runtime is not None and runtime.reposition is None:
-                runtime.reposition = (
-                    now,
-                    runtime.worker.location,
-                    Point(target_x, target_y),
-                    arrival,
-                )
-
     # ------------------------------------------------------------------ #
-    def _advance_fleet(self, now: float) -> Tuple[List[Worker], List[Task]]:
+    def _advance_fleet(self, record: EpochRecord) -> Tuple[List[Worker], List[Task]]:
         """Advance repositioning, drop offline workers, expire tasks (all
         noted dirty); return the idle workers and open tasks at ``now``."""
+        now = record.now
         dirty = self._dirty
         idle_workers: List[Worker] = []
         offline: List[int] = []
@@ -879,6 +872,5 @@ class SCPlatform:
         for tid in expired:
             del self._pending[tid]
             dirty.note_task(tid)
-        if expired:
-            self.metrics.record_expiry(len(expired))
+        record.expired = len(expired)
         return idle_workers, pending_tasks

@@ -1,13 +1,8 @@
-"""Fixture coverage for the structural contract rules: ``cache-key`` and
-``metrics-partition``."""
+"""Fixture coverage for the structural contract rule ``cache-key``."""
 
 from __future__ import annotations
 
-from repro.analysis import (
-    AnalysisConfig,
-    CacheKeyContract,
-    MetricsContract,
-)
+from repro.analysis import AnalysisConfig, CacheKeyContract
 
 from analysis_helpers import findings_by_rule, run_fixtures
 
@@ -19,16 +14,6 @@ def cache_config(exempt):
             config_class="EngineConfig",
             key_module="cachemod.py",
             key_var="context_key",
-            exempt=exempt,
-        )
-    )
-
-
-def metrics_config(exempt):
-    return AnalysisConfig(
-        metrics=MetricsContract(
-            module="metricsmod.py",
-            metrics_class="RunMetrics",
             exempt=exempt,
         )
     )
@@ -94,49 +79,3 @@ class TestCacheKeyRule:
         stale = findings_by_rule(report, "stale-registry")
         assert len(stale) == 1
         assert "lost its anchor" in stale[0].message
-
-
-class TestMetricsPartitionRule:
-    def test_unpartitioned_field_is_flagged(self):
-        report = run_fixtures(
-            ["metricsmod.py"], metrics_config({"wall_s": "fixture: wall clock"})
-        )
-        found = findings_by_rule(report, "metrics-partition")
-        assert [f.symbol for f in found] == ["completed"]
-
-    def test_full_partition_is_clean(self):
-        report = run_fixtures(
-            ["metricsmod.py"],
-            metrics_config(
-                {"completed": "fixture: derived", "wall_s": "fixture: wall clock"}
-            ),
-        )
-        assert report.clean
-
-    def test_read_and_exempt_is_contradictory(self):
-        report = run_fixtures(
-            ["metricsmod.py"],
-            metrics_config(
-                {
-                    "assigned": "fixture: contradiction",
-                    "completed": "fixture: derived",
-                    "wall_s": "fixture: wall clock",
-                }
-            ),
-        )
-        found = findings_by_rule(report, "metrics-partition")
-        assert [f.symbol for f in found] == ["assigned"]
-
-    def test_exempting_a_nonexistent_field_is_stale_registry(self):
-        report = run_fixtures(
-            ["metricsmod.py"],
-            metrics_config(
-                {
-                    "completed": "fixture: derived",
-                    "wall_s": "fixture: wall clock",
-                    "ghost": "fixture: no such field",
-                }
-            ),
-        )
-        stale = findings_by_rule(report, "stale-registry")
-        assert [f.symbol for f in stale] == ["ghost"]

@@ -23,6 +23,7 @@ from repro.core.worker import Worker
 from repro.datasets.yueche import generate_yueche
 from repro.resilience.chaos import ChaosConfig, ChaosTravelModel, FaultInjector
 from repro.simulation.platform import PlatformConfig, SCPlatform
+from repro.simulation.record import EpochRecord
 from repro.spatial.geometry import Point
 from repro.spatial.travel import EuclideanTravelModel
 
@@ -222,8 +223,10 @@ class TestDuplicateGuards:
         platform._reset_run_state(clear_durability=False)
         task = instance.tasks[0]
         events = build_event_stream([], [task]) + build_event_stream([], [task])
-        for event in events:
-            platform._ingest(event, now=0.0)
+        for seq, event in enumerate(events):
+            record = EpochRecord(seq=seq, src="a", now=0.0)
+            platform._ingest(event, record)
+            platform.metrics.fold(record)
         assert platform.metrics.duplicate_events == 1
         assert len(platform._pending) == 1
 
@@ -232,10 +235,12 @@ class TestDuplicateGuards:
         platform = SCPlatform(instance, GreedyStrategy())
         platform._reset_run_state(clear_durability=False)
         worker = instance.workers[0]
-        platform._on_worker(worker, now=0.0)
+        platform._on_worker(worker, EpochRecord(seq=0, src="a", now=0.0))
         moved = platform._workers[1].worker.moved_to(Point(3.0, 3.0))
         platform._workers[1].worker = moved
-        platform._on_worker(worker, now=1.0)  # duplicate while online
+        duplicate = EpochRecord(seq=1, src="a", now=1.0)
+        platform._on_worker(worker, duplicate)  # duplicate while online
+        platform.metrics.fold(duplicate)
         assert platform.metrics.duplicate_events == 1
         assert platform._workers[1].worker.location == Point(3.0, 3.0)
 
@@ -245,8 +250,12 @@ class TestDuplicateGuards:
         platform._reset_run_state(clear_durability=False)
         first = Worker(1, Point(0.0, 0.0), 5.0, 0.0, 10.0)
         rejoined = Worker(1, Point(2.0, 2.0), 5.0, 20.0, 100.0)
-        platform._on_worker(first, now=0.0)
-        platform._on_worker(rejoined, now=20.0)
+        joined = EpochRecord(seq=0, src="a", now=0.0)
+        platform._on_worker(first, joined)
+        rejoin = EpochRecord(seq=1, src="a", now=20.0)
+        platform._on_worker(rejoined, rejoin)
+        platform.metrics.fold(joined)
+        platform.metrics.fold(rejoin)
         assert platform.metrics.duplicate_events == 0
         assert platform._workers[1].worker.location == Point(2.0, 2.0)
 

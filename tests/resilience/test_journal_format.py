@@ -35,6 +35,7 @@ from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.resilience.journal import FileJournal, InMemoryJournal
 from repro.simulation.platform import PlatformConfig, SCPlatform
+from repro.simulation.record import EpochRecord
 from repro.spatial.geometry import Point
 from repro.spatial.travel import EuclideanTravelModel
 
@@ -126,6 +127,11 @@ def test_fixture_journal_covers_the_whole_run():
     assert sum(len(entry["dispatches"]) for entry in entries) == (
         FIXTURE_STATE["assigned_tasks"]
     )
+
+
+def test_fixture_entries_round_trip_through_the_record():
+    for entry in FileJournal(FIXTURE).entries():
+        assert EpochRecord.from_entry(entry).to_entry() == entry
 
 
 def test_journaled_decisions_are_pinned():

@@ -9,7 +9,10 @@ These tests damage the stores directly and assert the recovery ladder:
   next older snapshot;
 * with every snapshot corrupted, recovery cold-starts from the journal;
 * a gap in the journal sequence (a lost segment, not just a torn tail)
-  stops replay at the last contiguous entry and the run continues live.
+  stops replay at the last contiguous entry and the run continues live;
+* so does an entry that parses but is malformed (a missing key, a wrong
+  type, a list in place of the dict), while a well-formed entry that
+  contradicts the replayed state still raises.
 
 In every case ``resume()`` completes the run; for the deterministic DTA
 configuration it still reproduces the uninterrupted baseline bit-for-bit.
@@ -17,6 +20,7 @@ configuration it still reproduces the uninterrupted baseline bit-for-bit.
 
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
@@ -171,3 +175,59 @@ class TestJournalGap:
             metrics = platform.resume()
         assert any("journal gap" in rec.message for rec in caplog.records)
         assert metrics.deterministic_state() == baseline_state
+
+
+def _rewrite_line(path, index, rewrite):
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    entry = json.loads(lines[index])
+    lines[index] = json.dumps(rewrite(entry)) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def _without_src(entry):
+    del entry["src"]
+    return entry
+
+
+class TestMalformedJournalEntry:
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            _without_src,
+            lambda entry: {**entry, "dispatches": 7},
+            lambda entry: list(entry.values()),
+        ],
+        ids=["missing-src", "dispatches-not-a-list", "list-not-a-dict"],
+    )
+    def test_malformed_entry_degrades_to_live_replanning(
+        self, workload, baseline_state, tmp_path, caplog, rewrite
+    ):
+        path = tmp_path / "run.journal"
+        platform = _crashed_platform(
+            workload, FileJournal(path), InMemoryCheckpointStore(), crash_epoch=23
+        )
+        platform.config.journal.close()
+        # The newest checkpoint covers epochs < 21; entry 22 is replayed.
+        _rewrite_line(path, 22, rewrite)
+        with caplog.at_level(logging.WARNING, logger="repro.resilience"):
+            metrics = platform.resume(journal=FileJournal(path))
+        assert any("malformed journal entry" in rec.message for rec in caplog.records)
+        assert metrics.deterministic_state() == baseline_state
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda entry: {**entry, "now": entry["now"] + 1.0},
+            lambda entry: {**entry, "planned": True, "dispatches": [[0, 10**9]]},
+        ],
+        ids=["clock-diverges", "dispatch-of-unknown-task"],
+    )
+    def test_divergent_entry_still_raises(self, workload, tmp_path, rewrite):
+        path = tmp_path / "run.journal"
+        platform = _crashed_platform(
+            workload, FileJournal(path), InMemoryCheckpointStore(), crash_epoch=23
+        )
+        platform.config.journal.close()
+        _rewrite_line(path, 22, rewrite)
+        with pytest.raises(RuntimeError):
+            platform.resume(journal=FileJournal(path))

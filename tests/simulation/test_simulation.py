@@ -10,6 +10,7 @@ from repro.core.worker import Worker
 from repro.simulation.clock import SimulationClock
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.platform import PlatformConfig, SCPlatform
+from repro.simulation.record import EpochRecord
 from repro.simulation.runner import SimulationReport, SimulationRunner
 from repro.spatial.geometry import Point
 from repro.spatial.travel import EuclideanTravelModel
@@ -40,12 +41,10 @@ class TestClock:
 class TestMetrics:
     def test_record_and_aggregate(self):
         metrics = SimulationMetrics()
-        metrics.record_dispatch(worker_id=1)
-        metrics.record_dispatch(worker_id=1)
-        metrics.record_dispatch(worker_id=2)
-        metrics.record_plan(0.1)
-        metrics.record_plan(0.3)
-        metrics.record_expiry(4)
+        dispatches = [(1, 10), (1, 11), (2, 12)]
+        metrics.fold(EpochRecord(0, "a", 0.0, counted=True, cpu=0.1, dispatches=dispatches))
+        metrics.fold(EpochRecord(1, "w", 1.0, counted=True, cpu=0.3))
+        metrics.fold(EpochRecord(2, "w", 2.0, expired=4))
         assert metrics.assigned_tasks == 3
         assert metrics.assigned_per_worker == {1: 2, 2: 1}
         assert metrics.mean_cpu_time == pytest.approx(0.2)
