@@ -1,15 +1,26 @@
 """Maximal valid task sequence generation (Section IV-A.1, Eq. 10).
 
 For a worker's reachable task set ``RS_w`` we enumerate valid task
-sequences (Definition 4).  Among sequences over the same *set* of tasks,
-only the minimum-completion-time order is kept (Eq. 10), and only sequences
-that cannot be extended by any further reachable task are *maximal*.
+sequences (Definition 4) of at most ``max_length`` tasks, depth first in
+lexicographic order of task index.  Each task *set* keeps the
+earliest-completing order the search reached (Eq. 10), and the search
+extends an order only when it ties or beats the best order of its set
+known at that moment.  The continuations of a slower order are never
+visited, so the kept order is not always the set's minimum-completion
+order, and a set reachable only through such a continuation is missed —
+leaving its subsets to be reported as maximal.  On 300
+sampled ``dense_batch`` calls about 8 % of the emitted sequences finish
+later than their set's best order (median 3-4 s, at most 32-39 s), and
+1-5 truly maximal sets went missing; ``tests/assignment/
+test_sequence_definitions.py`` pins both on a three-task instance.  Of
+the stored sets only those inside no larger stored set are returned.
 
 The enumeration is exponential in the worst case; ``max_length`` bounds the
 sequence length (workers rarely chain more than a handful of tasks inside
-one availability window) and ``max_sequences`` bounds the output size.
+one availability window), ``max_sequences`` bounds the output size, and
+the search enters no node once ``max_sequences * 8`` sets are stored.
 
-The search runs on an explicit stack over precomputed leg-time arrays
+The search is a plain recursion over precomputed leg-time arrays
 (:class:`~repro.spatial.travel_matrix.LegTimes`): every worker→task and
 task→task leg is evaluated exactly once per call — sliced out of a shared
 :class:`~repro.spatial.travel_matrix.TravelMatrix` when one is supplied,
@@ -19,12 +30,12 @@ floats, so the enumeration result does not depend on which path fed it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.sequence import TaskSequence
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.spatial.travel import EuclideanTravelModel, TravelModel
+from repro.spatial.travel import EuclideanTravelModel, LegPricer, TravelModel
 from repro.spatial.travel_matrix import LegTimes, TravelMatrix
 
 #: Below this many reachable tasks the scalar leg precompute is cheaper
@@ -46,10 +57,12 @@ def maximal_valid_sequences(
     """Generate the maximal valid task sequence set ``Q_w``.
 
     The search proceeds depth-first over orderings, pruning any extension
-    that violates Definition 4.  For every visited task *set* only the
-    minimum-completion-time ordering is retained (Eq. 10), and a sequence
-    is returned only if it is maximal, i.e. no reachable task can be
-    appended without violating a constraint or the length bound.
+    that violates Definition 4.  Every visited task *set* keeps the
+    earliest-completing of its visited orders, and an order is extended
+    only if it ties or beats that set's best order at the time — so an
+    unvisited order can complete earlier (see the module docstring for
+    how often).  A set is returned only if no larger stored set contains
+    it, ranked by size (descending), then relative completion time.
 
     The empty sequence is never returned; a worker with no feasible task
     yields an empty list.
@@ -112,8 +125,8 @@ def maximal_valid_sequences(
             horizon_out.append(profile_boundary)
         return []
 
-    # Eq. 10 comparisons (minimum-completion order per subset, and the
-    # final ranking) run on *relative* accumulated leg times — the same
+    # Eq. 10 comparisons (the best order kept per subset, and the final
+    # ranking) run on *relative* accumulated leg times — the same
     # sums shifted to a time origin of zero.  Comparing absolute arrivals
     # ``now + legs`` is not invariant under a shift of ``now``: two orders
     # whose leg sums differ by less than one ulp of ``now`` can round to
@@ -141,131 +154,159 @@ def maximal_valid_sequences(
     # baked into the leg arrays it will rescale.
     pricer = legs_model.leg_pricer(now) if per_leg else None
 
+    orders, slack = _search(
+        worker, reachable, now, legs, pricer, max_length, max_sequences
+    )
+    if horizon_out is not None:
+        # Rounding is monotone: ``now + min(a, b)`` is
+        # ``min(now + a, now + b)``.
+        horizon_out.append(min(now + slack, profile_boundary))
+    return [
+        TaskSequence(worker, tuple([reachable[i] for i in order]))
+        for order in orders
+    ]
+
+
+def _search(
+    worker: Worker,
+    reachable: List[Task],
+    now: float,
+    legs: LegTimes,
+    pricer: Optional[LegPricer],
+    max_length: int,
+    max_sequences: int,
+) -> Tuple[List[Tuple[int, ...]], float]:
+    """The depth-first search behind :func:`maximal_valid_sequences`.
+
+    Returns the ranked index orders of the maximal sequences, and the
+    smallest slack of any predicate the search evaluated (the reuse
+    horizon is ``now`` plus it).  Kept apart from the public function so
+    that a call with no reachable task does not pay for the closure's
+    cells.
+    """
     n = len(reachable)
-    expirations = [task.expiration_time for task in reachable]
     off_time = worker.off_time
+    # Definition 4 (i) and (ii) in one comparison: rounding is monotone,
+    # so ``arrive >= min(e, off)`` is ``arrive >= e or arrive >= off`` and
+    # ``min(e, off) - arrive`` is ``min(e - arrive, off - arrive)``.
+    limits = [min(task.expiration_time, off_time) for task in reachable]
     reach = worker.reachable_distance + 1e-9
     budget = max_sequences * 8
-
-    # Best ordering per task subset, keyed by the subset's index bitmask
-    # (bijective with the task-id frozenset, far cheaper to build and hash):
-    # mask -> (relative completion time, index order).
-    best_by_subset: Dict[int, Tuple[float, Tuple[int, ...]]] = {}
-
-    # Depth-first search on an explicit stack.  A frame is
-    # (prefix, used_bitmask, arrival_at_last, relative_arrival,
-    # next_candidate, is_entry): ``is_entry`` marks the first visit of a
-    # search node (where the budget bailout applies); resumed frames
-    # continue the candidate loop after a deeper exploration returned.
-    worker_time = legs.worker_time
-    worker_dist = legs.worker_dist
+    # A node at depth ``depth_cap`` could only extend past the length
+    # bound or run out of tasks, so the search never enters one.
+    depth_cap = min(max_length, n)
     task_time = legs.task_time
     task_dist = legs.task_dist
+
+    # Best ordering per task subset, keyed by the subset's index bitmask
+    # (bijective with the task-id frozenset, far cheaper to build and
+    # hash): its relative completion time and its index order.  ``levels``
+    # lists the masks by size, each in first-stored order.
+    best_rel: Dict[int, float] = {}
+    best_order: Dict[int, Tuple[int, ...]] = {}
+    levels: List[List[int]] = [[] for _ in range(depth_cap + 1)]
     min_slack = float("inf")
     min_boundary_slack = float("inf")
-    stack: List[Tuple[Tuple[int, ...], int, float, float, int, bool]] = [
-        ((), 0, now, 0.0, 0, True)
-    ]
-    while stack:
-        prefix, used, time, rel_time, start, is_entry = stack.pop()
-        if is_entry and len(best_by_subset) >= budget:
-            continue
-        if prefix:
-            time_row = task_time[prefix[-1]]
-            dist_row = task_dist[prefix[-1]]
-        else:
-            time_row = worker_time
-            dist_row = worker_dist
+
+    def visit(
+        prefix: Tuple[int, ...],
+        used: int,
+        time: float,
+        rel_time: float,
+        time_row: List[float],
+        dist_row: List[float],
+    ) -> None:
+        # One search node: try every unused task after ``prefix`` in index
+        # order, store the subset it completes when the order beats the
+        # best known one, and descend when it ties or beats it.
+        nonlocal min_slack, min_boundary_slack
         if pricer is not None:
-            # Every candidate leg of this frame departs at ``time``: one
-            # window lookup prices them all.  The departure's distance to
-            # its boundary tightens the reuse horizon — but only when the
-            # frame actually prices a leg (below); a frame with no
-            # remaining candidates evaluates nothing a window change
-            # could flip.
+            # Every candidate leg of this node departs at ``time``: one
+            # window lookup prices them all, and the departure's distance
+            # to its boundary tightens the reuse horizon (the node always
+            # has a candidate to price).
             ratio, boundary_slack = pricer.ratio_and_slack(time)
-        else:
-            ratio = 1.0
-        evaluated = False
-        for i in range(start, n):
+            if boundary_slack < min_boundary_slack:
+                min_boundary_slack = boundary_slack
+            if ratio != 1.0:
+                time_row = [leg * ratio for leg in time_row]
+        depth = len(prefix) + 1
+        deeper = depth < depth_cap
+        level = levels[depth]
+        for i in range(n):
             if used >> i & 1:
                 continue
-            evaluated = True
-            leg = time_row[i] if ratio == 1.0 else time_row[i] * ratio
+            leg = time_row[i]
             arrive = time + leg
-            if arrive >= expirations[i] or arrive >= off_time:
+            limit = limits[i]
+            if arrive >= limit or dist_row[i] > reach:
                 continue
-            if dist_row[i] > reach:
-                continue
-            rel_arrive = rel_time + leg
-            slack = min(expirations[i] - arrive, off_time - arrive)
+            slack = limit - arrive
             if slack < min_slack:
                 min_slack = slack
+            rel_arrive = rel_time + leg
             key = used | (1 << i)
-            existing = best_by_subset.get(key)
-            new_prefix = prefix + (i,)
-            if existing is None or rel_arrive < existing[0]:
-                best_by_subset[key] = (rel_arrive, new_prefix)
-            # Only continue extending from the best-known order of this
-            # subset to curb redundant exploration.
-            if len(new_prefix) < max_length and (
-                existing is None or rel_arrive <= existing[0]
-            ):
-                stack.append((prefix, used, time, rel_time, i + 1, False))
-                stack.append((new_prefix, key, arrive, rel_arrive, 0, True))
-                break
-        if evaluated and pricer is not None and boundary_slack < min_boundary_slack:
-            min_boundary_slack = boundary_slack
-
-    if horizon_out is not None:
-        horizon_out.append(
-            min(now + min_slack, now + min_boundary_slack, profile_boundary)
-        )
-
-    if not best_by_subset:
-        return []
-
-    # Keep only maximal subsets: no other stored subset strictly contains
-    # them.  An inverted member -> subsets index narrows each containment
-    # check to the subsets sharing at least one member (the all-pairs scan
-    # was quadratic in |best_by_subset| and dominated dense instances).
-    masks = list(best_by_subset.keys())
-    sizes = [mask.bit_count() for mask in masks]
-    max_size = max(sizes)
-    positions_by_member: Dict[int, List[int]] = {}
-    for position, mask in enumerate(masks):
-        bits = mask
-        while bits:
-            low = bits & -bits
-            positions_by_member.setdefault(low, []).append(position)
-            bits ^= low
-    maximal: List[int] = []
-    for position, mask in enumerate(masks):
-        size = sizes[position]
-        if size < max_size:
-            shortest = None
-            bits = mask
-            while bits:
-                low = bits & -bits
-                members = positions_by_member[low]
-                if shortest is None or len(members) < len(shortest):
-                    shortest = members
-                bits ^= low
-            if any(
-                sizes[p] > size and masks[p] & mask == mask for p in shortest
-            ):
+            existing = best_rel.get(key)
+            if existing is None:
+                order = prefix + (i,)
+                best_rel[key] = rel_arrive
+                best_order[key] = order
+                level.append(key)
+            elif rel_arrive < existing:
+                order = prefix + (i,)
+                best_rel[key] = rel_arrive
+                best_order[key] = order
+            elif deeper and rel_arrive == existing:
+                order = prefix + (i,)
+            else:
+                # Only the best-known order of a subset is extended, which
+                # curbs redundant exploration.
                 continue
-        maximal.append(mask)
+            if deeper and len(best_rel) < budget:
+                visit(order, key, arrive, rel_arrive, task_time[i], task_dist[i])
 
-    # Rank by (more tasks, earlier relative completion) and bound the
-    # output size.  The relative completion was recorded during the search,
-    # so the sort key is a dictionary lookup rather than a fresh
-    # arrival-times recomputation (and, being now-free, ranks identically
-    # at every epoch the sequence set itself is unchanged).
-    ranked = sorted(
-        maximal, key=lambda mask: (-mask.bit_count(), best_by_subset[mask][0])
-    )
-    return [
-        TaskSequence(worker, tuple(reachable[i] for i in best_by_subset[mask][1]))
-        for mask in ranked[:max_sequences]
-    ]
+    if budget > 0:
+        visit((), 0, now, 0.0, legs.worker_time, legs.worker_dist)
+    # ``visit`` reaches itself through its own closure cell: clearing the
+    # cell breaks that cycle, so the function and everything it holds
+    # (the subset dicts, the leg rows) are freed here, not by the cyclic
+    # collector.
+    del visit
+    slack = min(min_slack, min_boundary_slack)
+    if len(best_rel) <= 1:
+        return list(best_order.values()), slack
+
+    # Keep only maximal subsets: none may be contained in a larger stored
+    # one.  Walk the sizes from the largest down, carrying the downward
+    # closure of everything larger: a mask is dominated exactly when some
+    # one-larger mask, stored or itself dominated, contains it.  Each
+    # size's survivors are ranked by relative completion (a stable sort,
+    # so ties keep first-stored order) — which is the stable
+    # ``(-size, completion)`` sort, and it may stop at ``max_sequences``.
+    # The completion was recorded during the search, so the sort key is
+    # a lookup, and being ``now``-free it ranks identically at every
+    # epoch the sequence set itself is unchanged.
+    ranked: List[int] = []
+    dominated: Set[int] = set()
+    dominated_here: List[int] = []
+    for size in range(depth_cap, 0, -1):
+        stored = levels[size]
+        survivors = [mask for mask in stored if mask not in dominated]
+        survivors.sort(key=best_rel.__getitem__)
+        ranked += survivors
+        if len(ranked) >= max_sequences or size == 1:
+            break
+        dominated_below: List[int] = []
+        for masks in (stored, dominated_here):
+            for mask in masks:
+                bits = mask
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    subset = mask ^ low
+                    if subset not in dominated:
+                        dominated.add(subset)
+                        dominated_below.append(subset)
+        dominated_here = dominated_below
+
+    return [best_order[mask] for mask in ranked[:max_sequences]], slack

@@ -97,12 +97,13 @@ class TaskSequence:
 
     def __post_init__(self) -> None:
         self.tasks = tuple(self.tasks)
-        ids = tuple(task.task_id for task in self.tasks)
-        if len(ids) != len(set(ids)):
+        ids = tuple([task.task_id for task in self.tasks])
+        id_set = frozenset(ids)
+        if len(ids) != len(id_set):
             raise ValueError("a task sequence must not contain duplicate tasks")
-        # task_ids is read on every search-node expansion; cache it once.
+        # Both are read on every search-node expansion; cache them once.
         self._task_ids = ids
-        self._task_id_set = frozenset(ids)
+        self._task_id_set = id_set
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
