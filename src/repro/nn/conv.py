@@ -10,11 +10,9 @@ inputs at steps ``<= t``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, concatenate
+from repro.nn.tensor import Tensor, pad
 
 
 class Conv1d(Module):
@@ -61,18 +59,6 @@ class Conv1d(Module):
         """Number of input steps each output step can see."""
         return (self.kernel_size - 1) * self.dilation + 1
 
-    def _pad(self, x: Tensor, left: int, right: int) -> Tensor:
-        if left == 0 and right == 0:
-            return x
-        batch, channels, _ = x.shape
-        pieces = []
-        if left:
-            pieces.append(Tensor(np.zeros((batch, channels, left))))
-        pieces.append(x)
-        if right:
-            pieces.append(Tensor(np.zeros((batch, channels, right))))
-        return concatenate(pieces, axis=2)
-
     def forward(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         if x.ndim != 3:
@@ -81,7 +67,7 @@ class Conv1d(Module):
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {x.shape[1]}"
             )
-        padded = self._pad(x, self.padding, self.padding)
+        padded = pad(x, self.padding, self.padding) if self.padding else x
         length = padded.shape[2]
         out_length = length - (self.kernel_size - 1) * self.dilation
         if out_length <= 0:
@@ -127,7 +113,7 @@ class CausalConv1d(Conv1d):
     def forward(self, x: Tensor) -> Tensor:
         x = x if isinstance(x, Tensor) else Tensor(x)
         left = (self.kernel_size - 1) * self.dilation
-        return super().forward(self._pad(x, left, 0))
+        return super().forward(pad(x, left, 0) if left else x)
 
 
 class GatedTCNBlock(Module):

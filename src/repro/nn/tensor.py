@@ -18,12 +18,31 @@ function, parent links, intermediate ``grad``) right after its gradient has
 been handed on.  Leaf gradients (``Parameter.grad``) persist and accumulate
 across graphs until ``zero_grad``.  There is no double backward: a second
 ``backward()`` through a released graph raises ``RuntimeError``.
+
+Gradient buffers.  Every ``grad`` array is C-contiguous and owned by its
+tensor alone, so accumulation adds into it in place.  A backward function
+that allocates a new array for exactly one parent hands it over
+(``_accumulate(..., owned=True)``) and the parent keeps it as its ``grad``
+instead of copying it: ``neg``, ``mul``, ``div``, ``pow``, ``matmul``,
+``mean``, ``max``, ``exp``, ``log``, ``tanh``, ``sigmoid``, ``relu``,
+``softmax``, ``clip`` and the advanced-index ``getitem`` scatter do so, as
+does the sum that undoes broadcasting.  Anything shared or a view is copied
+on first accumulate: the one ``grad`` that ``add`` sends to both parents,
+the views of ``reshape`` and ``transpose``, ``sum``'s ``broadcast_to``, and
+the slices that ``concatenate``, ``stack`` and padding hand back.  A
+basic-index ``getitem`` adds straight into the parent's buffer at the index,
+so only its first contribution allocates.  None of this changes a
+floating-point operation or its order -- a handed-over buffer that is not
+C-contiguous is copied like a shared one, so later reductions see the same
+memory layout -- except that a slice added in place skips the ``0.0 +``
+that a full-size zero scatter applied, which can only change the sign of a
+zero.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -54,18 +73,18 @@ def is_grad_enabled() -> bool:
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum ``grad`` so that it has ``shape``, undoing NumPy broadcasting."""
-    if grad.shape == shape:
-        return grad
+    """Sum ``grad`` (of another shape) so that it has ``shape``, undoing NumPy
+    broadcasting.  The result never shares memory with ``grad``."""
+    summed = grad
     # Sum over leading axes that were added by broadcasting.
     extra_dims = grad.ndim - len(shape)
     if extra_dims > 0:
-        grad = grad.sum(axis=tuple(range(extra_dims)))
+        summed = summed.sum(axis=tuple(range(extra_dims)))
     # Sum over axes that were broadcast from size 1.
-    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and grad.shape[i] != 1)
+    axes = tuple(i for i, dim in enumerate(shape) if dim == 1 and summed.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+        summed = summed.sum(axis=axes, keepdims=True)
+    return summed.reshape(shape) if summed is not grad else grad.reshape(shape).copy()
 
 
 def _is_basic_index(index) -> bool:
@@ -83,26 +102,42 @@ def _released(grad: np.ndarray) -> None:
     raise RuntimeError("backward() through a graph that an earlier backward() released")
 
 
+def _node(data, parents: tuple, op: str, backward: Callable[[np.ndarray], None]) -> "Tensor":
+    """The result of ``op`` on ``parents``, built without ``Tensor.__init__``:
+    ``data`` comes from NumPy arithmetic on float64 arrays, so only a scalar
+    needs wrapping.  It records ``parents`` and ``backward`` only when one of
+    them requires a gradient and tracking is on."""
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data, dtype=np.float64)
+    out.grad = None
+    out._op = op
+    if _GRAD_ENABLED:
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward
+                return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    return out
+
+
 class Tensor:
     """A NumPy-backed tensor with reverse-mode autodiff support."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op", "__weakref__")
 
-    def __init__(
-        self,
-        data: ArrayLike,
-        requires_grad: bool = False,
-        _parents: Sequence["Tensor"] = (),
-        _op: str = "",
-    ) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self.grad: Optional[np.ndarray] = None
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._parents: tuple = tuple(_parents) if self.requires_grad or _parents else ()
-        self._op = _op
+        self._parents: tuple = ()
+        self._op = ""
 
     # ------------------------------------------------------------------ #
     # Basic protocol
@@ -144,22 +179,20 @@ class Tensor:
         self.grad = None
 
     # ------------------------------------------------------------------ #
-    # Graph construction helpers
+    # Gradient accumulation
     # ------------------------------------------------------------------ #
-    def _make(self, data, parents, op, backward):
-        requires = any(p.requires_grad for p in parents) and _GRAD_ENABLED
-        out = Tensor(data, requires_grad=requires, _parents=parents if requires else (), _op=op)
-        if requires:
-            out._backward = backward
-        return out
-
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.  ``owned``: the caller allocated
+        ``grad`` for this tensor alone, which may keep it (module docstring)."""
         if grad.shape != self.data.shape:
             grad = _unbroadcast(grad, self.data.shape)
-        if self.grad is None:
-            self.grad = grad.copy()
-        else:
-            self.grad += grad  # in place: the buffer is the copy made above
+            owned = True
+        if self.grad is not None:
+            self.grad += grad  # in place: the buffer is this tensor's own
+        elif owned and type(grad) is np.ndarray and grad.flags.c_contiguous:
+            self.grad = grad
+        else:  # a C-ordered copy; a NumPy scalar becomes a 0-d array
+            self.grad = np.array(grad, order="C")
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -174,7 +207,7 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(grad)
 
-        return self._make(data, (self, other), "add", backward)
+        return _node(data, (self, other), "add", backward)
 
     __radd__ = __add__
 
@@ -183,9 +216,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, owned=True)
 
-        return self._make(data, (self,), "neg", backward)
+        return _node(data, (self,), "neg", backward)
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -200,11 +233,11 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * other.data)
+                self._accumulate(grad * other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(grad * self.data)
+                other._accumulate(grad * self.data, owned=True)
 
-        return self._make(data, (self, other), "mul", backward)
+        return _node(data, (self, other), "mul", backward)
 
     __rmul__ = __mul__
 
@@ -214,11 +247,11 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad / other.data)
+                self._accumulate(grad / other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data ** 2))
+                other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
 
-        return self._make(data, (self, other), "div", backward)
+        return _node(data, (self, other), "div", backward)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other) / self
@@ -228,9 +261,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
-        return self._make(data, (self,), "pow", backward)
+        return _node(data, (self,), "pow", backward)
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -242,16 +275,16 @@ class Tensor:
                     mine = np.outer(grad, other.data) if grad.ndim == 1 else grad[..., None] * other.data
                     if self.data.ndim == 1:
                         mine = grad * other.data
-                    self._accumulate(np.asarray(mine).reshape(self.data.shape))
+                    self._accumulate(np.asarray(mine).reshape(self.data.shape), owned=True)
                 else:
-                    self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+                    self._accumulate(grad @ other.data.swapaxes(-1, -2), owned=True)
             if other.requires_grad:
                 if self.data.ndim == 1:
-                    other._accumulate(np.outer(self.data, grad))
+                    other._accumulate(np.outer(self.data, grad), owned=True)
                 else:
-                    other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+                    other._accumulate(self.data.swapaxes(-1, -2) @ grad, owned=True)
 
-        return self._make(data, (self, other), "matmul", backward)
+        return _node(data, (self, other), "matmul", backward)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -266,7 +299,7 @@ class Tensor:
                 grad = np.expand_dims(grad, axis=axis)
             self._accumulate(np.broadcast_to(grad, self.data.shape))
 
-        return self._make(data, (self,), "sum", backward)
+        return _node(data, (self,), "sum", backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.mean(axis=axis, keepdims=keepdims)
@@ -281,9 +314,9 @@ class Tensor:
                 return
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            self._accumulate(np.broadcast_to(grad, self.data.shape) / count)
+            self._accumulate(np.broadcast_to(grad, self.data.shape) / count, owned=True)
 
-        return self._make(data, (self,), "mean", backward)
+        return _node(data, (self,), "mean", backward)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)
@@ -296,9 +329,9 @@ class Tensor:
             mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            self._accumulate(np.broadcast_to(grad, self.data.shape) * mask)
+            self._accumulate(np.broadcast_to(grad, self.data.shape) * mask, owned=True)
 
-        return self._make(data, (self,), "max", backward)
+        return _node(data, (self,), "max", backward)
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -312,7 +345,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad.reshape(self.data.shape))
 
-        return self._make(data, (self,), "reshape", backward)
+        return _node(data, (self,), "reshape", backward)
 
     def transpose(self, *axes) -> "Tensor":
         if not axes:
@@ -320,13 +353,15 @@ class Tensor:
         elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         data = self.data.transpose(axes)
-        inverse = tuple(np.argsort(axes))
+        inverse = [0] * len(axes)
+        for position, axis in enumerate(axes):
+            inverse[axis % len(axes)] = position
 
         def backward(grad):
             if self.requires_grad:
                 self._accumulate(grad.transpose(inverse))
 
-        return self._make(data, (self,), "transpose", backward)
+        return _node(data, (self,), "transpose", backward)
 
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
@@ -334,14 +369,16 @@ class Tensor:
         def backward(grad):
             if not self.requires_grad:
                 return
-            scattered = np.zeros_like(self.data)
-            if _is_basic_index(index):
-                scattered[index] += grad  # no position repeats: plain add
+            if _is_basic_index(index):  # no position repeats: add in place
+                if self.grad is None:
+                    self.grad = np.zeros(self.data.shape)
+                self.grad[index] += grad
             else:
+                scattered = np.zeros(self.data.shape)
                 np.add.at(scattered, index, grad)
-            self._accumulate(scattered)
+                self._accumulate(scattered, owned=True)
 
-        return self._make(data, (self,), "getitem", backward)
+        return _node(data, (self,), "getitem", backward)
 
     # ------------------------------------------------------------------ #
     # Nonlinearities
@@ -351,36 +388,36 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * data)
+                self._accumulate(grad * data, owned=True)
 
-        return self._make(data, (self,), "exp", backward)
+        return _node(data, (self,), "exp", backward)
 
     def log(self) -> "Tensor":
         data = np.log(self.data)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad / self.data)
+                self._accumulate(grad / self.data, owned=True)
 
-        return self._make(data, (self,), "log", backward)
+        return _node(data, (self,), "log", backward)
 
     def tanh(self) -> "Tensor":
         data = np.tanh(self.data)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * (1.0 - data ** 2))
+                self._accumulate(grad * (1.0 - data ** 2), owned=True)
 
-        return self._make(data, (self,), "tanh", backward)
+        return _node(data, (self,), "tanh", backward)
 
     def sigmoid(self) -> "Tensor":
         data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * data * (1.0 - data))
+                self._accumulate(grad * data * (1.0 - data), owned=True)
 
-        return self._make(data, (self,), "sigmoid", backward)
+        return _node(data, (self,), "sigmoid", backward)
 
     def relu(self) -> "Tensor":
         mask = (self.data > 0).astype(np.float64)
@@ -388,9 +425,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
-        return self._make(data, (self,), "relu", backward)
+        return _node(data, (self,), "relu", backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
@@ -401,9 +438,9 @@ class Tensor:
             if not self.requires_grad:
                 return
             dot = (grad * data).sum(axis=axis, keepdims=True)
-            self._accumulate(data * (grad - dot))
+            self._accumulate(data * (grad - dot), owned=True)
 
-        return self._make(data, (self,), "softmax", backward)
+        return _node(data, (self,), "softmax", backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         data = np.clip(self.data, low, high)
@@ -411,9 +448,9 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, owned=True)
 
-        return self._make(data, (self,), "clip", backward)
+        return _node(data, (self,), "clip", backward)
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -436,22 +473,23 @@ class Tensor:
         # A copy: later accumulation into a leaf root adds in place.
         self.grad = np.array(grad, dtype=np.float64).reshape(self.data.shape)
 
-        # Topological sort of the computation graph.
+        # Post-order of a depth-first search that explores each node's
+        # parents last to first; the walk below runs it backwards.  This order
+        # fixes the order in which a node's consumers add into its ``grad``.
+        # Leaves are left out: their ``grad`` is the result.
         order: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        visited = {self}
+        stack = [(self, reversed(self._parents))]
         while stack:
-            node, processed = stack.pop()
-            if processed:
+            node, parents = stack[-1]
+            for parent in parents:
+                if parent._backward is not None and parent not in visited:
+                    visited.add(parent)
+                    stack.append((parent, reversed(parent._parents)))
+                    break
+            else:
+                stack.pop()
                 order.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in visited:
-                    stack.append((parent, False))
 
         # Walk from the root, releasing each node as soon as its gradient has
         # been handed on, so the tape shrinks while gradients flow.
@@ -471,37 +509,48 @@ def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in tensors)
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors) and _GRAD_ENABLED
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else (), _op="concat")
-    if requires:
-        sizes = [t.data.shape[axis] for t in tensors]
+    sizes = [t.data.shape[axis] for t in tensors]
 
-        def fn(grad):
-            start = 0
-            for t, size in zip(tensors, sizes):
-                if t.requires_grad:
-                    index = [slice(None)] * data.ndim
-                    index[axis] = slice(start, start + size)
-                    t._accumulate(grad[tuple(index)])
-                start += size
+    def backward(grad):
+        start = 0
+        for t, size in zip(tensors, sizes):
+            if t.requires_grad:
+                index = [slice(None)] * data.ndim
+                index[axis] = slice(start, start + size)
+                t._accumulate(grad[tuple(index)])
+            start += size
 
-        out._backward = fn
-    return out
+    return _node(data, tensors, "concat", backward)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
-    tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in tensors)
     data = np.stack([t.data for t in tensors], axis=axis)
-    requires = any(t.requires_grad for t in tensors) and _GRAD_ENABLED
-    out = Tensor(data, requires_grad=requires, _parents=tuple(tensors) if requires else (), _op="stack")
-    if requires:
-        def fn(grad):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t._accumulate(np.take(grad, i, axis=axis))
+    leading = (slice(None),) * (axis % data.ndim)
 
-        out._backward = fn
-    return out
+    def backward(grad):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t._accumulate(grad[leading + (i,)])
+
+    return _node(data, tensors, "stack", backward)
+
+
+def pad(x: Tensor, left: int, right: int) -> Tensor:
+    """Zero-pad the last axis of ``x`` with ``left`` and ``right`` steps.
+
+    One node: the zeros are part of its data, not tensors of their own, and
+    its backward hands ``x`` the slice of the gradient that ``x`` occupies.
+    """
+    length = x.data.shape[-1]
+    data = np.zeros(x.data.shape[:-1] + (left + length + right,))
+    data[..., left:left + length] = x.data
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad[..., left:left + length])
+
+    return _node(data, (x,), "pad", backward)

@@ -9,6 +9,13 @@ below were recorded from the commit *before* the tape-lifetime change
 
 Each entry is the ``float.hex()`` loss curve of a seeded fit plus a SHA-256
 over the concatenated parameter bytes after it.
+
+``ddgnn_e2e_shape`` and ``tvf_scoring`` were recorded the same way from the
+commit before the tape-ownership change (``664bb9a``).  The first trains a
+DDGNN at the ``didi_datawa`` benchmark's shape (64 cells, k 4, history 8,
+batch 8) and adds a SHA-256 of ``DDGNN.predict`` on 4 windows; the second
+is a SHA-256 of one ``no_grad`` ``TaskValueFunction.values`` pass after a
+seeded fit.  Both inference paths run the tape under ``no_grad``.
 """
 
 import hashlib
@@ -67,11 +74,59 @@ def _tvf_fit():
     return [loss.hex() for loss in losses], _parameter_digest(tvf.network.parameters())
 
 
+def _ddgnn_e2e_shape():
+    cells, k, history = 64, 4, 8
+    rng = np.random.default_rng(21)
+    inputs = (rng.random((24, history, cells, k)) < 0.15).astype(np.float64)
+    targets = (rng.random((24, cells, k)) < 0.15).astype(np.float64)
+    windows = (rng.random((4, history, cells, k)) < 0.15).astype(np.float64)
+    model = DDGNN(num_cells=cells, k=k, history=history, seed=0)
+    trainer = DemandTrainer(model, epochs=2, batch_size=8, patience=None, seed=0)
+    losses = trainer.fit(inputs, targets).losses
+    predicted = hashlib.sha256(np.ascontiguousarray(model.predict(windows)).tobytes())
+    return (
+        [loss.hex() for loss in losses],
+        _parameter_digest(model.parameters()),
+        predicted.hexdigest(),
+    )
+
+
+def _tvf_scoring():
+    rng = np.random.default_rng(13)
+    workers = {
+        wid: Worker(wid, Point(*rng.random(2) * 6), 2.0 + wid, 0.0, 200.0)
+        for wid in range(1, 9)
+    }
+    tasks = {
+        tid: Task(tid, Point(*rng.random(2) * 6), 0.0, 30.0 + 2.0 * tid)
+        for tid in range(1, 25)
+    }
+    experience = []
+    for _ in range(64):
+        remaining = tuple(int(t) for t in rng.choice(24, size=rng.integers(2, 12), replace=False) + 1)
+        chosen = remaining[: int(rng.integers(1, 4))]
+        state = {"num_workers": int(rng.integers(1, 9)), "num_tasks": len(remaining), "task_ids": remaining}
+        action = {"worker_id": int(rng.integers(1, 9)), "task_ids": chosen, "sequence_length": len(chosen)}
+        experience.append((state, action, float(rng.integers(1, 8))))
+    tvf = TaskValueFunction(seed=4)
+    tvf.fit(experience, workers, tasks, epochs=2, batch_size=32)
+    remaining = tuple(range(1, 25))
+    state = {"num_workers": 8, "num_tasks": len(remaining), "task_ids": remaining}
+    actions = [
+        {"worker_id": int(rng.integers(1, 9)), "task_ids": tuple(int(t) for t in chosen)}
+        for chosen in (rng.choice(24, size=rng.integers(1, 4), replace=False) + 1 for _ in range(64))
+    ]
+    values = tvf.values(state, actions, workers, tasks)
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
 FITS = {
     "ddgnn": lambda: _demand_fit(DDGNN),
     "lstm": lambda: _demand_fit(LSTMDemandModel),
     "graph_wavenet": lambda: _demand_fit(GraphWaveNetDemandModel),
     "tvf": _tvf_fit,
+    "ddgnn_e2e_shape": _ddgnn_e2e_shape,
+    "tvf_scoring": _tvf_scoring,
 }
 
 GOLDEN = {
@@ -91,6 +146,12 @@ GOLDEN = {
         ["0x1.0cea24749d8c6p+3", "0x1.68794ee399fdbp+2", "0x1.ca59c1e631b69p+1"],
         "5d25d75e7a069e794890708680f37055c2d26b40c50a22763755adf789c161c1",
     ),
+    "ddgnn_e2e_shape": (
+        ["0x1.2cc50c693a8bfp+0", "0x1.29556342c9f59p+0"],
+        "fb09cd1810c7c1763fbbd2549a15fdb5eec5b82fd99f96bd9dd4bdb5819ca0d6",
+        "efb6196656ddfab4079906b4dc2dc95882225c54fee776eb1ce5613ab2ae3b2c",
+    ),
+    "tvf_scoring": "034ef3694a141fec5ac92c88cc16fb8733f7ede11a929c317d2bb3f9f3dd5e5f",
 }
 
 

@@ -97,6 +97,10 @@ class TestReductionsAndShape:
     def test_transpose_gradient(self):
         check_gradient(lambda t: (t.transpose() @ Tensor(np.ones((2, 1)))).sum(), (2, 3))
 
+    def test_transpose_with_negative_axes_gradient(self):
+        weights = Tensor(np.arange(24.0).reshape(2, 4, 3))
+        check_gradient(lambda t: (t.transpose(0, -1, 1) * weights).sum(), (2, 3, 4))
+
     def test_getitem_gradient(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         t = Tensor(x, requires_grad=True)
