@@ -21,6 +21,11 @@ the plain search solves within budget the two engines return the same
 answer, but the branch-and-bound engine reaches the optimum after far
 fewer expansions on dense components.
 
+``dfsearch_one_worker`` is the branch-and-bound engine's answer on a
+one-worker leaf tree in closed form — the worker's longest
+fully-available candidate — for the incremental engine's one-worker
+components; ``dfsearch_bnb`` stays its oracle.
+
 The worst case is exponential; a node budget bounds the explored search
 tree and memoisation collapses repeated (workers, tasks) sub-problems, so
 both engines degrade gracefully to a best-effort answer on huge clusters.
@@ -917,4 +922,29 @@ def dfsearch_bnb(
         memo_hits=context.memo_hits,
         complete=complete,
         deadline_hit=context.deadline_hit,
+    )
+
+
+def dfsearch_one_worker(
+    worker_id: int,
+    sequences: Sequence[TaskSequence],
+    available_ids: FrozenSet[int],
+) -> DFSearchResult:
+    """Closed form of :func:`dfsearch_bnb` on a one-worker leaf tree.
+
+    A lone worker's optimum is its longest fully-available candidate —
+    the first in ``Q_w`` order when lengths tie — or ``()`` when none is
+    available.  The branch-and-bound engine reaches the same answer in one
+    expansion: its root bound is the longest live candidate's length, and
+    the first live candidate in its longest-first (stable) order meets
+    it.  So this reports ``nodes_expanded = 1`` as well, and its result
+    is interchangeable with the search's, cache entries included.
+    """
+    best: Tuple[int, ...] = ()
+    for sequence in sequences:
+        ids = sequence.task_ids
+        if len(ids) > len(best) and sequence.task_id_set <= available_ids:
+            best = ids
+    return DFSearchResult(
+        opt=len(best), selections=[(worker_id, best)], nodes_expanded=1
     )

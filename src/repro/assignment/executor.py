@@ -77,6 +77,13 @@ class ComponentResult:
     experience: List = field(default_factory=list)
 
 
+def deadline_expired(deadline: Optional[float]) -> bool:
+    """Whether the absolute ``time.perf_counter()`` ``deadline`` has
+    passed (``None`` never expires): checked before a component search
+    starts, here and by the engine's decompose stage."""
+    return deadline is not None and _time.perf_counter() >= deadline
+
+
 def run_component_job(
     job: ComponentJob, deadline: Optional[float] = None
 ) -> ComponentResult:
@@ -87,7 +94,7 @@ def run_component_job(
     engine's anytime partial with ``deadline_hit`` set.  ``deadline`` is
     an absolute ``time.perf_counter()`` instant.
     """
-    if deadline is not None and _time.perf_counter() >= deadline:
+    if deadline_expired(deadline):
         return ComponentResult(skipped=True)
     if job.mode == "tvf":
         result = dfsearch_tvf(

@@ -44,6 +44,13 @@ afterwards.  Reuse rests on three structural facts:
   replays its previous selections (and node counts) verbatim.  The
   TVF-guided search additionally reads global snapshot statistics, so
   guided components are reused only while the active task set is unchanged.
+  A one-worker component needs no search at all: its branch-and-bound
+  answer is the worker's longest fully-available candidate, first in
+  ``Q_w`` order on ties, found in one expansion
+  (:func:`~repro.assignment.dfsearch.dfsearch_one_worker`).  Decompose
+  takes that closed form whenever the component's engine is ``"bnb"``, no
+  experience is being collected and the deadline has not passed; the
+  answer is counted, merged and cached exactly as the search's would be.
 
 Dependency components are maintained, not rebuilt.  Workers depend on each
 other iff their *capped* reachable sets share a task, so the engine keeps a
@@ -64,7 +71,13 @@ read).  The pass also runs the arrival ball for workers not already due
 a refresh, and emits the ordered work list.  Everything else — the k×T
 matrix, reachability and sequence refreshes, component re-derivation and
 job extraction — is proportional to the work list and the searched
-components; departures and absences come from set differences.
+components; departures and absences come from set differences.  A
+searched one-worker component costs one pass over its ``Q_w`` and builds
+no subtree, job or span.  A component builds its partition subtree on
+its first job and keeps it until it is retired: its members' capped
+reachable sets, hence its dependency edges, cannot change while it
+lives, so a component re-searched after a version bump pays only for
+the job and the search.
 
 Equivalence contract: for any sequence of ``plan()`` calls with
 non-decreasing ``now``, a warm engine returns bit-for-bit the outcome an
@@ -84,8 +97,17 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, T
 
 import numpy as np
 
-from repro.assignment.dfsearch import adaptive_node_budget
-from repro.assignment.executor import ComponentJob, ComponentResult, run_component_job
+from repro.assignment.dfsearch import (
+    DFSearchResult,
+    adaptive_node_budget,
+    dfsearch_one_worker,
+)
+from repro.assignment.executor import (
+    ComponentJob,
+    ComponentResult,
+    deadline_expired,
+    run_component_job,
+)
 from repro.assignment.fast_partition import build_adjacency, build_component_subtree
 from repro.assignment.reachability import (
     _REACH_EPS,
@@ -332,9 +354,16 @@ class _ComponentEntry:
 
 
 class _Component:
-    """One dependency component, kept across epochs while it is untouched."""
+    """One dependency component, kept across epochs while it is untouched.
 
-    __slots__ = ("members", "hit")
+    A component lives from the epoch it forms to the epoch a member's
+    capped reachable set changes (or a member leaves), when
+    ``_update_components`` retires it.  Its members' adjacency is
+    therefore fixed for its whole life, and so is its partition subtree:
+    built on the first search that needs it and never rebuilt.
+    """
+
+    __slots__ = ("members", "hit", "root")
 
     def __init__(self, members: List[int]) -> None:
         #: Sorted worker ids.
@@ -342,6 +371,8 @@ class _Component:
         #: The cached result this component last replayed or produced;
         #: dropped when a member's version is bumped.
         self.hit: Optional[_ComponentEntry] = None
+        #: The component's partition subtree, once a search has built it.
+        self.root: Optional[PartitionNode] = None
 
 
 class _RefreshInputs(NamedTuple):
@@ -625,10 +656,11 @@ class IncrementalPlanEngine:
             rebuilt = self._update_components(touched, workers_by_id)
             components = self._component_list
             # ---- decompose: keep cache hits, extract jobs for the rest ---- #
-            # A component that replays its hit gets no job; ``job_of`` maps
-            # every other one to the index of its ComponentJob.  Everything
-            # a job needs (subtree, budget, candidate sets) is fixed here,
-            # before any search runs.
+            # A component that replays its hit gets no job; a one-worker
+            # B&B component is solved here in closed form (``closed``);
+            # ``job_of`` maps every other one to the index of its
+            # ComponentJob.  Everything a job needs (subtree, budget,
+            # candidate sets) is fixed here, before any search runs.
             use_guided = (
                 config.use_tvf and tvf is not None and not collect_experience
             )
@@ -638,8 +670,12 @@ class IncrementalPlanEngine:
             available_ids = self._available_ids
             task_epoch = self._task_epoch
             search_mode = config.search_mode
+            # Past the deadline every component takes the job path, whose
+            # runner skips it into the greedy rung.
+            closed_form = not collect_experience and not deadline_expired(deadline)
             jobs: List[ComponentJob] = []
             job_of: Dict[_Component, int] = {}
+            closed: Dict[_Component, DFSearchResult] = {}
             for held in components:
                 component = held.members
                 guided = use_guided and len(component) >= config.tvf_min_workers
@@ -662,15 +698,24 @@ class IncrementalPlanEngine:
                 ):
                     held.hit = cached
                     continue
-                if config.use_partition:
-                    root = build_component_subtree(
-                        build_adjacency(
-                            {wid: entries[wid].reachable for wid in component}
-                        ),
-                        component,
+                if closed_form and mode == "bnb" and len(component) == 1:
+                    wid = component[0]
+                    closed[held] = dfsearch_one_worker(
+                        wid, entries[wid].sequences, available_ids
                     )
-                else:
-                    root = PartitionNode(workers=list(component))
+                    continue
+                root = held.root
+                if root is None:
+                    if config.use_partition:
+                        root = build_component_subtree(
+                            build_adjacency(
+                                {wid: entries[wid].reachable for wid in component}
+                            ),
+                            component,
+                        )
+                    else:
+                        root = PartitionNode(workers=list(component))
+                    held.root = root
                 sequences_by_worker = {wid: entries[wid].sequences for wid in component}
                 num_sequences = sum(map(len, sequences_by_worker.values()))
                 # The per-component budget is a pure function of the
@@ -699,7 +744,10 @@ class IncrementalPlanEngine:
                 job_of[held] = len(jobs)
                 jobs.append(job)
             decompose_span.set(
-                components=len(components), searched=len(jobs), rebuilt=rebuilt
+                components=len(components),
+                searched=len(jobs),
+                closed=len(closed),
+                rebuilt=rebuilt,
             )
 
         # ---- dispatch: in process, in submission order ------------------- #
@@ -730,11 +778,20 @@ class IncrementalPlanEngine:
             for held in components:
                 job_index = job_of.get(held)
                 if job_index is None:
-                    cached = held.hit
-                    selections = cached.selections
-                    nodes = cached.nodes_expanded
-                    cached.last_used = self._epoch
-                    reused_components += 1
+                    solved = closed.get(held)
+                    if solved is None:
+                        cached = held.hit
+                        selections = cached.selections
+                        nodes = cached.nodes_expanded
+                        cached.last_used = self._epoch
+                        reused_components += 1
+                    else:
+                        # A closed-form answer is a search result like any
+                        # other: counted, and cached as a B&B search's.
+                        selections = tuple(solved.selections)
+                        nodes = solved.nodes_expanded
+                        searched_components += 1
+                        self._remember(held, selections, nodes, "bnb")
                 else:
                     result = results[job_index]
                     job = jobs[job_index]
@@ -769,15 +826,7 @@ class IncrementalPlanEngine:
                             # replay a degraded plan on healthy future
                             # epochs.  Experience traces change the search's
                             # node counts, so those stay out as well.
-                            held.hit = _ComponentEntry(
-                                versions={wid: entries[wid].version for wid in job.worker_ids},
-                                selections=selections,
-                                nodes_expanded=nodes,
-                                mode=job.mode,
-                                task_epoch=self._task_epoch,
-                                last_used=self._epoch,
-                            )
-                            self._components[frozenset(job.worker_ids)] = held.hit
+                            self._remember(held, selections, nodes, job.mode)
                 nodes_expanded += nodes
                 epoch_selections.extend(selections)
             merge_span.set(reused=reused_components, searched=searched_components)
@@ -879,17 +928,18 @@ class IncrementalPlanEngine:
         Returns a description of the first violation, or ``None``.
 
         This runs on every planned epoch, so the constant factor matters:
-        lookups are hoisted and the sweep iterates the entry table
-        directly instead of probing it per snapshot worker.
+        lookups are hoisted, each planned worker claims its snapshot slot
+        with one ``pop`` from a copy of the snapshot map instead of
+        growing a set of seen workers, and the sweep iterates the entry
+        objects directly instead of probing the table per snapshot worker.
         """
         entries = self._worker_entries
-        seen_workers: Set[int] = set()
+        unclaimed = workers_by_id.copy()
         seen_tasks: Set[int] = set()
         for worker_id, task_ids in selections:
-            if worker_id in seen_workers:
-                return f"worker {worker_id} planned twice"
-            seen_workers.add(worker_id)
-            if worker_id not in workers_by_id:
+            if unclaimed.pop(worker_id, None) is None:
+                if worker_id in workers_by_id:
+                    return f"worker {worker_id} planned twice"
                 return f"planned worker {worker_id} not in snapshot"
             if not task_ids:
                 continue
@@ -907,13 +957,14 @@ class IncrementalPlanEngine:
                     f"selection {task_ids} for worker {worker_id} "
                     "is not a cached candidate sequence"
                 )
-        for worker_id, entry in entries.items():
+        for entry in entries.values():
             # ``not (h >= 0)`` is True for NaN as well as negatives.
-            if not (entry.reach_horizon >= 0.0) or not (entry.seq_horizon >= 0.0):
-                return (
-                    f"worker {worker_id} horizon corrupt "
-                    f"(reach={entry.reach_horizon!r}, seq={entry.seq_horizon!r})"
-                )
+            if entry.reach_horizon >= 0.0 and entry.seq_horizon >= 0.0:
+                continue
+            return (
+                f"worker {entry.worker.worker_id} horizon corrupt "
+                f"(reach={entry.reach_horizon!r}, seq={entry.seq_horizon!r})"
+            )
         return None
 
     def _repair(
@@ -1099,6 +1150,26 @@ class IncrementalPlanEngine:
                 if member is None or travel.distance(member.location, task.location) <= reach:
                     return True
         return False
+
+    def _remember(
+        self,
+        held: _Component,
+        selections: Tuple[Tuple[int, Tuple[int, ...]], ...],
+        nodes: int,
+        mode: str,
+    ) -> None:
+        """Cache a healthy search result as ``held``'s hit and under its
+        member set."""
+        entries = self._worker_entries
+        held.hit = _ComponentEntry(
+            versions={wid: entries[wid].version for wid in held.members},
+            selections=selections,
+            nodes_expanded=nodes,
+            mode=mode,
+            task_epoch=self._task_epoch,
+            last_used=self._epoch,
+        )
+        self._components[frozenset(held.members)] = held.hit
 
     def _drop_hit(self, worker_id: int) -> None:
         """A member's version moved: its component's hit is void."""

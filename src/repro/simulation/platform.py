@@ -768,10 +768,16 @@ class SCPlatform:
     # Durability: journal, checkpoints, replay
     # ------------------------------------------------------------------ #
     def _journal_epoch(self, record: EpochRecord) -> None:
-        if self.config.journal is None:
+        journal = self.config.journal
+        if journal is None:
+            return
+        if not self.obs.enabled:
+            # Once per epoch: even a no-op span costs a measurable share
+            # of the append itself.
+            journal.append(record.to_entry())
             return
         with self.obs.span("journal.append", seq=record.seq):
-            self.config.journal.append(record.to_entry())
+            journal.append(record.to_entry())
 
     def _maybe_checkpoint(self, seq: int) -> None:
         store = self.config.checkpoint_store

@@ -78,6 +78,9 @@ class EpochRecord:
 
     def to_entry(self) -> Dict[str, object]:
         """The journal entry: same keys and values for every journal."""
+        # Runs once per journaled epoch, and most epochs dispatch and
+        # reposition nothing: an empty list needs no comprehension.
+        dispatches, repositions = self.dispatches, self.repositions
         return {
             "seq": self.seq,
             "src": self.src,
@@ -88,8 +91,8 @@ class EpochRecord:
             "rung": self.rung,
             "cls": self.cls,
             "repairs": self.repairs,
-            "dispatches": [list(item) for item in self.dispatches],
-            "repositions": [list(item) for item in self.repositions],
+            "dispatches": [list(item) for item in dispatches] if dispatches else [],
+            "repositions": [list(item) for item in repositions] if repositions else [],
         }
 
     @staticmethod

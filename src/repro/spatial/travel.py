@@ -31,9 +31,8 @@ A travel model provides three layers:
   when their cached travel costs stop being valid.  Static models keep the
   no-op defaults, so nothing changes for them.
 
-The entity-level helpers :meth:`pairwise`, :meth:`legs` and
-:meth:`single_row` wrap the kernel for callers holding workers / tasks
-rather than coordinate arrays.
+The entity-level helpers :meth:`pairwise` and :meth:`legs` wrap the
+kernel for callers holding workers / tasks rather than coordinate arrays.
 """
 
 from __future__ import annotations
@@ -240,13 +239,6 @@ class TravelModel(ABC):
         them without touching callers.
         """
         return self.pairwise(origins, destinations)
-
-    def single_row(
-        self, origin, destinations: Sequence
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(distance, time)`` rows from one origin to many destinations."""
-        dist, time = self.pairwise([origin], destinations)
-        return dist[0], time[0]
 
     # ------------------------------------------------------------------ #
     # Locality bound

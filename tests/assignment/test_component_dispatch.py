@@ -3,12 +3,16 @@
 After decompose, every component search the engine needs runs in
 process through :func:`repro.assignment.executor.run_component_job`, in
 submission order, inside the engine's ``dispatch`` span; the merge stage
-reassembles the results in that order.  With tracing on, each call is
-wrapped in a ``component.search`` span, and that wrapping must change no
-decision.  These tests pin the job runner on its own (every engine, the
-deadline ladder, the forwarded knobs), the order and nesting of the
-search spans, the merge's reassembly of selections and experience, and
-traced-vs-untraced equality over seeded replan streams.
+reassembles the results in that order.  The exception is a one-worker
+branch-and-bound component: decompose solves it in closed form
+(:func:`repro.assignment.dfsearch.dfsearch_one_worker`) and counts it in
+its span's ``closed`` argument instead of building a job.  With tracing
+on, each job run is wrapped in a ``component.search`` span, and that
+wrapping must change no decision.  These tests pin the job runner on its
+own (every engine, the deadline ladder, the forwarded knobs), the order
+and nesting of the search spans, the merge's reassembly of selections
+and experience, and traced-vs-untraced equality over seeded replan
+streams.
 """
 
 from __future__ import annotations
@@ -128,6 +132,21 @@ def recorded(monkeypatch):
 
     monkeypatch.setattr(incremental_mod, "run_component_job", recording)
     return calls
+
+
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """Every one-worker result decompose solves in closed form, in order."""
+    results = []
+    solve = incremental_mod.dfsearch_one_worker
+
+    def recording(worker_id, sequences, available_ids):
+        result = solve(worker_id, sequences, available_ids)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(incremental_mod, "dfsearch_one_worker", recording)
+    return results
 
 
 def jobs_of(mode, tvf, recorded, seed=11, **overrides):
@@ -278,11 +297,13 @@ class TestRunComponentJob:
 class TestSubmissionOrder:
     """One ``component.search`` span per job, inside ``dispatch``, in
     submission order and one after another; the merge takes each
-    component's selections from its own job."""
+    component's selections from its own job, or from its closed form."""
 
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize("seed", range(6))
-    def test_searches_run_in_submission_order(self, seed, config_name, tvf, recorded):
+    def test_searches_run_in_submission_order(
+        self, seed, config_name, tvf, recorded, closed_forms
+    ):
         workers, tasks = random_snapshot(random.Random(5300 + seed))
         planner = make_planner(config_name, tvf)
         obs = Observability()
@@ -290,11 +311,20 @@ class TestSubmissionOrder:
         outcome = planner.plan(workers, tasks, 0.0)
         events = obs.tracer.events
 
+        (decompose,) = [e for e in events if e["name"] == "decompose"]
         (dispatch,) = [e for e in events if e["name"] == "dispatch"]
         searches = [e for e in events if e["name"] == "component.search"]
         jobs = [job for job, _ in recorded]
+        closed = decompose["args"]["closed"]
+        assert closed == len(closed_forms)
+        if config_name == "exact":
+            assert closed == 0
         assert dispatch["args"]["jobs"] == len(jobs) == len(searches)
-        assert len(jobs) == outcome.searched_components == outcome.num_components
+        assert (
+            len(jobs) + closed
+            == outcome.searched_components
+            == outcome.num_components
+        )
         assert [job.index for job in jobs] == list(range(len(jobs)))
         assert [e["args"]["index"] for e in searches] == list(range(len(jobs)))
         assert [e["args"]["mode"] for e in searches] == [job.mode for job in jobs]
@@ -311,8 +341,13 @@ class TestSubmissionOrder:
 
         results = [result for _, result in recorded]
         assert [e["args"]["nodes"] for e in searches] == [r.nodes_expanded for r in results]
-        assert outcome.nodes_expanded == sum(r.nodes_expanded for r in results)
-        merged = sorted(sel for r in results for sel in r.selections if sel[1])
+        assert all(r.nodes_expanded == 1 for r in closed_forms)
+        assert outcome.nodes_expanded == sum(
+            r.nodes_expanded for r in [*results, *closed_forms]
+        )
+        merged = sorted(
+            sel for r in [*results, *closed_forms] for sel in r.selections if sel[1]
+        )
         assert outcome_state(outcome)["assignment"] == merged
 
     @pytest.mark.parametrize("bound_mode", BOUND_MODES)
@@ -329,6 +364,32 @@ class TestSubmissionOrder:
             workers, tasks, 0.0, collect_experience=True
         )
         assert again.experience == outcome.experience
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_only_on_the_healthy_search_path(
+        self, seed, tvf, recorded, closed_forms
+    ):
+        """One-worker components get the closed form on a plain plan, and
+        a job instead when experience is collected or the deadline has
+        already passed (the job runner then skips them into the greedy
+        rung)."""
+        workers, tasks = random_snapshot(random.Random(5300 + seed))
+        # A worker far from the rest, with a task of its own.
+        workers.append(Worker(99, Point(50.0, 50.0), 2.0, 0.0, 60.0))
+        tasks.append(Task(999, Point(50.5, 50.0), 0.0, 30.0))
+        plain = make_planner("bnb", tvf).plan(workers, tasks, 0.0)
+        assert (99, (999,)) in outcome_state(plain)["assignment"]
+        lone = len(closed_forms)
+        assert lone and not any(len(job.worker_ids) == 1 for job, _ in recorded)
+        assert plain.searched_components == len(recorded) + lone
+
+        for options, kwargs in (({}, {"collect_experience": True}), ({"deadline_s": 0.0}, {})):
+            recorded.clear()
+            make_planner("bnb", tvf, **options).plan(workers, tasks, 0.0, **kwargs)
+            assert len(closed_forms) == lone  # no further closed form ran
+            assert sum(len(job.worker_ids) == 1 for job, _ in recorded) == lone
+            if options:
+                assert all(result.skipped for _, result in recorded)
 
 
 def _mutate(rng, workers, tasks, now, next_id, span):
@@ -375,6 +436,8 @@ class TestTracingIsTransparent:
             next_id = _mutate(rng, workers, tasks, now, next_id, span)
             now += rng.uniform(0.0, 0.5)
 
-        spans = [e for e in obs.tracer.events if e["name"] == "component.search"]
-        assert len(spans) == searched
+        events = obs.tracer.events
+        spans = [e for e in events if e["name"] == "component.search"]
+        closed = sum(e["args"]["closed"] for e in events if e["name"] == "decompose")
+        assert len(spans) + closed == searched
         assert searched and reused

@@ -11,14 +11,21 @@ predicted-task fallback — every epoch must satisfy:
 * the outcome equals an empty-cache engine's;
 * the number of replayed components equals what the member-set +
   versions cache rule alone would replay, so the one-lookup hit of an
-  untouched component changes cost, never counts.
+  untouched component changes cost, never counts;
+* every partition subtree a component holds equals one built from
+  scratch over its members' current capped reachable sets, although it
+  was built once, at the component's first search.
 """
 
 import random
 
 import pytest
 
-from repro.assignment.fast_partition import build_adjacency, connected_components
+from repro.assignment.fast_partition import (
+    build_adjacency,
+    build_component_subtree,
+    connected_components,
+)
 from repro.assignment.planner import PlannerConfig, TaskPlanner
 from repro.core.task import Task
 from repro.core.worker import Worker
@@ -123,22 +130,12 @@ def _new_task(rng, tid, now, predicted=False):
     )
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("seed", range(6))
-def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
-    rng = random.Random(9100 + seed)
-    options = SCENARIOS[scenario]
-    tvf = bootstrapped_tvf if options.get("use_tvf") else None
-    warm_planner = TaskPlanner(
-        PlannerConfig(incremental_replan=True, **options), travel=TRAVEL, tvf=tvf
-    )
-    cold_planner = TaskPlanner(
-        PlannerConfig(incremental_replan=False, **options), travel=TRAVEL, tvf=tvf
-    )
-    obs = Observability()
-    warm_planner.attach_observability(obs)
-    engine = warm_planner._engine
-
+def _stream(rng, seen):
+    """A seeded snapshot stream: yields ``(workers, tasks, now)`` and, in
+    between, removes or adds a task, moves a worker (or nudges it so that
+    only its version moves), benches / rejoins / adds / drops a worker,
+    or churns a predicted task.  Departures and arrivals are tallied in
+    ``seen``."""
     now = 0.0
     next_id = 1000
     workers = {i: _new_worker(rng, i, now) for i in range(rng.randint(4, 9))}
@@ -148,7 +145,6 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
         next_id += 1
     predicted = {}
     benched = set()
-    seen = {"rebuilt": 0, "version_only": 0, "left": 0, "joined": 0}
     for _ in range(60):
         snapshot_workers = [
             w for wid, w in sorted(workers.items())
@@ -157,23 +153,7 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
         snapshot_tasks = [t for _, t in sorted(tasks.items())] + [
             t for _, t in sorted(predicted.items())
         ]
-        cache_before = dict(engine._components)
-        warm = warm_planner.plan(snapshot_workers, snapshot_tasks, now)
-        cold = cold_planner.plan(snapshot_workers, snapshot_tasks, now)
-        assert _signature(warm) == _signature(cold)
-        if warm.num_components:  # not the empty-snapshot early return
-            assert [h.members for h in engine._component_list] == _scratch_components(
-                engine, snapshot_workers
-            )
-            _assert_structure(engine, snapshot_workers)
-            assert warm.reused_components == _rule_reuse(engine, cache_before)
-            assert warm.reused_components + warm.searched_components == warm.num_components
-            rebuilt = [e for e in obs.tracer.events if e["name"] == "decompose"][-1][
-                "args"
-            ]["rebuilt"]
-            seen["rebuilt"] += rebuilt
-            if rebuilt == 0 and warm.searched_components:
-                seen["version_only"] += 1
+        yield snapshot_workers, snapshot_tasks, now
 
         event = rng.random()
         if event < 0.15 and tasks:
@@ -213,7 +193,76 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
             next_id += 1
         now += rng.uniform(0.0, 1.5)
 
+
+def _planner(options, tvf, incremental=True):
+    return TaskPlanner(
+        PlannerConfig(incremental_replan=incremental, **options),
+        travel=TRAVEL,
+        tvf=tvf if options.get("use_tvf") else None,
+    )
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("seed", range(6))
+def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
+    rng = random.Random(9100 + seed)
+    options = SCENARIOS[scenario]
+    warm_planner = _planner(options, bootstrapped_tvf)
+    cold_planner = _planner(options, bootstrapped_tvf, incremental=False)
+    obs = Observability()
+    warm_planner.attach_observability(obs)
+    engine = warm_planner._engine
+
+    seen = {"rebuilt": 0, "version_only": 0, "left": 0, "joined": 0}
+    for snapshot_workers, snapshot_tasks, now in _stream(rng, seen):
+        cache_before = dict(engine._components)
+        warm = warm_planner.plan(snapshot_workers, snapshot_tasks, now)
+        cold = cold_planner.plan(snapshot_workers, snapshot_tasks, now)
+        assert _signature(warm) == _signature(cold)
+        if warm.num_components:  # not the empty-snapshot early return
+            assert [h.members for h in engine._component_list] == _scratch_components(
+                engine, snapshot_workers
+            )
+            _assert_structure(engine, snapshot_workers)
+            assert warm.reused_components == _rule_reuse(engine, cache_before)
+            assert warm.reused_components + warm.searched_components == warm.num_components
+            rebuilt = [e for e in obs.tracer.events if e["name"] == "decompose"][-1][
+                "args"
+            ]["rebuilt"]
+            seen["rebuilt"] += rebuilt
+            if rebuilt == 0 and warm.searched_components:
+                seen["version_only"] += 1
+
     # The stream exercised re-derivation, hits voided by a version bump
     # alone, departures and arrivals.
     assert seen["rebuilt"] and seen["version_only"]
     assert seen["left"] and seen["joined"]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("seed", range(6))
+def test_held_subtrees_match_scratch(seed, scenario, bootstrapped_tvf):
+    """A component builds its partition subtree once and keeps it for its
+    lifetime: after every plan, each held subtree equals one built from
+    scratch over the members' current capped reachable sets."""
+    rng = random.Random(9100 + seed)
+    planner = _planner(SCENARIOS[scenario], bootstrapped_tvf)
+    engine = planner._engine
+    seen = {"left": 0, "joined": 0}
+    checked = kept = 0
+    for snapshot_workers, snapshot_tasks, now in _stream(rng, seen):
+        held_before = {held: held.root for held in engine._component_list}
+        planner.plan(snapshot_workers, snapshot_tasks, now)
+        entries = engine._worker_entries
+        for held in engine._component_list:
+            if held.root is None:
+                continue  # never searched by a job
+            fresh = build_component_subtree(
+                build_adjacency({wid: entries[wid].reachable for wid in held.members}),
+                held.members,
+            )
+            assert held.root == fresh
+            checked += 1
+            kept += held_before.get(held) is held.root
+    # Some subtrees were built this epoch, some carried over from earlier.
+    assert kept and checked > kept

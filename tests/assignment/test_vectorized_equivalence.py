@@ -314,9 +314,6 @@ class TestTravelModelAbstraction:
                 for j, task in enumerate(tasks):
                     assert dist[i, j] == model.distance(worker.location, task.location)
                     assert time[i, j] == model.time(worker.location, task.location)
-            row_d, row_t = model.single_row(workers[0], tasks)
-            assert np.array_equal(row_d, dist[0])
-            assert np.array_equal(row_t, time[0])
             legs_d, legs_t = model.legs(tasks, tasks)
             for i, a in enumerate(tasks):
                 for j, b in enumerate(tasks):

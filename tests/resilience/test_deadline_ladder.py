@@ -158,6 +158,42 @@ class TestGreedyComponentFill:
         assert greedy_component_fill([99], sequences, {1, 2, 3}) == [(99, ())]
 
 
+def _reference_violation(entries, selections, tasks_by_id, workers_by_id):
+    """The self-check as a plain ordered sweep: the first violation in
+    plan order, then in entry-table order, or ``None``."""
+    seen_workers = set()
+    seen_tasks = set()
+    for worker_id, task_ids in selections:
+        if worker_id in seen_workers:
+            return f"worker {worker_id} planned twice"
+        seen_workers.add(worker_id)
+        if worker_id not in workers_by_id:
+            return f"planned worker {worker_id} not in snapshot"
+        if not task_ids:
+            continue
+        for tid in task_ids:
+            if tid in seen_tasks:
+                return f"task {tid} double-booked"
+            seen_tasks.add(tid)
+            if tid not in tasks_by_id:
+                return f"selected task {tid} not open"
+        entry = entries.get(worker_id)
+        if entry is None:
+            return f"no cached state for planned worker {worker_id}"
+        if task_ids not in entry.seq_set:
+            return (
+                f"selection {task_ids} for worker {worker_id} "
+                "is not a cached candidate sequence"
+            )
+    for worker_id, entry in entries.items():
+        if not (entry.reach_horizon >= 0.0) or not (entry.seq_horizon >= 0.0):
+            return (
+                f"worker {worker_id} horizon corrupt "
+                f"(reach={entry.reach_horizon!r}, seq={entry.seq_horizon!r})"
+            )
+    return None
+
+
 class TestPlannerDeadline:
     def _snapshot(self):
         rng = random.Random(4711)
@@ -239,6 +275,73 @@ class TestSelfHealing:
         return TaskPlanner(
             PlannerConfig(incremental_replan=False), travel=TRAVEL
         ).plan(workers, tasks, 0.0)
+
+    def test_check_names_the_reference_violation(self):
+        """The engine's check returns what the plain ordered sweep
+        (``_reference_violation``) returns on every plan: healthy, and
+        broken in each way the check knows, alone or several at once."""
+        planner, workers, tasks = self._planner_and_snapshot()
+        engine = planner._engine
+        entries = engine._worker_entries
+        tasks_by_id = {task.task_id: task for task in tasks}
+        workers_by_id = {worker.worker_id: worker for worker in workers}
+        healthy = []
+        used = set()
+        for worker in workers:
+            entry = entries[worker.worker_id]
+            fits = [ids for ids in entry.seq_tuples if used.isdisjoint(ids)]
+            chosen = fits[0] if fits else ()
+            used.update(chosen)
+            healthy.append((worker.worker_id, chosen))
+        assert any(ids for _, ids in healthy)
+        rng = random.Random(31)
+        some_ids = sorted(tasks_by_id)
+
+        def corrupt(selections, open_tasks, snapshot):
+            kind = rng.randrange(7)
+            i = rng.randrange(len(selections))
+            wid, ids = selections[i]
+            taken = {tid for other, held in selections if other != wid for tid in held}
+            if kind == 0:  # a worker planned twice
+                selections.insert(rng.randrange(len(selections) + 1), (wid, ()))
+            elif kind == 1:  # a worker outside the snapshot
+                selections.append((999, ()))
+            elif kind == 2:  # open, unbooked tasks, but not a candidate
+                free = [tid for tid in some_ids if tid not in taken and tid not in ids]
+                if free:
+                    selections[i] = (wid, ids + (rng.choice(free),))
+            elif kind == 3 and ids:  # a candidate whose task closed
+                del open_tasks[rng.choice(ids)]
+            elif kind == 4 and wid in entries:  # a candidate another worker holds
+                clashing = [c for c in entries[wid].seq_tuples if not taken.isdisjoint(c)]
+                if clashing:
+                    selections[i] = (wid, rng.choice(clashing))
+            elif kind == 5:  # a corrupt horizon, on any cached entry
+                entry = rng.choice(list(entries.values()))
+                setattr(
+                    entry,
+                    rng.choice(["reach_horizon", "seq_horizon"]),
+                    rng.choice([float("nan"), -1.0]),
+                )
+            elif kind == 6:  # a snapshot worker without cached state
+                snapshot[777] = workers[0]
+                selections[i] = (777, ids)
+
+        saved = {wid: (e.reach_horizon, e.seq_horizon) for wid, e in entries.items()}
+        found = set()
+        for trial in range(400):
+            selections = list(healthy)
+            open_tasks = dict(tasks_by_id)
+            snapshot = dict(workers_by_id)
+            for _ in range(trial % 4):
+                corrupt(selections, open_tasks, snapshot)
+            verdict = engine._find_violation(selections, open_tasks, snapshot)
+            assert verdict == _reference_violation(entries, selections, open_tasks, snapshot)
+            # The message's wording without its ids and values.
+            found.add(verdict and " ".join(w for w in verdict.split() if w.isalpha()))
+            for wid, (reach, seq) in saved.items():
+                entries[wid].reach_horizon, entries[wid].seq_horizon = reach, seq
+        assert None in found and len(found) == 8  # healthy, and all seven checks
 
     def test_nan_horizon_is_repaired(self):
         planner, workers, tasks = self._planner_and_snapshot()

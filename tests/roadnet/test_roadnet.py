@@ -159,7 +159,7 @@ class TestRoadNetworkTravelModel:
         return RoadNetworkTravelModel(net, speed=1.5)
 
     def test_scalar_vector_identity_via_conformance(self, model):
-        # Scalar vs pairwise/legs/single_row/TravelMatrix batteries are the
+        # Scalar vs pairwise/legs/TravelMatrix batteries are the
         # shared conformance checks (the full battery also runs in
         # tests/spatial/test_conformance.py).
         from conformance import check_scalar_vector_identity

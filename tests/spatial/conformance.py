@@ -8,8 +8,8 @@ backend runs the identical battery instead of growing another copy-pasted
 variant (``tests/spatial/test_conformance.py`` wires in every shipped
 backend; backend-specific suites call individual checks where useful):
 
-* **Scalar/vector bit-identity** — ``pairwise`` / ``legs`` /
-  ``single_row`` and a :class:`TravelMatrix` built over the model must
+* **Scalar/vector bit-identity** — ``pairwise`` / ``legs`` and a
+  :class:`TravelMatrix` built over the model must
   reproduce the scalar ``distance`` / ``time`` primitives float-for-float
   (the planner mixes the paths freely).
 * **reach_bound admissibility** — for any chain of travel legs of total
@@ -144,7 +144,7 @@ def _points_of(entities):
 
 
 def check_scalar_vector_identity(model: TravelModel, origins, destinations) -> None:
-    """``pairwise``/``legs``/``single_row`` == the scalar primitives, bitwise."""
+    """``pairwise``/``legs`` == the scalar primitives, bitwise."""
     dist, time = model.pairwise(origins, destinations)
     pts_a, pts_b = _points_of(origins), _points_of(destinations)
     assert dist.shape == time.shape == (len(pts_a), len(pts_b))
@@ -152,9 +152,6 @@ def check_scalar_vector_identity(model: TravelModel, origins, destinations) -> N
         for j, b in enumerate(pts_b):
             assert dist[i, j] == model.distance(a, b)
             assert time[i, j] == model.time(a, b)
-    if origins:
-        row_d, row_t = model.single_row(origins[0], destinations)
-        assert np.array_equal(row_d, dist[0]) and np.array_equal(row_t, time[0])
     legs_d, legs_t = model.legs(destinations, destinations)
     full_d, full_t = model.pairwise(destinations, destinations)
     assert np.array_equal(legs_d, full_d) and np.array_equal(legs_t, full_t)

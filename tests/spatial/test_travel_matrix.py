@@ -1,7 +1,7 @@
 """TravelMatrix: exactness against the scalar travel-model primitives.
 
 The per-backend identity batteries (scalar vs ``pairwise``/``legs``/
-``single_row``/``TravelMatrix``) live in the shared conformance suite
+``TravelMatrix``) live in the shared conformance suite
 (``conformance.py`` / ``test_conformance.py``); this file keeps the
 matrix-specific behaviours — custom-model overrides, the reachability
 mask, lookup errors.
@@ -101,11 +101,11 @@ class TestExactness:
 
 
 class TestTravelModelProtocol:
-    """The entity-level protocol (pairwise / legs / single_row) must be
+    """The entity-level protocol (pairwise / legs) must be
     bit-identical to the scalar primitives for kernel and fallback models
     (the shared conformance check, run here over entity sequences)."""
 
-    def test_pairwise_single_row_and_legs_match_scalar(self):
+    def test_pairwise_and_legs_match_scalar(self):
         workers, tasks = _random_instance(23, num_workers=4, num_tasks=9)
         for model in (
             EuclideanTravelModel(speed=1.7),
