@@ -22,7 +22,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.assignment.dfsearch import DEFAULT_BOUND_MODE, dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import DEFAULT_BOUND_MODE, adaptive_node_budget, dfsearch, dfsearch_bnb
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
 from repro.assignment.tree import PartitionNode
 from repro.core.sequence import TaskSequence
@@ -82,6 +82,16 @@ def deadline_expired(deadline: Optional[float]) -> bool:
     passed (``None`` never expires): checked before a component search
     starts, here and by the engine's decompose stage."""
     return deadline is not None and _time.perf_counter() >= deadline
+
+
+def empty_worker_nodes(mode: str, worker: Worker, base_budget: int, tvf=None) -> int:
+    """Nodes the ``mode`` engine expands on a one-worker tree whose worker
+    has no candidate: what the incremental engine counts per worker with
+    nothing in reach, instead of searching it."""
+    wid, budget = worker.worker_id, adaptive_node_budget(base_budget, 1, 0)
+    root = PartitionNode(workers=[wid])
+    job = ComponentJob(0, mode, root, (wid,), {wid: []}, {wid: worker}, frozenset(), budget, tasks=(), tvf=tvf)
+    return run_component_job(job).nodes_expanded
 
 
 def run_component_job(

@@ -57,27 +57,31 @@ other iff their *capped* reachable sets share a task, so the engine keeps a
 task → holders map over those sets (not the uncapped ``_task_owners``) and
 a worker → component map, and each epoch re-derives (BFS over the holders)
 only the components of workers whose capped set changed, or who joined or
-left, absorbing whatever they now link to: the list equals
+left, absorbing whatever they now link to: the list plus one singleton per
+worker with an empty capped set (kept apart, in ``_empty``) equals
 ``connected_components(build_adjacency(...))`` over the snapshot.  A kept
 component keeps its cache *hit* until a member's ``version`` is bumped at
 refresh, so an untouched one costs a lookup; one that re-forms or lost its
-hit falls back to the cache keyed by member set and member versions.
+hit falls back to the cache keyed by member set and member versions.  An
+``_empty`` worker is counted as its search would be (one component, its
+engine's nodes for an empty one-worker tree): searched when its ``version``
+moved since its last count, reused otherwise, skipped past the deadline.
 
 Cost model.  Per call there is one identity pass over the snapshot (an
 unchanged frozen ``Worker`` costs one ``is`` check; an equal-field
-replacement one field compare, after which its entry holds the new
-object) and one walk over the components (a kept hit costs an attribute
-read).  The pass also runs the arrival ball for workers not already due
-a refresh, and emits the ordered work list.  Everything else — the k×T
-matrix, reachability and sequence refreshes, component re-derivation and
-job extraction — is proportional to the work list and the searched
-components; departures and absences come from set differences.  A
-searched one-worker component costs one pass over its ``Q_w`` and builds
-no subtree, job or span.  A component builds its partition subtree on
-its first job and keeps it until it is retired: its members' capped
-reachable sets, hence its dependency edges, cannot change while it
-lives, so a component re-searched after a version bump pays only for
-the job and the search.
+replacement one field compare, after which its entry holds the new object)
+and one walk over the components with a candidate (a kept hit costs an
+attribute read; an ``_empty`` worker, nothing).  The pass also runs the
+arrival ball for workers not already due a refresh, and emits the ordered
+work list.  Everything else — the k×T matrix, reachability and sequence
+refreshes, component re-derivation and job extraction — is proportional to
+the work list and the searched components; departures and absences come
+from set differences.  A searched one-worker component costs one pass over
+its ``Q_w`` and builds no subtree, job or span.  A component builds its
+partition subtree on its first job and keeps it until it is retired: its
+members' capped reachable sets, hence its dependency edges, cannot change
+while it lives, so a component re-searched after a version bump pays only
+for the job and the search.
 
 Equivalence contract: for any sequence of ``plan()`` calls with
 non-decreasing ``now``, a warm engine returns bit-for-bit the outcome an
@@ -93,6 +97,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -106,6 +111,7 @@ from repro.assignment.executor import (
     ComponentJob,
     ComponentResult,
     deadline_expired,
+    empty_worker_nodes,
     run_component_job,
 )
 from repro.assignment.fast_partition import build_adjacency, build_component_subtree
@@ -121,7 +127,6 @@ from repro.core.assignment import Assignment, WorkerPlan
 from repro.core.sequence import TaskSequence
 from repro.core.task import Task
 from repro.core.worker import Worker
-from repro.spatial.geometry import euclidean_distance
 from repro.spatial.travel_matrix import TravelMatrix
 
 #: Transitive-expansion rounds of the planner's reachability (its default).
@@ -331,6 +336,8 @@ class _WorkerEntry:
     #: returning workers are re-dirtied by the ``_last_present`` rule
     #: regardless).
     last_seen: int = 0
+    #: ``(version, task epoch or 0)`` of its last count as an ``_empty`` worker.
+    counted: tuple = ()
 
 
 @dataclass
@@ -418,6 +425,10 @@ class IncrementalPlanEngine:
         self._holders: Dict[int, Set[int]] = {}
         self._component_of: Dict[int, _Component] = {}
         self._component_list: List[_Component] = []
+        #: Workers with an empty capped set (module docstring) and their state.
+        self._empty: Set[int] = set()
+        self._empty_recount = False
+        self._empty_nodes: Optional[int] = None
         self._last_present: Set[int] = set()
         self._forced_workers: Set[int] = set()
         self._forced_tasks: Set[int] = set()
@@ -579,6 +590,8 @@ class IncrementalPlanEngine:
             # Ball hits the exact arrival test cleared (entry kept as is).
             skipped = 0
             any_predicted = any(task.predicted for task in added)
+            arrivals = [(task, task.location.x, task.location.y) for task in added]
+            reach_bound = travel.reach_bound
             for worker in workers:
                 wid = worker.worker_id
                 entry = entries.get(wid)
@@ -604,15 +617,13 @@ class IncrementalPlanEngine:
                     # Euclidean check against the model's reach bound: sound
                     # for any travel model honouring the reach_bound
                     # contract (identity for the Euclidean default).
-                    radius = travel.reach_bound(
-                        (_HOPS + 1.0) * worker.reachable_distance
-                    ) + 1e-6
-                    near = [
-                        task
-                        for task in added
-                        if not (task.predicted and ignores_predicted)
-                        and euclidean_distance(worker.location, task.location) <= radius
-                    ]
+                    radius = reach_bound((_HOPS + 1.0) * worker.reachable_distance) + 1e-6
+                    wx, wy = worker.location.x, worker.location.y
+                    near = []
+                    for task, x, y in arrivals:  # ``euclidean_distance``, inline
+                        dx, dy = wx - x, wy - y
+                        if sqrt(dx * dx + dy * dy) <= radius and not (task.predicted and ignores_predicted):
+                            near.append(task)
                     if near:
                         if self._arrival_enters(worker, entry, near, now, tasks_by_id):
                             stale.append(worker)
@@ -672,7 +683,8 @@ class IncrementalPlanEngine:
             search_mode = config.search_mode
             # Past the deadline every component takes the job path, whose
             # runner skips it into the greedy rung.
-            closed_form = not collect_experience and not deadline_expired(deadline)
+            expired = deadline_expired(deadline)
+            closed_form = not collect_experience and not expired
             jobs: List[ComponentJob] = []
             job_of: Dict[_Component, int] = {}
             closed: Dict[_Component, DFSearchResult] = {}
@@ -743,10 +755,20 @@ class IncrementalPlanEngine:
                 )
                 job_of[held] = len(jobs)
                 jobs.append(job)
+            # ``_empty`` workers due a count: the work list holds every moved
+            # version, unless a deadline skip or (guided) a task change is due.
+            empty = self._empty
+            empty_guided = use_guided and config.tvf_min_workers <= 1
+            stamp = task_epoch if empty_guided else 0
+            full = self._empty_recount or empty_guided
+            pending = empty if full else [w.worker_id for w, _ in work if w.worker_id in empty]
+            due = [w for w in pending if entries[w].counted != (entries[w].version, stamp)]
             decompose_span.set(
-                components=len(components),
+                components=len(components) + len(empty),
                 searched=len(jobs),
                 closed=len(closed),
+                empty=len(empty),
+                empty_searched=len(due),
                 rebuilt=rebuilt,
             )
 
@@ -829,6 +851,20 @@ class IncrementalPlanEngine:
                             self._remember(held, selections, nodes, job.mode)
                 nodes_expanded += nodes
                 epoch_selections.extend(selections)
+            # ``_empty`` workers, counted as their searches or replays.
+            reused_components += len(empty) - len(due)
+            searched_components += len(due)
+            self._empty_recount = expired and bool(due)
+            if self._empty_recount:
+                rung_level = 2  # the greedy rung, as a skipped job's
+            elif not collect_experience:
+                for wid in due:
+                    entries[wid].counted = (entries[wid].version, stamp)
+            if empty and self._empty_nodes is None:
+                worker, mode = workers_by_id[next(iter(empty))], "tvf" if empty_guided else search_mode
+                self._empty_nodes = empty_worker_nodes(mode, worker, config.node_budget, tvf)
+            solved = len(empty) - (len(due) if self._empty_recount else 0)
+            nodes_expanded += solved * (self._empty_nodes or 0)
             merge_span.set(reused=reused_components, searched=searched_components)
         if obs.enabled:
             obs.count("incremental.reused_components", reused_components)
@@ -894,7 +930,7 @@ class IncrementalPlanEngine:
             assignment=assignment,
             planned_tasks=planned,
             nodes_expanded=nodes_expanded,
-            num_components=len(components),
+            num_components=len(components) + len(empty),
             experience=experience,
             reused_workers=reused_workers,
             recomputed_workers=recomputed_workers,
@@ -916,8 +952,10 @@ class IncrementalPlanEngine:
         """Cheap O(selected + workers) feasibility sweep over the epoch plan.
 
         Checks exactly the invariants any healthy epoch satisfies by
-        construction: every planned worker appears once and is in the
-        snapshot, every selected task is open and selected once, every
+        construction: ``_empty`` and the components hold as many workers as
+        the snapshot (one in both, or a departed one left behind, breaks the
+        count), every planned worker appears once, is in the snapshot and
+        not in ``_empty``, every selected task is open and selected once, every
         non-empty selection is one of the worker's cached candidate
         sequences, and no cached horizon has gone NaN or negative (a NaN
         horizon makes the ``now >= horizon`` refresh test permanently
@@ -928,11 +966,14 @@ class IncrementalPlanEngine:
         Returns a description of the first violation, or ``None``.
 
         This runs on every planned epoch, so the constant factor matters:
-        lookups are hoisted, each planned worker claims its snapshot slot
-        with one ``pop`` from a copy of the snapshot map instead of
-        growing a set of seen workers, and the sweep iterates the entry
-        objects directly instead of probing the table per snapshot worker.
+        the placement check is lengths only, lookups are hoisted, each
+        planned worker claims its snapshot slot with one ``pop`` from a
+        copy of the snapshot map, and the sweep iterates the entry objects
+        directly instead of probing the table per snapshot worker.
         """
+        empty = self._empty
+        if len(empty) + len(self._component_of) != len(workers_by_id):
+            return f"{len(empty)} + {len(self._component_of)} workers placed, {len(workers_by_id)} present"
         entries = self._worker_entries
         unclaimed = workers_by_id.copy()
         seen_tasks: Set[int] = set()
@@ -941,6 +982,8 @@ class IncrementalPlanEngine:
                 if worker_id in workers_by_id:
                     return f"worker {worker_id} planned twice"
                 return f"planned worker {worker_id} not in snapshot"
+            if worker_id in empty:
+                return f"planned worker {worker_id} has nothing in reach"
             if not task_ids:
                 continue
             for tid in task_ids:
@@ -1180,19 +1223,21 @@ class IncrementalPlanEngine:
     def _update_components(self, touched: List[int], workers_by_id: Dict[int, Worker]) -> int:
         """Bring the components to this snapshot (module docstring) and
         return how many were re-derived: those of ``touched`` workers and
-        of departed ones, plus whatever those now link to."""
+        of departed ones, plus whatever those now link to (or to ``_empty``)."""
         registered, holders = self._registered, self._holders
         if not touched and len(registered) == len(workers_by_id):
             return 0
-        component_of = self._component_of
+        component_of, empty = self._component_of, self._empty
         retired: Set[_Component] = set()
         seeds: List[int] = []
+        emptied: List[int] = []
 
         def reregister(worker_id: int, ids: Tuple[int, ...]) -> None:
             for tid in registered.pop(worker_id, ()):
                 holders[tid].discard(worker_id)
                 if not holders[tid]:
                     del holders[tid]
+            empty.discard(worker_id)
             held = component_of.pop(worker_id, None)
             if held is not None and held not in retired:
                 retired.add(held)
@@ -1201,18 +1246,19 @@ class IncrementalPlanEngine:
                 registered[worker_id] = ids
                 for tid in ids:
                     holders.setdefault(tid, set()).add(worker_id)
-                seeds.append(worker_id)
+                (seeds if ids else emptied).append(worker_id)
 
         for wid in registered.keys() - workers_by_id.keys():
             reregister(wid, ())
         for wid in touched:
             reregister(wid, self._worker_entries[wid].reachable_ids)
+        empty.update(emptied)
 
         fresh: List[_Component] = []
         for start in seeds:
             held = component_of.get(start)
-            if start not in registered or (held is not None and held not in retired):
-                continue  # departed, or placed by an earlier search
+            if start not in registered or start in empty or (held is not None and held not in retired):
+                continue  # departed, nothing in reach, or placed by an earlier search
             members = [start]
             placed = component_of[start] = _Component(members)
             for node in members:  # grows while iterated: a BFS queue
@@ -1234,7 +1280,7 @@ class IncrementalPlanEngine:
         kept.extend(fresh)
         kept.sort(key=lambda held: held.members[0])
         self._component_list = kept
-        return len(fresh)
+        return len(fresh) + len(emptied)
 
     def _drop_worker(self, worker_id: int) -> None:
         """Forget a departed worker's entry and ownership registrations."""

@@ -100,15 +100,11 @@ class Worker:
             return list(self.windows)
         return [AvailabilityWindow(self.on_time, self.off_time)]
 
-    def is_online(self, now: float) -> bool:
-        """Whether the worker is inside ``[on, off)`` at ``now``."""
-        return self.on_time <= now < self.off_time
-
-    # Hot per epoch: no AvailabilityWindow per call; the default [on, off)
-    # window is inlined with the same float expressions.
+    # Hot per epoch: no AvailabilityWindow and no nested call per call; the
+    # default [on, off) window is inlined with the same float expressions.
     def is_available(self, now: float) -> bool:
         """Whether the worker can accept a task at ``now`` (window-aware)."""
-        if not self.is_online(now):
+        if not self.on_time <= now < self.off_time:
             return False
         if not self.windows:
             return True

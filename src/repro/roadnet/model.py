@@ -95,18 +95,6 @@ class RoadNetworkTravelModel(TravelModel):
         Per-edge class indices into ``edge_profiles`` (aligned with the
         network's CSR edge arrays).  ``None`` with profiles puts every
         edge in class 0.
-    window_tolerance:
-        Near-equal-window row sharing (PR 10).  ``0.0`` (the default)
-        keys rows on the exact multiplier tuple — bit-for-bit identical
-        to the pre-PR behaviour.  A positive tolerance buckets each
-        multiplier into bands of that width and lets every window in a
-        band reuse the *first* such window's multipliers (and therefore
-        its scaled edge times and Dijkstra rows) verbatim: adjacent
-        windows whose multipliers differ by less than the tolerance stop
-        paying cold Dijkstra re-runs.  The error is bounded — each edge
-        time is computed with a multiplier within ``window_tolerance``
-        of the active one — and deterministic, since the representative
-        is a pure function of the window visit order.
     """
 
     def __init__(
@@ -117,15 +105,8 @@ class RoadNetworkTravelModel(TravelModel):
         snap_cache_size: int = 65536,
         edge_profiles: Optional[Sequence[SpeedProfile]] = None,
         edge_class: Optional[np.ndarray] = None,
-        window_tolerance: float = 0.0,
     ) -> None:
         super().__init__(speed=speed)
-        if window_tolerance < 0.0:
-            raise ValueError("window_tolerance must be non-negative")
-        self.window_tolerance = float(window_tolerance)
-        #: Quantized-bucket -> representative multiplier tuple (only used
-        #: with a positive tolerance).
-        self._bucket_reps: Dict[Tuple[int, ...], Tuple[float, ...]] = {}
         if network.num_nodes == 0:
             raise ValueError("road network has no nodes")
         self.network = network
@@ -217,19 +198,6 @@ class RoadNetworkTravelModel(TravelModel):
         if self.edge_profiles is None:
             return
         sig = tuple(profile.multiplier_at(now) for profile in self.edge_profiles)
-        if self.window_tolerance > 0.0:
-            # Same-bucket windows adopt the first-seen multipliers, so
-            # their scaled edge times and Dijkstra rows are shared
-            # verbatim; multipliers in one bucket differ by less than the
-            # tolerance, which bounds the per-edge time error.
-            bucket = tuple(
-                round(multiplier / self.window_tolerance) for multiplier in sig
-            )
-            representative = self._bucket_reps.get(bucket)
-            if representative is None:
-                self._bucket_reps[bucket] = sig
-            else:
-                sig = representative
         if sig == self._window_sig:
             return
         self._window_sig = sig

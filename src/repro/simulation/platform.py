@@ -861,8 +861,8 @@ class SCPlatform:
                 runtime.advance_reposition(now)
             if now >= runtime.worker.off_time:
                 offline.append(wid)
-            elif runtime.is_idle(now):
-                idle_workers.append(runtime.worker)
+            elif now >= runtime.busy_until and runtime.worker.is_available(now):
+                idle_workers.append(runtime.worker)  # ``is_idle``, one call
         for wid in offline:
             del self._workers[wid]
             dirty.note_worker(wid)

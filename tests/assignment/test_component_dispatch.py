@@ -6,7 +6,9 @@ submission order, inside the engine's ``dispatch`` span; the merge stage
 reassembles the results in that order.  The exception is a one-worker
 branch-and-bound component: decompose solves it in closed form
 (:func:`repro.assignment.dfsearch.dfsearch_one_worker`) and counts it in
-its span's ``closed`` argument instead of building a job.  With tracing
+its span's ``closed`` argument instead of building a job; a worker with
+nothing in reach is counted in ``empty_searched`` when its one-worker
+search is due, with the nodes an empty one-worker job expands.  With tracing
 on, each job run is wrapped in a ``component.search`` span, and that
 wrapping must change no decision.  These tests pin the job runner on its
 own (every engine, the deadline ladder, the forwarded knobs), the order
@@ -25,10 +27,11 @@ import pytest
 
 import repro.assignment.executor as executor_mod
 import repro.assignment.incremental as incremental_mod
-from repro.assignment.dfsearch import BOUND_MODES, dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import BOUND_MODES, adaptive_node_budget, dfsearch, dfsearch_bnb
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
-from repro.assignment.executor import run_component_job
+from repro.assignment.executor import ComponentJob, run_component_job
 from repro.assignment.planner import PlannerConfig, TaskPlanner
+from repro.assignment.tree import PartitionNode
 from repro.core.task import Task
 from repro.core.worker import Worker
 from repro.obs import Observability
@@ -147,6 +150,22 @@ def closed_forms(monkeypatch):
 
     monkeypatch.setattr(incremental_mod, "dfsearch_one_worker", recording)
     return results
+
+
+def empty_job_nodes(mode):
+    """Nodes ``mode``'s engine expands on a one-worker job with no
+    candidate: what the engine counts for a worker with nothing in reach."""
+    job = ComponentJob(
+        index=0,
+        mode=mode,
+        root=PartitionNode(workers=[0]),
+        worker_ids=(0,),
+        sequences_by_worker={0: []},
+        workers_by_id={0: Worker(0, Point(0.0, 0.0), 1.0, 0.0, 10.0)},
+        task_ids=frozenset(),
+        node_budget=adaptive_node_budget(PlannerConfig().node_budget, 1, 0),
+    )
+    return run_component_job(job).nodes_expanded
 
 
 def jobs_of(mode, tvf, recorded, seed=11, **overrides):
@@ -316,12 +335,13 @@ class TestSubmissionOrder:
         searches = [e for e in events if e["name"] == "component.search"]
         jobs = [job for job, _ in recorded]
         closed = decompose["args"]["closed"]
+        empty_searched = decompose["args"]["empty_searched"]
         assert closed == len(closed_forms)
         if config_name == "exact":
             assert closed == 0
         assert dispatch["args"]["jobs"] == len(jobs) == len(searches)
         assert (
-            len(jobs) + closed
+            len(jobs) + closed + empty_searched
             == outcome.searched_components
             == outcome.num_components
         )
@@ -342,7 +362,8 @@ class TestSubmissionOrder:
         results = [result for _, result in recorded]
         assert [e["args"]["nodes"] for e in searches] == [r.nodes_expanded for r in results]
         assert all(r.nodes_expanded == 1 for r in closed_forms)
-        assert outcome.nodes_expanded == sum(
+        empty_nodes = empty_job_nodes(CONFIGS[config_name].get("search_mode", "bnb"))
+        assert outcome.nodes_expanded == empty_searched * empty_nodes + sum(
             r.nodes_expanded for r in [*results, *closed_forms]
         )
         merged = sorted(
@@ -377,11 +398,16 @@ class TestSubmissionOrder:
         # A worker far from the rest, with a task of its own.
         workers.append(Worker(99, Point(50.0, 50.0), 2.0, 0.0, 60.0))
         tasks.append(Task(999, Point(50.5, 50.0), 0.0, 30.0))
-        plain = make_planner("bnb", tvf).plan(workers, tasks, 0.0)
+        planner = make_planner("bnb", tvf)
+        obs = Observability()
+        planner.attach_observability(obs)
+        plain = planner.plan(workers, tasks, 0.0)
         assert (99, (999,)) in outcome_state(plain)["assignment"]
         lone = len(closed_forms)
         assert lone and not any(len(job.worker_ids) == 1 for job, _ in recorded)
-        assert plain.searched_components == len(recorded) + lone
+        (decompose,) = [e for e in obs.tracer.events if e["name"] == "decompose"]
+        empty_searched = decompose["args"]["empty_searched"]
+        assert plain.searched_components == len(recorded) + lone + empty_searched
 
         for options, kwargs in (({}, {"collect_experience": True}), ({"deadline_s": 0.0}, {})):
             recorded.clear()
@@ -438,6 +464,8 @@ class TestTracingIsTransparent:
 
         events = obs.tracer.events
         spans = [e for e in events if e["name"] == "component.search"]
-        closed = sum(e["args"]["closed"] for e in events if e["name"] == "decompose")
-        assert len(spans) + closed == searched
+        decomposes = [e["args"] for e in events if e["name"] == "decompose"]
+        closed = sum(args["closed"] for args in decomposes)
+        empty_searched = sum(args["empty_searched"] for args in decomposes)
+        assert len(spans) + closed + empty_searched == searched
         assert searched and reused

@@ -5,13 +5,16 @@ rejoining, a reachable-set cap below the uncapped sets, version bumps
 that move no dependency edge, TVF-guided components and the
 predicted-task fallback — every epoch must satisfy:
 
-* the engine's component list equals a from-scratch
+* the engine's partition -- its component list plus one singleton per
+  worker with nothing in reach (``_empty``) -- equals a from-scratch
   ``connected_components(build_adjacency(...))`` over the same capped
   reachable sets, and its task -> holders map is their exact inverse;
 * the outcome equals an empty-cache engine's;
 * the number of replayed components equals what the member-set +
-  versions cache rule alone would replay, so the one-lookup hit of an
-  untouched component changes cost, never counts;
+  versions cache rule alone would replay, with a worker in ``_empty``
+  replayed iff its version has not moved since the last plan counted it,
+  so the one-lookup hit of an untouched component changes cost, never
+  counts;
 * every partition subtree a component holds equals one built from
   scratch over its members' current capped reachable sets, although it
   was built once, at the component's first search.
@@ -53,9 +56,17 @@ def _scratch_components(engine, workers):
     )
 
 
+def _partition(engine):
+    """The component list's members plus a singleton per empty worker."""
+    singletons = [[wid] for wid in engine._empty]
+    return sorted([held.members for held in engine._component_list] + singletons)
+
+
 def _assert_structure(engine, workers):
     present = {w.worker_id for w in workers}
-    assert set(engine._registered) == present == set(engine._component_of)
+    assert set(engine._registered) == present == set(engine._component_of) | engine._empty
+    assert engine._empty.isdisjoint(engine._component_of)
+    assert all(engine._registered[wid] == () for wid in engine._empty)
     holders = {}
     for wid, ids in engine._registered.items():
         assert ids == engine._worker_entries[wid].reachable_ids
@@ -66,12 +77,15 @@ def _assert_structure(engine, workers):
         assert all(engine._component_of[wid] is held for wid in held.members)
 
 
-def _rule_reuse(engine, cache_before):
-    """Components the member-set + versions cache alone would replay."""
+def _rule_reuse(engine, cache_before, counted_before):
+    """Components the member-set + versions cache alone would replay, plus
+    the empty workers whose version is the one they were last counted at
+    (``counted_before``: worker id -> version)."""
+    entries = engine._worker_entries
+    reused = sum(counted_before.get(wid) == entries[wid].version for wid in engine._empty)
     planner = engine.planner
     config = planner.config
     use_guided = config.use_tvf and planner.tvf is not None
-    reused = 0
     for held in engine._component_list:
         members = held.members
         guided = use_guided and len(members) >= config.tvf_min_workers
@@ -213,19 +227,23 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
     warm_planner.attach_observability(obs)
     engine = warm_planner._engine
 
-    seen = {"rebuilt": 0, "version_only": 0, "left": 0, "joined": 0}
+    seen = {"rebuilt": 0, "version_only": 0, "left": 0, "joined": 0, "empty_reused": 0}
+    counted = {}
     for snapshot_workers, snapshot_tasks, now in _stream(rng, seen):
         cache_before = dict(engine._components)
         warm = warm_planner.plan(snapshot_workers, snapshot_tasks, now)
         cold = cold_planner.plan(snapshot_workers, snapshot_tasks, now)
         assert _signature(warm) == _signature(cold)
         if warm.num_components:  # not the empty-snapshot early return
-            assert [h.members for h in engine._component_list] == _scratch_components(
-                engine, snapshot_workers
-            )
+            assert _partition(engine) == _scratch_components(engine, snapshot_workers)
             _assert_structure(engine, snapshot_workers)
-            assert warm.reused_components == _rule_reuse(engine, cache_before)
+            entries = engine._worker_entries
+            reused = _rule_reuse(engine, cache_before, counted)
+            assert warm.reused_components == reused
             assert warm.reused_components + warm.searched_components == warm.num_components
+            seen["empty_reused"] += reused - _rule_reuse(engine, cache_before, {})
+            counted.update((wid, entries[wid].version) for wid in engine._empty)
+            counted = {wid: v for wid, v in counted.items() if wid in entries}
             rebuilt = [e for e in obs.tracer.events if e["name"] == "decompose"][-1][
                 "args"
             ]["rebuilt"]
@@ -237,6 +255,7 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
     # alone, departures and arrivals.
     assert seen["rebuilt"] and seen["version_only"]
     assert seen["left"] and seen["joined"]
+    assert seen["empty_reused"]
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -299,21 +299,16 @@ class TestBoundaryStream:
 
 
 # --------------------------------------------------------------------- #
-# Road network: near-equal window row sharing
+# Road network: every window keys its own rows
 # --------------------------------------------------------------------- #
-class TestRoadnetWindowTolerance:
+class TestRoadnetWindowSignatures:
     PROFILE = SpeedProfile(
         breakpoints=(0.0, 10.0), multipliers=(1.0, 1.004), period=100.0
     )
 
-    def test_negative_tolerance_rejected(self):
-        net = grid_network(3, 3, seed=1)
-        with pytest.raises(ValueError, match="window_tolerance"):
-            RoadNetworkTravelModel(net, window_tolerance=-0.1)
-
-    def test_zero_tolerance_keeps_exact_windows(self):
-        """Default: every distinct multiplier is its own window — the
-        near-equal second window pays its own cold Dijkstra rows."""
+    def test_near_equal_windows_stay_distinct(self):
+        """Every distinct multiplier is its own window: a near-equal second
+        window pays its own cold Dijkstra rows."""
         net = grid_network(3, 3, seed=1)
         model = RoadNetworkTravelModel(net, edge_profiles=(self.PROFILE,))
         model.begin_epoch(0.0)
@@ -323,37 +318,3 @@ class TestRoadnetWindowTolerance:
         assert model._window_sig == (1.004,)
         model._row(0)
         assert model.row_cache_misses == misses + 1
-
-    def test_tolerance_shares_rows_across_near_equal_windows(self):
-        net = grid_network(3, 3, seed=1)
-        model = RoadNetworkTravelModel(
-            net, edge_profiles=(self.PROFILE,), window_tolerance=0.01
-        )
-        model.begin_epoch(0.0)
-        model._row(0)
-        misses = model.row_cache_misses
-        # 1.004 quantizes to the same bucket as the first-seen 1.0, which
-        # stays the representative: the signature (and with it the scaled
-        # edge times and cached rows) is reused verbatim.
-        model.begin_epoch(15.0)
-        assert model._window_sig == (1.0,)
-        model._row(0)
-        assert model.row_cache_misses == misses
-        # The approximation error is bounded by the tolerance: shared
-        # times use multiplier 1.0 for the true 1.004.
-        exact = RoadNetworkTravelModel(net, edge_profiles=(self.PROFILE,))
-        exact.begin_epoch(15.0)
-        ratio = model._edge_time / exact._edge_time
-        assert np.all(np.abs(ratio - 1.0) <= 0.01)
-
-    def test_distinct_windows_stay_distinct_under_tolerance(self):
-        net = grid_network(3, 3, seed=1)
-        profile = SpeedProfile(
-            breakpoints=(0.0, 10.0), multipliers=(1.0, 2.0), period=100.0
-        )
-        model = RoadNetworkTravelModel(
-            net, edge_profiles=(profile,), window_tolerance=0.01
-        )
-        model.begin_epoch(0.0)
-        model.begin_epoch(15.0)
-        assert model._window_sig == (2.0,)

@@ -158,9 +158,15 @@ class TestGreedyComponentFill:
         assert greedy_component_fill([99], sequences, {1, 2, 3}) == [(99, ())]
 
 
-def _reference_violation(entries, selections, tasks_by_id, workers_by_id):
-    """The self-check as a plain ordered sweep: the first violation in
-    plan order, then in entry-table order, or ``None``."""
+def _reference_violation(engine, selections, tasks_by_id, workers_by_id):
+    """The self-check as a plain ordered sweep: the worker placement, then
+    the first violation in plan order, then in entry-table order, or
+    ``None``."""
+    entries = engine._worker_entries
+    empty = set(engine._empty)
+    in_components = len(engine._component_of)
+    if len(empty) + in_components != len(workers_by_id):
+        return f"{len(empty)} + {in_components} workers placed, {len(workers_by_id)} present"
     seen_workers = set()
     seen_tasks = set()
     for worker_id, task_ids in selections:
@@ -169,6 +175,8 @@ def _reference_violation(entries, selections, tasks_by_id, workers_by_id):
         seen_workers.add(worker_id)
         if worker_id not in workers_by_id:
             return f"planned worker {worker_id} not in snapshot"
+        if worker_id in empty:
+            return f"planned worker {worker_id} has nothing in reach"
         if not task_ids:
             continue
         for tid in task_ids:
@@ -288,6 +296,8 @@ class TestSelfHealing:
         healthy = []
         used = set()
         for worker in workers:
+            if worker.worker_id in engine._empty:
+                continue  # never planned
             entry = entries[worker.worker_id]
             fits = [ids for ids in entry.seq_tuples if used.isdisjoint(ids)]
             chosen = fits[0] if fits else ()
@@ -298,7 +308,7 @@ class TestSelfHealing:
         some_ids = sorted(tasks_by_id)
 
         def corrupt(selections, open_tasks, snapshot):
-            kind = rng.randrange(7)
+            kind = rng.randrange(9)
             i = rng.randrange(len(selections))
             wid, ids = selections[i]
             taken = {tid for other, held in selections if other != wid for tid in held}
@@ -324,10 +334,17 @@ class TestSelfHealing:
                     rng.choice([float("nan"), -1.0]),
                 )
             elif kind == 6:  # a snapshot worker without cached state
+                snapshot.pop(wid, None)
                 snapshot[777] = workers[0]
                 selections[i] = (777, ids)
+            elif kind == 7:  # a snapshot worker in no component and not empty
+                snapshot[778] = workers[0]
+            elif kind == 8 and wid in engine._component_of:  # planned, nothing in reach
+                del engine._component_of[wid]
+                engine._empty.add(wid)
 
         saved = {wid: (e.reach_horizon, e.seq_horizon) for wid, e in entries.items()}
+        placement = (set(engine._empty), dict(engine._component_of))
         found = set()
         for trial in range(400):
             selections = list(healthy)
@@ -336,12 +353,13 @@ class TestSelfHealing:
             for _ in range(trial % 4):
                 corrupt(selections, open_tasks, snapshot)
             verdict = engine._find_violation(selections, open_tasks, snapshot)
-            assert verdict == _reference_violation(entries, selections, open_tasks, snapshot)
+            assert verdict == _reference_violation(engine, selections, open_tasks, snapshot)
             # The message's wording without its ids and values.
             found.add(verdict and " ".join(w for w in verdict.split() if w.isalpha()))
             for wid, (reach, seq) in saved.items():
                 entries[wid].reach_horizon, entries[wid].seq_horizon = reach, seq
-        assert None in found and len(found) == 8  # healthy, and all seven checks
+            engine._empty, engine._component_of = set(placement[0]), dict(placement[1])
+        assert None in found and len(found) == 10  # healthy, and all nine checks
 
     def test_nan_horizon_is_repaired(self):
         planner, workers, tasks = self._planner_and_snapshot()
