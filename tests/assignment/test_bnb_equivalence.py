@@ -12,6 +12,7 @@ The contract under test (see :func:`repro.assignment.dfsearch.dfsearch_bnb`):
 
 import dataclasses
 import hashlib
+import importlib
 import inspect
 import math
 import random
@@ -47,6 +48,10 @@ from repro.spatial.geometry import Point
 from repro.spatial.travel import EuclideanTravelModel
 
 TRAVEL = EuclideanTravelModel(speed=1.0)
+
+#: The kernel module itself (``repro.assignment.dfsearch`` the attribute is
+#: the function): the deadline goldens swap its clock.
+dfsearch_module = importlib.import_module("repro.assignment.dfsearch")
 
 #: Budget large enough that the plain search completes on every instance
 #: the random generators below can produce.
@@ -767,6 +772,16 @@ GOLDEN_INSTANCES = {
 #: A budget that cuts every golden instance under every bound kind.
 STARVED_BUDGET = 9
 
+#: About half of each instance's ample ``additive`` node count (2112, 247,
+#: 134 and 398): cuts every instance mid-search, where the incumbent,
+#: memo and suffix cuts are all in play.  ``hub`` under ``lp`` /
+#: ``adaptive`` finishes in 10 nodes, so there it pins a complete search.
+MID_BUDGET = {"dense_6x15": 1056, "dense_7x16": 123, "hub": 67, "tree_17": 199}
+
+#: Deadline polls before the cut: the first poll (expansion 0) and the
+#: third (past 128 expansions).
+DEADLINE_POLLS = (1, 3)
+
 #: sha256 prefixes of :func:`kernel_digest`, recorded on the search kernel
 #: before the live-candidate index and the inherited rest bound went in —
 #: both are pure work-skipping, so every digest must stay bit-identical.
@@ -821,14 +836,109 @@ KERNEL_GOLDEN = {
     "tree_17/adaptive/starved/experience": "88ea47580c5460e5",
 }
 
+#: Cut paths, recorded on the kernel before the caller-side memo probe,
+#: the in-place last worker and the single bound scan went in — all three
+#: pure work-skipping, so every digest must stay bit-identical.
+CUT_GOLDEN = {
+    "dense_6x15/additive/mid/plain": "a7fe4b3c935726b3",
+    "dense_6x15/additive/mid/experience": "2315e073e0b8247c",
+    "dense_6x15/lp/mid/plain": "a7fe4b3c935726b3",
+    "dense_6x15/lp/mid/experience": "2315e073e0b8247c",
+    "dense_6x15/adaptive/mid/plain": "a7fe4b3c935726b3",
+    "dense_6x15/adaptive/mid/experience": "2315e073e0b8247c",
+    "dense_7x16/additive/mid/plain": "308854fc6641ca75",
+    "dense_7x16/additive/mid/experience": "cb385c2a67e4ebc0",
+    "dense_7x16/lp/mid/plain": "308854fc6641ca75",
+    "dense_7x16/lp/mid/experience": "cb385c2a67e4ebc0",
+    "dense_7x16/adaptive/mid/plain": "308854fc6641ca75",
+    "dense_7x16/adaptive/mid/experience": "cb385c2a67e4ebc0",
+    "hub/additive/mid/plain": "811be2691753cd17",
+    "hub/additive/mid/experience": "d1f7ab174eb7f320",
+    "hub/lp/mid/plain": "7869ed583849f32a",
+    "hub/lp/mid/experience": "38a527b2719c013e",
+    "hub/adaptive/mid/plain": "7869ed583849f32a",
+    "hub/adaptive/mid/experience": "38a527b2719c013e",
+    "tree_17/additive/mid/plain": "40caec7a1856a4f5",
+    "tree_17/additive/mid/experience": "06bac72cb96b23af",
+    "tree_17/lp/mid/plain": "40caec7a1856a4f5",
+    "tree_17/lp/mid/experience": "06bac72cb96b23af",
+    "tree_17/adaptive/mid/plain": "40caec7a1856a4f5",
+    "tree_17/adaptive/mid/experience": "06bac72cb96b23af",
+    "dense_6x15/additive/deadline1/plain": "c6f5acc6457a0ffa",
+    "dense_6x15/additive/deadline1/experience": "c6f5acc6457a0ffa",
+    "dense_6x15/additive/deadline3/plain": "3687b9174947c37c",
+    "dense_6x15/additive/deadline3/experience": "f762ea21ba3fdcc5",
+    "dense_6x15/lp/deadline1/plain": "c6f5acc6457a0ffa",
+    "dense_6x15/lp/deadline1/experience": "c6f5acc6457a0ffa",
+    "dense_6x15/lp/deadline3/plain": "3687b9174947c37c",
+    "dense_6x15/lp/deadline3/experience": "f762ea21ba3fdcc5",
+    "dense_6x15/adaptive/deadline1/plain": "c6f5acc6457a0ffa",
+    "dense_6x15/adaptive/deadline1/experience": "c6f5acc6457a0ffa",
+    "dense_6x15/adaptive/deadline3/plain": "3687b9174947c37c",
+    "dense_6x15/adaptive/deadline3/experience": "f762ea21ba3fdcc5",
+    "dense_7x16/additive/deadline1/plain": "be7197bbc9ecdfd4",
+    "dense_7x16/additive/deadline1/experience": "be7197bbc9ecdfd4",
+    "dense_7x16/additive/deadline3/plain": "ca279ade87cb1e26",
+    "dense_7x16/additive/deadline3/experience": "661a6017348ad18f",
+    "dense_7x16/lp/deadline1/plain": "be7197bbc9ecdfd4",
+    "dense_7x16/lp/deadline1/experience": "be7197bbc9ecdfd4",
+    "dense_7x16/lp/deadline3/plain": "ca279ade87cb1e26",
+    "dense_7x16/lp/deadline3/experience": "661a6017348ad18f",
+    "dense_7x16/adaptive/deadline1/plain": "be7197bbc9ecdfd4",
+    "dense_7x16/adaptive/deadline1/experience": "be7197bbc9ecdfd4",
+    "dense_7x16/adaptive/deadline3/plain": "ca279ade87cb1e26",
+    "dense_7x16/adaptive/deadline3/experience": "661a6017348ad18f",
+    "hub/additive/deadline1/plain": "ab52fe1775a9ab31",
+    "hub/additive/deadline1/experience": "ab52fe1775a9ab31",
+    "hub/additive/deadline3/plain": "cc6e905ddcaa44cb",
+    "hub/additive/deadline3/experience": "2fa58365b9a4a02a",
+    "hub/lp/deadline1/plain": "ab52fe1775a9ab31",
+    "hub/lp/deadline1/experience": "ab52fe1775a9ab31",
+    "hub/lp/deadline3/plain": "ad8ca2290ec5f0b8",
+    "hub/lp/deadline3/experience": "f9d069bbf8209dc5",
+    "hub/adaptive/deadline1/plain": "ab52fe1775a9ab31",
+    "hub/adaptive/deadline1/experience": "ab52fe1775a9ab31",
+    "hub/adaptive/deadline3/plain": "ad8ca2290ec5f0b8",
+    "hub/adaptive/deadline3/experience": "f9d069bbf8209dc5",
+    "tree_17/additive/deadline1/plain": "9f0b9f82afb2960f",
+    "tree_17/additive/deadline1/experience": "9f0b9f82afb2960f",
+    "tree_17/additive/deadline3/plain": "9f9a824efc38fdc3",
+    "tree_17/additive/deadline3/experience": "17f58472d151932e",
+    "tree_17/lp/deadline1/plain": "9f0b9f82afb2960f",
+    "tree_17/lp/deadline1/experience": "9f0b9f82afb2960f",
+    "tree_17/lp/deadline3/plain": "9f9a824efc38fdc3",
+    "tree_17/lp/deadline3/experience": "17f58472d151932e",
+    "tree_17/adaptive/deadline1/plain": "9f0b9f82afb2960f",
+    "tree_17/adaptive/deadline1/experience": "9f0b9f82afb2960f",
+    "tree_17/adaptive/deadline3/plain": "9f9a824efc38fdc3",
+    "tree_17/adaptive/deadline3/experience": "17f58472d151932e",
+}
 
-def kernel_digest(instance, bound_mode, budget, collect_experience):
+
+class TickClock:
+    """A ``time`` stand-in whose ``perf_counter`` advances one tick per
+    read: a deadline of ``k`` ticks fires at the search's ``k``-th poll."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+
+def kernel_digest(instance, bound_mode, budget, collect_experience, clock=None, polls=0):
     """Digest of everything the search reports, over every forest root:
     ``(opt, selections, nodes_expanded, memo_hits, complete)`` and the
-    experience tuples in recording order."""
+    experience tuples in recording order.  With a ``clock`` (installed as
+    the search's ``_time``) each root restarts it and runs under a
+    deadline that fires at poll ``polls``, and ``deadline_hit`` joins the
+    digest."""
     roots, tasks, sequences, workers_by_id = GOLDEN_INSTANCES[instance]()
     digest = hashlib.sha256()
     for root in roots:
+        if clock is not None:
+            clock.now = 0.0
         result = dfsearch_bnb(
             root,
             tasks,
@@ -836,19 +946,19 @@ def kernel_digest(instance, bound_mode, budget, collect_experience):
             workers_by_id,
             node_budget=budget,
             collect_experience=collect_experience,
+            deadline=float(polls) if clock is not None else None,
             bound_mode=bound_mode,
         )
-        digest.update(
-            repr(
-                (
-                    result.opt,
-                    result.selections,
-                    result.nodes_expanded,
-                    result.memo_hits,
-                    result.complete,
-                )
-            ).encode()
+        reported = (
+            result.opt,
+            result.selections,
+            result.nodes_expanded,
+            result.memo_hits,
+            result.complete,
         )
+        if clock is not None:
+            reported += (result.deadline_hit,)
+        digest.update(repr(reported).encode())
         digest.update(repr(result.experience).encode())
     return digest.hexdigest()[:16]
 
@@ -879,6 +989,56 @@ class TestSearchKernelGolden:
                     for root in roots
                 ]
                 assert not all(r.complete for r in results), (instance, bound_mode)
+
+    @pytest.mark.parametrize("collect_experience", [False, True], ids=["plain", "experience"])
+    @pytest.mark.parametrize("bound_mode", BOUND_MODES)
+    @pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
+    def test_mid_budget_matches_golden(self, instance, bound_mode, collect_experience):
+        key = f"{instance}/{bound_mode}/mid/{'experience' if collect_experience else 'plain'}"
+        digest = kernel_digest(instance, bound_mode, MID_BUDGET[instance], collect_experience)
+        assert digest == CUT_GOLDEN[key]
+
+    def test_mid_budget_cuts_every_instance(self):
+        for instance, build in GOLDEN_INSTANCES.items():
+            roots, tasks, sequences, workers_by_id = build()
+            results = [
+                dfsearch_bnb(
+                    root, tasks, sequences, workers_by_id,
+                    node_budget=MID_BUDGET[instance], bound_mode="additive",
+                )
+                for root in roots
+            ]
+            assert not all(r.complete for r in results), instance
+            assert sum(r.nodes_expanded for r in results) > MID_BUDGET[instance] // 2
+
+    @pytest.mark.parametrize("collect_experience", [False, True], ids=["plain", "experience"])
+    @pytest.mark.parametrize("polls", DEADLINE_POLLS)
+    @pytest.mark.parametrize("bound_mode", BOUND_MODES)
+    @pytest.mark.parametrize("instance", sorted(GOLDEN_INSTANCES))
+    def test_deadline_cut_matches_golden(
+        self, monkeypatch, instance, bound_mode, polls, collect_experience
+    ):
+        clock = TickClock()
+        monkeypatch.setattr(dfsearch_module, "_time", clock)
+        key = f"{instance}/{bound_mode}/deadline{polls}/{'experience' if collect_experience else 'plain'}"
+        digest = kernel_digest(
+            instance, bound_mode, AMPLE_BUDGET, collect_experience, clock=clock, polls=polls
+        )
+        assert digest == CUT_GOLDEN[key]
+
+    def test_deadline_cut_fires_at_the_polled_expansion(self, monkeypatch):
+        clock = TickClock()
+        monkeypatch.setattr(dfsearch_module, "_time", clock)
+        roots, tasks, sequences, workers_by_id = GOLDEN_INSTANCES["dense_6x15"]()
+        for polls, expanded in ((1, 0), (3, 2 * dfsearch_module._DEADLINE_CHECK_INTERVAL)):
+            clock.now = 0.0
+            result = dfsearch_bnb(
+                roots[0], tasks, sequences, workers_by_id,
+                node_budget=AMPLE_BUDGET, deadline=float(polls),
+            )
+            assert result.deadline_hit and not result.complete
+            assert clock.now == polls
+            assert expanded <= result.nodes_expanded <= expanded + 1
 
 
 class TestShippedBound:
