@@ -24,7 +24,8 @@ fewer expansions on dense components.
 ``dfsearch_one_worker`` is the branch-and-bound engine's answer on a
 one-worker leaf tree in closed form — the worker's longest
 fully-available candidate — for the incremental engine's one-worker
-components; ``dfsearch_bnb`` stays its oracle.
+components; the engine solves the last worker of every childless node by
+the same rule, so their oracle is a brute force in the tests.
 
 The worst case is exponential; a node budget bounds the explored search
 tree and memoisation collapses repeated (workers, tasks) sub-problems, so
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.assignment.tree import PartitionNode
 from repro.core.sequence import TaskSequence
@@ -219,21 +220,28 @@ class SearchContext:
     ] = field(default_factory=dict)
 
     def out_of_budget(self) -> bool:
-        if self.nodes_expanded < self._next_stop_check:
-            return False
-        if self.nodes_expanded >= self.node_budget or self.deadline_hit:
+        return self.nodes_expanded >= self._next_stop_check and _stop_reached(self)
+
+
+def _stop_reached(context: Union[SearchContext, "_BnBContext"]) -> bool:
+    """Budget or wall-clock cutoff reached — the stop test of both engines,
+    behind its fast half ``nodes_expanded >= _next_stop_check``, which
+    callers test inline.  The deadline is polled every
+    ``_DEADLINE_CHECK_INTERVAL`` expansions (never past the budget), so
+    the fast half is one integer compare whether or not one is armed."""
+    if context.nodes_expanded >= context.node_budget or context.deadline_hit:
+        return True
+    if context.deadline is not None:
+        if _time.perf_counter() >= context.deadline:
+            context.deadline_hit = True
+            context._next_stop_check = 0  # stay on the slow (True) path
             return True
-        if self.deadline is not None:
-            if _time.perf_counter() >= self.deadline:
-                self.deadline_hit = True
-                self._next_stop_check = 0  # stay on the slow (True) path
-                return True
-            self._next_stop_check = min(
-                self.node_budget, self.nodes_expanded + _DEADLINE_CHECK_INTERVAL
-            )
-        else:
-            self._next_stop_check = self.node_budget
-        return False
+        context._next_stop_check = min(
+            context.node_budget, context.nodes_expanded + _DEADLINE_CHECK_INTERVAL
+        )
+    else:
+        context._next_stop_check = context.node_budget
+    return False
 
 
 @dataclass
@@ -260,7 +268,7 @@ class DFSearchResult:
         return {worker_id: task_ids for worker_id, task_ids in self.selections if task_ids}
 
 
-def _state_snapshot(worker_ids: Sequence[int], task_ids: FrozenSet[int]) -> dict:
+def _state_snapshot(worker_ids: Sequence[int], task_ids: Collection[int]) -> dict:
     """Compact state description stored in experience tuples."""
     return {
         "num_workers": len(worker_ids),
@@ -412,42 +420,52 @@ def dfsearch(
 # --------------------------------------------------------------------- #
 
 
+#: A completed sub-problem's selection: ``(worker id, task ids)`` pairs.
+_Selection = Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+
 class _BnBNode:
-    """Per-tree-node search structures, precomputed once per invocation.
+    """Per-tree-node search structures and memo, built once per invocation.
 
     Task sets live as bitmasks over the tasks actually referenced by some
     candidate sequence of this tree (its *universe*) — intersection,
-    containment and cardinality are then single big-int operations over
-    the arrays cached when the sequences were enumerated.
+    containment and cardinality are then single big-int operations.  A
+    candidate is live iff ``mask & available == mask``: one test per
+    candidate, which on ``dense_batch`` beats keeping an index of the live
+    ones although only about 8 % of the scanned candidates are live.
+
+    ``memo[i]`` holds the completed sub-problems of workers ``i..`` plus
+    every descendant, and ``memo[len(worker_ids)]`` those of the children
+    alone, keyed by the available mask restricted to ``rel_from[i]`` (the
+    only tasks that sub-problem can read).  Callers probe it before they
+    recurse, so a memo hit costs one dict lookup and no call.
     """
 
     __slots__ = (
-        "key",
         "children",
         "worker_ids",
         "desc_worker_ids",
         "candidates",
-        "holders",
         "own_bounds",
-        "desc_bounds",
         "all_bounds",
+        "suffix_bounds",
         "rel_from",
         "empty_tail",
+        "last",
         "lp_active",
+        "memo",
     )
 
     def __init__(
         self,
         node: PartitionNode,
-        bit_of: Dict[int, int],
+        universe: Set[int],
+        bit_mask: Dict[int, int],
         sequences_by_worker: Dict[int, List[TaskSequence]],
-        counter: List[int],
         bound_mode: str,
     ) -> None:
-        self.key = counter[0]
-        counter[0] += 1
         self.children = [
-            _BnBNode(child, bit_of, sequences_by_worker, counter, bound_mode)
+            _BnBNode(child, universe, bit_mask, sequences_by_worker, bound_mode)
             for child in node.children
         ]
         self.worker_ids = list(node.workers)
@@ -456,61 +474,49 @@ class _BnBNode:
         #: (mask, length, task_id_tuple), longest first so the incumbent
         #: tightens early and the suffix-bound cut can break the loop.
         self.candidates = []
-        #: holders[i][b] — bitmask over the indices of worker i's
-        #: candidates that contain the task at bit position b: clearing
-        #: the holders of every unavailable task leaves the live ones.
-        self.holders = []
         #: own_bounds[i] — (union mask, longest length) per worker: the
         #: per-worker term of the relaxation bound.
         self.own_bounds = []
         for worker_id in self.worker_ids:
             cands = []
-            holders = [0] * len(bit_of)
             union = 0
             sequences = sequences_by_worker.get(worker_id, [])
             # Longest first; the sort is stable, so ties keep Q_w rank.
             for sequence in sorted(sequences, key=lambda seq: -len(seq.task_ids)):
                 ids = sequence.task_ids
-                if not ids or any(tid not in bit_of for tid in ids):
+                if not ids or not sequence.task_id_set <= universe:
                     continue  # references a task outside this sub-problem
                 mask = 0
-                flag = 1 << len(cands)
                 for tid in ids:
-                    position = bit_of[tid]
-                    mask |= 1 << position
-                    holders[position] |= flag
+                    mask |= bit_mask[tid]
                 cands.append((mask, len(ids), ids))
                 union |= mask
             self.candidates.append(cands)
-            self.holders.append(holders)
             self.own_bounds.append((union, cands[0][1] if cands else 0))
 
-        #: Flattened (union mask, longest) of every descendant worker, and
-        #: the matching flattened descendant worker ids (experience states).
-        self.desc_bounds = []
+        #: Concatenated (union, longest) of this node's workers then every
+        #: descendant in preorder, and the flattened descendant worker ids
+        #: (experience states).
+        self.all_bounds = list(self.own_bounds)
         self.desc_worker_ids = []
         for child in self.children:
-            self.desc_bounds.extend(child.own_bounds)
-            self.desc_bounds.extend(child.desc_bounds)
+            self.all_bounds.extend(child.all_bounds)
             self.desc_worker_ids.extend(child.worker_ids)
             self.desc_worker_ids.extend(child.desc_worker_ids)
+        #: suffix_bounds[i] — all_bounds[i:]: the terms the bound of
+        #: workers i.. scans.
+        self.suffix_bounds = [
+            tuple(self.all_bounds[i:]) for i in range(len(self.worker_ids) + 1)
+        ]
 
         #: rel_from[i] — union mask of every task referenced by workers
         #: i.. of this node plus all descendants: the only tasks the
         #: remaining sub-problem can read, hence a sound memo-key filter.
-        descendant_rel = 0
-        for union, _ in self.desc_bounds:
-            descendant_rel |= union
-        rel = [descendant_rel]
-        for union, _ in reversed(self.own_bounds):
+        rel = [0]
+        for union, _ in reversed(self.all_bounds):
             rel.append(rel[-1] | union)
         rel.reverse()
-        self.rel_from = rel
-
-        #: Concatenated (union, longest) of this node's workers then every
-        #: descendant — ``bound(i)`` scans ``all_bounds[i:]``, the exact
-        #: order the two legacy loops visited.
-        self.all_bounds = self.own_bounds + self.desc_bounds
+        self.rel_from = rel[: len(self.worker_ids) + 1]
 
         #: Whether :meth:`bound` refines the additive value with the exact
         #: fractional-matching max-flow.  Decided per tree node: ``lp``
@@ -551,48 +557,38 @@ class _BnBNode:
             tail.extend(child.empty_tail)
         self.empty_tail = tuple(tail)
 
+        #: Index of the worker solved in closed form — the last one of a
+        #: childless node — or -1.
+        self.last = len(self.worker_ids) - 1 if not self.children else -1
+        self.memo: List[Dict[int, Tuple[int, _Selection]]] = [
+            {} for _ in range(len(self.worker_ids) + 1)
+        ]
+
     def bound(self, i: int, available: int) -> int:
-        """Admissible upper bound on tasks assignable by workers ``i..``
-        of this node plus all descendants, given the ``available`` mask.
+        """Matching-refined upper bound on tasks assignable by workers
+        ``i..`` of this node plus all descendants, given the ``available``
+        mask — the bound of nodes with :attr:`lp_active` set.
 
-        Additive relaxation: every undecided worker contributes at most
-        ``min(longest candidate, |union ∩ available|)`` (each cap is
-        individually admissible), and the total can never exceed the
-        number of distinct available tasks the group references.  The
-        per-worker scan short-circuits at that cap.
-
-        With :attr:`lp_active` the additive value is refined by the exact
+        The additive relaxation caps every undecided worker at ``min(longest
+        candidate, |union ∩ available|)`` (each cap is individually
+        admissible) and the total at the number of distinct available tasks
+        the group references; :func:`_bnb_solve` computes it inline, for
+        ``i`` and ``i + 1`` in one scan.  Here it is refined by the exact
         fractional-matching max-flow over the same ``(union ∩ available,
         capacity)`` structure, which never double-counts a shared task.
         A value is only ever reused for the identical ``(i, available)``
-        **under the node's active kind** (the option-0 child inherits its
-        parent's rest bound) — an additive value must never stand in for
-        an LP call site (or vice versa) once a caller has used it to size
-        a suffix cut, and both kinds are monotone in ``available``, which
-        is what makes the suffix cuts sound.  On a step-cap abort the flow
-        search discards its partial flow (a lower bound of the relaxation,
-        inadmissible) and the additive value stands.
+        under the node's active kind (the option-0 child inherits its
+        parent's rest bound); both kinds are monotone in ``available``,
+        which is what makes the suffix cuts sound.  On a step-cap abort the
+        flow search discards its partial flow (a lower bound of the
+        relaxation, inadmissible) and the additive value stands.
         """
         cap = (available & self.rel_from[i]).bit_count()
         if cap == 0:
             return 0
-        bounds = self.all_bounds
-        if not self.lp_active:
-            total = 0
-            for j in range(i, len(bounds)):
-                union, longest = bounds[j]
-                overlap = (union & available).bit_count()
-                if overlap:
-                    total += overlap if overlap < longest else longest
-                    if total >= cap:
-                        return cap
-            return total
-        # LP path: the additive scan runs without the cap short-circuit so
-        # the flow search sees every undecided worker's unit.
         total = 0
         units: List[Tuple[int, int]] = []
-        for j in range(i, len(bounds)):
-            union, longest = bounds[j]
+        for union, longest in self.suffix_bounds[i]:
             overlap_mask = union & available
             if overlap_mask:
                 overlap = overlap_mask.bit_count()
@@ -618,7 +614,6 @@ class _BnBContext:
         "_next_stop_check",
         "nodes_expanded",
         "memo_hits",
-        "memo",
         "collect_experience",
         "experience",
         "universe_tids",
@@ -635,16 +630,10 @@ class _BnBContext:
         self.node_budget = node_budget
         self.deadline = deadline
         self.deadline_hit = False
+        #: The stop test's fast half, as for :class:`SearchContext`.
         self._next_stop_check = 0
         self.nodes_expanded = 0
         self.memo_hits = 0
-        # (node key, worker index, relevant available mask) -> (opt, sel).
-        # Only *completed* sub-problems are stored, so a memo entry is
-        # always the proven optimum of its sub-problem regardless of the
-        # incumbent state it was computed under.
-        self.memo: Dict[
-            Tuple[int, int, int], Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]
-        ] = {}
         #: TVF experience collection from the *explored* sub-problems.
         #: Unlike the plain search (which disables memoisation to record
         #: every visited state), the branch-and-bound engine keeps its
@@ -659,50 +648,41 @@ class _BnBContext:
         self.universe_tids: List[int] = []
         self.extra_tids: Tuple[int, ...] = ()
 
-    def exhausted(self) -> bool:
-        """Budget or wall-clock cutoff reached (same contract as
-        :meth:`SearchContext.out_of_budget`; the deadline is polled every
-        ``_DEADLINE_CHECK_INTERVAL`` expansions, and the fast path is a
-        single integer compare whether or not a deadline is armed)."""
-        if self.nodes_expanded < self._next_stop_check:
-            return False
-        if self.nodes_expanded >= self.node_budget or self.deadline_hit:
-            return True
-        if self.deadline is not None:
-            if _time.perf_counter() >= self.deadline:
-                self.deadline_hit = True
-                self._next_stop_check = 0  # stay on the slow (True) path
-                return True
-            self._next_stop_check = min(
-                self.node_budget, self.nodes_expanded + _DEADLINE_CHECK_INTERVAL
-            )
-        else:
-            self._next_stop_check = self.node_budget
-        return False
-
-    def mask_task_ids(self, mask: int) -> List[int]:
-        """Task ids of a universe bitmask, in ascending id order."""
-        ids: List[int] = []
+    def record(
+        self, info: _BnBNode, i: int, available: int, task_ids: Tuple[int, ...], value: int
+    ) -> None:
+        """The experience tuple of worker ``i`` of ``info`` taking
+        ``task_ids`` in the ``available`` state, achieving ``value``."""
+        remaining = list(self.extra_tids)
         tids = self.universe_tids
-        bits = mask
+        bits = available
         while bits:
-            ids.append(tids[(bits & -bits).bit_length() - 1])
+            remaining.append(tids[(bits & -bits).bit_length() - 1])
             bits &= bits - 1
-        return ids
+        pending = list(info.worker_ids[i:]) + info.desc_worker_ids
+        self.experience.append(
+            (
+                _state_snapshot(pending, sorted(remaining)),
+                {
+                    "worker_id": info.worker_ids[i],
+                    "task_ids": task_ids,
+                    "sequence_length": len(task_ids),
+                },
+                float(value),
+            )
+        )
 
 
 def _bnb_children(
     info: _BnBNode, available: int, context: _BnBContext
-) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...], bool]:
-    """Solve a node's children sequentially (the empty-pending state)."""
+) -> Tuple[int, _Selection, bool]:
+    """Solve a node's children sequentially (the empty-pending state).
+
+    The caller has probed ``info.memo[-1]`` and missed; each child's memo
+    is probed here before its search."""
     if not info.children:
         return 0, (), True
-    key = (info.key, len(info.worker_ids), available & info.rel_from[-1])
-    cached = context.memo.get(key)
-    if cached is not None:
-        context.memo_hits += 1
-        return cached[0], cached[1], True
-    if context.exhausted():
+    if context.nodes_expanded >= context._next_stop_check and _stop_reached(context):
         return 0, info.empty_tail[len(info.worker_ids):], False
     context.nodes_expanded += 1
     total = 0
@@ -711,16 +691,21 @@ def _bnb_children(
     complete = True
     bit_mask = context.bit_mask
     for child in info.children:
-        child_opt, child_sel, child_complete = _bnb_solve(child, 0, remaining, context)
+        cached = child.memo[0].get(remaining & child.rel_from[0])
+        if cached is None:
+            child_opt, child_sel, child_complete = _bnb_solve(child, 0, remaining, context)
+            complete = complete and child_complete
+        else:
+            context.memo_hits += 1
+            child_opt, child_sel = cached
         total += child_opt
         selections.extend(child_sel)
-        complete = complete and child_complete
         for _, task_ids in child_sel:
             for tid in task_ids:
                 remaining &= ~bit_mask[tid]
     result = (total, tuple(selections))
     if complete:
-        context.memo[key] = result
+        info.memo[-1][available & info.rel_from[-1]] = result
     return result[0], result[1], complete
 
 
@@ -730,58 +715,89 @@ def _bnb_solve(
     available: int,
     context: _BnBContext,
     upper: Optional[int] = None,
-) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...], bool]:
+) -> Tuple[int, _Selection, bool]:
     """Branch-and-bound over worker ``i`` of ``info`` (then ``i+1``…).
 
-    ``upper`` is ``info.bound(i, available)`` when the caller already
-    holds it (the option-0 child of worker ``i - 1``).  Returns ``(opt,
-    selections, complete)`` where ``complete`` is False iff the budget cut
-    exploration somewhere below (in which case ``opt`` is still a feasible
-    lower bound and the selections reuse no task).
+    The caller has probed ``info.memo[i]`` and missed.  ``upper`` is
+    ``info.bound(i, available)`` when the caller already holds it (the
+    option-0 child of worker ``i - 1``); only :attr:`_BnBNode.lp_active`
+    nodes read it — elsewhere one additive scan yields both this
+    sub-problem's bound and the rest-of-problem bound.  The last worker of
+    a childless node is solved in closed form.  Returns ``(opt, selections,
+    complete)`` where ``complete`` is False iff the budget cut exploration
+    somewhere below (in which case ``opt`` is still a feasible lower bound
+    and the selections reuse no task).
     """
     if i == len(info.worker_ids):
         return _bnb_children(info, available, context)
-
-    key = (info.key, i, available & info.rel_from[i])
-    cached = context.memo.get(key)
-    if cached is not None:
-        context.memo_hits += 1
-        return cached[0], cached[1], True
-    if context.exhausted():
+    if context.nodes_expanded >= context._next_stop_check and _stop_reached(context):
         return 0, info.empty_tail[i:], False
     context.nodes_expanded += 1
+    memo = info.memo[i]
+    key = available & info.rel_from[i]
 
-    if upper is None:
-        upper = info.bound(i, available)
-    if upper == 0:
-        result = (0, info.empty_tail[i:])
-        context.memo[key] = result
-        return 0, result[1], True
+    if i == info.last:
+        # The optimum of a lone last worker is its first live candidate in
+        # longest-first order (``dfsearch_one_worker``'s rule): the search
+        # would evaluate it, poll, and stop at the next live one on the
+        # suffix cut.
+        for mask, length, task_ids in info.candidates[i]:
+            if mask & available == mask:
+                if context.collect_experience:
+                    context.record(info, i, available, task_ids, length)
+                selection = ((info.worker_ids[i], task_ids),)
+                if context.nodes_expanded >= context._next_stop_check and _stop_reached(context):
+                    return length, selection, False
+                memo[key] = (length, selection)
+                return length, selection, True
+        memo[key] = (0, info.empty_tail[i:])
+        return 0, info.empty_tail[i:], True
+
+    rest = i + 1
+    if info.lp_active:
+        if upper is None:
+            upper = info.bound(i, available)
+        if upper == 0:
+            memo[key] = (0, info.empty_tail[i:])
+            return 0, info.empty_tail[i:], True
+        rest_upper = info.bound(rest, available)
+    else:
+        # bound(i) = min(cap, term_i + S) and bound(i + 1) = min(rest_cap,
+        # S), S the capped terms of workers i + 1..: one scan of S, cut
+        # short once it settles both minima.
+        cap = key.bit_count()
+        if cap == 0:
+            memo[key] = (0, info.empty_tail[i:])
+            return 0, info.empty_tail[i:], True
+        union, longest = info.own_bounds[i]
+        overlap = (union & available).bit_count()
+        term = overlap if overlap < longest else longest
+        rest_cap = (available & info.rel_from[rest]).bit_count()
+        total = 0
+        if rest_cap:
+            limit = cap - term if cap - term > rest_cap else rest_cap
+            for union, longest in info.suffix_bounds[rest]:
+                overlap = (union & available).bit_count()
+                total += overlap if overlap < longest else longest
+                if total >= limit:
+                    break
+        rest_upper = total if total < rest_cap else rest_cap
+        upper = total + term if total + term < cap else cap
 
     worker_id = info.worker_ids[i]
-    rest_rel = info.rel_from[i + 1]
-    rest_upper = info.bound(i + 1, available)
+    rest_memo = info.memo[rest]
+    rest_rel = info.rel_from[rest]
     best_opt = -1
-    best_selection: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
+    best_selection: Optional[_Selection] = None
     complete = True
     tried: List[int] = []
-    # Live candidates: clear the holders of every unavailable task, then
-    # walk the surviving indices lowest-first (candidate order).  The
-    # break tests fire at the same processed candidate as a scan of every
-    # candidate would: ``length`` never grows and ``best_opt`` only moves
-    # at a processed one.
-    candidates = info.candidates[i]
-    holders = info.holders[i]
-    live = (1 << len(candidates)) - 1
-    gone = info.own_bounds[i][0] & ~available
-    while gone:
-        bit = gone & -gone
-        live &= ~holders[bit.bit_length() - 1]
-        gone ^= bit
-    while live:
-        low = live & -live
-        live ^= low
-        mask, length, task_ids = candidates[low.bit_length() - 1]
+    # Every candidate is scanned in order and the live ones processed.
+    # Non-live candidates change nothing, so the break tests fire at the
+    # same processed candidate as a walk of the live ones alone would:
+    # ``length`` never grows and ``best_opt`` only moves at a processed one.
+    for mask, length, task_ids in info.candidates[i]:
+        if mask & available != mask:
+            continue
         if best_opt >= upper:
             break  # incumbent met the sub-problem bound: proven optimal
         if length + rest_upper <= best_opt:
@@ -800,45 +816,41 @@ def _bnb_solve(
                 break
         if dominated:
             continue
-        sub_opt, sub_sel, sub_complete = _bnb_solve(info, i + 1, available & ~mask, context)
-        complete = complete and sub_complete
+        sub_available = available & ~mask
+        cached = rest_memo.get(sub_available & rest_rel)
+        if cached is None:
+            sub_opt, sub_sel, sub_complete = _bnb_solve(info, rest, sub_available, context)
+            complete = complete and sub_complete
+        else:
+            context.memo_hits += 1
+            sub_opt, sub_sel = cached
         tried.append(mask)
         value = length + sub_opt
         if context.collect_experience:
-            pending = list(info.worker_ids[i:]) + info.desc_worker_ids
-            remaining = sorted(
-                context.mask_task_ids(available) + list(context.extra_tids)
-            )
-            context.experience.append(
-                (
-                    _state_snapshot(pending, remaining),
-                    {
-                        "worker_id": worker_id,
-                        "task_ids": task_ids,
-                        "sequence_length": length,
-                    },
-                    float(value),
-                )
-            )
+            context.record(info, i, available, task_ids, value)
         if value > best_opt:
             best_opt = value
             best_selection = ((worker_id, task_ids),) + sub_sel
-        if context.exhausted():
+        if context.nodes_expanded >= context._next_stop_check and _stop_reached(context):
             complete = False
             break
     # Option 0 (assign nothing) — skipped when the rest-of-problem bound
     # proves it cannot beat the incumbent.
     if best_selection is None or (best_opt < upper and rest_upper > best_opt):
-        sub_opt, sub_sel, sub_complete = _bnb_solve(
-            info, i + 1, available, context, rest_upper
-        )
-        complete = complete and sub_complete
+        cached = rest_memo.get(available & rest_rel)
+        if cached is None:
+            sub_opt, sub_sel, sub_complete = _bnb_solve(
+                info, rest, available, context, rest_upper
+            )
+            complete = complete and sub_complete
+        else:
+            context.memo_hits += 1
+            sub_opt, sub_sel = cached
         if sub_opt > best_opt or best_selection is None:
             best_opt = sub_opt
             best_selection = ((worker_id, ()),) + sub_sel
-    result = (best_opt, best_selection)
     if complete:
-        context.memo[key] = result
+        memo[key] = (best_opt, best_selection)
     return best_opt, best_selection, complete
 
 
@@ -896,23 +908,22 @@ def dfsearch_bnb(
 
     # Universe: available tasks actually referenced by some sequence of a
     # tree worker, in sorted id order for a deterministic bit layout.
-    referenced: set = set()
+    referenced: Set[int] = set()
     for worker_id in node.all_workers():
         for sequence in sequences_by_worker.get(worker_id, []):
             ids = sequence.task_id_set
             if ids and ids <= available_ids:
                 referenced.update(ids)
-    bit_of = {tid: i for i, tid in enumerate(sorted(referenced))}
-    bit_mask = {tid: 1 << i for tid, i in bit_of.items()}
+    universe_tids = sorted(referenced)
+    bit_mask = {tid: 1 << i for i, tid in enumerate(universe_tids)}
 
-    counter = [0]
-    info = _BnBNode(node, bit_of, sequences_by_worker, counter, bound_mode)
+    info = _BnBNode(node, referenced, bit_mask, sequences_by_worker, bound_mode)
     context = _BnBContext(bit_mask, node_budget, deadline=deadline)
     if collect_experience:
         context.collect_experience = True
-        context.universe_tids = sorted(referenced)
+        context.universe_tids = universe_tids
         context.extra_tids = tuple(sorted(available_ids - referenced))
-    available = (1 << len(bit_of)) - 1
+    available = (1 << len(bit_mask)) - 1
     opt, selections, complete = _bnb_solve(info, 0, available, context)
     return DFSearchResult(
         opt=opt,
@@ -934,11 +945,11 @@ def dfsearch_one_worker(
 
     A lone worker's optimum is its longest fully-available candidate —
     the first in ``Q_w`` order when lengths tie — or ``()`` when none is
-    available.  The branch-and-bound engine reaches the same answer in one
-    expansion: its root bound is the longest live candidate's length, and
-    the first live candidate in its longest-first (stable) order meets
-    it.  So this reports ``nodes_expanded = 1`` as well, and its result
-    is interchangeable with the search's, cache entries included.
+    available.  The branch-and-bound engine answers a one-worker leaf tree
+    by the same rule in one expansion — the first live candidate in its
+    longest-first (stable) order — so this reports ``nodes_expanded = 1``
+    as well, and its result is interchangeable with the search's, cache
+    entries included.
     """
     best: Tuple[int, ...] = ()
     for sequence in sequences:
