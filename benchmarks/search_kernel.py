@@ -46,16 +46,6 @@ from repro.assignment.executor import ComponentJob  # noqa: E402
 KERNEL = os.path.join("src", "repro", "assignment", "dfsearch.py")
 
 
-class _Passthrough:
-    """The strategy as the platform sees it, unwrapped."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 def capture_jobs(name: str, seed: Optional[int] = None) -> List[ComponentJob]:
     """Every ``bnb`` job of one replay of each pooled instance, in order."""
     workload = workloads.WORKLOADS[name]
@@ -74,7 +64,7 @@ def capture_jobs(name: str, seed: Optional[int] = None) -> List[ComponentJob]:
             inputs = workload.build(instance_seed, 1.0)
             if inputs.demand is not None:
                 demandstage.run_demand_stage(inputs, instance_seed, deadline=0.0, at_least=1)
-            platform, _ = workloads.make_platform(workload, inputs, _Passthrough)
+            platform, _ = workloads.make_platform(workload, inputs, lambda inner: inner)
             try:
                 platform.run()
             finally:
