@@ -81,7 +81,8 @@ def _mcs_order(adjacency: Adjacency, nodes: Sequence[int]) -> List[int]:
     unvisited = set(nodes)
     node_set = unvisited.copy()
     while unvisited:
-        # repro: allow[ordered-iteration] -- key is injective (-node breaks all ties), so the winner is independent of set iteration order
+        # The key is injective (-node breaks all ties), so the winner does
+        # not depend on set iteration order.
         candidate = max(unvisited, key=lambda node: (weights[node], -node))
         order.append(candidate)
         unvisited.discard(candidate)

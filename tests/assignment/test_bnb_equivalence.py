@@ -759,24 +759,51 @@ class TestLPBound:
                 assert_feasible(bnb, sequences)
 
 
+def exclusive_head_problem(seed=1, own=6, pool=8, tail=6):
+    """Worker 0 holds ``own`` tasks no other worker reads, more than its
+    longest candidate (2), ahead of ``tail`` workers whose candidates share
+    a pool of ``pool`` tasks.  At the root the additive scan runs on to
+    ``cap - term`` and bounds the sub-problem at 8; cut at ``rest_cap`` it
+    would give 6.  No output tells the two apart: whenever the short bound
+    is the lower one, the suffix cut ``length + rest_upper <= best_opt``
+    fires at the same candidate and option 0 is skipped just the same."""
+    rng = random.Random(seed)
+    tasks = {tid: Task(tid, Point(0.0, 0.0), 0.0, 100.0) for tid in range(own + pool)}
+    workers = {wid: Worker(wid, Point(0.0, 0.0), 1.0, 0.0, 100.0) for wid in range(tail + 1)}
+    shared = range(own, own + pool)
+    candidates = {0: [tuple(rng.sample(range(own), 2)) for _ in range(3)] + [(0, own), (own - 1,)]}
+    for wid in range(1, tail + 1):
+        candidates[wid] = [tuple(rng.sample(shared, rng.choice((2, 3)))) for _ in range(6)]
+    sequences = {
+        wid: [TaskSequence(workers[wid], [tasks[t] for t in ids]) for ids in dict.fromkeys(cands)]
+        for wid, cands in candidates.items()
+    }
+    return [PartitionNode(workers=list(workers))], list(tasks.values()), sequences, workers
+
+
 #: Instances of the kernel golden: two dense components (flat trees), a
-#: three-level partition tree (exercises the children recursion) and the
-#: contested hub (where ``lp`` / ``adaptive`` prune what ``additive`` cannot).
+#: three-level partition tree (exercises the children recursion), the
+#: contested hub (where ``lp`` / ``adaptive`` prune what ``additive``
+#: cannot) and a worker with more exclusively held tasks than its longest
+#: candidate ahead of a shared-task tail.
 GOLDEN_INSTANCES = {
     "dense_6x15": lambda: dense_component_problem(6, 15, seed=2),
     "dense_7x16": lambda: dense_component_problem(7, 16, seed=3),
     "tree_17": lambda: random_problem(random.Random(17), max_workers=14, max_tasks=40),
     "hub": contested_hub_problem,
+    "exclusive_head": exclusive_head_problem,
 }
 
 #: A budget that cuts every golden instance under every bound kind.
 STARVED_BUDGET = 9
 
 #: About half of each instance's ample ``additive`` node count (2112, 247,
-#: 134 and 398): cuts every instance mid-search, where the incumbent,
+#: 134, 398 and 35): cuts every instance mid-search, where the incumbent,
 #: memo and suffix cuts are all in play.  ``hub`` under ``lp`` /
 #: ``adaptive`` finishes in 10 nodes, so there it pins a complete search.
-MID_BUDGET = {"dense_6x15": 1056, "dense_7x16": 123, "hub": 67, "tree_17": 199}
+MID_BUDGET = {
+    "dense_6x15": 1056, "dense_7x16": 123, "hub": 67, "tree_17": 199, "exclusive_head": 17,
+}
 
 #: Deadline polls before the cut: the first poll (expansion 0) and the
 #: third (past 128 expansions).
@@ -834,6 +861,19 @@ KERNEL_GOLDEN = {
     "tree_17/adaptive/ample/experience": "00eeb645f9a3ba1c",
     "tree_17/adaptive/starved/plain": "650590f5f17e1bc1",
     "tree_17/adaptive/starved/experience": "88ea47580c5460e5",
+    # ``exclusive_head`` was recorded on the expansion-only kernel.
+    "exclusive_head/additive/ample/plain": "acb4af481feeb95e",
+    "exclusive_head/additive/ample/experience": "874484b54cb372db",
+    "exclusive_head/additive/starved/plain": "505634a993370bd3",
+    "exclusive_head/additive/starved/experience": "d5027a378a468fc4",
+    "exclusive_head/lp/ample/plain": "acb4af481feeb95e",
+    "exclusive_head/lp/ample/experience": "874484b54cb372db",
+    "exclusive_head/lp/starved/plain": "505634a993370bd3",
+    "exclusive_head/lp/starved/experience": "d5027a378a468fc4",
+    "exclusive_head/adaptive/ample/plain": "acb4af481feeb95e",
+    "exclusive_head/adaptive/ample/experience": "874484b54cb372db",
+    "exclusive_head/adaptive/starved/plain": "505634a993370bd3",
+    "exclusive_head/adaptive/starved/experience": "d5027a378a468fc4",
 }
 
 #: Cut paths, recorded on the kernel before the caller-side memo probe,
@@ -864,6 +904,12 @@ CUT_GOLDEN = {
     "tree_17/lp/mid/experience": "06bac72cb96b23af",
     "tree_17/adaptive/mid/plain": "40caec7a1856a4f5",
     "tree_17/adaptive/mid/experience": "06bac72cb96b23af",
+    "exclusive_head/additive/mid/plain": "5a145448c7303e07",
+    "exclusive_head/additive/mid/experience": "c63000f7856508d1",
+    "exclusive_head/lp/mid/plain": "5a145448c7303e07",
+    "exclusive_head/lp/mid/experience": "c63000f7856508d1",
+    "exclusive_head/adaptive/mid/plain": "5a145448c7303e07",
+    "exclusive_head/adaptive/mid/experience": "c63000f7856508d1",
     "dense_6x15/additive/deadline1/plain": "c6f5acc6457a0ffa",
     "dense_6x15/additive/deadline1/experience": "c6f5acc6457a0ffa",
     "dense_6x15/additive/deadline3/plain": "3687b9174947c37c",
@@ -912,6 +958,18 @@ CUT_GOLDEN = {
     "tree_17/adaptive/deadline1/experience": "9f0b9f82afb2960f",
     "tree_17/adaptive/deadline3/plain": "9f9a824efc38fdc3",
     "tree_17/adaptive/deadline3/experience": "17f58472d151932e",
+    "exclusive_head/additive/deadline1/plain": "be7197bbc9ecdfd4",
+    "exclusive_head/additive/deadline1/experience": "be7197bbc9ecdfd4",
+    "exclusive_head/additive/deadline3/plain": "5cfb60de8207f3dd",
+    "exclusive_head/additive/deadline3/experience": "707e63a57a483144",
+    "exclusive_head/lp/deadline1/plain": "be7197bbc9ecdfd4",
+    "exclusive_head/lp/deadline1/experience": "be7197bbc9ecdfd4",
+    "exclusive_head/lp/deadline3/plain": "5cfb60de8207f3dd",
+    "exclusive_head/lp/deadline3/experience": "707e63a57a483144",
+    "exclusive_head/adaptive/deadline1/plain": "be7197bbc9ecdfd4",
+    "exclusive_head/adaptive/deadline1/experience": "be7197bbc9ecdfd4",
+    "exclusive_head/adaptive/deadline3/plain": "5cfb60de8207f3dd",
+    "exclusive_head/adaptive/deadline3/experience": "707e63a57a483144",
 }
 
 

@@ -281,15 +281,6 @@ class TestEngineBehaviour:
             (wp.worker.worker_id, wp.sequence.task_ids) for wp in outcome.assignment
         ] == [(wp.worker.worker_id, wp.sequence.task_ids) for wp in reference.assignment]
 
-    def test_node_budget_change_invalidates_caches(self):
-        workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
-        planner.plan(workers, tasks, 0.0)
-        assert planner.plan(workers, tasks, 0.1).recomputed_workers == 0
-        planner.config.node_budget += 1
-        outcome = planner.plan(workers, tasks, 0.2)
-        assert outcome.recomputed_workers == len(workers)
-
     def test_single_task_arrival_dirties_only_nearby_workers(self):
         # Workers far from the new task keep their cached state.
         workers = [

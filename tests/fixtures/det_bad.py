@@ -1,12 +1,13 @@
-"""Determinism-rule fixture: every function below is a violation.
+"""Determinism fixture: every function below is a violation.
 
-Parsed, never imported — the analyzer works on the AST alone.
+Parsed, never imported — ``tests/test_determinism.py`` reads the AST alone.
 """
 
 import datetime
 import os
 import random
 import time
+import uuid
 
 import numpy as np
 from time import perf_counter as pc
@@ -22,6 +23,10 @@ def now_stamp():
 
 def aliased_clock():
     return pc()
+
+
+def entropy_id():
+    return uuid.uuid4()
 
 
 def global_draw():

@@ -1,4 +1,4 @@
-"""Determinism-rule fixture: only blessed patterns — zero findings."""
+"""Determinism fixture: only blessed patterns — zero findings."""
 
 import random
 
