@@ -18,12 +18,6 @@ runner:
 
 * incremental-replan speedup: single-event stream (per scale) and
   streaming-platform mean replan latency (per scale),
-* branch-and-bound search: nodes-expanded ratio and latency speedup vs
-  the plain exact search, on one-shot dense components and on the dirty
-  dense-component replan stream,
-* LP-relaxation bound: the latency speedup of the adaptive
-  (matching-bound) search over the additive bound on contested
-  components (the nodes ratio itself gates at an absolute floor, below),
 * road-network planning: the Euclidean/roadnet same-snapshot efficiency
   ratio and the roadnet incremental-replan speedup (the Dijkstra row
   cache is gated in-test on exact row counts, not here),
@@ -42,22 +36,15 @@ runner:
   (machine-invariant), so the ceiling is exact; the same-run wall-clock
   ``overhead_ratio`` is printed as info only (every cheaper replan
   raises it, and it spread across 1.05 run to run on identical code),
-* search node counts: ``bnb_search.*.bnb_nodes`` / ``.bnb_mean_nodes``
-  and ``lp_bound.*.lp_nodes``, gated as a **ceiling** too.  They are
-  integer search statistics over identical inputs, reproduced exactly on
-  every host, so a kernel change that expands more nodes fails here even
-  when the wall-clock ``speedup`` ratios beside them are too noisy to
-  tell.
+* search node counts: ``bnb_search.*.bnb_nodes`` / ``.bnb_mean_nodes``,
+  gated as a **ceiling** too.  They are integer search statistics over
+  identical inputs, reproduced exactly on every host, so a kernel change
+  that expands more nodes fails here; the latencies beside them are too
+  noisy to tell.
 
 Some families are gated at an absolute **floor** instead (``FLOORS``
 maps metric-name prefixes to their thresholds):
 
-* ``lp_bound.*.nodes_ratio`` — node expansions of the additive-bound
-  exact search over the LP-relaxation bound's on contested components.
-  Node counts are integer search statistics over identical float inputs
-  (deterministic, machine-invariant), so the ``>= 2x fewer nodes``
-  acceptance bar gates as an absolute ``LP_NODES_RATIO_FLOOR`` on every
-  host, no ``gate`` flag needed.
 * ``per_leg_pricing.boundary_stream.*.served_ratio`` — tasks served with
   per-leg departure pricing over tasks served with frozen-at-departure
   pricing on the boundary-crossing platform stream.  Integer simulation
@@ -91,11 +78,6 @@ from pathlib import Path
 #: cost at most 5% of the bare-metal wall-clock on a healthy stream.
 OVERHEAD_LIMIT = 1.05
 
-#: Absolute floor for the LP-relaxation bound: the additive-bound search
-#: must expand at least 2x the nodes on contested components (the PR 10
-#: acceptance bar; deterministic integer counts).
-LP_NODES_RATIO_FLOOR = 2.0
-
 #: Absolute floor for per-leg pricing: never serve fewer tasks than the
 #: frozen-at-departure approximation on the boundary stream.
 PER_LEG_SERVED_FLOOR = 1.0
@@ -107,7 +89,6 @@ ALLOC_REDUCTION_FLOOR = 2.0
 #: 'floor'-kind metrics gate at the threshold mapped from their metric
 #: name's leading section.
 FLOORS = {
-    "lp_bound.": LP_NODES_RATIO_FLOOR,
     "per_leg_pricing.": PER_LEG_SERVED_FLOOR,
     "replan_alloc.": ALLOC_REDUCTION_FLOOR,
 }
@@ -159,8 +140,6 @@ def _iter_metrics(data):
     bnb = data.get("bnb_search", {})
     for family in ("component_search", "dirty_component_stream"):
         for scale, entry in bnb.get(family, {}).items():
-            yield f"bnb_search.{family}.{scale}.nodes_ratio", entry["nodes_ratio"], "ratio"
-            yield f"bnb_search.{family}.{scale}.speedup", entry["speedup"], "ratio"
             for count in ("bnb_nodes", "bnb_mean_nodes"):
                 if count in entry:
                     yield f"bnb_search.{family}.{scale}.{count}", entry[count], "ceiling"
@@ -186,12 +165,6 @@ def _iter_metrics(data):
                 entry["incremental_mean_ms"],
                 "info",
             )
-    for scale, entry in data.get("lp_bound", {}).get("component_search", {}).items():
-        # Node counts are deterministic: the floor holds on every host and
-        # the ratio-gate catches any drift from the committed baseline.
-        yield f"lp_bound.component_search.{scale}.nodes_ratio", entry["nodes_ratio"], "floor"
-        yield f"lp_bound.component_search.{scale}.lp_nodes", entry["lp_nodes"], "ceiling"
-        yield f"lp_bound.component_search.{scale}.speedup", entry["speedup"], "ratio"
     per_leg = data.get("per_leg_pricing", {})
     for scale, entry in per_leg.get("boundary_stream", {}).items():
         yield (

@@ -1,37 +1,44 @@
 """Branch-and-bound search microbenchmarks: dense dirty components.
 
-PR 2's incremental engine made replanning cheap everywhere *except* inside
-a dirty dense component, where the plain exact DFSearch saturates its node
-budget.  This module measures the branch-and-bound engine against the
-plain search on exactly that hot path and writes a ``bnb_search`` section
-into ``BENCH_planning.json`` (merged, so the sections owned by the other
-perf modules survive):
+The incremental engine makes replanning cheap everywhere *except* inside a
+dirty dense component, where every epoch pays one in-component search.
+This module measures the branch-and-bound engine on exactly that hot path
+and writes a ``bnb_search`` section into ``BENCH_planning.json`` (merged,
+so the sections owned by the other perf modules survive):
 
 * **component search** — one-shot full-pipeline plans over
   density-controlled snapshots whose workers collapse into a few dense
-  dependency components.  The plain search burns its full budget and
-  degrades; branch-and-bound proves optimality after a fraction of the
-  expansions.  Recorded per scale: nodes expanded, latency, planned
-  tasks, and the nodes/latency ratios.
-* **dirty component stream** — the PR 2 workload shape: an incremental
-  planner replaying single events that keep dirtying a dense component,
-  so every epoch pays one in-component search.  Same stream, same
-  events, ``search_mode="exact"`` vs ``"bnb"``.
+  dependency components.  Recorded per scale: nodes expanded, latency and
+  planned tasks, beside the tasks the plain DFSearch oracle
+  (``tests/assignment/reference_search.py``) plans under the same
+  per-component budget.  The oracle burns its budget and degrades there;
+  branch-and-bound proves optimality, so it must never plan fewer tasks.
+* **dirty component stream** — an incremental planner replaying single
+  events that keep dirtying a dense component.  Recorded: mean nodes,
+  mean replan latency and planned tasks.
 
-The same-run ratios (nodes and latency) are machine-invariant and
-regression-gated by ``benchmarks/perf/check_regression.py``.
+The node counts are integer search statistics over identical inputs,
+reproduced exactly on every host; ``benchmarks/perf/check_regression.py``
+gates them as ceilings.  Latencies are reported, never gated.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import print_figure
+
+# The plain DFSearch oracle lives with the other oracles under tests/.
+_ORACLES = str(Path(__file__).resolve().parents[2] / "tests" / "assignment")
+if _ORACLES not in sys.path:
+    sys.path.insert(0, _ORACLES)
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
@@ -75,6 +82,43 @@ def make_dense_snapshot(num_workers, num_tasks, density, seed=7, reach=1.0):
     return workers, tasks, area, rng
 
 
+def oracle_planned(workers, tasks, config, travel):
+    """Tasks the plain DFSearch oracle plans on a ``now = 0`` snapshot:
+    the planner's stages up to the partition tree, then the oracle on
+    every tree under the planner's per-component budget."""
+    from reference_search import dfsearch
+
+    from repro.assignment.dfsearch import adaptive_node_budget
+    from repro.assignment.fast_partition import build_adjacency, build_partition_tree_fast
+    from repro.assignment.reachability import reachable_tasks
+    from repro.assignment.sequences import maximal_valid_sequences
+
+    reachable = {
+        w.worker_id: reachable_tasks(w, tasks, 0.0, travel, max_tasks=config.max_reachable)
+        for w in workers
+    }
+    sequences = {
+        w.worker_id: maximal_valid_sequences(
+            w,
+            reachable[w.worker_id],
+            0.0,
+            travel,
+            max_length=config.max_sequence_length,
+            max_sequences=config.max_sequences,
+        )
+        for w in workers
+    }
+    workers_by_id = {w.worker_id: w for w in workers}
+    planned = 0
+    for root in build_partition_tree_fast(build_adjacency(reachable)).roots:
+        ids = root.all_workers()
+        budget = adaptive_node_budget(
+            config.node_budget, len(ids), sum(len(sequences[wid]) for wid in ids)
+        )
+        planned += dfsearch(root, tasks, sequences, workers_by_id, node_budget=budget).opt
+    return planned
+
+
 def _latency_stats(samples):
     values = np.asarray(samples, dtype=np.float64) * 1000.0
     return float(values.mean()), float(np.percentile(values, 95))
@@ -82,7 +126,7 @@ def _latency_stats(samples):
 
 class TestComponentSearch:
     def test_dense_component_search(self, bench_scale, perf_results):
-        """One-shot plans on dense snapshots: plain exact vs branch-and-bound."""
+        """One-shot plans on dense snapshots, held to the plain oracle."""
         from repro.assignment.planner import PlannerConfig, TaskPlanner
         from repro.spatial.travel import EuclideanTravelModel
 
@@ -91,59 +135,42 @@ class TestComponentSearch:
         rows = []
         for name, num_workers, num_tasks, density in DENSE_SCALES:
             workers, tasks, _, _ = make_dense_snapshot(num_workers, num_tasks, density)
-            stats = {}
-            for mode in ("exact", "bnb"):
-                samples = []
-                outcome = None
-                for _ in range(repeats):
-                    planner = TaskPlanner(
-                        PlannerConfig(search_mode=mode, incremental_replan=False),
-                        travel=EuclideanTravelModel(1.0),
-                    )
-                    start = time.perf_counter()
-                    outcome = planner.plan(workers, tasks, 0.0)
-                    samples.append(time.perf_counter() - start)
-                mean_ms, _ = _latency_stats(samples)
-                stats[mode] = (outcome, mean_ms)
-            exact_outcome, exact_ms = stats["exact"]
-            bnb_outcome, bnb_ms = stats["bnb"]
-            nodes_ratio = exact_outcome.nodes_expanded / max(bnb_outcome.nodes_expanded, 1)
-            speedup = exact_ms / max(bnb_ms, 1e-9)
+            config = PlannerConfig(incremental_replan=False)
+            samples = []
+            outcome = None
+            for _ in range(repeats):
+                planner = TaskPlanner(config, travel=EuclideanTravelModel(1.0))
+                start = time.perf_counter()
+                outcome = planner.plan(workers, tasks, 0.0)
+                samples.append(time.perf_counter() - start)
+            mean_ms, _ = _latency_stats(samples)
+            oracle = oracle_planned(workers, tasks, config, EuclideanTravelModel(1.0))
             section[name] = {
                 "workers": num_workers,
                 "tasks": num_tasks,
                 "density": density,
-                "exact_nodes": exact_outcome.nodes_expanded,
-                "bnb_nodes": bnb_outcome.nodes_expanded,
-                "exact_planned": exact_outcome.planned_tasks,
-                "bnb_planned": bnb_outcome.planned_tasks,
-                "exact_mean_ms": round(exact_ms, 3),
-                "bnb_mean_ms": round(bnb_ms, 3),
-                "nodes_ratio": round(nodes_ratio, 2),
-                "speedup": round(speedup, 2),
+                "bnb_nodes": outcome.nodes_expanded,
+                "bnb_planned": outcome.planned_tasks,
+                "oracle_planned": oracle,
+                "bnb_mean_ms": round(mean_ms, 3),
             }
             rows.append(
                 {
                     "scale": f"{name} ({num_workers}w/{num_tasks}t)",
-                    "exact_nodes": exact_outcome.nodes_expanded,
-                    "bnb_nodes": bnb_outcome.nodes_expanded,
-                    "exact_ms": f"{exact_ms:.1f}",
-                    "bnb_ms": f"{bnb_ms:.1f}",
-                    "nodes_ratio": f"{nodes_ratio:.1f}x",
-                    "speedup": f"{speedup:.2f}x",
+                    "bnb_nodes": outcome.nodes_expanded,
+                    "bnb_planned": outcome.planned_tasks,
+                    "oracle_planned": oracle,
+                    "bnb_ms": f"{mean_ms:.1f}",
                 }
             )
-            # The acceptance bar: >=2x fewer expansions on dense components
-            # (the committed numbers are far above it), and an answer at
-            # least as good — the plain search truncates here, B&B proves
-            # optimality, so it must never plan fewer tasks.
-            assert nodes_ratio >= 2.0
-            assert bnb_outcome.planned_tasks >= exact_outcome.planned_tasks
+            # The plain search truncates here and B&B proves optimality,
+            # so B&B must never plan fewer tasks.
+            assert outcome.planned_tasks >= oracle
         perf_results.setdefault("bnb_search", {})["component_search"] = section
         print_figure(
-            "Dense-component exact search — plain DFSearch vs branch-and-bound",
+            "Dense-component exact search — branch-and-bound vs the plain DFSearch oracle",
             rows,
-            ["scale", "exact_nodes", "bnb_nodes", "exact_ms", "bnb_ms", "nodes_ratio", "speedup"],
+            ["scale", "bnb_nodes", "bnb_planned", "oracle_planned", "bnb_ms"],
         )
 
 
@@ -157,87 +184,61 @@ class TestDirtyComponentStream:
 
         num_events = 6 if bench_scale.name == "quick" else 12
         name, num_workers, num_tasks, density = DENSE_SCALES[0]
-        section = {}
-        rows = []
-        stats = {}
-        for mode in ("exact", "bnb"):
-            workers, tasks, area, rng = make_dense_snapshot(
-                num_workers, num_tasks, density
-            )
-            planner = TaskPlanner(
-                PlannerConfig(search_mode=mode, incremental_replan=True),
-                travel=EuclideanTravelModel(1.0),
-            )
-            planner.plan(workers, tasks, 0.0)  # warm caches
-            now = 0.0
-            next_id = 50_000
-            samples = []
-            nodes = []
-            planned = 0
-            for event in range(num_events):
-                now += 0.2
-                if event % 3 == 2 and tasks:
-                    # Dispatch inside the dense cluster: the component is
-                    # dirtied and re-searched.
-                    task = tasks.pop(rng.randrange(len(tasks)))
-                    widx = rng.randrange(len(workers))
-                    workers[widx] = workers[widx].moved_to(task.location)
-                else:
-                    tasks.append(
-                        Task(
-                            next_id,
-                            Point(rng.uniform(0, area), rng.uniform(0, area)),
-                            now,
-                            now + rng.uniform(20.0, 80.0),
-                        )
+        workers, tasks, area, rng = make_dense_snapshot(num_workers, num_tasks, density)
+        planner = TaskPlanner(
+            PlannerConfig(incremental_replan=True), travel=EuclideanTravelModel(1.0)
+        )
+        planner.plan(workers, tasks, 0.0)  # warm caches
+        now = 0.0
+        next_id = 50_000
+        samples = []
+        nodes = []
+        planned = 0
+        for event in range(num_events):
+            now += 0.2
+            if event % 3 == 2 and tasks:
+                # Dispatch inside the dense cluster: the component is
+                # dirtied and re-searched.
+                task = tasks.pop(rng.randrange(len(tasks)))
+                widx = rng.randrange(len(workers))
+                workers[widx] = workers[widx].moved_to(task.location)
+            else:
+                tasks.append(
+                    Task(
+                        next_id,
+                        Point(rng.uniform(0, area), rng.uniform(0, area)),
+                        now,
+                        now + rng.uniform(20.0, 80.0),
                     )
-                    next_id += 1
-                start = time.perf_counter()
-                outcome = planner.plan(workers, tasks, now)
-                samples.append(time.perf_counter() - start)
-                nodes.append(outcome.nodes_expanded)
-                planned += outcome.planned_tasks
-            mean_ms, p95_ms = _latency_stats(samples)
-            stats[mode] = {
-                "mean_ms": mean_ms,
-                "p95_ms": p95_ms,
-                "mean_nodes": sum(nodes) / len(nodes),
-                "planned": planned,
+                )
+                next_id += 1
+            start = time.perf_counter()
+            outcome = planner.plan(workers, tasks, now)
+            samples.append(time.perf_counter() - start)
+            nodes.append(outcome.nodes_expanded)
+            planned += outcome.planned_tasks
+        mean_ms, _ = _latency_stats(samples)
+        mean_nodes = sum(nodes) / len(nodes)
+        perf_results.setdefault("bnb_search", {})["dirty_component_stream"] = {
+            name: {
+                "workers": num_workers,
+                "tasks": num_tasks,
+                "events": num_events,
+                "bnb_mean_replan_ms": round(mean_ms, 3),
+                "bnb_mean_nodes": round(mean_nodes, 1),
+                "bnb_planned": planned,
             }
-        nodes_ratio = stats["exact"]["mean_nodes"] / max(stats["bnb"]["mean_nodes"], 1)
-        speedup = stats["exact"]["mean_ms"] / max(stats["bnb"]["mean_ms"], 1e-9)
-        section[name] = {
-            "workers": num_workers,
-            "tasks": num_tasks,
-            "events": num_events,
-            "exact_mean_replan_ms": round(stats["exact"]["mean_ms"], 3),
-            "bnb_mean_replan_ms": round(stats["bnb"]["mean_ms"], 3),
-            "exact_mean_nodes": round(stats["exact"]["mean_nodes"], 1),
-            "bnb_mean_nodes": round(stats["bnb"]["mean_nodes"], 1),
-            "exact_planned": stats["exact"]["planned"],
-            "bnb_planned": stats["bnb"]["planned"],
-            "nodes_ratio": round(nodes_ratio, 2),
-            "speedup": round(speedup, 2),
         }
-        rows.append(
-            {
-                "scale": f"{name} ({num_workers}w/{num_tasks}t)",
-                "exact_ms": f"{stats['exact']['mean_ms']:.1f}",
-                "bnb_ms": f"{stats['bnb']['mean_ms']:.1f}",
-                "exact_nodes": f"{stats['exact']['mean_nodes']:.0f}",
-                "bnb_nodes": f"{stats['bnb']['mean_nodes']:.0f}",
-                "nodes_ratio": f"{nodes_ratio:.1f}x",
-                "speedup": f"{speedup:.2f}x",
-            }
-        )
-        perf_results.setdefault("bnb_search", {})["dirty_component_stream"] = section
         print_figure(
-            "Dirty dense-component replan stream — exact vs branch-and-bound",
-            rows,
-            ["scale", "exact_ms", "bnb_ms", "exact_nodes", "bnb_nodes", "nodes_ratio", "speedup"],
+            "Dirty dense-component replan stream — branch-and-bound",
+            [
+                {
+                    "scale": f"{name} ({num_workers}w/{num_tasks}t)",
+                    "bnb_ms": f"{mean_ms:.1f}",
+                    "bnb_nodes": f"{mean_nodes:.0f}",
+                    "bnb_planned": planned,
+                }
+            ],
+            ["scale", "bnb_ms", "bnb_nodes", "bnb_planned"],
         )
-        # Sanity floors well under the committed ratios (absorbing machine
-        # noise); check_regression.py gates the committed numbers.
-        assert nodes_ratio >= 2.0
-        assert speedup >= 1.2
-        assert stats["bnb"]["planned"] >= stats["exact"]["planned"]
+        assert planned > 0

@@ -98,7 +98,6 @@ def runner(module) -> Callable[[ComponentJob], tuple]:
             node_budget=job.node_budget,
             collect_experience=job.collect_experience,
             available_ids=job.task_ids,
-            bound_mode=job.bound_mode,
         )
         return (
             result.opt,

@@ -2,9 +2,12 @@
 
 ``plan_signatures.json`` holds the three digests of every ``benchmarks/e2e``
 workload at a quarter of its size, on its default and held-out seeds (see
-``plan_signatures.py``).  The sweep runs in two subprocesses, under
-``PYTHONHASHSEED`` 1 and 2, so an output that follows set or dict-of-set
-iteration order moves a digest under one of them.  A failure names the
+``plan_signatures.py``).  Task and worker ids are ints, whose set order no
+hash seed changes, so an output that follows set iteration order over ids
+is caught by the committed digests (taken with the ordered code), not by
+two runs disagreeing.  The sweep runs in two subprocesses, under
+``PYTHONHASHSEED`` 1 and 2; that guards only str- or identity-hashed
+containers, whose order does move with the seed.  A failure names the
 hash seed, workload, seed and digest that moved; a change meant to move
 plans regenerates the file with ``python benchmarks/plan_signatures.py
 --regenerate`` and says why each digest moved.

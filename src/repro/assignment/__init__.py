@@ -1,5 +1,6 @@
-"""Task assignment (Section IV): worker dependency separation, DFSearch,
-the Task Value Function and the evaluated assignment strategies.
+"""Task assignment (Section IV): worker dependency separation, the exact
+component search, the Task Value Function and the evaluated assignment
+strategies.
 
 Module map
 ----------
@@ -12,8 +13,8 @@ Module map
 :mod:`fast_partition`        worker dependency graph, MCS clique partition
                              and RTC (IV-A.2 – IV-A.4) on plain adjacency
 :mod:`tree`                  the partition tree's node types
-:mod:`dfsearch`              exact DFSearch, Alg. 1 (also collects RL data)
-                             and the anytime branch-and-bound engine
+:mod:`dfsearch`              the optimum of Alg. 1 by anytime branch-and-bound
+                             (also collects RL data)
 :mod:`tvf`                   Task Value Function, Eq. 11–12
 :mod:`dfsearch_tvf`          TVF-guided search, Alg. 2
 :mod:`executor`              one component search as a value (job + runner)
@@ -28,7 +29,8 @@ Module map
 The adaptive streaming loop (Alg. 3) is
 :class:`repro.simulation.platform.SCPlatform`, which drives a strategy.
 Reference/oracle variants of these stages (scalar pipeline, graph-library
-partitioner, scalar TVF featuriser) live in ``tests/assignment/``.
+partitioner, plain DFSearch, scalar TVF featuriser) live in
+``tests/assignment/``.
 """
 
 from repro.assignment.reachability import (
@@ -43,7 +45,7 @@ from repro.assignment.fast_partition import (
     connected_components,
 )
 from repro.assignment.tree import PartitionTree, PartitionNode
-from repro.assignment.dfsearch import DFSearchResult, dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import DFSearchResult, dfsearch_bnb
 from repro.assignment.tvf import (
     TaskValueFunction,
     Experience,
@@ -79,7 +81,6 @@ __all__ = [
     "PartitionTree",
     "PartitionNode",
     "DFSearchResult",
-    "dfsearch",
     "dfsearch_bnb",
     "TaskValueFunction",
     "Experience",

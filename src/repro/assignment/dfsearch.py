@@ -1,42 +1,38 @@
-"""Exact search over the partition tree: DFSearch (Algorithm 1) and an
-anytime branch-and-bound engine built on the same sub-problem structure.
+"""Exact search over the partition tree: the branch-and-bound engine.
 
-``dfsearch`` computes, for a partition-tree node, the maximum number of
-tasks assignable to the workers of that node and its descendants, trying
-every (worker, maximal-valid-sequence) combination and recursing on the
-remaining workers and tasks.  Besides the optimum it returns the realising
-assignment and, optionally, the ``(state, action, opt)`` experience tuples
-used to train the Task Value Function.
+``dfsearch_bnb`` computes, for a partition-tree node, the maximum number
+of tasks assignable to the workers of that node and its descendants — the
+optimum Algorithm 1 (DFSearch) defines by trying every (worker,
+maximal-valid-sequence) combination — together with the realising
+assignment and, optionally, ``(state, action, opt)`` experience tuples
+used to train the Task Value Function.  It prunes that enumeration:
+every sub-problem carries an admissible upper bound (a per-worker capped
+relaxation over the candidate sequences, evaluated as bitmask
+intersections), branches are ordered so the incumbent tightens early,
+sequences whose task sets are subsets of an already-explored sibling —
+with the sibling's extra tasks invisible to the remaining workers — are
+skipped (dominance), and memoisation keys are restricted to the tasks the
+remaining workers can actually reference.  The plain enumeration is the
+oracle the engine is held to; it lives in the tests
+(``tests/assignment/reference_search.py``), with brute-force optima that
+share nothing with either.
 
-``dfsearch_bnb`` solves the identical problem with branch-and-bound
-pruning: every sub-problem carries an admissible upper bound (a per-worker
-capped relaxation over the candidate sequences, evaluated as bitmask
-intersections), branches are ordered so the incumbent tightens
-early, sequences whose task sets are subsets of an already-explored
-sibling — with the sibling's extra tasks invisible to the remaining
-workers — are skipped (dominance), and memoisation keys are restricted
-to the tasks the remaining workers can actually reference.  On any instance
-the plain search solves within budget the two engines return the same
-``opt``; under budget exhaustion both degrade to a feasible best-effort
-answer, but the branch-and-bound engine reaches the optimum after far
-fewer expansions on dense components.
+``dfsearch_one_worker`` is the engine's answer on a one-worker leaf tree
+in closed form — the worker's longest fully-available candidate — for the
+incremental engine's one-worker components; the engine solves the last
+worker of every childless node by the same rule.
 
-``dfsearch_one_worker`` is the branch-and-bound engine's answer on a
-one-worker leaf tree in closed form — the worker's longest
-fully-available candidate — for the incremental engine's one-worker
-components; the engine solves the last worker of every childless node by
-the same rule, so their oracle is a brute force in the tests.
-
-The worst case is exponential; a node budget bounds the explored search
-tree and memoisation collapses repeated (workers, tasks) sub-problems, so
-both engines degrade gracefully to a best-effort answer on huge clusters.
+The worst case is exponential; a node budget (and an optional wall-clock
+deadline) bounds the explored search tree and memoisation collapses
+repeated (workers, tasks) sub-problems, so the engine degrades gracefully
+to a feasible best-effort answer on huge clusters.
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.assignment.tree import PartitionNode
 from repro.core.sequence import TaskSequence
@@ -45,9 +41,9 @@ from repro.core.worker import Worker
 
 #: Adaptive-budget scaling: expansions granted per component worker and per
 #: candidate sequence.  Dense components solve to proven optimality well
-#: under these floors with the branch-and-bound engine (typically a few
-#: thousand expansions), while huge flat components get room to finish
-#: instead of degrading at a fixed cap sized for yesterday's cost profile.
+#: under these floors (typically a few thousand expansions), while huge
+#: flat components get room to finish instead of degrading at a fixed cap
+#: sized for yesterday's cost profile.
 _BUDGET_PER_WORKER = 2000
 _BUDGET_PER_SEQUENCE = 250
 
@@ -56,100 +52,6 @@ _BUDGET_PER_SEQUENCE = 250
 #: every 64 nodes keeps the overshoot past a deadline in the tens of
 #: microseconds while adding well under a percent of search cost.
 _DEADLINE_CHECK_INTERVAL = 64
-
-#: Admissible bound kinds for :func:`dfsearch_bnb`.  ``additive`` is the
-#: per-worker capped sum; ``lp`` refines it with an exact fractional-
-#: matching (bipartite b-matching max-flow) relaxation; ``adaptive``
-#: enables the refinement only on *contested* nodes — ones holding a
-#: capacity-surplus worker cluster, where the additive bound provably
-#: double-counts shared tasks.  Every kind is admissible, so the engine
-#: stays exact under all of them.
-BOUND_MODES = ("additive", "lp", "adaptive")
-
-#: The shipped bound kind: the one default of ``PlannerConfig``,
-#: ``ComponentJob`` and :func:`dfsearch_bnb` (why: ``PlannerConfig``).
-DEFAULT_BOUND_MODE = "additive"
-
-#: Work cap of one max-flow bound evaluation, counted in augmenting-path
-#: steps.  The flow search is *anytime*: on hitting the cap it abandons the
-#: refinement and the caller falls back to the additive bound (a partial
-#: flow is a lower bound on the relaxation and would not be admissible).
-_FLOW_STEP_LIMIT = 4096
-
-#: Adaptive trigger — see :meth:`_BnBNode.__init__`.  The matching bound
-#: can only improve on the additive bound when some worker *cluster* has
-#: capacity surplus: a subset whose summed capacities exceed the distinct
-#: tasks it references (a Hall-deficiency witness — some capacity provably
-#: goes unused, which is exactly what the additive sum double-counts).
-#: Dense isotropic components never have one (every worker's pool dwarfs
-#: its capacity), and there the flow search is pure per-node overhead, so
-#: arming on a mere refs-per-task ratio triples ``bound()`` cost for zero
-#: pruning.  The trigger scans workers in ascending pool-size order and
-#: arms on the first prefix whose capacity sum exceeds its joint pool.
-
-
-def _matching_bound(units: List[Tuple[int, int]], limit: int) -> Optional[int]:
-    """Exact b-matching max-flow over ``(task mask, capacity)`` units.
-
-    Models the LP relaxation of the component's worker×task structure:
-    worker ``w`` may serve at most ``capacity`` tasks, each drawn from its
-    ``mask``, and every task serves at most one worker.  The integral
-    max-flow equals the LP optimum here (the constraint matrix is totally
-    unimodular), upper-bounds any feasible joint selection — a selection
-    induces a flow — and never exceeds the additive bound ``limit``.
-
-    Returns ``None`` when the augmenting-path step cap is hit: the partial
-    flow is *not* an admissible upper bound, so the caller must fall back
-    to the additive value.
-    """
-    owner: Dict[int, int] = {}  # task bit -> unit index currently serving it
-    matched = 0  # mask of matched tasks
-    steps = 0
-    flow = 0
-    for w, (mask, capacity) in enumerate(units):
-        for _ in range(capacity):
-            # One Kuhn augmentation from ``w``, as an explicit-stack DFS
-            # over current task holders; frames are [holder, bits left to
-            # scan, entry bit].
-            visited = {w}
-            stack = [[w, mask, 0]]
-            augmented = False
-            while stack:
-                frame = stack[-1]
-                free = units[frame[0]][0] & ~matched
-                if free:
-                    bit = free & -free
-                    matched |= bit
-                    owner[bit] = frame[0]
-                    # Shift every stolen task one frame up the path.
-                    for k in range(len(stack) - 1, 0, -1):
-                        owner[stack[k][2]] = stack[k - 1][0]
-                    augmented = True
-                    break
-                bits = frame[1]
-                descended = False
-                while bits:
-                    bit = bits & -bits
-                    bits ^= bit
-                    frame[1] = bits
-                    holder = owner[bit]
-                    if holder in visited:
-                        continue
-                    visited.add(holder)
-                    steps += 1
-                    if steps > _FLOW_STEP_LIMIT:
-                        return None
-                    stack.append([holder, units[holder][0], bit])
-                    descended = True
-                    break
-                if not descended:
-                    stack.pop()
-            if not augmented:
-                break  # matched tasks only grow: later tries fail too
-            flow += 1
-            if flow >= limit:
-                return limit
-    return flow
 
 
 def adaptive_node_budget(base: int, num_workers: int, num_sequences: int) -> int:
@@ -168,85 +70,8 @@ def adaptive_node_budget(base: int, num_workers: int, num_sequences: int) -> int
 
 
 @dataclass
-class SearchContext:
-    """Shared state of one DFSearch invocation.
-
-    Attributes
-    ----------
-    sequences_by_worker:
-        ``Q_w`` for every worker id (maximal valid task sequences).
-    workers_by_id:
-        Worker lookup.
-    node_budget:
-        Maximum number of *true* expansions before falling back to the
-        best-found-so-far answer.  Memo hits are free: they replay an
-        already-computed sub-problem without exploring anything new, so
-        they are tallied in ``memo_hits`` and never charged against the
-        budget.
-    deadline:
-        Absolute ``time.perf_counter()`` instant after which the search
-        stops expanding and returns the best anytime answer, checked
-        cooperatively every ``_DEADLINE_CHECK_INTERVAL`` expansions (the
-        wall-clock twin of ``node_budget``).  ``None`` disables the check
-        entirely — the no-deadline path pays nothing.
-    collect_experience:
-        Whether to record ``(state, action, opt)`` tuples for TVF training.
-    """
-
-    sequences_by_worker: Dict[int, List[TaskSequence]]
-    workers_by_id: Dict[int, Worker]
-    node_budget: int = 20000
-    deadline: Optional[float] = None
-    collect_experience: bool = False
-    nodes_expanded: int = 0
-    memo_hits: int = 0
-    deadline_hit: bool = False
-    # Single fused threshold for the per-expansion stop test: the fast path
-    # is one integer compare whether or not a deadline is armed (0 forces
-    # the first call through the slow path, so an already-expired deadline
-    # is noticed at expansion 0).
-    _next_stop_check: int = 0
-    experience: List[Tuple[dict, dict, float]] = field(default_factory=list)
-    # Memo key: (node identity, pending workers, available tasks).  The
-    # node identity is load-bearing: with it omitted, the empty-pending
-    # state of *different* tree nodes collides whenever their remaining
-    # task sets coincide, replaying one node's children for another's and
-    # silently losing assignments (a worker's sequence set is unique to a
-    # node, so non-empty pending sets cannot collide — only the empty one
-    # could).
-    _memo: Dict[
-        Tuple[int, FrozenSet[int], FrozenSet[int]],
-        Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]],
-    ] = field(default_factory=dict)
-
-    def out_of_budget(self) -> bool:
-        return self.nodes_expanded >= self._next_stop_check and _stop_reached(self)
-
-
-def _stop_reached(context: Union[SearchContext, "_BnBContext"]) -> bool:
-    """Budget or wall-clock cutoff reached — the stop test of both engines,
-    behind its fast half ``nodes_expanded >= _next_stop_check``, which
-    callers test inline.  The deadline is polled every
-    ``_DEADLINE_CHECK_INTERVAL`` expansions (never past the budget), so
-    the fast half is one integer compare whether or not one is armed."""
-    if context.nodes_expanded >= context.node_budget or context.deadline_hit:
-        return True
-    if context.deadline is not None:
-        if _time.perf_counter() >= context.deadline:
-            context.deadline_hit = True
-            context._next_stop_check = 0  # stay on the slow (True) path
-            return True
-        context._next_stop_check = min(
-            context.node_budget, context.nodes_expanded + _DEADLINE_CHECK_INTERVAL
-        )
-    else:
-        context._next_stop_check = context.node_budget
-    return False
-
-
-@dataclass
 class DFSearchResult:
-    """Outcome of a DFSearch / branch-and-bound run."""
+    """Outcome of a component search."""
 
     opt: int
     selections: List[Tuple[int, Tuple[int, ...]]]
@@ -287,139 +112,6 @@ def _action_snapshot(worker: Worker, sequence: TaskSequence) -> dict:
     }
 
 
-def _search(
-    node: PartitionNode,
-    task_ids: FrozenSet[int],
-    pending_workers: Tuple[int, ...],
-    context: SearchContext,
-) -> Tuple[int, Tuple[Tuple[int, Tuple[int, ...]], ...]]:
-    """Recursive core of Algorithm 1.
-
-    ``pending_workers`` are the workers of ``node`` not yet decided; when it
-    is empty the search recurses into the children, whose sub-problems are
-    independent of each other by construction of the partition tree.
-    """
-    memo_key = (id(node), frozenset(pending_workers), task_ids)
-    cached = context._memo.get(memo_key) if not context.collect_experience else None
-    if cached is not None:
-        context.memo_hits += 1
-        return cached
-    context.nodes_expanded += 1
-
-    if not pending_workers:
-        total = 0
-        selections: List[Tuple[int, Tuple[int, ...]]] = []
-        remaining = task_ids
-        for child in node.children:
-            child_opt, child_sel = _search(child, remaining, tuple(child.workers), context)
-            total += child_opt
-            selections.extend(child_sel)
-            used = {tid for _, tids in child_sel for tid in tids}
-            remaining = remaining - frozenset(used)
-        result = (total, tuple(selections))
-        if not context.collect_experience:
-            context._memo[memo_key] = result
-        return result
-
-    worker_id, *rest = pending_workers
-    rest_tuple = tuple(rest)
-    worker = context.workers_by_id[worker_id]
-    candidate_sequences = context.sequences_by_worker.get(worker_id, [])
-
-    # Option 0: assign this worker nothing.
-    best_opt, best_selection = _search(node, task_ids, rest_tuple, context)
-    best_selection = ((worker_id, ()),) + best_selection
-
-    if not context.out_of_budget():
-        for sequence in candidate_sequences:
-            sequence_ids = sequence.task_id_set
-            if not sequence_ids or not sequence_ids <= task_ids:
-                continue
-            sub_opt, sub_selection = _search(node, task_ids - sequence_ids, rest_tuple, context)
-            value = sub_opt + len(sequence_ids)
-            if context.collect_experience:
-                descendant = node.descendant_workers()
-                state = _state_snapshot(list(pending_workers) + descendant, task_ids)
-                action = _action_snapshot(worker, sequence)
-                context.experience.append((state, action, float(value)))
-            if value > best_opt:
-                best_opt = value
-                best_selection = ((worker_id, sequence.task_ids),) + sub_selection
-            if context.out_of_budget():
-                break
-
-    result = (best_opt, best_selection)
-    if not context.collect_experience:
-        context._memo[memo_key] = result
-    return result
-
-
-def dfsearch(
-    node: PartitionNode,
-    tasks: Optional[Sequence[Task]],
-    sequences_by_worker: Dict[int, List[TaskSequence]],
-    workers_by_id: Dict[int, Worker],
-    node_budget: int = 20000,
-    collect_experience: bool = False,
-    deadline: Optional[float] = None,
-    available_ids: Optional[FrozenSet[int]] = None,
-) -> DFSearchResult:
-    """Run Algorithm 1 on a partition-tree node.
-
-    Parameters
-    ----------
-    node:
-        Root of the (sub)tree to search.
-    tasks:
-        Currently unassigned tasks available to this sub-problem.  The
-        search only ever reads their ids; pass ``available_ids`` instead
-        (with ``tasks=None``) to make the call a pure function of plain
-        data — the form :func:`repro.assignment.executor.run_component_job`
-        calls it in.
-    sequences_by_worker:
-        Pre-computed ``Q_w`` for every worker appearing in the tree.
-    workers_by_id:
-        Worker lookup table.
-    node_budget:
-        Limit on recursive expansions (graceful degradation on huge nodes).
-    collect_experience:
-        Record ``(state, action, opt)`` tuples for TVF training; disables
-        memoisation so every visited state is recorded with its true value.
-    deadline:
-        Absolute ``time.perf_counter()`` cutoff; on expiry the best
-        anytime answer found so far is returned with ``deadline_hit`` set.
-    available_ids:
-        Task ids available to this sub-problem; overrides ``tasks``.
-    """
-    context = SearchContext(
-        sequences_by_worker=sequences_by_worker,
-        workers_by_id=workers_by_id,
-        node_budget=node_budget,
-        deadline=deadline,
-        collect_experience=collect_experience,
-    )
-    task_ids = (
-        frozenset(available_ids)
-        if available_ids is not None
-        else frozenset(task.task_id for task in tasks)
-    )
-    opt, selections = _search(node, task_ids, tuple(node.workers), context)
-    return DFSearchResult(
-        opt=opt,
-        selections=[sel for sel in selections],
-        nodes_expanded=context.nodes_expanded,
-        experience=context.experience,
-        memo_hits=context.memo_hits,
-        complete=not context.out_of_budget(),
-        deadline_hit=context.deadline_hit,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Branch-and-bound engine
-# --------------------------------------------------------------------- #
-
-
 #: A completed sub-problem's selection: ``(worker id, task ids)`` pairs.
 _Selection = Tuple[Tuple[int, Tuple[int, ...]], ...]
 
@@ -446,13 +138,11 @@ class _BnBNode:
         "worker_ids",
         "desc_worker_ids",
         "candidates",
-        "own_bounds",
         "all_bounds",
-        "suffix_bounds",
+        "rest_bounds",
         "rel_from",
         "empty_tail",
         "last",
-        "lp_active",
         "memo",
     )
 
@@ -462,10 +152,9 @@ class _BnBNode:
         universe: Set[int],
         bit_mask: Dict[int, int],
         sequences_by_worker: Dict[int, List[TaskSequence]],
-        bound_mode: str,
     ) -> None:
         self.children = [
-            _BnBNode(child, universe, bit_mask, sequences_by_worker, bound_mode)
+            _BnBNode(child, universe, bit_mask, sequences_by_worker)
             for child in node.children
         ]
         self.worker_ids = list(node.workers)
@@ -474,9 +163,10 @@ class _BnBNode:
         #: (mask, length, task_id_tuple), longest first so the incumbent
         #: tightens early and the suffix-bound cut can break the loop.
         self.candidates = []
-        #: own_bounds[i] — (union mask, longest length) per worker: the
-        #: per-worker term of the relaxation bound.
-        self.own_bounds = []
+        #: all_bounds — (union mask, longest length), the per-worker term
+        #: of the relaxation bound, of this node's workers then of every
+        #: descendant in preorder.
+        self.all_bounds = []
         for worker_id in self.worker_ids:
             cands = []
             union = 0
@@ -492,21 +182,18 @@ class _BnBNode:
                 cands.append((mask, len(ids), ids))
                 union |= mask
             self.candidates.append(cands)
-            self.own_bounds.append((union, cands[0][1] if cands else 0))
+            self.all_bounds.append((union, cands[0][1] if cands else 0))
 
-        #: Concatenated (union, longest) of this node's workers then every
-        #: descendant in preorder, and the flattened descendant worker ids
-        #: (experience states).
-        self.all_bounds = list(self.own_bounds)
+        #: The flattened descendant worker ids (experience states).
         self.desc_worker_ids = []
         for child in self.children:
             self.all_bounds.extend(child.all_bounds)
             self.desc_worker_ids.extend(child.worker_ids)
             self.desc_worker_ids.extend(child.desc_worker_ids)
-        #: suffix_bounds[i] — all_bounds[i:]: the terms the bound of
-        #: workers i.. scans.
-        self.suffix_bounds = [
-            tuple(self.all_bounds[i:]) for i in range(len(self.worker_ids) + 1)
+        #: rest_bounds[i] — all_bounds[i + 1:]: the terms the bound of the
+        #: rest of the problem after worker i scans.
+        self.rest_bounds = [
+            tuple(self.all_bounds[i + 1:]) for i in range(len(self.worker_ids))
         ]
 
         #: rel_from[i] — union mask of every task referenced by workers
@@ -517,36 +204,6 @@ class _BnBNode:
             rel.append(rel[-1] | union)
         rel.reverse()
         self.rel_from = rel[: len(self.worker_ids) + 1]
-
-        #: Whether :meth:`bound` refines the additive value with the exact
-        #: fractional-matching max-flow.  Decided per tree node: ``lp``
-        #: forces it, ``adaptive`` enables it only when the group holds a
-        #: capacity-surplus cluster — some workers-in-ascending-pool-order
-        #: prefix whose capacities sum past its joint task pool — the
-        #: Hall-deficiency structure where the additive bound provably
-        #: double-counts.  Without one (dense isotropic components) the
-        #: flow equals the additive value and would be pure overhead.
-        if bound_mode == "lp":
-            self.lp_active = sum(1 for union, _ in self.all_bounds if union) >= 2
-        elif bound_mode == "adaptive":
-            pools = sorted(
-                (union.bit_count(), union, longest)
-                for union, longest in self.all_bounds
-                if union
-            )
-            cap_sum = 0
-            joint = 0
-            self.lp_active = False
-            for pool_size, union, longest in pools:
-                cap_sum += longest if longest < pool_size else pool_size
-                joint |= union
-                # A one-worker prefix can never trigger: its capacity is
-                # clamped to its own pool size.
-                if cap_sum > joint.bit_count():
-                    self.lp_active = True
-                    break
-        else:
-            self.lp_active = False
 
         #: empty_tail[i:] — the all-unassigned selection tuple for workers
         #: i.. plus every descendant in preorder (the legacy layout).
@@ -563,44 +220,6 @@ class _BnBNode:
         self.memo: List[Dict[int, Tuple[int, _Selection]]] = [
             {} for _ in range(len(self.worker_ids) + 1)
         ]
-
-    def bound(self, i: int, available: int) -> int:
-        """Matching-refined upper bound on tasks assignable by workers
-        ``i..`` of this node plus all descendants, given the ``available``
-        mask — the bound of nodes with :attr:`lp_active` set.
-
-        The additive relaxation caps every undecided worker at ``min(longest
-        candidate, |union ∩ available|)`` (each cap is individually
-        admissible) and the total at the number of distinct available tasks
-        the group references; :func:`_bnb_solve` computes it inline, for
-        ``i`` and ``i + 1`` in one scan.  Here it is refined by the exact
-        fractional-matching max-flow over the same ``(union ∩ available,
-        capacity)`` structure, which never double-counts a shared task.
-        A value is only ever reused for the identical ``(i, available)``
-        under the node's active kind (the option-0 child inherits its
-        parent's rest bound); both kinds are monotone in ``available``,
-        which is what makes the suffix cuts sound.  On a step-cap abort the
-        flow search discards its partial flow (a lower bound of the
-        relaxation, inadmissible) and the additive value stands.
-        """
-        cap = (available & self.rel_from[i]).bit_count()
-        if cap == 0:
-            return 0
-        total = 0
-        units: List[Tuple[int, int]] = []
-        for union, longest in self.suffix_bounds[i]:
-            overlap_mask = union & available
-            if overlap_mask:
-                overlap = overlap_mask.bit_count()
-                capacity = overlap if overlap < longest else longest
-                total += capacity
-                units.append((overlap_mask, capacity))
-        if total >= cap:
-            total = cap
-        if len(units) < 2:
-            return total  # a single worker's capped term is already exact
-        flow = _matching_bound(units, total)
-        return total if flow is None else flow
 
 
 class _BnBContext:
@@ -630,21 +249,22 @@ class _BnBContext:
         self.node_budget = node_budget
         self.deadline = deadline
         self.deadline_hit = False
-        #: The stop test's fast half, as for :class:`SearchContext`.
+        #: The stop test's fast half: :func:`_stop_reached` runs only once
+        #: ``nodes_expanded`` reaches it (0 sends the first test through,
+        #: so an already-expired deadline is noticed at expansion 0).
         self._next_stop_check = 0
         self.nodes_expanded = 0
         self.memo_hits = 0
         #: TVF experience collection from the *explored* sub-problems.
-        #: Unlike the plain search (which disables memoisation to record
-        #: every visited state), the branch-and-bound engine keeps its
-        #: pruning on — the recorded tuples are exactly the branches it had
+        #: Unlike the plain enumeration (which disables memoisation to
+        #: record every visited state), the engine keeps its pruning on — the recorded tuples are exactly the branches it had
         #: to evaluate, which makes experience collection dramatically
         #: cheaper on dense components at the cost of a sparser sample.
         self.collect_experience = False
         self.experience: List[Tuple[dict, dict, float]] = []
         #: Bit position -> task id (ascending, so mask iteration yields
-        #: sorted ids) and the available-but-unreferenced task ids that the
-        #: plain search would carry in every state snapshot.
+        #: sorted ids) and the available-but-unreferenced task ids that
+        #: every state snapshot carries.
         self.universe_tids: List[int] = []
         self.extra_tids: Tuple[int, ...] = ()
 
@@ -671,6 +291,27 @@ class _BnBContext:
                 float(value),
             )
         )
+
+
+def _stop_reached(context: _BnBContext) -> bool:
+    """Budget or wall-clock cutoff reached — the stop test behind its fast
+    half ``nodes_expanded >= _next_stop_check``, which callers test
+    inline.  The deadline is polled every ``_DEADLINE_CHECK_INTERVAL``
+    expansions (never past the budget), so the fast half is one integer
+    compare whether or not one is armed."""
+    if context.nodes_expanded >= context.node_budget or context.deadline_hit:
+        return True
+    if context.deadline is not None:
+        if _time.perf_counter() >= context.deadline:
+            context.deadline_hit = True
+            context._next_stop_check = 0  # stay on the slow (True) path
+            return True
+        context._next_stop_check = min(
+            context.node_budget, context.nodes_expanded + _DEADLINE_CHECK_INTERVAL
+        )
+    else:
+        context._next_stop_check = context.node_budget
+    return False
 
 
 def _bnb_children(
@@ -710,19 +351,11 @@ def _bnb_children(
 
 
 def _bnb_solve(
-    info: _BnBNode,
-    i: int,
-    available: int,
-    context: _BnBContext,
-    upper: Optional[int] = None,
+    info: _BnBNode, i: int, available: int, context: _BnBContext
 ) -> Tuple[int, _Selection, bool]:
     """Branch-and-bound over worker ``i`` of ``info`` (then ``i+1``…).
 
-    The caller has probed ``info.memo[i]`` and missed.  ``upper`` is
-    ``info.bound(i, available)`` when the caller already holds it (the
-    option-0 child of worker ``i - 1``); only :attr:`_BnBNode.lp_active`
-    nodes read it — elsewhere one additive scan yields both this
-    sub-problem's bound and the rest-of-problem bound.  The last worker of
+    The caller has probed ``info.memo[i]`` and missed.  The last worker of
     a childless node is solved in closed form.  Returns ``(opt, selections,
     complete)`` where ``complete`` is False iff the budget cut exploration
     somewhere below (in which case ``opt`` is still a feasible lower bound
@@ -753,40 +386,34 @@ def _bnb_solve(
         memo[key] = (0, info.empty_tail[i:])
         return 0, info.empty_tail[i:], True
 
+    # ``cap``, the distinct available tasks workers i.. reference, bounds
+    # this sub-problem.  The additive relaxation bounds the rest: every
+    # worker i + 1.. capped at min(longest candidate, |union ∩ available|)
+    # (each cap is admissible on its own), the sum capped at ``rest_cap``;
+    # the scan stops once it reaches ``rest_cap``.  The relaxation is
+    # monotone in ``available``, which is what makes the suffix cut sound.
+    # Worker i's own term would tighten ``cap`` to the additive bound of
+    # the sub-problem, but never stops the search earlier: a live
+    # candidate's length is at most that term, so the suffix cut fires at
+    # the same candidate.
+    cap = key.bit_count()
+    if cap == 0:
+        memo[key] = (0, info.empty_tail[i:])
+        return 0, info.empty_tail[i:], True
     rest = i + 1
-    if info.lp_active:
-        if upper is None:
-            upper = info.bound(i, available)
-        if upper == 0:
-            memo[key] = (0, info.empty_tail[i:])
-            return 0, info.empty_tail[i:], True
-        rest_upper = info.bound(rest, available)
-    else:
-        # bound(i) = min(cap, term_i + S) and bound(i + 1) = min(rest_cap,
-        # S), S the capped terms of workers i + 1..: one scan of S, cut
-        # short once it settles both minima.
-        cap = key.bit_count()
-        if cap == 0:
-            memo[key] = (0, info.empty_tail[i:])
-            return 0, info.empty_tail[i:], True
-        union, longest = info.own_bounds[i]
-        overlap = (union & available).bit_count()
-        term = overlap if overlap < longest else longest
-        rest_cap = (available & info.rel_from[rest]).bit_count()
-        total = 0
-        if rest_cap:
-            limit = cap - term if cap - term > rest_cap else rest_cap
-            for union, longest in info.suffix_bounds[rest]:
-                overlap = (union & available).bit_count()
-                total += overlap if overlap < longest else longest
-                if total >= limit:
-                    break
-        rest_upper = total if total < rest_cap else rest_cap
-        upper = total + term if total + term < cap else cap
+    rest_rel = info.rel_from[rest]
+    rest_cap = (available & rest_rel).bit_count()
+    total = 0
+    if rest_cap:
+        for union, longest in info.rest_bounds[i]:
+            overlap = (union & available).bit_count()
+            total += overlap if overlap < longest else longest
+            if total >= rest_cap:
+                break
+    rest_upper = total if total < rest_cap else rest_cap
 
     worker_id = info.worker_ids[i]
     rest_memo = info.memo[rest]
-    rest_rel = info.rel_from[rest]
     best_opt = -1
     best_selection: Optional[_Selection] = None
     complete = True
@@ -798,7 +425,7 @@ def _bnb_solve(
     for mask, length, task_ids in info.candidates[i]:
         if mask & available != mask:
             continue
-        if best_opt >= upper:
+        if best_opt >= cap:
             break  # incumbent met the sub-problem bound: proven optimal
         if length + rest_upper <= best_opt:
             break  # longest-first order: every later candidate bounds lower
@@ -836,12 +463,10 @@ def _bnb_solve(
             break
     # Option 0 (assign nothing) — skipped when the rest-of-problem bound
     # proves it cannot beat the incumbent.
-    if best_selection is None or (best_opt < upper and rest_upper > best_opt):
+    if best_selection is None or rest_upper > best_opt:
         cached = rest_memo.get(available & rest_rel)
         if cached is None:
-            sub_opt, sub_sel, sub_complete = _bnb_solve(
-                info, rest, available, context, rest_upper
-            )
+            sub_opt, sub_sel, sub_complete = _bnb_solve(info, rest, available, context)
             complete = complete and sub_complete
         else:
             context.memo_hits += 1
@@ -863,46 +488,50 @@ def dfsearch_bnb(
     collect_experience: bool = False,
     deadline: Optional[float] = None,
     available_ids: Optional[FrozenSet[int]] = None,
-    bound_mode: str = DEFAULT_BOUND_MODE,
 ) -> DFSearchResult:
-    """Anytime branch-and-bound equivalent of :func:`dfsearch`.
+    """Anytime branch-and-bound search of a partition-tree node.
 
-    ``bound_mode`` selects the admissible bound (see :data:`BOUND_MODES`):
-    the per-worker ``additive`` relaxation (the default), the
-    fractional-matching ``lp`` refinement, or ``adaptive``, which pays for
-    the flow search only on contested nodes.  The mode changes how much
-    is pruned — ``nodes_expanded`` and the tie-broken selections may
-    differ — but never the optimality guarantees below, which hold for
-    every kind.
+    Parameters
+    ----------
+    node:
+        Root of the (sub)tree to search.
+    tasks:
+        Currently unassigned tasks available to this sub-problem.  The
+        search only ever reads their ids; pass ``available_ids`` instead
+        (with ``tasks=None``) to make the call a pure function of plain
+        data — the form :func:`repro.assignment.executor.run_component_job`
+        calls it in.
+    sequences_by_worker:
+        Pre-computed ``Q_w`` for every worker appearing in the tree.
+    workers_by_id:
+        Worker lookup table.
+    node_budget:
+        Limit on expansions (graceful degradation on huge nodes).  Memo
+        hits replay a completed sub-problem and are not charged.
+    collect_experience:
+        Record a ``(state, action, value)`` tuple for every branch the
+        search actually evaluates — the explored sub-problems.  Pruning and
+        memoisation stay on, so the sample is sparser than the plain
+        enumeration's exhaustive trace but costs orders of magnitude fewer
+        expansions on dense components.
+    deadline:
+        Absolute ``time.perf_counter()`` cutoff; on expiry the best
+        anytime answer found so far is returned with ``deadline_hit`` set.
+    available_ids:
+        Task ids available to this sub-problem; overrides ``tasks``.
 
     Guarantees, for the same inputs:
 
-    * **identical ``opt``** whenever the plain search completes within its
-      budget (the bound is admissible and the dominance rule only skips
-      sequences provably no better than an explored sibling);
+    * **the optimum ``opt``** of Algorithm 1 whenever the search completes
+      within its budget (the bound is admissible and the dominance rule
+      only skips sequences provably no better than an explored sibling);
     * a **feasible** answer always — selections are drawn from ``Q_w``
       and no task is assigned twice, even under budget exhaustion;
-    * like the plain search, the result depends only on the tree shape,
-      the workers' sequence id-sets and the availability of the
-      referenced task ids — never on ``now`` — so component results stay
-      replayable by the incremental engine.
-
-    With ``collect_experience`` the engine records a ``(state, action,
-    value)`` tuple for every branch it actually evaluates — the explored
-    sub-problems.  Pruning and memoisation stay on, so the sample is
-    sparser than the plain search's exhaustive trace but costs orders of
-    magnitude fewer expansions on dense components; recorded values are
-    the achieved values of the explored branches, identical in meaning to
-    the plain search's tuples.
-
-    Like :func:`dfsearch`, the engine only reads task *ids*: passing
-    ``available_ids`` (with ``tasks=None``) yields the same result from
-    plain data.
+    * the result depends only on the tree shape, the workers' sequence
+      id-sets and the availability of the referenced task ids — never on
+      ``now`` — so component results stay replayable by the incremental
+      engine.
     """
-    if bound_mode not in BOUND_MODES:
-        raise ValueError(
-            f"bound_mode must be one of {BOUND_MODES}, got {bound_mode!r}"
-        )
     if available_ids is None:
         available_ids = {task.task_id for task in tasks}
 
@@ -917,7 +546,7 @@ def dfsearch_bnb(
     universe_tids = sorted(referenced)
     bit_mask = {tid: 1 << i for i, tid in enumerate(universe_tids)}
 
-    info = _BnBNode(node, referenced, bit_mask, sequences_by_worker, bound_mode)
+    info = _BnBNode(node, referenced, bit_mask, sequences_by_worker)
     context = _BnBContext(bit_mask, node_budget, deadline=deadline)
     if collect_experience:
         context.collect_experience = True

@@ -13,7 +13,8 @@ writes) in component order.
 The module itself stays because ``benchmarks/e2e/traced.py`` looks both
 names up here by path to replay the search stage.  They move into
 :mod:`repro.assignment.incremental` in the next benchmark-change PR
-(ROADMAP item 4), alongside ``PlannerConfig.bound_mode``.
+(ROADMAP item 4), when ``ComponentJob.bound_mode`` and the
+``PlannerConfig`` fields ``search_mode`` and ``bound_mode`` go.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.assignment.dfsearch import DEFAULT_BOUND_MODE, adaptive_node_budget, dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import adaptive_node_budget, dfsearch_bnb
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
 from repro.assignment.tree import PartitionNode
 from repro.core.sequence import TaskSequence
@@ -34,11 +35,10 @@ from repro.core.worker import Worker
 class ComponentJob:
     """One component's search, fixed at decompose time.
 
-    ``mode`` selects the engine: ``"exact"`` (plain DFSearch), ``"bnb"``
-    (branch-and-bound) or ``"tvf"`` (guided search).  Exact/B&B jobs read
-    only task *ids* — the searches never read task attributes — while TVF
-    jobs carry the active task list, whose attributes feed the value
-    function's state features.
+    ``mode`` selects the engine: ``"bnb"`` (branch-and-bound) or
+    ``"tvf"`` (guided search).  B&B jobs read only task *ids* — the search
+    never reads task attributes — while TVF jobs carry the active task
+    list, whose attributes feed the value function's state features.
     """
 
     index: int
@@ -50,10 +50,9 @@ class ComponentJob:
     task_ids: FrozenSet[int]
     node_budget: int = 0
     collect_experience: bool = False
-    #: Admissible bound kind for B&B jobs (see
-    #: :data:`repro.assignment.dfsearch.BOUND_MODES`); exact/TVF jobs
-    #: ignore it.
-    bound_mode: str = DEFAULT_BOUND_MODE
+    #: Accepts only ``"additive"``, the one bound of the search; kept
+    #: because ``benchmarks/e2e/traced.py`` passes it (ROADMAP item 4).
+    bound_mode: str = "additive"
     #: Active tasks (TVF mode only: global snapshot statistics).
     tasks: Optional[Sequence[Task]] = None
     #: The trained value function (TVF mode only).
@@ -61,6 +60,14 @@ class ComponentJob:
     #: Total candidate sequences across the component's workers (a span
     #: argument when tracing is on).
     num_sequences: int = 0
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("bnb", "tvf"):
+            raise ValueError(f"unknown mode: {self.mode!r} (expected 'bnb' or 'tvf')")
+        if self.bound_mode != "additive":
+            raise ValueError(
+                f"unknown bound_mode: {self.bound_mode!r} (expected 'additive')"
+            )
 
 
 @dataclass
@@ -110,17 +117,6 @@ def run_component_job(
         result = dfsearch_tvf(
             job.root, job.tasks, job.sequences_by_worker, job.workers_by_id, job.tvf
         )
-    elif job.mode == "exact":
-        result = dfsearch(
-            job.root,
-            None,
-            job.sequences_by_worker,
-            job.workers_by_id,
-            node_budget=job.node_budget,
-            collect_experience=job.collect_experience,
-            deadline=deadline,
-            available_ids=job.task_ids,
-        )
     else:
         result = dfsearch_bnb(
             job.root,
@@ -131,7 +127,6 @@ def run_component_job(
             collect_experience=job.collect_experience,
             deadline=deadline,
             available_ids=job.task_ids,
-            bound_mode=job.bound_mode,
         )
     return ComponentResult(
         selections=tuple(result.selections),

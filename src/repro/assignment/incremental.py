@@ -37,7 +37,7 @@ afterwards.  Reuse rests on three structural facts:
   member, since members alone feed the capped set, ``uncapped_ids`` and
   the horizon.  A task removal dirties only the workers whose uncapped
   reachable set contained it.
-* **Time-free search.**  The exact DFSearch outcome of a partition
+* **Time-free search.**  The branch-and-bound outcome of a partition
   component depends only on the component's tree, its workers' sequence
   id-sets and the availability of the referenced task ids — never on
   ``now`` or on tasks outside those sequences — so an untouched component
@@ -347,12 +347,9 @@ class _ComponentEntry:
     versions: Dict[int, int]
     selections: Tuple[Tuple[int, Tuple[int, ...]], ...]
     nodes_expanded: int
-    #: Which engine produced the cached result — ``"tvf"``, ``"exact"`` or
-    #: ``"bnb"``.  The engines agree on ``opt`` within budget but not on
-    #: tie-breaks or node counts, so a cached selection is replayed only
-    #: for the engine that produced it (the context key also covers the
-    #: configured search mode; this field keeps each entry self-describing
-    #: and bit-for-bit replayable on its own).
+    #: Which engine produced the cached result — ``"tvf"`` or ``"bnb"``.
+    #: The engines differ in selections and node counts, so a cached
+    #: selection is replayed only for the engine that produced it.
     mode: str
     #: Guided (TVF) searches read global snapshot statistics, so their
     #: results are reusable only while the active task set is unchanged.
@@ -504,8 +501,6 @@ class IncrementalPlanEngine:
             config.max_sequence_length,
             config.max_sequences,
             config.node_budget,
-            config.search_mode,
-            config.bound_mode,
             config.per_leg_pricing,
             config.use_tvf,
             config.tvf_min_workers,
@@ -680,7 +675,6 @@ class IncrementalPlanEngine:
                 self._available_ids_epoch = self._task_epoch
             available_ids = self._available_ids
             task_epoch = self._task_epoch
-            search_mode = config.search_mode
             # Past the deadline every component takes the job path, whose
             # runner skips it into the greedy rung.
             expired = deadline_expired(deadline)
@@ -692,9 +686,9 @@ class IncrementalPlanEngine:
                 component = held.members
                 guided = use_guided and len(component) >= config.tvf_min_workers
                 cached = held.hit
-                if cached is not None and not guided and cached.mode == search_mode:
+                if cached is not None and not guided and cached.mode == "bnb":
                     continue  # a kept component with a still-valid hit
-                mode = "tvf" if guided else search_mode
+                mode = "tvf" if guided else "bnb"
                 if cached is None:
                     # Re-formed, or a member's version moved: fall back to
                     # the member-set cache, valid for unchanged versions.
@@ -748,7 +742,6 @@ class IncrementalPlanEngine:
                     task_ids=available_ids,
                     node_budget=budget,
                     collect_experience=collect_experience,
-                    bound_mode=config.bound_mode,
                     tasks=active if guided else None,
                     tvf=tvf if guided else None,
                     num_sequences=num_sequences,
@@ -861,7 +854,7 @@ class IncrementalPlanEngine:
                 for wid in due:
                     entries[wid].counted = (entries[wid].version, stamp)
             if empty and self._empty_nodes is None:
-                worker, mode = workers_by_id[next(iter(empty))], "tvf" if empty_guided else search_mode
+                worker, mode = workers_by_id[next(iter(empty))], "tvf" if empty_guided else "bnb"
                 self._empty_nodes = empty_worker_nodes(mode, worker, config.node_budget, tvf)
             solved = len(empty) - (len(due) if self._empty_recount else 0)
             nodes_expanded += solved * (self._empty_nodes or 0)

@@ -8,8 +8,8 @@ Given the current workers and (current + predicted) tasks, the planner
 3. partitions each connected component with MCS cliques and organises the
    clusters into a tree (RTC),
 4. searches each tree for the best combination of sequences — exactly
-   (DFSearch, Alg. 1) or guided by the Task Value Function
-   (DFSearch_TVF, Alg. 2).
+   (the optimum of DFSearch, Alg. 1, found by branch-and-bound) or
+   guided by the Task Value Function (DFSearch_TVF, Alg. 2).
 
 This module holds the configuration and the :class:`TaskPlanner` facade;
 the pipeline itself has one implementation,
@@ -22,7 +22,6 @@ import time as _time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.assignment.dfsearch import BOUND_MODES, DEFAULT_BOUND_MODE
 from repro.assignment.incremental import (  # noqa: F401 - re-exported API
     DEGRADATION_RUNGS,
     DirtySet,
@@ -50,7 +49,7 @@ class PlannerConfig:
     max_sequences:
         Cap on ``|Q_w|`` per worker.
     node_budget:
-        Base DFSearch expansion budget per partition-tree root.  Raised
+        Base search expansion budget per partition-tree root.  Raised
         from the original 20k now that the branch-and-bound engine proves
         optimality on dense components in a few thousand expansions — the
         budget only matters on pathological instances, where more room
@@ -67,24 +66,17 @@ class PlannerConfig:
         network.  An explicit ``travel=`` argument to :class:`TaskPlanner`
         or a strategy takes precedence.
     search_mode:
-        Exact-search engine for non-TVF components: ``"bnb"`` (default)
-        is the anytime branch-and-bound engine — admissible relaxation
-        bound, longest-first branch ordering, dominance pruning — which
-        returns the same ``opt`` as the plain search on every instance
-        the plain search solves within budget, after far fewer
-        expansions; ``"exact"`` is the plain Algorithm 1 enumeration.
+        Accepts only ``"bnb"``: non-TVF components are always searched by
+        the branch-and-bound engine
+        (:func:`repro.assignment.dfsearch.dfsearch_bnb`).  Kept because
+        ``benchmarks/e2e/traced.py`` reads it; it goes in the next
+        benchmark-change PR (ROADMAP item 4), alongside ``executor``.
     bound_mode:
-        Admissible bound kind of the branch-and-bound engine (see
-        :data:`repro.assignment.dfsearch.BOUND_MODES`): ``"additive"``
-        (default — per-worker capped sum), ``"lp"`` (fractional-matching
-        max-flow refinement), or ``"adaptive"`` (the refinement only on
-        contested components, where shared task pools make the additive
-        bound double-count).  Every kind keeps the engine exact; only
-        ``nodes_expanded`` and wall-clock change.  On the dense-batch
-        replay ``adaptive`` ran the flow search on 99 % of bound calls and
-        pruned 0.02 % of nodes, for identical selections.
+        Accepts only ``"additive"``, the one bound of the branch-and-bound
+        engine (per-worker capped sum).  Kept, and going, for the same
+        reason as ``search_mode``.
     use_tvf:
-        Use the TVF-guided search (Alg. 2) instead of exact DFSearch.
+        Use the TVF-guided search (Alg. 2) instead of the exact search.
     tvf_min_workers:
         With ``use_tvf``, components smaller than this are still solved
         exactly — the TVF exists to prune *large* search spaces, and the
@@ -126,7 +118,7 @@ class PlannerConfig:
         process, in submission order.  Kept because
         ``benchmarks/e2e/workloads.py`` and ``benchmarks/e2e/measure.py``
         pass it; it goes in the next benchmark-change PR (ROADMAP
-        item 4), alongside ``bound_mode``.
+        item 4), alongside ``search_mode`` and ``bound_mode``.
     self_check:
         Run the engine's post-replan invariant check (no double-booked
         task or worker, selections drawn from the cached ``Q_w``, horizons
@@ -141,7 +133,7 @@ class PlannerConfig:
     node_budget: int = 50000
     travel_model: Optional[TravelModel] = None
     search_mode: str = "bnb"
-    bound_mode: str = DEFAULT_BOUND_MODE
+    bound_mode: str = "additive"
     use_tvf: bool = False
     tvf_min_workers: int = 4
     use_partition: bool = True
@@ -156,6 +148,14 @@ class PlannerConfig:
             raise ValueError(
                 f"unknown executor: {self.executor!r} (expected 'serial')"
             )
+        if self.search_mode != "bnb":
+            raise ValueError(
+                f"unknown search_mode: {self.search_mode!r} (expected 'bnb')"
+            )
+        if self.bound_mode != "additive":
+            raise ValueError(
+                f"unknown bound_mode: {self.bound_mode!r} (expected 'additive')"
+            )
 
 
 class TaskPlanner:
@@ -168,16 +168,6 @@ class TaskPlanner:
         tvf: Optional[TaskValueFunction] = None,
     ) -> None:
         self.config = config or PlannerConfig()
-        if self.config.search_mode not in ("exact", "bnb"):
-            raise ValueError(
-                f"unknown search_mode: {self.config.search_mode!r} "
-                "(expected 'exact' or 'bnb')"
-            )
-        if self.config.bound_mode not in BOUND_MODES:
-            raise ValueError(
-                f"unknown bound_mode: {self.config.bound_mode!r} "
-                f"(expected one of {BOUND_MODES})"
-            )
         self.travel = travel or self.config.travel_model or EuclideanTravelModel(speed=1.0)
         self.tvf = tvf
         if self.config.use_tvf and self.tvf is None:
@@ -247,11 +237,9 @@ class TaskPlanner:
         now:
             Current platform time.
         collect_experience:
-            When True the configured exact engine records ``(state,
-            action, opt)`` tuples for TVF training — the plain search's
-            exhaustive trace under ``search_mode="exact"``, the explored
-            sub-problems under ``"bnb"`` (TVF-guided search is bypassed
-            either way).
+            When True the branch-and-bound engine records ``(state,
+            action, opt)`` tuples for TVF training — one per explored
+            sub-problem (TVF-guided search is bypassed).
         """
         config = self.config
         # The wall-clock budget of this decision point starts now and is
@@ -284,7 +272,7 @@ class TaskPlanner:
         now: float,
         epochs: int = 20,
     ) -> List[float]:
-        """Collect DFSearch experience on a snapshot and fit the TVF on it."""
+        """Collect search experience on a snapshot and fit the TVF on it."""
         outcome = self.plan(workers, tasks, now, collect_experience=True)
         if not outcome.experience:
             return []

@@ -43,8 +43,9 @@ class SimulationMetrics:
     degradation_rungs: Dict[str, int] = field(default_factory=dict)
     #: Always 0: component searches run in process.  Both fields stay
     #: because ``benchmarks/e2e/measure.py`` reads them; they go in the
-    #: next benchmark-change PR (ROADMAP item 4), alongside
-    #: ``PlannerConfig.bound_mode``.  Not part of :meth:`deterministic_state`.
+    #: next benchmark-change PR (ROADMAP item 4), alongside the
+    #: one-value ``PlannerConfig`` fields ``executor``, ``search_mode`` and
+    #: ``bound_mode``.  Not part of :meth:`deterministic_state`.
     parallel_components: int = 0
     executor_overhead_s: float = 0.0
     #: Replan-latency distribution per epoch class (see

@@ -412,7 +412,10 @@ class SCPlatform:
                     # torn away and recovery must redo the epoch live.
                     raise InjectedCrash(f"injected crash mid-epoch {seq}")
                 self._journal_epoch(record)
-                self._maybe_checkpoint(seq)
+                # Tested here: most epochs save no checkpoint.
+                interval = self.config.checkpoint_interval
+                if interval > 0 and (seq + 1) % interval == 0:
+                    self._maybe_checkpoint(seq)
                 if injector is not None and injector.should_crash(seq, mid=False):
                     raise InjectedCrash(f"injected crash after epoch {seq}")
         self._next_seq = seq + 1
@@ -781,9 +784,7 @@ class SCPlatform:
 
     def _maybe_checkpoint(self, seq: int) -> None:
         store = self.config.checkpoint_store
-        if store is None or self.config.checkpoint_interval <= 0:
-            return
-        if (seq + 1) % self.config.checkpoint_interval != 0:
+        if store is None:
             return
         with self.obs.span("checkpoint.save", seq=seq + 1) as ckpt_span:
             # Pickling at save time freezes the snapshot: later in-place

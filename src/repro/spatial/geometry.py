@@ -36,6 +36,12 @@ class Point:
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
 
+    def __reduce__(self):
+        # Every checkpoint pickles a point per worker, task and plan:
+        # constructor arguments pickle smaller and faster than the
+        # default field dict.
+        return (Point, (self.x, self.y))
+
 
 def euclidean_distance(a: Point, b: Point) -> float:
     """Straight-line distance between two planar points.

@@ -4,8 +4,8 @@ Every stage here is the slow, obviously-right variant, and none of it is
 shared with the product pipeline: the scalar ``reachable_tasks`` loop
 (no travel matrix), matrix-free
 ``maximal_valid_sequences``, the networkx dependency graph and RTC tree
-(``reference_partition.py``), and the plain Algorithm 1 ``dfsearch`` (no
-branch-and-bound, no TVF).
+(``reference_partition.py``), and the plain Algorithm 1 ``dfsearch`` of
+``reference_search.py`` (no branch-and-bound, no TVF).
 Nothing is imported from ``planner.py`` or ``incremental.py``.
 
 What it pins, per snapshot:
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from repro.assignment.dfsearch import dfsearch
 from repro.assignment.reachability import reachable_tasks
 from repro.assignment.sequences import maximal_valid_sequences
 from repro.core.task import Task
@@ -33,6 +32,7 @@ from repro.core.worker import Worker
 from repro.spatial.travel import TravelModel
 
 from reference_partition import build_partition_tree, build_worker_dependency_graph
+from reference_search import dfsearch
 
 
 @dataclass

@@ -29,8 +29,6 @@ PERTURBED = {
     "max_sequence_length": 2,
     "max_sequences": 31,
     "node_budget": 49_999,
-    "search_mode": "exact",
-    "bound_mode": "lp",
     "use_tvf": True,
     "tvf_min_workers": 5,
     "use_partition": False,
@@ -57,6 +55,8 @@ EXEMPT = {
         "planning output"
     ),
     "executor": "kept for the frozen e2e harness; always serial",
+    "search_mode": "one legal value; removed by ROADMAP item 4",
+    "bound_mode": "one legal value; removed by ROADMAP item 4",
 }
 
 

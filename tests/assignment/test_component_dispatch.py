@@ -27,7 +27,7 @@ import pytest
 
 import repro.assignment.executor as executor_mod
 import repro.assignment.incremental as incremental_mod
-from repro.assignment.dfsearch import BOUND_MODES, adaptive_node_budget, dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import adaptive_node_budget, dfsearch_bnb
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
 from repro.assignment.executor import ComponentJob, run_component_job
 from repro.assignment.planner import PlannerConfig, TaskPlanner
@@ -40,10 +40,9 @@ from repro.spatial.travel import EuclideanTravelModel
 
 TRAVEL = EuclideanTravelModel(speed=1.0)
 
-#: Planner options per search engine a job can run: plain DFSearch,
-#: branch-and-bound (the default) and the TVF-guided search.
+#: Planner options per search engine a job can run: branch-and-bound (the
+#: default) and the TVF-guided search.
 CONFIGS = {
-    "exact": {"search_mode": "exact"},
     "bnb": {},
     "guided": {"use_tvf": True, "tvf_min_workers": 2},
 }
@@ -152,12 +151,13 @@ def closed_forms(monkeypatch):
     return results
 
 
-def empty_job_nodes(mode):
-    """Nodes ``mode``'s engine expands on a one-worker job with no
-    candidate: what the engine counts for a worker with nothing in reach."""
+def empty_job_nodes():
+    """Nodes the B&B engine expands on a one-worker job with no candidate:
+    what the engine counts for a worker with nothing in reach (one-worker
+    components are never guided in :data:`CONFIGS`)."""
     job = ComponentJob(
         index=0,
-        mode=mode,
+        mode="bnb",
         root=PartitionNode(workers=[0]),
         worker_ids=(0,),
         sequences_by_worker={0: []},
@@ -170,7 +170,7 @@ def empty_job_nodes(mode):
 
 def jobs_of(mode, tvf, recorded, seed=11, **overrides):
     """Real jobs of one engine, as the engine's decompose stage builds them."""
-    config_name = {"tvf": "guided", "exact": "exact", "bnb": "bnb"}[mode]
+    config_name = {"tvf": "guided", "bnb": "bnb"}[mode]
     workers, tasks = random_snapshot(random.Random(seed))
     make_planner(config_name, tvf, **overrides).plan(workers, tasks, 0.0)
     jobs = [job for job, _ in recorded if job.mode == mode]
@@ -181,35 +181,9 @@ def jobs_of(mode, tvf, recorded, seed=11, **overrides):
 class TestRunComponentJob:
     """The job runner on its own: one engine call, chosen by ``mode``."""
 
-    @pytest.mark.parametrize("bound_mode", BOUND_MODES)
-    def test_bnb_job_matches_direct_search(self, bound_mode, tvf, recorded):
-        # Seed 3 is a snapshot on which the LP bounds prune more than the
-        # additive one, so a bound mode the runner dropped would show.
-        nodes = {mode: 0 for mode in BOUND_MODES}
-        for job in jobs_of("bnb", tvf, recorded, seed=3, bound_mode=bound_mode):
-            assert job.bound_mode == bound_mode
-            for mode in BOUND_MODES:
-                direct = dfsearch_bnb(
-                    job.root,
-                    None,
-                    job.sequences_by_worker,
-                    job.workers_by_id,
-                    node_budget=job.node_budget,
-                    available_ids=job.task_ids,
-                    bound_mode=mode,
-                )
-                nodes[mode] += direct.nodes_expanded
-                if mode == bound_mode:
-                    expected = direct
-            result = run_component_job(job)
-            assert result.selections == tuple(expected.selections)
-            assert result.nodes_expanded == expected.nodes_expanded
-            assert not result.skipped and not result.deadline_hit
-        assert nodes["lp"] < nodes["additive"]
-
-    def test_exact_job_matches_direct_search(self, tvf, recorded):
-        for job in jobs_of("exact", tvf, recorded):
-            direct = dfsearch(
+    def test_bnb_job_matches_direct_search(self, tvf, recorded):
+        for job in jobs_of("bnb", tvf, recorded, seed=3):
+            direct = dfsearch_bnb(
                 job.root,
                 None,
                 job.sequences_by_worker,
@@ -220,6 +194,7 @@ class TestRunComponentJob:
             result = run_component_job(job)
             assert result.selections == tuple(direct.selections)
             assert result.nodes_expanded == direct.nodes_expanded
+            assert not result.skipped and not result.deadline_hit
 
     def test_tvf_job_matches_guided_search(self, tvf, recorded):
         for job in jobs_of("tvf", tvf, recorded):
@@ -231,7 +206,7 @@ class TestRunComponentJob:
             assert result.selections == tuple(direct.selections)
             assert result.nodes_expanded == direct.nodes_expanded
 
-    @pytest.mark.parametrize("mode", ["exact", "bnb", "tvf"])
+    @pytest.mark.parametrize("mode", ["bnb", "tvf"])
     def test_far_deadline_equals_no_deadline(self, mode, tvf, recorded):
         far = time.perf_counter() + 3600.0
         for job in jobs_of(mode, tvf, recorded):
@@ -239,14 +214,14 @@ class TestRunComponentJob:
                 run_component_job(job)
             )
 
-    @pytest.mark.parametrize("mode", ["exact", "bnb", "tvf"])
+    @pytest.mark.parametrize("mode", ["bnb", "tvf"])
     def test_expired_deadline_reaches_no_engine(self, mode, tvf, recorded, monkeypatch):
         jobs = jobs_of(mode, tvf, recorded)
 
         def no_search(*args, **kwargs):
             raise AssertionError("a search engine ran past an expired deadline")
 
-        for name in ("dfsearch", "dfsearch_bnb", "dfsearch_tvf"):
+        for name in ("dfsearch_bnb", "dfsearch_tvf"):
             monkeypatch.setattr(executor_mod, name, no_search)
         past = time.perf_counter() - 1.0
         for job in jobs:
@@ -266,7 +241,6 @@ class TestRunComponentJob:
                 job.workers_by_id,
                 node_budget=1,
                 available_ids=job.task_ids,
-                bound_mode=job.bound_mode,
             )
             result = run_component_job(starved)
             assert result.selections == tuple(direct.selections)
@@ -288,7 +262,6 @@ class TestRunComponentJob:
                 node_budget=job.node_budget,
                 collect_experience=True,
                 available_ids=job.task_ids,
-                bound_mode=job.bound_mode,
             )
             result = run_component_job(collecting)
             assert result.experience == direct.experience
@@ -337,8 +310,6 @@ class TestSubmissionOrder:
         closed = decompose["args"]["closed"]
         empty_searched = decompose["args"]["empty_searched"]
         assert closed == len(closed_forms)
-        if config_name == "exact":
-            assert closed == 0
         assert dispatch["args"]["jobs"] == len(jobs) == len(searches)
         assert (
             len(jobs) + closed + empty_searched
@@ -348,7 +319,7 @@ class TestSubmissionOrder:
         assert [job.index for job in jobs] == list(range(len(jobs)))
         assert [e["args"]["index"] for e in searches] == list(range(len(jobs)))
         assert [e["args"]["mode"] for e in searches] == [job.mode for job in jobs]
-        expected_modes = {"exact": {"exact"}, "bnb": {"bnb"}, "guided": {"bnb", "tvf"}}
+        expected_modes = {"bnb": {"bnb"}, "guided": {"bnb", "tvf"}}
         assert {job.mode for job in jobs} <= expected_modes[config_name]
 
         start, end = dispatch["ts"], dispatch["ts"] + dispatch["dur"]
@@ -362,7 +333,7 @@ class TestSubmissionOrder:
         results = [result for _, result in recorded]
         assert [e["args"]["nodes"] for e in searches] == [r.nodes_expanded for r in results]
         assert all(r.nodes_expanded == 1 for r in closed_forms)
-        empty_nodes = empty_job_nodes(CONFIGS[config_name].get("search_mode", "bnb"))
+        empty_nodes = empty_job_nodes()
         assert outcome.nodes_expanded == empty_searched * empty_nodes + sum(
             r.nodes_expanded for r in [*results, *closed_forms]
         )
@@ -371,17 +342,16 @@ class TestSubmissionOrder:
         )
         assert outcome_state(outcome)["assignment"] == merged
 
-    @pytest.mark.parametrize("bound_mode", BOUND_MODES)
-    def test_experience_concatenates_in_submission_order(self, bound_mode, tvf, recorded):
+    def test_experience_concatenates_in_submission_order(self, tvf, recorded):
         workers, tasks = random_snapshot(random.Random(71))
-        planner = make_planner("bnb", tvf, bound_mode=bound_mode)
+        planner = make_planner("bnb", tvf)
         outcome = planner.plan(workers, tasks, 0.0, collect_experience=True)
         assert outcome.experience
         assert all(job.collect_experience for job, _ in recorded)
         assert outcome.experience == [
             sample for _, result in recorded for sample in result.experience
         ]
-        again = make_planner("bnb", tvf, bound_mode=bound_mode).plan(
+        again = make_planner("bnb", tvf).plan(
             workers, tasks, 0.0, collect_experience=True
         )
         assert again.experience == outcome.experience

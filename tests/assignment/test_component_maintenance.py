@@ -94,7 +94,7 @@ def _rule_reuse(engine, cache_before, counted_before):
             cached is not None
             and cached.versions
             == {wid: engine._worker_entries[wid].version for wid in members}
-            and cached.mode == ("tvf" if guided else config.search_mode)
+            and cached.mode == ("tvf" if guided else "bnb")
             and (not guided or cached.task_epoch == engine._task_epoch)
         ):
             reused += 1

@@ -34,7 +34,6 @@ TRAVEL = EuclideanTravelModel(speed=1.0)
 #: sends them, and so the empty workers, through the guided one.
 SETUPS = {
     "bnb": ({}, {}),
-    "exact": ({"search_mode": "exact"}, {}),
     "guided": ({"use_tvf": True, "tvf_min_workers": 2}, {}),
     "guided_singletons": ({"use_tvf": True, "tvf_min_workers": 1}, {}),
     "deadline": ({"deadline_s": 0.0}, {}),
@@ -112,7 +111,6 @@ def test_warm_counts_match_cold_and_oracle(seed, setup, tvf):
     "options, mode, nodes",
     [
         ({}, "bnb", 1),
-        ({"search_mode": "exact"}, "exact", 2),
         ({"use_tvf": True, "tvf_min_workers": 1}, "tvf", 2),
     ],
 )

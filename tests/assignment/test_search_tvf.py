@@ -1,9 +1,10 @@
-"""Tests for DFSearch (Alg. 1), the TVF (Eq. 11-12) and DFSearch_TVF (Alg. 2)."""
+"""Tests for DFSearch (Alg. 1, the plain oracle of ``reference_search.py``),
+the TVF (Eq. 11-12) and DFSearch_TVF (Alg. 2)."""
 
 import numpy as np
 import pytest
+from reference_search import dfsearch
 
-from repro.assignment.dfsearch import dfsearch
 from repro.assignment.dfsearch_tvf import dfsearch_tvf
 from repro.assignment.fast_partition import build_adjacency, build_partition_tree_fast
 from repro.assignment.reachability import reachable_tasks

