@@ -103,6 +103,21 @@ def perf_results():
         PERF_FILE.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
+def cold_strategy(strategy):
+    """``strategy`` with its planner's cache dropped before every plan: the
+    full-replan reference of the platform benchmarks (``reset_cache()``
+    leaves the engine exactly as a new one starts; the reset sits inside
+    the platform's replan timer, as the empty engine of a cold plan did)."""
+    warm_plan = strategy.plan
+
+    def plan(idle_workers, pending_tasks, now):
+        strategy.planner.reset_cache()
+        return warm_plan(idle_workers, pending_tasks, now)
+
+    strategy.plan = plan
+    return strategy
+
+
 def print_figure(title: str, rows, columns) -> None:
     """Print a figure's series as an aligned table (the paper's rows).
 

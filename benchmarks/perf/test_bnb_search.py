@@ -135,7 +135,7 @@ class TestComponentSearch:
         rows = []
         for name, num_workers, num_tasks, density in DENSE_SCALES:
             workers, tasks, _, _ = make_dense_snapshot(num_workers, num_tasks, density)
-            config = PlannerConfig(incremental_replan=False)
+            config = PlannerConfig()
             samples = []
             outcome = None
             for _ in range(repeats):
@@ -185,9 +185,7 @@ class TestDirtyComponentStream:
         num_events = 6 if bench_scale.name == "quick" else 12
         name, num_workers, num_tasks, density = DENSE_SCALES[0]
         workers, tasks, area, rng = make_dense_snapshot(num_workers, num_tasks, density)
-        planner = TaskPlanner(
-            PlannerConfig(incremental_replan=True), travel=EuclideanTravelModel(1.0)
-        )
+        planner = TaskPlanner(PlannerConfig(), travel=EuclideanTravelModel(1.0))
         planner.plan(workers, tasks, 0.0)  # warm caches
         now = 0.0
         next_id = 50_000

@@ -7,9 +7,8 @@ Two measurements, written into the ``incremental_replan`` section of
 * **single-event stream** — a density-controlled snapshot evolves through
   single-arrival / single-dispatch events with time advancing between
   decision points, exactly the workload shape of Algorithm 3.  Every event
-  is planned twice: by the PR 1 full-replan pipeline
-  (``incremental_replan=False``, vectorized engine) and by the incremental
-  engine; both latencies are recorded and the assignments are asserted
+  is planned twice: by the full-replan pipeline (the same engine reset
+  before every plan, vectorized kernel) and by the incremental engine; both latencies are recorded and the assignments are asserted
   bit-identical, so the speedup is measured on provably equivalent work.
 * **streaming platform** — a full :class:`SCPlatform` replay of the
   Yueche-like workload under DTA, full vs incremental, comparing the
@@ -28,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import print_figure
+from conftest import cold_strategy, print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
@@ -97,12 +96,8 @@ class TestSingleEventStream:
         for name, num_workers, num_tasks in STREAM_SCALES:
             workers, tasks, area, rng = make_stream_snapshot(num_workers, num_tasks)
             travel = EuclideanTravelModel(1.0)
-            full = TaskPlanner(
-                PlannerConfig(incremental_replan=False), travel=travel
-            )
-            incremental = TaskPlanner(
-                PlannerConfig(incremental_replan=True), travel=travel
-            )
+            full = TaskPlanner(PlannerConfig(), travel=travel)
+            incremental = TaskPlanner(PlannerConfig(), travel=travel)
             # Warm both: the cold first plan is identical work for both
             # engines; the stream measures the steady single-event state.
             incremental.plan(workers, tasks, 0.0)
@@ -136,6 +131,7 @@ class TestSingleEventStream:
                 inc_outcome = incremental.plan(workers, tasks, now)
                 incremental_samples.append(time.perf_counter() - start)
                 start = time.perf_counter()
+                full.reset_cache()
                 full_outcome = full.plan(workers, tasks, now)
                 full_samples.append(time.perf_counter() - start)
                 # The speedup only counts if the answers are identical.
@@ -194,10 +190,10 @@ class TestStreamingPlatformIncremental:
         instance = workload.instance
         entry = {"workers": instance.num_workers, "tasks": instance.num_tasks}
         stats = {}
-        for label, incremental in (("full", False), ("incremental", True)):
-            strategy = DTAStrategy(
-                config=PlannerConfig(incremental_replan=incremental)
-            )
+        for label, cold in (("full", True), ("incremental", False)):
+            strategy = DTAStrategy(config=PlannerConfig())
+            if cold:
+                cold_strategy(strategy)
             platform = SCPlatform(
                 instance,
                 strategy,

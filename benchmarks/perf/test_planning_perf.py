@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import print_figure
+from conftest import cold_strategy, print_figure
 
 #: Perf smoke: separate CI job (see pytest.ini).
 pytestmark = pytest.mark.perf
@@ -47,7 +47,7 @@ class TestStreamingThroughput:
             events = instance.num_workers + instance.num_tasks
             # Cold replanning at every event: the non-incremental streaming
             # baseline the incremental-replan suite compares against.
-            strategy = DTAStrategy(config=PlannerConfig(incremental_replan=False))
+            strategy = cold_strategy(DTAStrategy(config=PlannerConfig()))
             platform = SCPlatform(
                 instance,
                 strategy,

@@ -112,14 +112,13 @@ class TestRoadnetSnapshotCost:
             road = RoadNetworkTravelModel(_grid_for_area(area), speed=1.0)
             stats = {}
             for label, model in (("euclid", euclid), ("roadnet", road)):
-                planner = TaskPlanner(
-                    PlannerConfig(incremental_replan=False, travel_model=model)
-                )
-                planner.plan(workers, tasks, 0.0)  # warm caches once
+                planner = TaskPlanner(PlannerConfig(travel_model=model))
+                planner.plan(workers, tasks, 0.0)  # warm the travel caches once
                 samples = []
                 planned = 0
                 for _ in range(repeats):
                     start = time.perf_counter()
+                    planner.reset_cache()  # a full replan, not a replay
                     outcome = planner.plan(workers, tasks, 0.0)
                     samples.append(time.perf_counter() - start)
                     planned = outcome.planned_tasks
@@ -167,12 +166,8 @@ class TestRoadnetIncrementalStream:
         for name, num_workers, num_tasks in SCALES:
             workers, tasks, area, rng = make_snapshot(num_workers, num_tasks)
             model = RoadNetworkTravelModel(_grid_for_area(area), speed=1.0)
-            full = TaskPlanner(
-                PlannerConfig(incremental_replan=False, travel_model=model)
-            )
-            incremental = TaskPlanner(
-                PlannerConfig(incremental_replan=True, travel_model=model)
-            )
+            full = TaskPlanner(PlannerConfig(travel_model=model))
+            incremental = TaskPlanner(PlannerConfig(travel_model=model))
             incremental.plan(workers, tasks, 0.0)
             full.plan(workers, tasks, 0.0)
 
@@ -201,6 +196,7 @@ class TestRoadnetIncrementalStream:
                 inc_outcome = incremental.plan(workers, tasks, now)
                 incremental_samples.append(time.perf_counter() - start)
                 start = time.perf_counter()
+                full.reset_cache()
                 full_outcome = full.plan(workers, tasks, now)
                 full_samples.append(time.perf_counter() - start)
                 # The speedup only counts on provably equivalent work.

@@ -120,19 +120,9 @@ def _run_stream(model_factory, num_workers, num_tasks, num_events, boundary_of):
     # streams and would turn this into a measurement of that (documented)
     # trade-off instead.  The per-leg cost/benefit has its own benchmark
     # section (``per_leg_pricing`` in test_per_leg_perf.py).
-    full = TaskPlanner(
-        PlannerConfig(
-            incremental_replan=False,
-            travel_model=model_factory(),
-            per_leg_pricing=False,
-        )
-    )
+    full = TaskPlanner(PlannerConfig(travel_model=model_factory(), per_leg_pricing=False))
     incremental = TaskPlanner(
-        PlannerConfig(
-            incremental_replan=True,
-            travel_model=model_factory(),
-            per_leg_pricing=False,
-        )
+        PlannerConfig(travel_model=model_factory(), per_leg_pricing=False)
     )
     incremental.plan(workers, tasks, 0.0)
     full.plan(workers, tasks, 0.0)
@@ -167,6 +157,7 @@ def _run_stream(model_factory, num_workers, num_tasks, num_events, boundary_of):
         inc_outcome = incremental.plan(workers, tasks, now)
         incremental_samples.append(time.perf_counter() - start)
         start = time.perf_counter()
+        full.reset_cache()
         full_outcome = full.plan(workers, tasks, now)
         full_samples.append(time.perf_counter() - start)
         # The speedup only counts on provably equivalent work.

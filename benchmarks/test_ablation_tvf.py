@@ -50,13 +50,10 @@ def _planning_snapshot(workload, max_workers=40, max_tasks=80):
 
 def test_ablation_tvf_vs_exact_search(benchmark, yueche_workload):
     workers, tasks, now = _planning_snapshot(yueche_workload)
-    # incremental_replan off: the ablation times repeated plans of one
-    # identical snapshot, which the incremental engine would serve from its
-    # caches — the figure must measure the search itself.
-    config = PlannerConfig(
-        max_reachable=8, max_sequence_length=3, node_budget=50_000,
-        incremental_replan=False,
-    )
+    # Each timed plan starts from an empty cache: the ablation times
+    # repeated plans of one identical snapshot, which the incremental engine
+    # would serve from its caches — the figure must measure the search itself.
+    config = PlannerConfig(max_reachable=8, max_sequence_length=3, node_budget=50_000)
     travel = yueche_workload.instance.travel
 
     exact_planner = TaskPlanner(PlannerConfig(**{**config.__dict__}), travel=travel)
@@ -67,9 +64,11 @@ def test_ablation_tvf_vs_exact_search(benchmark, yueche_workload):
     guided_planner.train_tvf(workers, tasks, now, epochs=10)
 
     def run_exact():
+        exact_planner.reset_cache()
         return exact_planner.plan(workers, tasks, now)
 
     def run_guided():
+        guided_planner.reset_cache()
         return guided_planner.plan(workers, tasks, now)
 
     start = time.perf_counter()

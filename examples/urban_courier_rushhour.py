@@ -83,12 +83,16 @@ def main() -> None:
     )
     rows = []
     for label, instance, incremental in runs:
-        strategy = make_strategy(
-            "dta",
-            config=PlannerConfig(
-                travel_model=instance.travel, incremental_replan=incremental
-            ),
-        )
+        strategy = make_strategy("dta", config=PlannerConfig(travel_model=instance.travel))
+        if not incremental:
+            # A full replan: the same pipeline on an emptied cache every time.
+            warm_plan = strategy.plan
+
+            def cold_plan(idle_workers, pending_tasks, now, strategy=strategy, warm_plan=warm_plan):
+                strategy.planner.reset_cache()
+                return warm_plan(idle_workers, pending_tasks, now)
+
+            strategy.plan = cold_plan
         platform = SCPlatform(instance, strategy, PlatformConfig(replan_interval=0.0))
         start = time.perf_counter()
         metrics = platform.run()

@@ -6,9 +6,11 @@ yet a single event usually changes exactly one worker or one task, so the
 engine caches reachable sets, maximal sequences, the dependency structure
 and the per-component search results between epochs and recomputes only
 the dirty region.  A *full* replan is the same code on an empty cache:
-``incremental_replan=False``, TVF experience collection and the
-self-check repair all run a throw-away engine whose state is discarded
-afterwards.  Reuse rests on three structural facts:
+``TaskPlanner.reset_cache()`` drops it, and TVF experience collection and
+the self-check repair run a throw-away engine whose state is discarded
+afterwards.  :meth:`IncrementalPlanEngine.plan` is a driver over one
+per-call record (``_PlanCall``) that runs the phases of ``_PHASES`` in
+order.  Reuse rests on three structural facts:
 
 * **Monotone time predicates.**  For a fixed worker/task pair every
   reachability and sequence-validity predicate has the form
@@ -98,7 +100,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -303,7 +305,8 @@ def _task_unchanged(fingerprint: tuple, task: Task) -> bool:
 
 @dataclass
 class _WorkerEntry:
-    """Cached per-worker pipeline state (reachability + sequences)."""
+    """Cached per-worker pipeline state (reachability + sequences); a new
+    entry is filled by its first refresh."""
 
     fingerprint: tuple
     #: The (frozen) ``Worker`` the fingerprint was last checked against:
@@ -311,26 +314,26 @@ class _WorkerEntry:
     worker: Worker
     #: Capped reachable set — what feeds the sequence enumerator and the
     #: dependency graph.
-    reachable: List[Task]
-    reachable_ids: Tuple[int, ...]
+    reachable: List[Task] = field(default_factory=list)
+    reachable_ids: Tuple[int, ...] = ()
     #: Uncapped reachable ids: every task whose *presence* influences the
     #: output (hop anchors included); a removal inside this set dirties the
     #: worker even when the removed task was cut by the distance cap.
-    uncapped_ids: FrozenSet[int]
-    reach_horizon: float
-    sequences: List[TaskSequence]
-    seq_tuples: Tuple[Tuple[int, ...], ...]
+    uncapped_ids: FrozenSet[int] = frozenset()
+    reach_horizon: float = float("-inf")
+    sequences: List[TaskSequence] = field(default_factory=list)
+    seq_tuples: Tuple[Tuple[int, ...], ...] = ()
     #: ``seq_tuples`` as a frozenset, kept in lockstep: the self-check
     #: probes candidate membership once per planned worker per epoch, and
     #: the linear tuple scan was measurable at platform scale.
-    seq_set: FrozenSet[Tuple[int, ...]]
-    seq_horizon: float
+    seq_set: FrozenSet[Tuple[int, ...]] = frozenset()
+    seq_horizon: float = float("-inf")
     #: True when the reachable set came from the predicted-task fallback
     #: (empty real reachable set with predicted tasks in the snapshot).
-    fallback: bool
+    fallback: bool = False
     #: Bumped whenever the worker's plan-relevant state changes (location /
     #: window fingerprint, reachable ids, or sequence id-tuples).
-    version: int
+    version: int = 0
     #: Last epoch this worker appeared in a snapshot, stamped when it
     #: leaves one (drives eviction of permanently departed workers;
     #: returning workers are re-dirtied by the ``_last_present`` rule
@@ -379,17 +382,66 @@ class _Component:
         self.root: Optional[PartitionNode] = None
 
 
-class _RefreshInputs(NamedTuple):
-    """What every worker refresh of one plan call shares."""
+class _PlanCall:
+    """Scratch record of one ``plan()`` call, filled phase by phase.
 
-    now: float
-    real: List[Task]
-    active: List[Task]
-    #: The epoch's k×T matrix — the k workers due a reachability refresh
-    #: over ``active`` — with the columns of ``real`` in it; ``None`` when
-    #: the snapshot is too small to pay for NumPy (scalar kernel).
+    The driver opens one per call and hands it to each phase in turn; a
+    phase reads what earlier phases wrote and adds its own fields.  Hot
+    loops still bind what they touch to locals.  Nothing outlives the call.
+    """
+
+    __slots__ = (
+        "workers", "now", "deadline", "collect_experience", "active", "real",
+        "workers_by_id", "tasks_by_id", "added", "dirty", "work", "touched", "matrix",
+        "real_cols", "reused_workers", "recomputed_workers", "expired", "jobs", "job_of",
+        "closed", "due", "stamp", "empty_guided", "results", "selections",
+        "nodes_expanded", "reused_components", "searched_components", "rung_level", "experience",
+    )
+
+    # diff: arrivals (new or changed tasks) and the workers forced dirty.
+    added: List[Task]
+    dirty: Set[int]
+    # refresh: the work list — in snapshot order, every worker due a
+    # refresh and whether its own fingerprint changed or it is new
+    # (``None``: sequences only) — the workers whose capped reachable set
+    # is not the registered one, and the epoch's k×T matrix over
+    # ``active`` with the columns of ``real`` in it (``None`` when the
+    # snapshot is too small to pay for NumPy: scalar kernel).
+    work: List[Tuple[Worker, Optional[bool]]]
+    touched: List[int]
     matrix: Optional[TravelMatrix]
     real_cols: Optional[np.ndarray]
+    reused_workers: int
+    recomputed_workers: int
+    # decompose: a component that replays its hit gets no job; a
+    # one-worker B&B component is solved in closed form (``closed``);
+    # ``job_of`` maps every other one to its job's index.  ``due`` are the
+    # ``_empty`` workers counted as searched, stamped with ``stamp``.
+    expired: bool
+    jobs: List[ComponentJob]
+    job_of: Dict[_Component, int]
+    closed: Dict[_Component, DFSearchResult]
+    due: List[int]
+    stamp: int
+    empty_guided: bool
+    # dispatch, in job order; merge, in component order.
+    results: List[ComponentResult]
+    selections: List[Tuple[int, Tuple[int, ...]]]
+    nodes_expanded: int
+    reused_components: int
+    searched_components: int
+    rung_level: int
+    experience: List
+
+    def __init__(
+        self, workers: Sequence[Worker], now: float, deadline: Optional[float],
+        collect_experience: bool, active: List[Task],
+    ) -> None:
+        self.workers, self.now, self.deadline = workers, now, deadline
+        self.collect_experience, self.active = collect_experience, active
+        self.real = [task for task in active if not task.predicted]
+        self.workers_by_id = {worker.worker_id: worker for worker in workers}
+        self.tasks_by_id = {task.task_id: task for task in active}
 
 
 class IncrementalPlanEngine:
@@ -467,6 +519,11 @@ class IncrementalPlanEngine:
     ) -> PlanningOutcome:
         """The pipeline behind ``TaskPlanner.plan`` (lines 2-10 of Alg. 4).
 
+        A driver over one :class:`_PlanCall`: the context check, then each
+        phase of :data:`_PHASES` once, in order, inside its own span
+        (``diff``, ``refresh``, ``decompose``, ``dispatch``, ``merge``), then
+        the self-check and plan construction, then cache housekeeping.
+
         ``deadline`` is an absolute ``perf_counter`` cutoff forwarded to
         every fresh component search; cache replays are effectively free
         and never consult it.  Deadline-degraded component answers are
@@ -480,10 +537,54 @@ class IncrementalPlanEngine:
         post-replan invariant check — the repair run's own guard against
         recursion.
         """
+        call = self._begin(workers, tasks, now, deadline, collect_experience)
+        if call is None:
+            return PlanningOutcome(Assignment(), 0, 0, 0)
+        obs = self.planner.obs
+        for name, phase in _PHASES:
+            with obs.span(name) as span:
+                phase(self, call, span)
+        if obs.enabled:
+            obs.count("incremental.reused_workers", call.reused_workers)
+            obs.count("incremental.recomputed_workers", call.recomputed_workers)
+            obs.count("incremental.reused_components", call.reused_components)
+            obs.count("incremental.searched_components", call.searched_components)
+
+        # Post-replan invariant check (self-healing).  Deliberately not a
+        # span: the check is micro-scale on every healthy epoch and a
+        # per-epoch span would be pure overhead budget; the interesting
+        # case (a violation) emits an instant.
+        self_check = self_check and self.planner.config.self_check
+        if self_check:
+            violation = self._find_violation(
+                call.selections, call.tasks_by_id, call.workers_by_id
+            )
+            if violation is not None:
+                return self._repair(workers, tasks, now, deadline, violation)
+        try:
+            outcome = self._assemble(call)
+        except (KeyError, ValueError) as exc:
+            # Backstop behind the cheap checks: any corrupted cache state
+            # that still slips into plan construction heals the same way.
+            if not self_check:
+                raise
+            return self._repair(workers, tasks, now, deadline, repr(exc))
+        self._housekeep(call)
+        return outcome
+
+    # ------------------------------------------------------------------ #
+    # The phases, in driver order
+    # ------------------------------------------------------------------ #
+    def _begin(
+        self, workers: Sequence[Worker], tasks: Sequence[Task], now: float,
+        deadline: Optional[float], collect_experience: bool,
+    ) -> Optional[_PlanCall]:
+        """Context check: latch the travel window, drop every cache the
+        context no longer matches, and open the call's record (``None``:
+        nothing to plan)."""
         planner = self.planner
         config = planner.config
         travel = planner.travel
-        obs = planner.obs
         # Latch the travel model's speed-profile window for this decision
         # point (no-op for static models): every cost computed below — and
         # every cached cost being reused, whose horizons were clamped to
@@ -491,21 +592,12 @@ class IncrementalPlanEngine:
         travel.begin_epoch(now)
         active = [task for task in tasks if not task.is_expired(now)]
         if not workers or not active:
-            return PlanningOutcome(Assignment(), 0, 0, 0)
-        workers_by_id = {worker.worker_id: worker for worker in workers}
-        tasks_by_id = {task.task_id: task for task in active}
-
+            return None
         tvf = planner.tvf
         context_key = (
-            config.max_reachable,
-            config.max_sequence_length,
-            config.max_sequences,
-            config.node_budget,
-            config.per_leg_pricing,
-            config.use_tvf,
-            config.tvf_min_workers,
-            config.use_partition,
-            getattr(tvf, "fit_version", None),
+            config.max_reachable, config.max_sequence_length, config.max_sequences,
+            config.node_budget, config.per_leg_pricing, config.use_tvf,
+            config.tvf_min_workers, config.use_partition, getattr(tvf, "fit_version", None),
         )
         if (
             now < self._last_now
@@ -528,369 +620,365 @@ class IncrementalPlanEngine:
             # after the first call.
             self._task_epoch += 1
             self._next_travel_boundary = travel.next_profile_boundary(now)
+        return _PlanCall(workers, now, deadline, collect_experience, active)
 
-        real = [task for task in active if not task.predicted]
+    def _diff(self, call: _PlanCall, span) -> None:
+        """Snapshot diff (object-identity fast path, field fallback) and
+        dirty-worker collection."""
+        task_refs, task_fps, tasks_by_id = self._task_refs, self._task_fps, call.tasks_by_id
+        added: List[Task] = []
+        removed: Set[int] = set()
+        for task in call.active:
+            tid = task.task_id
+            prev = task_refs.get(tid)
+            if prev is None:
+                added.append(task)
+            elif prev is not task and not _task_unchanged(task_fps[tid], task):
+                removed.add(tid)
+                added.append(task)
+        for tid in list(task_refs):
+            if tid not in tasks_by_id:
+                removed.add(tid)
+                del task_refs[tid]
+                del task_fps[tid]
+        for task in added:
+            task_refs[task.task_id] = task
+            task_fps[task.task_id] = _task_fingerprint(task)
+        if added or removed:
+            self._task_epoch += 1
+
+        dirty: Set[int] = set(self._forced_workers)
+        for tid in removed | self._forced_tasks:
+            owners = self._task_owners.get(tid)
+            if owners:
+                dirty.update(owners)
+        # Workers absent from the previous snapshot may have missed
+        # arrivals while away; their cache cannot be trusted.
+        dirty |= call.workers_by_id.keys() - self._last_present
+        self._forced_workers.clear()
+        self._forced_tasks.clear()
+        span.set(added=len(added), removed=len(removed), dirty=len(dirty))
+        call.added, call.dirty = added, dirty
+
+    def _refresh(self, call: _PlanCall, span) -> None:
+        """The identity pass over the snapshot, then the refreshes of the
+        work list it emits."""
         entries = self._worker_entries
-
-        with obs.span("diff") as diff_span:
-            # ---- snapshot diff (object-identity fast path, field fallback) #
-            added: List[Task] = []
-            removed: Set[int] = set()
-            for task in active:
-                tid = task.task_id
-                prev = self._task_refs.get(tid)
-                if prev is None:
-                    added.append(task)
-                elif (
-                    prev is not task
-                    and not _task_unchanged(self._task_fps[tid], task)
-                ):
-                    removed.add(tid)
-                    added.append(task)
-            for tid in list(self._task_refs):
-                if tid not in tasks_by_id:
-                    removed.add(tid)
-                    del self._task_refs[tid]
-                    del self._task_fps[tid]
-            for task in added:
-                self._task_refs[task.task_id] = task
-                self._task_fps[task.task_id] = _task_fingerprint(task)
-            if added or removed:
-                self._task_epoch += 1
-
-            # ---- dirty-worker collection -------------------------------- #
-            dirty: Set[int] = set(self._forced_workers)
-            for tid in removed | self._forced_tasks:
-                owners = self._task_owners.get(tid)
-                if owners:
-                    dirty.update(owners)
-            # Workers absent from the previous snapshot may have missed
-            # arrivals while away; their cache cannot be trusted.
-            dirty |= workers_by_id.keys() - self._last_present
-            self._forced_workers.clear()
-            self._forced_tasks.clear()
-            diff_span.set(added=len(added), removed=len(removed), dirty=len(dirty))
-
-        # ---- per-worker refresh ------------------------------------------ #
+        now, added, dirty, tasks_by_id = call.now, call.added, call.dirty, call.tasks_by_id
+        travel = self.planner.travel
+        work: List[Tuple[Worker, Optional[bool]]] = []
+        # The workers due a reachability refresh.
+        stale: List[Worker] = []
+        # Ball hits the exact arrival test cleared (entry kept as is).
+        skipped = 0
+        any_predicted = any(task.predicted for task in added)
+        arrivals = [(task, task.location.x, task.location.y) for task in added]
+        reach_bound = travel.reach_bound
+        for worker in call.workers:
+            wid = worker.worker_id
+            entry = entries.get(wid)
+            if entry is None or (
+                entry.worker is not worker
+                and not _worker_unchanged(entry.fingerprint, worker)
+            ):
+                stale.append(worker)
+                work.append((worker, True))
+                continue
+            entry.worker = worker  # re-latch an equal-field replacement
+            if wid in dirty or now >= entry.reach_horizon:
+                stale.append(worker)
+                work.append((worker, False))
+                continue
+            if added:
+                # Predicted tasks only feed the empty-reachable
+                # fallback; a worker on the real pipeline with a
+                # non-empty set cannot be affected by one.
+                ignores_predicted = (
+                    any_predicted and entry.reachable_ids and not entry.fallback
+                )
+                # Euclidean check against the model's reach bound: sound
+                # for any travel model honouring the reach_bound
+                # contract (identity for the Euclidean default).
+                radius = reach_bound((_HOPS + 1.0) * worker.reachable_distance) + 1e-6
+                wx, wy = worker.location.x, worker.location.y
+                near = []
+                for task, x, y in arrivals:  # ``euclidean_distance``, inline
+                    dx, dy = wx - x, wy - y
+                    if sqrt(dx * dx + dy * dy) <= radius and not (task.predicted and ignores_predicted):
+                        near.append(task)
+                if near:
+                    if self._arrival_enters(worker, entry, near, now, tasks_by_id):
+                        stale.append(worker)
+                        work.append((worker, False))
+                        continue
+                    skipped += 1
+            if now >= entry.seq_horizon:
+                work.append((worker, None))
+        matrix = real_cols = None
+        if stale and vector_kernel_pays(len(call.active)):
+            # One k×T matrix serves every refresh of the epoch (k = W on
+            # an empty cache).  Rows are bit-identical to the scalar
+            # kernel's floats, so the choice moves cost only.
+            matrix = TravelMatrix(stale, call.active, travel, now=now)
+            real_cols = matrix.task_cols(call.real)
+        call.matrix, call.real_cols = matrix, real_cols
         registered = self._registered
-        # Workers whose capped reachable set is not the registered one.
         touched: List[int] = []
-        with obs.span("refresh") as refresh_span:
-            # The identity pass: the work list holds, in snapshot order,
-            # every worker due a refresh and whether its own fingerprint
-            # changed or it is new (``None``: sequences only).  ``stale``
-            # are the workers due a reachability refresh.
-            work: List[Tuple[Worker, Optional[bool]]] = []
-            stale: List[Worker] = []
-            # Ball hits the exact arrival test cleared (entry kept as is).
-            skipped = 0
-            any_predicted = any(task.predicted for task in added)
-            arrivals = [(task, task.location.x, task.location.y) for task in added]
-            reach_bound = travel.reach_bound
-            for worker in workers:
-                wid = worker.worker_id
-                entry = entries.get(wid)
-                if entry is None or (
-                    entry.worker is not worker
-                    and not _worker_unchanged(entry.fingerprint, worker)
-                ):
-                    stale.append(worker)
-                    work.append((worker, True))
-                    continue
-                entry.worker = worker  # re-latch an equal-field replacement
-                if wid in dirty or now >= entry.reach_horizon:
-                    stale.append(worker)
-                    work.append((worker, False))
-                    continue
-                if added:
-                    # Predicted tasks only feed the empty-reachable
-                    # fallback; a worker on the real pipeline with a
-                    # non-empty set cannot be affected by one.
-                    ignores_predicted = (
-                        any_predicted and entry.reachable_ids and not entry.fallback
-                    )
-                    # Euclidean check against the model's reach bound: sound
-                    # for any travel model honouring the reach_bound
-                    # contract (identity for the Euclidean default).
-                    radius = reach_bound((_HOPS + 1.0) * worker.reachable_distance) + 1e-6
-                    wx, wy = worker.location.x, worker.location.y
-                    near = []
-                    for task, x, y in arrivals:  # ``euclidean_distance``, inline
-                        dx, dy = wx - x, wy - y
-                        if sqrt(dx * dx + dy * dy) <= radius and not (task.predicted and ignores_predicted):
-                            near.append(task)
-                    if near:
-                        if self._arrival_enters(worker, entry, near, now, tasks_by_id):
-                            stale.append(worker)
-                            work.append((worker, False))
-                            continue
-                        skipped += 1
-                if now >= entry.seq_horizon:
-                    work.append((worker, None))
-            matrix = real_cols = None
-            if stale and vector_kernel_pays(len(active)):
-                # One k×T matrix serves every refresh of the epoch (k = W on
-                # an empty cache).  Rows are bit-identical to the scalar
-                # kernel's floats, so the choice moves cost only.
-                matrix = TravelMatrix(stale, active, travel, now=now)
-                real_cols = matrix.task_cols(real)
-            inputs = _RefreshInputs(now, real, active, matrix, real_cols)
-            for worker, moved in work:
-                if moved is None:
-                    self._refresh_sequences(worker, now)
-                    continue
-                entry = self._refresh_worker(
-                    worker, entries.get(worker.worker_id), inputs, force_bump=moved
-                )
-                if registered.get(worker.worker_id) != entry.reachable_ids:
-                    touched.append(worker.worker_id)
-            recomputed_workers = len(work)
-            reused_workers = len(workers) - recomputed_workers
-            refresh_span.set(
-                reused=reused_workers,
-                recomputed=recomputed_workers,
-                skipped=skipped,
-                rows=len(stale) if matrix is not None else 0,
-                tasks=len(active),
-            )
-        if obs.enabled:
-            obs.count("incremental.reused_workers", reused_workers)
-            obs.count("incremental.recomputed_workers", recomputed_workers)
+        for worker, moved in work:
+            if moved is None:
+                self._refresh_sequences(worker, entries[worker.worker_id], now, None, False)
+                continue
+            entry = self._refresh_worker(worker, call, moved)
+            if registered.get(worker.worker_id) != entry.reachable_ids:
+                touched.append(worker.worker_id)
+        call.work, call.touched = work, touched
+        call.recomputed_workers, call.reused_workers = len(work), len(call.workers) - len(work)
+        span.set(
+            reused=call.reused_workers,
+            recomputed=call.recomputed_workers,
+            skipped=skipped,
+            rows=len(stale) if matrix is not None else 0,
+            tasks=len(call.active),
+        )
 
-        # ---- components: reuse untouched, search the rest ---------------- #
-        with obs.span("decompose") as decompose_span:
-            rebuilt = self._update_components(touched, workers_by_id)
-            components = self._component_list
-            # ---- decompose: keep cache hits, extract jobs for the rest ---- #
-            # A component that replays its hit gets no job; a one-worker
-            # B&B component is solved here in closed form (``closed``);
-            # ``job_of`` maps every other one to the index of its
-            # ComponentJob.  Everything a job needs (subtree, budget,
-            # candidate sets) is fixed here, before any search runs.
-            use_guided = (
-                config.use_tvf and tvf is not None and not collect_experience
-            )
-            if self._available_ids_epoch != self._task_epoch:
-                self._available_ids = frozenset(tasks_by_id)
-                self._available_ids_epoch = self._task_epoch
-            available_ids = self._available_ids
-            task_epoch = self._task_epoch
-            # Past the deadline every component takes the job path, whose
-            # runner skips it into the greedy rung.
-            expired = deadline_expired(deadline)
-            closed_form = not collect_experience and not expired
-            jobs: List[ComponentJob] = []
-            job_of: Dict[_Component, int] = {}
-            closed: Dict[_Component, DFSearchResult] = {}
-            for held in components:
-                component = held.members
-                guided = use_guided and len(component) >= config.tvf_min_workers
-                cached = held.hit
-                if cached is not None and not guided and cached.mode == "bnb":
-                    continue  # a kept component with a still-valid hit
-                mode = "tvf" if guided else "bnb"
-                if cached is None:
-                    # Re-formed, or a member's version moved: fall back to
-                    # the member-set cache, valid for unchanged versions.
-                    cached = self._components.get(frozenset(component))
-                    if cached is not None and cached.versions != {
-                        wid: entries[wid].version for wid in component
-                    }:
-                        cached = None
-                if (
-                    cached is not None
-                    and cached.mode == mode
-                    and (not guided or cached.task_epoch == task_epoch)
-                ):
-                    held.hit = cached
-                    continue
-                if closed_form and mode == "bnb" and len(component) == 1:
-                    wid = component[0]
-                    closed[held] = dfsearch_one_worker(
-                        wid, entries[wid].sequences, available_ids
-                    )
-                    continue
-                root = held.root
-                if root is None:
-                    if config.use_partition:
-                        root = build_component_subtree(
-                            build_adjacency(
-                                {wid: entries[wid].reachable for wid in component}
-                            ),
-                            component,
-                        )
-                    else:
-                        root = PartitionNode(workers=list(component))
-                    held.root = root
-                sequences_by_worker = {wid: entries[wid].sequences for wid in component}
-                num_sequences = sum(map(len, sequences_by_worker.values()))
-                # The per-component budget is a pure function of the
-                # component's workers and their candidate sets, so replays
-                # stay bit-for-bit; the guided search ignores it.
-                budget = 0
-                if not guided:
-                    budget = adaptive_node_budget(
-                        config.node_budget, len(component), num_sequences
-                    )
-                job = ComponentJob(
-                    index=len(jobs),
-                    mode=mode,
-                    root=root,
-                    worker_ids=tuple(component),
-                    sequences_by_worker=sequences_by_worker,
-                    workers_by_id=workers_by_id,
-                    task_ids=available_ids,
-                    node_budget=budget,
-                    collect_experience=collect_experience,
-                    tasks=active if guided else None,
-                    tvf=tvf if guided else None,
-                    num_sequences=num_sequences,
+    def _decompose(self, call: _PlanCall, span) -> None:
+        """Bring the components to this snapshot, keep the cache hits and
+        fix a job for every other component.  Everything a job needs
+        (subtree, budget, candidate sets) is fixed here, before any search
+        runs."""
+        planner = self.planner
+        config, tvf = planner.config, planner.tvf
+        entries = self._worker_entries
+        collect_experience = call.collect_experience
+        rebuilt = self._update_components(call.touched, call.workers_by_id)
+        components = self._component_list
+        use_guided = config.use_tvf and tvf is not None and not collect_experience
+        if self._available_ids_epoch != self._task_epoch:
+            self._available_ids = frozenset(call.tasks_by_id)
+            self._available_ids_epoch = self._task_epoch
+        available_ids = self._available_ids
+        assert available_ids is not None
+        task_epoch = self._task_epoch
+        # Past the deadline every component takes the job path, whose
+        # runner skips it into the greedy rung.
+        expired = call.expired = deadline_expired(call.deadline)
+        closed_form = not collect_experience and not expired
+        jobs: List[ComponentJob] = []
+        job_of: Dict[_Component, int] = {}
+        closed: Dict[_Component, DFSearchResult] = {}
+        for held in components:
+            component = held.members
+            guided = use_guided and len(component) >= config.tvf_min_workers
+            cached = held.hit
+            if cached is not None and not guided and cached.mode == "bnb":
+                continue  # a kept component with a still-valid hit
+            mode = "tvf" if guided else "bnb"
+            if cached is None:
+                # Re-formed, or a member's version moved: fall back to
+                # the member-set cache, valid for unchanged versions.
+                cached = self._components.get(frozenset(component))
+                if cached is not None and cached.versions != {
+                    wid: entries[wid].version for wid in component
+                }:
+                    cached = None
+            if (
+                cached is not None
+                and cached.mode == mode
+                and (not guided or cached.task_epoch == task_epoch)
+            ):
+                held.hit = cached
+                continue
+            if closed_form and mode == "bnb" and len(component) == 1:
+                wid = component[0]
+                closed[held] = dfsearch_one_worker(
+                    wid, entries[wid].sequences, available_ids
                 )
-                job_of[held] = len(jobs)
-                jobs.append(job)
-            # ``_empty`` workers due a count: the work list holds every moved
-            # version, unless a deadline skip or (guided) a task change is due.
-            empty = self._empty
-            empty_guided = use_guided and config.tvf_min_workers <= 1
-            stamp = task_epoch if empty_guided else 0
-            full = self._empty_recount or empty_guided
-            pending = empty if full else [w.worker_id for w, _ in work if w.worker_id in empty]
-            due = [w for w in pending if entries[w].counted != (entries[w].version, stamp)]
-            decompose_span.set(
-                components=len(components) + len(empty),
-                searched=len(jobs),
-                closed=len(closed),
-                empty=len(empty),
-                empty_searched=len(due),
-                rebuilt=rebuilt,
+                continue
+            root = held.root
+            if root is None:
+                if config.use_partition:
+                    root = build_component_subtree(
+                        build_adjacency(
+                            {wid: entries[wid].reachable for wid in component}
+                        ),
+                        component,
+                    )
+                else:
+                    root = PartitionNode(workers=list(component))
+                held.root = root
+            sequences_by_worker = {wid: entries[wid].sequences for wid in component}
+            num_sequences = sum(map(len, sequences_by_worker.values()))
+            # The per-component budget is a pure function of the
+            # component's workers and their candidate sets, so replays
+            # stay bit-for-bit; the guided search ignores it.
+            budget = 0
+            if not guided:
+                budget = adaptive_node_budget(
+                    config.node_budget, len(component), num_sequences
+                )
+            job_of[held] = len(jobs)
+            jobs.append(
+                ComponentJob(
+                    index=len(jobs), mode=mode, root=root, worker_ids=tuple(component),
+                    sequences_by_worker=sequences_by_worker, workers_by_id=call.workers_by_id,
+                    task_ids=available_ids, node_budget=budget,
+                    collect_experience=collect_experience, tasks=call.active if guided else None,
+                    tvf=tvf if guided else None, num_sequences=num_sequences,
+                )
             )
+        # ``_empty`` workers due a count: the work list holds every moved
+        # version, unless a deadline skip or (guided) a task change is due.
+        empty = self._empty
+        empty_guided = call.empty_guided = use_guided and config.tvf_min_workers <= 1
+        stamp = call.stamp = task_epoch if empty_guided else 0
+        pending: Iterable[int] = empty
+        if not (self._empty_recount or empty_guided):
+            pending = [w.worker_id for w, _ in call.work if w.worker_id in empty]
+        due = [w for w in pending if entries[w].counted != (entries[w].version, stamp)]
+        call.jobs, call.job_of, call.closed, call.due = jobs, job_of, closed, due
+        span.set(
+            components=len(components) + len(empty),
+            searched=len(jobs),
+            closed=len(closed),
+            empty=len(empty),
+            empty_searched=len(due),
+            rebuilt=rebuilt,
+        )
 
-        # ---- dispatch: in process, in submission order ------------------- #
+    def _dispatch(self, call: _PlanCall, span) -> None:
+        """Run the jobs in process, in submission order."""
+        obs = self.planner.obs
+        deadline = call.deadline
         results: List[ComponentResult] = []
-        with obs.span("dispatch", jobs=len(jobs)):
-            for job in jobs:
-                if not obs.enabled:
-                    results.append(run_component_job(job, deadline))
-                    continue
-                with obs.span(
-                    "component.search",
-                    index=job.index,
-                    mode=job.mode,
-                    sequences=job.num_sequences,
-                ) as search_span:
-                    result = run_component_job(job, deadline)
-                    search_span.set(nodes=result.nodes_expanded, skipped=result.skipped)
-                results.append(result)
+        span.set(jobs=len(call.jobs))
+        for job in call.jobs:
+            if not obs.enabled:
+                results.append(run_component_job(job, deadline))
+                continue
+            with obs.span(
+                "component.search", index=job.index, mode=job.mode, sequences=job.num_sequences
+            ) as search_span:
+                result = run_component_job(job, deadline)
+                search_span.set(nodes=result.nodes_expanded, skipped=result.skipped)
+            results.append(result)
+        call.results = results
 
-        # ---- merge: component order, cache writes applied here ------------ #
-        nodes_expanded = 0
-        reused_components = 0
-        searched_components = 0
-        rung_level = 0
+    def _merge(self, call: _PlanCall, span) -> None:
+        """Collect the selections in component order; cache writes are
+        applied here."""
+        entries = self._worker_entries
+        collect_experience = call.collect_experience
+        job_of, closed, jobs, results = call.job_of, call.closed, call.jobs, call.results
+        nodes_expanded = reused_components = searched_components = rung_level = 0
         experience: List = []
         epoch_selections: List[Tuple[int, Tuple[int, ...]]] = []
-        with obs.span("merge") as merge_span:
-            for held in components:
-                job_index = job_of.get(held)
-                if job_index is None:
-                    solved = closed.get(held)
-                    if solved is None:
-                        cached = held.hit
-                        selections = cached.selections
-                        nodes = cached.nodes_expanded
-                        cached.last_used = self._epoch
-                        reused_components += 1
-                    else:
-                        # A closed-form answer is a search result like any
-                        # other: counted, and cached as a B&B search's.
-                        selections = tuple(solved.selections)
-                        nodes = solved.nodes_expanded
-                        searched_components += 1
-                        self._remember(held, selections, nodes, "bnb")
+        for held in self._component_list:
+            job_index = job_of.get(held)
+            if job_index is None:
+                solved = closed.get(held)
+                if solved is None:
+                    cached = held.hit
+                    assert cached is not None
+                    selections = cached.selections
+                    nodes = cached.nodes_expanded
+                    cached.last_used = self._epoch
+                    reused_components += 1
                 else:
-                    result = results[job_index]
-                    job = jobs[job_index]
+                    # A closed-form answer is a search result like any
+                    # other: counted, and cached as a B&B search's.
+                    selections = tuple(solved.selections)
+                    nodes = solved.nodes_expanded
                     searched_components += 1
-                    if result.skipped:
-                        # Budget exhausted before this component's search
-                        # started: greedy rung (first-fit over Q_w),
-                        # uncached — the result depends on wall-clock, not
-                        # just the component state.  Sequential across
-                        # components (each fill consumes from what earlier
-                        # components left), so it runs here at merge time,
-                        # in component order.
-                        used_ids = {tid for _, ids in epoch_selections for tid in ids}
-                        selections = tuple(
-                            greedy_component_fill(
-                                list(job.worker_ids),
-                                job.sequences_by_worker,
-                                set(tasks_by_id) - used_ids,
-                            )
+                    self._remember(held, selections, nodes, "bnb")
+            else:
+                result = results[job_index]
+                job = jobs[job_index]
+                searched_components += 1
+                if result.skipped:
+                    # Budget exhausted before this component's search
+                    # started: greedy rung (first-fit over Q_w),
+                    # uncached — the result depends on wall-clock, not
+                    # just the component state.  Sequential across
+                    # components (each fill consumes from what earlier
+                    # components left), so it runs here at merge time,
+                    # in component order.
+                    used_ids = {tid for _, ids in epoch_selections for tid in ids}
+                    selections = tuple(
+                        greedy_component_fill(
+                            list(job.worker_ids),
+                            job.sequences_by_worker,
+                            set(call.tasks_by_id) - used_ids,
                         )
-                        nodes = 0
-                        rung_level = max(rung_level, 2)
-                    else:
-                        selections = result.selections
-                        nodes = result.nodes_expanded
-                        experience.extend(result.experience)
-                        if result.deadline_hit:
-                            rung_level = max(rung_level, 1)
-                        elif not collect_experience:
-                            # Deadline-cut answers are anytime partials tied
-                            # to this epoch's wall-clock; caching one would
-                            # replay a degraded plan on healthy future
-                            # epochs.  Experience traces change the search's
-                            # node counts, so those stay out as well.
-                            self._remember(held, selections, nodes, job.mode)
-                nodes_expanded += nodes
-                epoch_selections.extend(selections)
-            # ``_empty`` workers, counted as their searches or replays.
-            reused_components += len(empty) - len(due)
-            searched_components += len(due)
-            self._empty_recount = expired and bool(due)
-            if self._empty_recount:
-                rung_level = 2  # the greedy rung, as a skipped job's
-            elif not collect_experience:
-                for wid in due:
-                    entries[wid].counted = (entries[wid].version, stamp)
-            if empty and self._empty_nodes is None:
-                worker, mode = workers_by_id[next(iter(empty))], "tvf" if empty_guided else "bnb"
-                self._empty_nodes = empty_worker_nodes(mode, worker, config.node_budget, tvf)
-            solved = len(empty) - (len(due) if self._empty_recount else 0)
-            nodes_expanded += solved * (self._empty_nodes or 0)
-            merge_span.set(reused=reused_components, searched=searched_components)
-        if obs.enabled:
-            obs.count("incremental.reused_components", reused_components)
-            obs.count("incremental.searched_components", searched_components)
+                    )
+                    nodes = 0
+                    rung_level = max(rung_level, 2)
+                else:
+                    selections = result.selections
+                    nodes = result.nodes_expanded
+                    experience.extend(result.experience)
+                    if result.deadline_hit:
+                        rung_level = max(rung_level, 1)
+                    elif not collect_experience:
+                        # Deadline-cut answers are anytime partials tied
+                        # to this epoch's wall-clock; caching one would
+                        # replay a degraded plan on healthy future
+                        # epochs.  Experience traces change the search's
+                        # node counts, so those stay out as well.
+                        self._remember(held, selections, nodes, job.mode)
+            nodes_expanded += nodes
+            epoch_selections.extend(selections)
+        # ``_empty`` workers, counted as their searches or replays.
+        empty, due = self._empty, call.due
+        reused_components += len(empty) - len(due)
+        searched_components += len(due)
+        self._empty_recount = call.expired and bool(due)
+        if self._empty_recount:
+            rung_level = 2  # the greedy rung, as a skipped job's
+        elif not collect_experience:
+            for wid in due:
+                entries[wid].counted = (entries[wid].version, call.stamp)
+        if empty and self._empty_nodes is None:
+            worker = call.workers_by_id[next(iter(empty))]
+            mode = "tvf" if call.empty_guided else "bnb"
+            config = self.planner.config
+            self._empty_nodes = empty_worker_nodes(mode, worker, config.node_budget, self.planner.tvf)
+        solved_empty = len(empty) - (len(due) if self._empty_recount else 0)
+        nodes_expanded += solved_empty * (self._empty_nodes or 0)
+        span.set(reused=reused_components, searched=searched_components)
+        call.selections, call.experience, call.rung_level = epoch_selections, experience, rung_level
+        call.nodes_expanded = nodes_expanded
+        call.reused_components, call.searched_components = reused_components, searched_components
 
-        # ---- post-replan invariant check (self-healing) ------------------- #
-        # Deliberately not wrapped in a span: the check is micro-scale on
-        # every healthy epoch and a per-epoch span would be pure overhead
-        # budget; the interesting case (a violation) emits an instant.
-        self_check = self_check and config.self_check
-        if self_check:
-            violation = self._find_violation(
-                epoch_selections, tasks_by_id, workers_by_id
-            )
-            if violation is not None:
-                return self._repair(workers, tasks, now, deadline, violation)
-        try:
-            assignment = Assignment()
-            planned = 0
-            for worker_id, task_ids in epoch_selections:
-                if not task_ids:
-                    continue
-                worker = workers_by_id[worker_id]
-                sequence_tasks = tuple(tasks_by_id[tid] for tid in task_ids)
-                assignment.add(WorkerPlan(worker, TaskSequence(worker, sequence_tasks)))
-                planned += len(task_ids)
-        except (KeyError, ValueError) as exc:
-            # Backstop behind the cheap checks: any corrupted cache state
-            # that still slips into plan construction heals the same way.
-            if not self_check:
-                raise
-            return self._repair(workers, tasks, now, deadline, repr(exc))
+    def _assemble(self, call: _PlanCall) -> PlanningOutcome:
+        """Plan construction: the epoch's selections as an ``Assignment``,
+        with the call's diagnostics."""
+        workers_by_id, tasks_by_id = call.workers_by_id, call.tasks_by_id
+        assignment = Assignment()
+        planned = 0
+        for worker_id, task_ids in call.selections:
+            if not task_ids:
+                continue
+            worker = workers_by_id[worker_id]
+            sequence_tasks = tuple(tasks_by_id[tid] for tid in task_ids)
+            assignment.add(WorkerPlan(worker, TaskSequence(worker, sequence_tasks)))
+            planned += len(task_ids)
+        return PlanningOutcome(
+            assignment=assignment,
+            planned_tasks=planned,
+            nodes_expanded=call.nodes_expanded,
+            num_components=len(self._component_list) + len(self._empty),
+            experience=call.experience,
+            reused_workers=call.reused_workers,
+            recomputed_workers=call.recomputed_workers,
+            reused_components=call.reused_components,
+            searched_components=call.searched_components,
+            rung=DEGRADATION_RUNGS[call.rung_level],
+            deadline_hit=call.rung_level > 0,
+        )
 
+    def _housekeep(self, call: _PlanCall) -> None:
+        """Bound the caches: age out unused component results, evict
+        workers that left the stream long ago, remember who was present."""
         if len(self._components) > _COMPONENT_CACHE_MAX:
             cutoff = self._epoch - _COMPONENT_CACHE_TTL
             unused = [k for k, e in self._components.items() if e.last_used < cutoff]
@@ -900,9 +988,10 @@ class IncrementalPlanEngine:
         # by a different caller): their entries and task-ownership
         # registrations would otherwise grow with every worker ever seen.
         # A worker's ``last_seen`` is stamped as it leaves, before the check.
+        entries, workers_by_id = self._worker_entries, call.workers_by_id
         for wid in self._last_present - workers_by_id.keys():
             entries[wid].last_seen = self._epoch - 1
-        if len(entries) > max(64, 2 * len(workers)):
+        if len(entries) > max(64, 2 * len(call.workers)):
             cutoff = self._epoch - _COMPONENT_CACHE_TTL
             departed = {
                 wid
@@ -911,35 +1000,18 @@ class IncrementalPlanEngine:
             }
             if departed:
                 for wid in departed:
-                    self._drop_worker(wid)
+                    self._update_owners(wid, entries.pop(wid).uncapped_ids, frozenset())
                 # A returning worker's entry restarts at version 1, so a
                 # cached result naming a dropped worker could match it.
                 for key in [k for k in self._components if not departed.isdisjoint(k)]:
                     del self._components[key]
-
         self._last_present = set(workers_by_id)
-
-        return PlanningOutcome(
-            assignment=assignment,
-            planned_tasks=planned,
-            nodes_expanded=nodes_expanded,
-            num_components=len(components) + len(empty),
-            experience=experience,
-            reused_workers=reused_workers,
-            recomputed_workers=recomputed_workers,
-            reused_components=reused_components,
-            searched_components=searched_components,
-            rung=DEGRADATION_RUNGS[rung_level],
-            deadline_hit=rung_level > 0,
-        )
 
     # ------------------------------------------------------------------ #
     # Self-healing: post-replan invariants and the repair path
     # ------------------------------------------------------------------ #
     def _find_violation(
-        self,
-        selections: List[Tuple[int, Tuple[int, ...]]],
-        tasks_by_id: Dict[int, Task],
+        self, selections: List[Tuple[int, Tuple[int, ...]]], tasks_by_id: Dict[int, Task],
         workers_by_id: Dict[int, Worker],
     ) -> Optional[str]:
         """Cheap O(selected + workers) feasibility sweep over the epoch plan.
@@ -1004,12 +1076,8 @@ class IncrementalPlanEngine:
         return None
 
     def _repair(
-        self,
-        workers: Sequence[Worker],
-        tasks: Sequence[Task],
-        now: float,
-        deadline: Optional[float],
-        violation: str,
+        self, workers: Sequence[Worker], tasks: Sequence[Task], now: float,
+        deadline: Optional[float], violation: str,
     ) -> PlanningOutcome:
         """Heal a corrupted epoch: drop every cache, redo it on a
         throw-away engine (which shares no state with this one, and skips
@@ -1033,144 +1101,74 @@ class IncrementalPlanEngine:
         return outcome
 
     # ------------------------------------------------------------------ #
-    def _refresh_worker(
-        self,
-        worker: Worker,
-        old: Optional[_WorkerEntry],
-        inputs: _RefreshInputs,
-        force_bump: bool,
-    ) -> _WorkerEntry:
+    def _refresh_worker(self, worker: Worker, call: _PlanCall, moved: bool) -> _WorkerEntry:
         """Recompute a dirty worker's reachable set and sequences
-        (``force_bump``: its own fingerprint changed, or it is new)."""
-        planner = self.planner
-        config = planner.config
-        travel = planner.travel
-        now, active, matrix = inputs.now, inputs.active, inputs.matrix
-
+        (``moved``: its own fingerprint changed, or it is new)."""
+        config = self.planner.config
+        travel = self.planner.travel
+        now, active, real, matrix = call.now, call.active, call.real, call.matrix
         reachable, uncapped_ids, reach_horizon = reachable_tasks_with_horizon(
-            worker,
-            inputs.real,
-            now,
-            travel,
-            max_tasks=config.max_reachable,
-            hops=_HOPS,
-            matrix=matrix,
-            cols=inputs.real_cols,
+            worker, real, now, travel, max_tasks=config.max_reachable, hops=_HOPS,
+            matrix=matrix, cols=call.real_cols,
         )
         fallback = False
-        if not reachable and len(active) != len(inputs.real):
+        if not reachable and len(active) != len(real):
             # Predicted tasks never displace real, currently-open tasks
             # from a worker's reachable set: a worker with no real
             # reachable task plans over the full (predicted-augmented)
             # snapshot so prediction-aware strategies can reposition it.
             fallback = True
             reachable, uncapped_ids, reach_horizon = reachable_tasks_with_horizon(
-                worker,
-                active,
-                now,
-                travel,
-                max_tasks=config.max_reachable,
-                hops=_HOPS,
+                worker, active, now, travel, max_tasks=config.max_reachable, hops=_HOPS,
                 matrix=matrix,
             )
+        # The entry is updated in place: a refresh per dirty worker per
+        # epoch made entry churn measurable at platform scale, and nothing
+        # holds an entry across epochs by value — component caches key on
+        # (worker id, version), which mutation preserves exactly.
+        wid = worker.worker_id
+        entry = self._worker_entries.get(wid)
+        if entry is None:
+            entry = self._worker_entries[wid] = _WorkerEntry(_worker_fingerprint(worker), worker)
+        elif moved:
+            entry.fingerprint = _worker_fingerprint(worker)
+            entry.worker = worker
         reachable_ids = tuple(task.task_id for task in reachable)
-
-        horizon_box: List[float] = []
-        sequences = maximal_valid_sequences(
-            worker,
-            reachable,
-            now,
-            travel,
-            max_length=config.max_sequence_length,
-            max_sequences=config.max_sequences,
-            matrix=matrix,
-            horizon_out=horizon_box,
-            per_leg=config.per_leg_pricing,
-        )
-        seq_tuples = tuple(sequence.task_ids for sequence in sequences)
-        seq_horizon = horizon_box[0]
-
-        version = old.version if old is not None else 0
-        if (
-            force_bump
-            or old is None
-            or old.reachable_ids != reachable_ids
-            or old.seq_tuples != seq_tuples
-        ):
-            version += 1
-            self._drop_hit(worker.worker_id)
-
-        if old is not None:
-            # Reuse the existing entry object in place: a refresh per dirty
-            # worker per epoch made the dataclass churn measurable at
-            # platform scale, and nothing holds an entry across epochs by
-            # value — component caches key on (worker id, version), which
-            # mutation preserves exactly.
-            old_uncapped = old.uncapped_ids
-            entry = old
-            if force_bump:
-                entry.fingerprint = _worker_fingerprint(worker)
-                entry.worker = worker
-            entry.reachable = list(reachable)
-            entry.reachable_ids = reachable_ids
-            entry.uncapped_ids = uncapped_ids
-            entry.reach_horizon = reach_horizon
-            entry.sequences = sequences
-            entry.seq_tuples = seq_tuples
-            entry.seq_set = frozenset(seq_tuples)
-            entry.seq_horizon = seq_horizon
-            entry.fallback = fallback
-            entry.version = version
-        else:
-            old_uncapped = frozenset()
-            entry = _WorkerEntry(
-                fingerprint=_worker_fingerprint(worker),
-                worker=worker,
-                reachable=list(reachable),
-                reachable_ids=reachable_ids,
-                uncapped_ids=uncapped_ids,
-                reach_horizon=reach_horizon,
-                sequences=sequences,
-                seq_tuples=seq_tuples,
-                seq_set=frozenset(seq_tuples),
-                seq_horizon=seq_horizon,
-                fallback=fallback,
-                version=version,
-            )
-        self._update_owners(worker.worker_id, old_uncapped, uncapped_ids)
-        self._worker_entries[worker.worker_id] = entry
+        moved = moved or entry.reachable_ids != reachable_ids
+        self._update_owners(wid, entry.uncapped_ids, uncapped_ids)
+        entry.reachable = list(reachable)
+        entry.reachable_ids = reachable_ids
+        entry.uncapped_ids = uncapped_ids
+        entry.reach_horizon = reach_horizon
+        entry.fallback = fallback
+        self._refresh_sequences(worker, entry, now, matrix, moved)
         return entry
 
-    def _refresh_sequences(self, worker: Worker, now: float) -> None:
-        """Re-enumerate sequences over an unchanged reachable set."""
+    def _refresh_sequences(
+        self, worker: Worker, entry: _WorkerEntry, now: float, matrix: Optional[TravelMatrix], moved: bool
+    ) -> None:
+        """Re-enumerate ``Q_w`` over the entry's reachable set; bump the
+        version when ``moved`` or the sequence id-tuples changed."""
         config = self.planner.config
-        entry = self._worker_entries[worker.worker_id]
         horizon_box: List[float] = []
         sequences = maximal_valid_sequences(
-            worker,
-            entry.reachable,
-            now,
-            self.planner.travel,
-            max_length=config.max_sequence_length,
-            max_sequences=config.max_sequences,
-            horizon_out=horizon_box,
-            per_leg=config.per_leg_pricing,
+            worker, entry.reachable, now, self.planner.travel,
+            max_length=config.max_sequence_length, max_sequences=config.max_sequences,
+            matrix=matrix, horizon_out=horizon_box, per_leg=config.per_leg_pricing,
         )
         seq_tuples = tuple(sequence.task_ids for sequence in sequences)
-        if seq_tuples != entry.seq_tuples:
+        if moved or seq_tuples != entry.seq_tuples:
             entry.version += 1
-            self._drop_hit(worker.worker_id)
+            held = self._component_of.get(worker.worker_id)
+            if held is not None:
+                held.hit = None  # a member's version moved: the hit is void
         entry.sequences = sequences
         entry.seq_tuples = seq_tuples
         entry.seq_set = frozenset(seq_tuples)
         entry.seq_horizon = horizon_box[0]
 
     def _arrival_enters(
-        self,
-        worker: Worker,
-        entry: _WorkerEntry,
-        arrivals: List[Task],
-        now: float,
+        self, worker: Worker, entry: _WorkerEntry, arrivals: List[Task], now: float,
         tasks_by_id: Dict[int, Task],
     ) -> bool:
         """Whether an arrival joins ``worker``'s in-horizon cached set under
@@ -1188,11 +1186,7 @@ class IncrementalPlanEngine:
         return False
 
     def _remember(
-        self,
-        held: _Component,
-        selections: Tuple[Tuple[int, Tuple[int, ...]], ...],
-        nodes: int,
-        mode: str,
+        self, held: _Component, selections: Tuple[Tuple[int, Tuple[int, ...]], ...], nodes: int, mode: str
     ) -> None:
         """Cache a healthy search result as ``held``'s hit and under its
         member set."""
@@ -1206,12 +1200,6 @@ class IncrementalPlanEngine:
             last_used=self._epoch,
         )
         self._components[frozenset(held.members)] = held.hit
-
-    def _drop_hit(self, worker_id: int) -> None:
-        """A member's version moved: its component's hit is void."""
-        held = self._component_of.get(worker_id)
-        if held is not None:
-            held.hit = None
 
     def _update_components(self, touched: List[int], workers_by_id: Dict[int, Worker]) -> int:
         """Bring the components to this snapshot (module docstring) and
@@ -1275,21 +1263,12 @@ class IncrementalPlanEngine:
         self._component_list = kept
         return len(fresh) + len(emptied)
 
-    def _drop_worker(self, worker_id: int) -> None:
-        """Forget a departed worker's entry and ownership registrations."""
-        entry = self._worker_entries.pop(worker_id)
-        for tid in entry.uncapped_ids:
-            owners = self._task_owners.get(tid)
-            if owners is not None:
-                owners.discard(worker_id)
-                if not owners:
-                    del self._task_owners[tid]
-
     def _update_owners(
         self, worker_id: int, old_ids: FrozenSet[int], new_ids: FrozenSet[int]
     ) -> None:
-        # Takes the id-sets rather than entries: with in-place entry reuse
-        # the old and new entry are the same object by the time this runs.
+        """Move ``worker_id``'s task ownership from ``old_ids`` to
+        ``new_ids`` (empty: the worker is forgotten).  Takes id-sets, not
+        entries: an entry is updated in place."""
         if old_ids == new_ids:
             return
         for tid in old_ids - new_ids:
@@ -1300,3 +1279,15 @@ class IncrementalPlanEngine:
                     del self._task_owners[tid]
         for tid in new_ids - old_ids:
             self._task_owners.setdefault(tid, set()).add(worker_id)
+
+
+#: The phases of :meth:`IncrementalPlanEngine.plan`, in driver order: each
+#: runs once per call inside a span of its name.  A new phase is one method
+#: plus one entry here.
+_PHASES = (
+    ("diff", IncrementalPlanEngine._diff),
+    ("refresh", IncrementalPlanEngine._refresh),
+    ("decompose", IncrementalPlanEngine._decompose),
+    ("dispatch", IncrementalPlanEngine._dispatch),
+    ("merge", IncrementalPlanEngine._merge),
+)

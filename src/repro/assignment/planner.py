@@ -97,13 +97,6 @@ class PlannerConfig:
         For uniform profiles and static travel models the flag is a
         no-op — the code path is literally the frozen-at-departure one,
         bit-for-bit.
-    incremental_replan:
-        Keep reachable sets, sequences and per-component search results
-        across consecutive ``plan()`` calls and recompute only the dirty
-        region (see :mod:`repro.assignment.incremental`).  Disabling it
-        drops the cache at the entry of every call — the same pipeline,
-        cold: bit-for-bit the same plans, and the reference the
-        equivalence suites and replan-latency benchmarks compare against.
     deadline_s:
         Wall-clock budget (seconds) for one ``plan()`` call.  The clock
         starts when ``plan`` is entered; component searches stop expanding
@@ -138,7 +131,6 @@ class PlannerConfig:
     tvf_min_workers: int = 4
     use_partition: bool = True
     per_leg_pricing: bool = True
-    incremental_replan: bool = True
     deadline_s: Optional[float] = None
     self_check: bool = True
     executor: str = "serial"
@@ -196,15 +188,16 @@ class TaskPlanner:
         hints only ever widen the recompute region, so callers may pass
         conservative over-approximations freely.
         """
-        if self.config.incremental_replan:
-            self._engine.note_dirty(dirty)
+        self._engine.note_dirty(dirty)
 
     def reset_cache(self) -> None:
         """Drop all incremental state (call between independent runs).
 
         Required whenever simulated time restarts: the engine's horizons
         assume non-decreasing ``now`` (it also self-invalidates on a time
-        regression, but an explicit reset keeps runs fully isolated).
+        regression, but an explicit reset keeps runs fully isolated).  A
+        plan right after a reset is a full replan — the cold reference the
+        equivalence suites and replan-latency benchmarks compare against.
         """
         self._engine.invalidate()
 
@@ -251,8 +244,8 @@ class TaskPlanner:
             else None
         )
         engine = self._engine
-        if collect_experience or not config.incremental_replan:
-            # Cold callers run the same pipeline on an empty, throw-away
+        if collect_experience:
+            # Experience runs the same pipeline on an empty, throw-away
             # cache: nothing is reused, and nothing (TVF-bypassed search
             # results in particular) is left behind in the live one.
             engine = IncrementalPlanEngine(self)

@@ -117,8 +117,8 @@ def reference_plan(
 def assert_planner_matches_oracle(planner, workers, tasks, now, expect_optimum=True):
     """Plan the snapshot on an empty cache and hold it against the oracle.
 
-    ``planner`` is a ``TaskPlanner`` with ``incremental_replan`` on (its
-    live engine is read back for the per-worker stage outputs).  Pass
+    ``planner`` is a ``TaskPlanner`` (its live engine is read back for
+    the per-worker stage outputs).  Pass
     ``expect_optimum=False`` for TVF-guided planners, whose search is a
     heuristic.  Returns the planner's outcome.
     """
@@ -170,3 +170,17 @@ def assert_outcome_matches_oracle(
     assert len(used) == len(set(used)) == outcome.planned_tasks
     if expect_optimum and reference.complete:
         assert outcome.planned_tasks == reference.planned_tasks
+
+
+def cold_strategy(strategy):
+    """``strategy`` with its planner's cache dropped before every plan: the
+    full-replan reference for platform runs (``reset_cache()`` leaves the
+    engine exactly as a new one starts)."""
+    warm_plan = strategy.plan
+
+    def plan(idle_workers, pending_tasks, now):
+        strategy.planner.reset_cache()
+        return warm_plan(idle_workers, pending_tasks, now)
+
+    strategy.plan = plan
+    return strategy

@@ -207,16 +207,15 @@ class TestIncrementalSoundness:
             )
             for j in range(rng.randint(5, 25))
         }
-        incremental = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=model)
-        )
-        full = TaskPlanner(PlannerConfig(incremental_replan=False, travel_model=model))
+        incremental = TaskPlanner(PlannerConfig(travel_model=model))
+        full = TaskPlanner(PlannerConfig(travel_model=model))
         now = 0.0
         next_tid = 1000
         for _ in range(15):
             snapshot_workers = [w for _, w in sorted(workers.items())]
             snapshot_tasks = [t for _, t in sorted(tasks.items())]
             a = incremental.plan(snapshot_workers, snapshot_tasks, now)
+            full.reset_cache()
             b = full.plan(snapshot_workers, snapshot_tasks, now)
             assert _outcome_signature(a) == _outcome_signature(b)
             event = rng.random()

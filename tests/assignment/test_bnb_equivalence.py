@@ -199,9 +199,7 @@ class TestBnBEquivalence:
             Task(100 + j, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 0.0, rng.uniform(5, 40))
             for j in range(30)
         ]
-        planner = TaskPlanner(
-            PlannerConfig(incremental_replan=False, node_budget=AMPLE_BUDGET), travel=TRAVEL
-        )
+        planner = TaskPlanner(PlannerConfig(node_budget=AMPLE_BUDGET), travel=TRAVEL)
         outcome = planner.plan(workers, tasks, 0.0)
         reference = reference_plan(workers, tasks, 0.0, TRAVEL, node_budget=AMPLE_BUDGET)
         assert reference.complete
@@ -396,9 +394,7 @@ class TestAdaptiveNodeBudget:
         budget); the same component searched at the fixed starvation budget
         is truncated."""
         workers, tasks = self._dense_component()
-        planner = TaskPlanner(
-            PlannerConfig(incremental_replan=False, node_budget=1), travel=TRAVEL
-        )
+        planner = TaskPlanner(PlannerConfig(node_budget=1), travel=TRAVEL)
         adaptive = planner.plan(workers, tasks, 0.0)
 
         roots, sequences, workers_by_id = search_inputs(
@@ -419,14 +415,11 @@ class TestAdaptiveNodeBudget:
 
     def test_incremental_and_full_agree_under_adaptive_budget(self):
         workers, tasks = self._dense_component()
-        incremental = TaskPlanner(
-            PlannerConfig(incremental_replan=True, node_budget=1), travel=TRAVEL
-        )
-        full = TaskPlanner(
-            PlannerConfig(incremental_replan=False, node_budget=1), travel=TRAVEL
-        )
+        incremental = TaskPlanner(PlannerConfig(node_budget=1), travel=TRAVEL)
+        full = TaskPlanner(PlannerConfig(node_budget=1), travel=TRAVEL)
         for now in (0.0, 0.5, 1.0):
             a = incremental.plan(workers, tasks, now)
+            full.reset_cache()
             b = full.plan(workers, tasks, now)
             assert [
                 (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment

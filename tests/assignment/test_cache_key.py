@@ -42,10 +42,6 @@ EXEMPT = {
         "and is-checks it per plan); arbitrary model objects don't belong "
         "in a hashable key tuple"
     ),
-    "incremental_replan": (
-        "when disabled every plan runs on a throw-away empty cache, so "
-        "the key cannot go stale through it"
-    ),
     "deadline_s": (
         "deadline-degraded component answers are never written to the "
         "cache, so cached entries are valid under any deadline setting"

@@ -108,7 +108,7 @@ def tvf():
         Task(500 + j, Point(rng.uniform(0, 6), rng.uniform(0, 6)), 0.0, 30.0)
         for j in range(25)
     ]
-    boot = TaskPlanner(PlannerConfig(use_tvf=True, incremental_replan=False), travel=TRAVEL)
+    boot = TaskPlanner(PlannerConfig(use_tvf=True), travel=TRAVEL)
     boot.train_tvf(workers, tasks, 0.0, epochs=2)
     return boot.tvf
 

@@ -112,7 +112,7 @@ def bootstrapped_tvf():
         Task(500 + j, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 0.0, 30.0)
         for j in range(25)
     ]
-    boot = TaskPlanner(PlannerConfig(use_tvf=True, incremental_replan=False), travel=TRAVEL)
+    boot = TaskPlanner(PlannerConfig(use_tvf=True), travel=TRAVEL)
     boot.train_tvf(workers, tasks, 0.0, epochs=2)
     return boot.tvf
 
@@ -208,9 +208,9 @@ def _stream(rng, seen):
         now += rng.uniform(0.0, 1.5)
 
 
-def _planner(options, tvf, incremental=True):
+def _planner(options, tvf):
     return TaskPlanner(
-        PlannerConfig(incremental_replan=incremental, **options),
+        PlannerConfig(**options),
         travel=TRAVEL,
         tvf=tvf if options.get("use_tvf") else None,
     )
@@ -222,7 +222,7 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
     rng = random.Random(9100 + seed)
     options = SCENARIOS[scenario]
     warm_planner = _planner(options, bootstrapped_tvf)
-    cold_planner = _planner(options, bootstrapped_tvf, incremental=False)
+    cold_planner = _planner(options, bootstrapped_tvf)
     obs = Observability()
     warm_planner.attach_observability(obs)
     engine = warm_planner._engine
@@ -232,6 +232,7 @@ def test_maintained_components_match_scratch(seed, scenario, bootstrapped_tvf):
     for snapshot_workers, snapshot_tasks, now in _stream(rng, seen):
         cache_before = dict(engine._components)
         warm = warm_planner.plan(snapshot_workers, snapshot_tasks, now)
+        cold_planner.reset_cache()
         cold = cold_planner.plan(snapshot_workers, snapshot_tasks, now)
         assert _signature(warm) == _signature(cold)
         if warm.num_components:  # not the empty-snapshot early return

@@ -66,14 +66,14 @@ def tvf():
         Task(500 + j, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 0.0, 30.0)
         for j in range(25)
     ]
-    boot = TaskPlanner(PlannerConfig(use_tvf=True, incremental_replan=False), travel=TRAVEL)
+    boot = TaskPlanner(PlannerConfig(use_tvf=True), travel=TRAVEL)
     boot.train_tvf(workers, tasks, 0.0, epochs=2)
     return boot.tvf
 
 
-def _planner(options, tvf, **overrides):
+def _planner(options, tvf):
     return TaskPlanner(
-        PlannerConfig(**dict(options, **overrides)),
+        PlannerConfig(**options),
         travel=TRAVEL,
         tvf=tvf if options.get("use_tvf") else None,
     )
@@ -85,12 +85,13 @@ def test_warm_counts_match_cold_and_oracle(seed, setup, tvf):
     options, kwargs = SETUPS[setup]
     rng = random.Random(9300 + seed)
     warm_planner = _planner(options, tvf)
-    cold_planner = _planner(options, tvf, incremental_replan=False)
+    cold_planner = _planner(options, tvf)
     engine = warm_planner._engine
     seen = {"left": 0, "joined": 0}
     empty_seen = reused_seen = 0
     for workers, tasks, now in _stream(rng, seen):
         warm = warm_planner.plan(workers, tasks, now, **kwargs)
+        cold_planner.reset_cache()
         cold = cold_planner.plan(workers, tasks, now, **kwargs)
         assert _fields(warm) == _fields(cold)
         assert warm.num_components == reference_plan(workers, tasks, now, TRAVEL).num_components
@@ -200,6 +201,6 @@ def test_self_check_repairs_a_misplaced_worker(corrupt):
     corrupt(engine)
     outcome = planner.plan(workers, tasks, 0.2)
     assert outcome.repairs == 1
-    cold = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
+    cold = TaskPlanner(PlannerConfig(), travel=TRAVEL)
     assert _fields(outcome)[:-1] == _fields(cold.plan(workers, tasks, 0.2))[:-1]
     assert planner.plan(workers, tasks, 0.3).repairs == 0

@@ -233,7 +233,7 @@ class TestEngineBehaviour:
 
     def test_forced_dirty_hint_forces_recompute(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 0.0)
         clean = planner.plan(workers, tasks, 0.1)
         assert clean.recomputed_workers == 0
@@ -243,7 +243,7 @@ class TestEngineBehaviour:
 
     def test_reset_cache_drops_all_state(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 5.0)
         planner.reset_cache()
         # Time restarts below the previous ``now``: only valid after reset.
@@ -252,11 +252,9 @@ class TestEngineBehaviour:
 
     def test_time_regression_self_invalidates(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 5.0)
-        reference = TaskPlanner(
-            PlannerConfig(incremental_replan=False), travel=TRAVEL
-        ).plan(workers, tasks, 1.0)
+        reference = TaskPlanner(PlannerConfig(), travel=TRAVEL).plan(workers, tasks, 1.0)
         regressed = planner.plan(workers, tasks, 1.0)
         assert regressed.recomputed_workers == len(workers)
         assert [
@@ -267,14 +265,12 @@ class TestEngineBehaviour:
         # Every cached horizon and travel row was computed under one travel
         # model; swapping the planner's model must drop them wholesale.
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 0.0)
         assert planner.plan(workers, tasks, 0.1).recomputed_workers == 0
         swapped = EuclideanTravelModel(speed=0.5)
         planner.travel = swapped
-        reference = TaskPlanner(
-            PlannerConfig(incremental_replan=False), travel=swapped
-        ).plan(workers, tasks, 0.2)
+        reference = TaskPlanner(PlannerConfig(), travel=swapped).plan(workers, tasks, 0.2)
         outcome = planner.plan(workers, tasks, 0.2)
         assert outcome.recomputed_workers == len(workers)
         assert [
@@ -291,7 +287,7 @@ class TestEngineBehaviour:
             Task(100, Point(0.5, 0.0), 0.0, 1000.0),
             Task(101, Point(100.5, 0.0), 0.0, 1000.0),
         ]
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 0.0)
         arrival = Task(102, Point(0.6, 0.1), 0.0, 1000.0)
         outcome = planner.plan(workers, tasks + [arrival], 0.1)
@@ -318,7 +314,7 @@ class TestAllocationReuse:
 
     def test_worker_entry_reused_in_place_across_refreshes(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 0.0)
         engine = planner._engine
         before = dict(engine._worker_entries)
@@ -338,7 +334,7 @@ class TestAllocationReuse:
 
     def test_available_ids_interned_per_task_epoch(self):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         planner.plan(workers, tasks, 0.0)
         engine = planner._engine
         first = engine._available_ids
@@ -373,7 +369,7 @@ class TestComponentRederivation:
     def _planner(self):
         from repro.obs import Observability
 
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         obs = Observability()
         planner.attach_observability(obs)
 
@@ -414,7 +410,7 @@ class TestComponentRederivation:
     def test_moved_worker_rederives_its_components(self):
         workers, tasks = self._snapshot()
         planner, plan = self._planner()
-        full = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
+        full = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         plan(workers, tasks, 0.0)
         # Move a worker into a different neighbourhood: its old and new
         # components are re-derived and results still match a fresh full
@@ -447,7 +443,7 @@ class TestComponentRederivation:
     def test_refresh_without_reachable_change_rebuilds_nothing(self):
         workers, tasks = self._snapshot()
         planner, plan = self._planner()
-        full = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
+        full = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         plan(workers, tasks, 0.0)
         # A nudge far below the snapshot geometry forces a worker refresh
         # (new fingerprint) but cannot change any reachable set: the
@@ -527,7 +523,7 @@ class TestProfileHorizonClamping:
 
         model = self._timedep()
         planner = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=model)
+            PlannerConfig(travel_model=model)
         )
         workers = [Worker(1, Point(0.0, 0.0), 5.0, 0.0, 1000.0)]
         tasks = [Task(1, Point(1.0, 0.0), 0.0, 1000.0)]
@@ -549,7 +545,7 @@ class TestProfileHorizonClamping:
             EuclideanTravelModel(speed=1.0), SpeedProfile.constant(1.0)
         )
         planner = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=model)
+            PlannerConfig(travel_model=model)
         )
         workers = [Worker(1, Point(0.0, 0.0), 5.0, 0.0, 1000.0)]
         tasks = [Task(1, Point(1.0, 0.0), 0.0, 1000.0)]
@@ -600,7 +596,7 @@ class TestExactArrivalTest:
 
     @staticmethod
     def _warm():
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         obs = Observability()
         planner.attach_observability(obs)
         return planner, obs
@@ -610,7 +606,7 @@ class TestExactArrivalTest:
         """Plan one step warm and on an empty cache; return the warm
         outcome and the step's ``skipped`` count."""
         outcome = planner.plan(workers, tasks, now)
-        cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        cold = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         assert _signature(outcome) == _signature(cold.plan(workers, tasks, now))
         assert _entry_state(planner, workers) == _entry_state(cold, workers)
         span = [e for e in obs.tracer.events if e["name"] == "refresh"][-1]
@@ -736,8 +732,9 @@ class TestIdentityPass:
     """One identity pass over the snapshot decides who is refreshed: an
     unchanged ``Worker`` object costs one ``is`` check, an equal-field
     replacement one field compare (after which the entry re-latches the
-    new object), and only the work list reaches ``_refresh_worker`` /
-    ``_refresh_sequences``.  Every step is held to an empty-cache engine."""
+    new object), and only the work list reaches ``_refresh_worker`` (which
+    ends in ``_refresh_sequences``) or ``_refresh_sequences`` alone.  Every
+    step is held to an empty-cache engine."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -753,13 +750,13 @@ class TestIdentityPass:
             counts["unchanged"] += 1
             return compare(fingerprint, worker)
 
-        def counting_refresh(self, worker, old, inputs, force_bump):
+        def counting_refresh(self, worker, *args):
             counts["refresh"].append(worker.worker_id)
-            return refresh(self, worker, old, inputs, force_bump)
+            return refresh(self, worker, *args)
 
-        def counting_sequences(self, worker, now):
+        def counting_sequences(self, worker, *args):
             counts["sequences"].append(worker.worker_id)
-            return sequences(self, worker, now)
+            return sequences(self, worker, *args)
 
         monkeypatch.setattr(incremental, "_worker_unchanged", counting_compare)
         monkeypatch.setattr(
@@ -795,13 +792,13 @@ class TestIdentityPass:
         outcome = planner.plan(workers, tasks, now)
         made = dict(calls)
         calls["reset"]()  # fresh lists: the cold plan below counts apart
-        cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        cold = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         assert _signature(outcome) == _signature(cold.plan(workers, tasks, now))
         return outcome, made
 
     def test_quiet_epoch_touches_no_worker(self, calls):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         self._plan(planner, workers, tasks, 0.0, calls)
         quiet, made = self._plan(planner, workers, tasks, 0.1, calls)
         assert made["unchanged"] == 0
@@ -812,7 +809,7 @@ class TestIdentityPass:
         import dataclasses
 
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         self._plan(planner, workers, tasks, 0.0, calls)
         copies = [dataclasses.replace(worker) for worker in workers]
         assert all(c is not w and c == w for c, w in zip(copies, workers))
@@ -828,7 +825,7 @@ class TestIdentityPass:
 
     def test_moved_worker_is_refreshed(self, calls):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         self._plan(planner, workers, tasks, 0.0, calls)
         moved = list(workers)
         moved[2] = moved[2].moved_to(Point(4.0, 4.0))
@@ -847,7 +844,7 @@ class TestIdentityPass:
             Task(100, Point(0.0, 1.0), 0.0, 1000.0),
             Task(101, Point(1.0, 0.0), 0.0, 10.0),
         ]
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         self._plan(planner, workers, tasks, 0.0, calls)
         entry = planner._engine._worker_entries[1]
         now = 8.0
@@ -875,7 +872,7 @@ class TestWorkerEviction:
             Task(1000 + i, Point(10.0 * i + 0.5, 0.0), 0.0, 1e6) for i in range(0, 70, 3)
         ] + [Task(999, Point(500.0, 500.0), 0.0, 1e6)]
         stay, leave = fleet[:2], fleet[2:]
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         epoch, now = 0, 0.0
 
         def step(workers):
@@ -910,7 +907,7 @@ class TestWorkerEviction:
             outcome = step(snapshot)
             assert back.worker_id in entries()
             assert outcome.recomputed_workers >= 1
-            cold = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+            cold = TaskPlanner(PlannerConfig(), travel=TRAVEL)
             assert _signature(outcome) == _signature(cold.plan(snapshot, tasks, now))
 
 

@@ -11,7 +11,7 @@ The contract under test:
 
 * uniform (boundary-free) profiles take the exact frozen path and are
   **bit-for-bit identical** with the flag on or off, at every backend
-  (serial, incremental, road network);
+  (full replan, incremental, road network);
 * ``leg_pricer`` returns ``None`` exactly when the frozen path is already
   exact (static model, uniform profile, time-dependent base);
 * on a boundary-crossing stream, pricing legs at their simulated
@@ -172,27 +172,19 @@ class TestUniformBitForBit:
     """``leg_pricer`` is None on uniform profiles, so the flag must be a
     no-op down to the last bit — per backend, not just in aggregate."""
 
-    @pytest.mark.parametrize(
-        "backend_config",
-        [
-            {},  # serial full replan
-            {"incremental_replan": True},
-        ],
-        ids=["serial", "incremental"],
-    )
-    def test_planner_backends(self, backend_config):
+    @pytest.mark.parametrize("cold", [True, False], ids=["full", "incremental"])
+    def test_planner_backends(self, cold):
         workers, tasks = _uniform_snapshot()
         travel = TimeDependentTravelModel(
             EuclideanTravelModel(speed=1.0), SpeedProfile.constant(0.8)
         )
         signatures = {}
         for per_leg in (True, False):
-            planner = TaskPlanner(
-                PlannerConfig(per_leg_pricing=per_leg, **backend_config),
-                travel=travel,
-            )
+            planner = TaskPlanner(PlannerConfig(per_leg_pricing=per_leg), travel=travel)
             sig = []
             for now in (0.0, 5.0, 10.0):
+                if cold:
+                    planner.reset_cache()
                 outcome = planner.plan(workers, tasks, now)
                 sig.append((_plan_signature(outcome), outcome.nodes_expanded))
             signatures[per_leg] = sig
@@ -284,15 +276,11 @@ class TestBoundaryStream:
         refreshes: same plans and node counts as a fresh full replan on
         the boundary-crossing snapshot, before and after the boundary."""
         instance = _boundary_stream_instance()
-        inc = TaskPlanner(
-            PlannerConfig(per_leg_pricing=True, incremental_replan=True),
-            travel=instance.travel,
-        )
-        full = TaskPlanner(
-            PlannerConfig(per_leg_pricing=True), travel=instance.travel
-        )
+        inc = TaskPlanner(PlannerConfig(per_leg_pricing=True), travel=instance.travel)
+        full = TaskPlanner(PlannerConfig(per_leg_pricing=True), travel=instance.travel)
         for now in (0.0, 6.0, 12.0):
             a = inc.plan(instance.workers, instance.tasks, now)
+            full.reset_cache()
             b = full.plan(instance.workers, instance.tasks, now)
             assert _plan_signature(a) == _plan_signature(b)
             assert a.nodes_expanded == b.nodes_expanded

@@ -42,6 +42,7 @@ from reference_partition import (
 from reference_pipeline import (
     assert_outcome_matches_oracle,
     assert_planner_matches_oracle,
+    cold_strategy,
 )
 from reference_tvf import featurize_state_action, scalar_value
 
@@ -281,18 +282,10 @@ class TestTravelModelAbstraction:
     is bit-for-bit the legacy ``travel=`` pipeline (the acceptance
     criterion of the travel-model subsystem)."""
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_config_travel_model_matches_legacy_argument(self, incremental):
+    def test_config_travel_model_matches_legacy_argument(self):
         rng = random.Random(4500)
-        via_config = TaskPlanner(
-            PlannerConfig(
-                travel_model=EuclideanTravelModel(speed=1.0),
-                incremental_replan=incremental,
-            )
-        )
-        legacy = TaskPlanner(
-            PlannerConfig(incremental_replan=incremental), travel=TRAVEL
-        )
+        via_config = TaskPlanner(PlannerConfig(travel_model=EuclideanTravelModel(speed=1.0)))
+        legacy = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         now = 0.0
         for _ in range(6):
             workers, tasks = random_instance(rng, max_workers=10, max_tasks=30)
@@ -301,7 +294,7 @@ class TestTravelModelAbstraction:
             assert _outcome_signature(a) == _outcome_signature(b)
             now += rng.uniform(0.0, 1.0)
             # Stream continuity only makes sense for stable entities, so
-            # reset between random snapshots in the incremental case.
+            # reset between random snapshots.
             via_config.reset_cache()
             legacy.reset_cache()
 
@@ -390,8 +383,10 @@ def _assert_step(incremental, full, workers, tasks, now, expect_optimum=True):
     """One decision point: warm engine == empty-cache engine == oracle
     (whose exhaustive search gets a small budget here — a stream has
     hundreds of decision points, and the cold engine's optimum is held to
-    the oracle's in ``TestPlannerEquivalence``)."""
+    the oracle's in ``TestPlannerEquivalence``).  ``full`` is emptied
+    first, so it plans the point as a full replan."""
     warm = incremental.plan(workers, tasks, now)
+    full.reset_cache()
     cold = full.plan(workers, tasks, now)
     assert _outcome_signature(warm) == _outcome_signature(cold)
     assert_outcome_matches_oracle(
@@ -404,8 +399,8 @@ class TestIncrementalEquivalence:
 
     Each test drives a *stream* of planning calls over an evolving snapshot
     (single-event mutations, advancing time) and compares an incremental
-    planner against ``incremental_replan=False`` — the same pipeline on a
-    throw-away empty cache — and against the scalar oracle at every
+    planner against one reset before every call — the same pipeline on an
+    empty cache — and against the scalar oracle at every
     decision point: the equivalence contract of
     :mod:`repro.assignment.incremental`.
     """
@@ -436,8 +431,8 @@ class TestIncrementalEquivalence:
             )
             for j in range(num_tasks)
         }
-        incremental = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
-        full = TaskPlanner(PlannerConfig(incremental_replan=False), travel=TRAVEL)
+        incremental = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+        full = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         now = 0.0
         next_tid = 1000
         for _ in range(20):
@@ -478,9 +473,7 @@ class TestIncrementalEquivalence:
             Task(500 + j, Point(boot_rng.uniform(0, 10), boot_rng.uniform(0, 10)), 0.0, 30.0)
             for j in range(25)
         ]
-        boot = TaskPlanner(
-            PlannerConfig(use_tvf=True, incremental_replan=False), travel=TRAVEL
-        )
+        boot = TaskPlanner(PlannerConfig(use_tvf=True), travel=TRAVEL)
         boot.train_tvf(boot_workers, boot_tasks, 0.0, epochs=2)
         tvf = boot.tvf
 
@@ -509,12 +502,12 @@ class TestIncrementalEquivalence:
         }
         predicted = {}
         incremental = TaskPlanner(
-            PlannerConfig(use_tvf=True, tvf_min_workers=2, incremental_replan=True),
+            PlannerConfig(use_tvf=True, tvf_min_workers=2),
             travel=TRAVEL,
             tvf=tvf,
         )
         full = TaskPlanner(
-            PlannerConfig(use_tvf=True, tvf_min_workers=2, incremental_replan=False),
+            PlannerConfig(use_tvf=True, tvf_min_workers=2),
             travel=TRAVEL,
             tvf=tvf,
         )
@@ -606,9 +599,9 @@ class TestIncrementalEquivalence:
             for j in range(num_tasks)
         }
         incremental = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=model)
+            PlannerConfig(travel_model=model)
         )
-        full = TaskPlanner(PlannerConfig(incremental_replan=False, travel_model=model))
+        full = TaskPlanner(PlannerConfig(travel_model=model))
         now = 0.0
         next_tid = 1000
         for _ in range(22):
@@ -693,9 +686,9 @@ class TestIncrementalEquivalence:
             for j in range(num_tasks)
         }
         incremental = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=model)
+            PlannerConfig(travel_model=model)
         )
-        full = TaskPlanner(PlannerConfig(incremental_replan=False, travel_model=model))
+        full = TaskPlanner(PlannerConfig(travel_model=model))
         now = 0.0
         next_tid = 1000
         for _ in range(16):
@@ -742,14 +735,12 @@ class TestIncrementalEquivalence:
             peak_multiplier=0.5,
         )
         results = []
-        for incremental in (False, True):
+        for cold in (True, False):
             strategy = make_strategy(
-                "dta",
-                config=PlannerConfig(
-                    incremental_replan=incremental,
-                    travel_model=workload.instance.travel,
-                ),
+                "dta", config=PlannerConfig(travel_model=workload.instance.travel)
             )
+            if cold:
+                cold_strategy(strategy)
             platform = SCPlatform(
                 workload.instance,
                 strategy,
@@ -779,7 +770,7 @@ class TestIncrementalEquivalence:
             Task(100 + j, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 0.0, 1000.0)
             for j in range(30)
         ]
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         first = planner.plan(workers, tasks, 0.0)
         assert first.recomputed_workers == len(workers)
         second = planner.plan(workers, tasks, 0.001)
@@ -817,7 +808,7 @@ class TestIncrementalEquivalence:
             Task(100 + j, Point(rng.uniform(0, 10), rng.uniform(0, 10)), 0.0, 1000.0)
             for j in range(VECTOR_MIN_TASKS + 8)
         ]
-        planner = TaskPlanner(PlannerConfig(incremental_replan=True), travel=TRAVEL)
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
         obs = Observability()
         planner.attach_observability(obs)
 
@@ -861,10 +852,10 @@ class TestIncrementalEquivalence:
             config=WorkloadConfig(num_workers=15, num_tasks=120, seed=9)
         ).generate()
         results = []
-        for incremental in (False, True):
-            strategy = make_strategy(
-                strategy_name, config=PlannerConfig(incremental_replan=incremental)
-            )
+        for cold in (True, False):
+            strategy = make_strategy(strategy_name, config=PlannerConfig())
+            if cold:
+                cold_strategy(strategy)
             platform = SCPlatform(
                 workload.instance,
                 strategy,

@@ -32,14 +32,18 @@ from repro.simulation.metrics import EPOCH_CLASSES
 from repro.simulation.platform import PlatformConfig, SCPlatform
 from repro.simulation.runner import SimulationRunner
 
+from reference_pipeline import cold_strategy
+
 
 @pytest.fixture(scope="module")
 def workload():
     return generate_yueche(scale=0.02, seed=3)
 
 
-def _run(workload, observability=None, planner_kw=None, **platform_kw):
-    strategy = DTAStrategy(config=PlannerConfig(**(planner_kw or {})))
+def _run(workload, observability=None, cold=False, **platform_kw):
+    strategy = DTAStrategy(config=PlannerConfig())
+    if cold:
+        cold_strategy(strategy)
     platform = SCPlatform(
         workload.instance,
         strategy,
@@ -87,15 +91,15 @@ class TestSpanCoverage:
             "checkpoint.save",
         } <= names
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_one_plan_span_vocabulary(self, workload, tmp_path, incremental):
+    @pytest.mark.parametrize("cold", [False, True])
+    def test_one_plan_span_vocabulary(self, workload, tmp_path, cold):
         """Warm or cold, a plan is the same five phases — and nothing else
         sits directly under a ``plan`` span."""
         path = os.fspath(tmp_path / "plan.json")
         _run(
             workload,
             observability=ObservabilityConfig(trace_path=path),
-            planner_kw={"incremental_replan": incremental},
+            cold=cold,
             max_replans=6,
         )
         spans = [e for e in parse_trace(path) if e.get("ph") == "X"]

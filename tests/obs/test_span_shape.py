@@ -12,6 +12,10 @@ and all timing left out, instants likewise -- together with the call's
 counter deltas and registry-op count, and compares one SHA-256 per case
 with the committed one.
 
+``test_driver_enters_each_phase_once`` pins the driver's contract
+directly: an empty snapshot emits no phase span, any other emits each
+phase span once, in order.
+
 Cases: a Yueche-style per-event stream replayed through the platform,
 and one dense snapshot (contested multi-worker components) planned cold,
 warm, past its deadline, TVF-guided, while collecting experience, and
@@ -182,6 +186,41 @@ def _shape(monkeypatch, case):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_span_shape_matches_golden(monkeypatch, case):
     assert _shape(monkeypatch, case) == GOLDEN[case]
+
+
+#: The phase spans of one plan call, in driver order.
+PHASES = ["diff", "refresh", "decompose", "dispatch", "merge"]
+
+
+@pytest.mark.parametrize("snapshot", ["no_workers", "only_expired_tasks", "planned"])
+def test_driver_enters_each_phase_once(snapshot):
+    """An empty snapshot returns the empty outcome before any phase; any
+    other enters every phase exactly once, in driver order."""
+    workers, tasks = _dense_snapshot()
+    if snapshot == "no_workers":
+        workers = []
+    elif snapshot == "only_expired_tasks":
+        tasks = [task for task in tasks if task.is_expired(20.0)]
+        assert tasks
+    now = 20.0 if snapshot == "only_expired_tasks" else 0.5
+    planner = TaskPlanner(PlannerConfig(), travel=EuclideanTravelModel(speed=1.0))
+    obs = Observability()
+    planner.attach_observability(obs)
+    outcome = planner.plan(workers, tasks, now)
+    spans = [e for e in obs.tracer.events if e["ph"] == "X"]
+    phases = [e["name"] for e in spans if e["args"]["parent"] is None]
+    if snapshot == "planned":
+        assert phases == PHASES
+        assert outcome.planned_tasks > 0
+        return
+    assert spans == [] and obs.ops == 0
+    fields = (
+        list(outcome.assignment), outcome.planned_tasks, outcome.nodes_expanded,
+        outcome.num_components, outcome.experience, outcome.reused_workers,
+        outcome.recomputed_workers, outcome.reused_components,
+        outcome.searched_components, outcome.rung, outcome.deadline_hit, outcome.repairs,
+    )
+    assert fields == ([], 0, 0, 0, [], 0, 0, 0, 0, "full", False, 0)
 
 
 if __name__ == "__main__":

@@ -216,13 +216,12 @@ class TestPlannerDeadline:
         ]
         return workers, tasks
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_zero_deadline_engages_greedy_rung(self, incremental):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_zero_deadline_engages_greedy_rung(self, warm):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(
-            PlannerConfig(incremental_replan=incremental, deadline_s=0.0),
-            travel=TRAVEL,
-        )
+        planner = TaskPlanner(PlannerConfig(deadline_s=0.0), travel=TRAVEL)
+        if warm:
+            planner.plan(workers, tasks, 0.0)
         outcome = planner.plan(workers, tasks, 0.0)
         assert outcome.rung == "greedy"
         assert outcome.deadline_hit
@@ -233,12 +232,12 @@ class TestPlannerDeadline:
         assert len(used) == len(set(used))
         assert outcome.planned_tasks == len(used) > 0
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_no_deadline_never_degrades(self, incremental):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_no_deadline_never_degrades(self, warm):
         workers, tasks = self._snapshot()
-        planner = TaskPlanner(
-            PlannerConfig(incremental_replan=incremental), travel=TRAVEL
-        )
+        planner = TaskPlanner(PlannerConfig(), travel=TRAVEL)
+        if warm:
+            planner.plan(workers, tasks, 0.0)
         outcome = planner.plan(workers, tasks, 0.0)
         assert outcome.rung == "full"
         assert not outcome.deadline_hit
@@ -253,9 +252,7 @@ class TestPlannerDeadline:
         degraded.config.deadline_s = None
         healed = degraded.plan(workers, tasks, 0.0)
         assert healed.rung == "full"
-        reference = TaskPlanner(
-            PlannerConfig(incremental_replan=False), travel=TRAVEL
-        ).plan(workers, tasks, 0.0)
+        reference = TaskPlanner(PlannerConfig(), travel=TRAVEL).plan(workers, tasks, 0.0)
         assert _plan_tuples(healed.assignment) == _plan_tuples(reference.assignment)
 
     def test_greedy_rung_never_beats_full(self):
@@ -281,9 +278,7 @@ class TestSelfHealing:
         return planner, workers, tasks
 
     def _reference(self, workers, tasks):
-        return TaskPlanner(
-            PlannerConfig(incremental_replan=False), travel=TRAVEL
-        ).plan(workers, tasks, 0.0)
+        return TaskPlanner(PlannerConfig(), travel=TRAVEL).plan(workers, tasks, 0.0)
 
     def test_check_names_the_reference_violation(self):
         """The engine's check returns what the plain ordered sweep

@@ -31,7 +31,7 @@ from repro.roadnet import RoadNetworkTravelModel, grid_network, roadnet_workload
 from repro.spatial.geometry import Point
 from repro.spatial.travel_matrix import TravelMatrix
 
-from reference_pipeline import assert_planner_matches_oracle
+from reference_pipeline import assert_planner_matches_oracle, cold_strategy
 
 
 @pytest.fixture(scope="module")
@@ -141,18 +141,15 @@ class TestRoadnetPlannerEquivalence:
             )
             for j in range(rng.randint(6, 30))
         }
-        incremental = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=road_model)
-        )
-        full = TaskPlanner(
-            PlannerConfig(incremental_replan=False, travel_model=road_model)
-        )
+        incremental = TaskPlanner(PlannerConfig(travel_model=road_model))
+        full = TaskPlanner(PlannerConfig(travel_model=road_model))
         now = 0.0
         next_tid = 1000
         for _ in range(20):
             snapshot_workers = [w for _, w in sorted(workers.items())]
             snapshot_tasks = [t for _, t in sorted(tasks.items())]
             a = incremental.plan(snapshot_workers, snapshot_tasks, now)
+            full.reset_cache()
             b = full.plan(snapshot_workers, snapshot_tasks, now)
             assert _outcome_signature(a) == _outcome_signature(b)
             event = rng.random()
@@ -198,14 +195,12 @@ class TestRoadnetPlatform:
             num_hotspots=3,
         )
         results = []
-        for incremental in (False, True):
+        for cold in (True, False):
             strategy = make_strategy(
-                "dta",
-                config=PlannerConfig(
-                    incremental_replan=incremental,
-                    travel_model=workload.instance.travel,
-                ),
+                "dta", config=PlannerConfig(travel_model=workload.instance.travel)
             )
+            if cold:
+                cold_strategy(strategy)
             platform = SCPlatform(
                 workload.instance,
                 strategy,

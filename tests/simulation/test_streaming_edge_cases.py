@@ -19,6 +19,8 @@ from repro.simulation.platform import PlatformConfig, SCPlatform
 from repro.spatial.geometry import Point
 from repro.spatial.travel import EuclideanTravelModel
 
+from reference_pipeline import cold_strategy
+
 TRAVEL = EuclideanTravelModel(speed=1.0)
 
 
@@ -33,12 +35,14 @@ def _metrics_signature(metrics):
 
 
 class TestRunReentrancy:
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_two_consecutive_runs_return_identical_metrics(self, incremental):
+    @pytest.mark.parametrize("cold", [True, False])
+    def test_two_consecutive_runs_return_identical_metrics(self, cold):
         workload = SyntheticWorkloadGenerator(
             config=WorkloadConfig(num_workers=10, num_tasks=80, seed=17)
         ).generate()
-        strategy = DTAStrategy(config=PlannerConfig(incremental_replan=incremental))
+        strategy = DTAStrategy(config=PlannerConfig())
+        if cold:
+            cold_strategy(strategy)
         platform = SCPlatform(
             workload.instance,
             strategy,

@@ -366,15 +366,12 @@ class TestTimeDependentProperties:
         # distance 8: congested time 16 >= 15 - 0 (unreachable at 0);
         # fast-window time 4 < 15 - 10 (reachable at the boundary).
         task = Task(7, Point(8.0, 0.0), 0.0, 15.0)
-        incremental = TaskPlanner(
-            PlannerConfig(incremental_replan=True, travel_model=model)
-        )
-        full = TaskPlanner(
-            PlannerConfig(incremental_replan=False, travel_model=model)
-        )
+        incremental = TaskPlanner(PlannerConfig(travel_model=model))
+        full = TaskPlanner(PlannerConfig(travel_model=model))
         planned = []
         for now in (0.0, 10.0):  # second epoch lands exactly on the boundary
             a = incremental.plan([worker], [task], now)
+            full.reset_cache()
             b = full.plan([worker], [task], now)
             assert [
                 (wp.worker.worker_id, wp.sequence.task_ids) for wp in a.assignment
