@@ -8,9 +8,9 @@ and the per-component search results between epochs and recomputes only
 the dirty region.  A *full* replan is the same code on an empty cache:
 ``TaskPlanner.reset_cache()`` drops it, and TVF experience collection and
 the self-check repair run a throw-away engine whose state is discarded
-afterwards.  :meth:`IncrementalPlanEngine.plan` is a driver over one
-per-call record (``_PlanCall``) that runs the phases of ``_PHASES`` in
-order.  Reuse rests on three structural facts:
+afterwards.  :meth:`IncrementalPlanEngine.plan` passes one per-call
+record (``_PlanCall``) through the phases of ``_PHASES``, in order.
+Reuse rests on three structural facts:
 
 * **Monotone time predicates.**  For a fixed worker/task pair every
   reachability and sequence-validity predicate has the form
@@ -385,7 +385,7 @@ class _Component:
 class _PlanCall:
     """Scratch record of one ``plan()`` call, filled phase by phase.
 
-    The driver opens one per call and hands it to each phase in turn; a
+    ``plan()`` opens one per call and hands it to each phase in turn; a
     phase reads what earlier phases wrote and adds its own fields.  Hot
     loops still bind what they touch to locals.  Nothing outlives the call.
     """
@@ -519,7 +519,7 @@ class IncrementalPlanEngine:
     ) -> PlanningOutcome:
         """The pipeline behind ``TaskPlanner.plan`` (lines 2-10 of Alg. 4).
 
-        A driver over one :class:`_PlanCall`: the context check, then each
+        Runs one :class:`_PlanCall` through the context check, then each
         phase of :data:`_PHASES` once, in order, inside its own span
         (``diff``, ``refresh``, ``decompose``, ``dispatch``, ``merge``), then
         the self-check and plan construction, then cache housekeeping.
@@ -573,7 +573,7 @@ class IncrementalPlanEngine:
         return outcome
 
     # ------------------------------------------------------------------ #
-    # The phases, in driver order
+    # The phases, in the order plan() runs them
     # ------------------------------------------------------------------ #
     def _begin(
         self, workers: Sequence[Worker], tasks: Sequence[Task], now: float,
@@ -757,7 +757,6 @@ class IncrementalPlanEngine:
             self._available_ids = frozenset(call.tasks_by_id)
             self._available_ids_epoch = self._task_epoch
         available_ids = self._available_ids
-        assert available_ids is not None
         task_epoch = self._task_epoch
         # Past the deadline every component takes the job path, whose
         # runner skips it into the greedy rung.
@@ -878,7 +877,6 @@ class IncrementalPlanEngine:
                 solved = closed.get(held)
                 if solved is None:
                     cached = held.hit
-                    assert cached is not None
                     selections = cached.selections
                     nodes = cached.nodes_expanded
                     cached.last_used = self._epoch
@@ -1281,9 +1279,9 @@ class IncrementalPlanEngine:
             self._task_owners.setdefault(tid, set()).add(worker_id)
 
 
-#: The phases of :meth:`IncrementalPlanEngine.plan`, in driver order: each
-#: runs once per call inside a span of its name.  A new phase is one method
-#: plus one entry here.
+#: The phases of :meth:`IncrementalPlanEngine.plan`, in the order it runs
+#: them, each once per call inside a span of its name.  A new phase is one
+#: method plus one entry here.
 _PHASES = (
     ("diff", IncrementalPlanEngine._diff),
     ("refresh", IncrementalPlanEngine._refresh),

@@ -12,7 +12,7 @@ and all timing left out, instants likewise -- together with the call's
 counter deltas and registry-op count, and compares one SHA-256 per case
 with the committed one.
 
-``test_driver_enters_each_phase_once`` pins the driver's contract
+``test_plan_enters_each_phase_once`` pins ``plan()``'s phase contract
 directly: an empty snapshot emits no phase span, any other emits each
 phase span once, in order.
 
@@ -188,14 +188,14 @@ def test_span_shape_matches_golden(monkeypatch, case):
     assert _shape(monkeypatch, case) == GOLDEN[case]
 
 
-#: The phase spans of one plan call, in driver order.
+#: The phase spans of one plan call, in the order plan() runs them.
 PHASES = ["diff", "refresh", "decompose", "dispatch", "merge"]
 
 
 @pytest.mark.parametrize("snapshot", ["no_workers", "only_expired_tasks", "planned"])
-def test_driver_enters_each_phase_once(snapshot):
+def test_plan_enters_each_phase_once(snapshot):
     """An empty snapshot returns the empty outcome before any phase; any
-    other enters every phase exactly once, in driver order."""
+    other enters every phase exactly once, in order."""
     workers, tasks = _dense_snapshot()
     if snapshot == "no_workers":
         workers = []
